@@ -6,10 +6,11 @@ the lowest bidder index; a winner pays, per item won, the highest rival bid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .money import Money, parse_money
+from .money import Money, parse_money, rescale, scale_to_ints
 from .valuations import (
     CapabilityError,
     DomainError,
@@ -17,9 +18,7 @@ from .valuations import (
     as_bundle,
     better_demand,
     bundle_of,
-    iter_bits,
-    iter_submasks,
-    mask_of,
+    priced_table,
 )
 
 OPT_WORK_CAP = 40_000_000
@@ -97,55 +96,71 @@ def utility_of(valuations, i: int, alloc, payments) -> Money:
 
 
 def optimal_welfare(valuations):
-    """Exact optimum over partitions by bidder DP; returns (value, allocation)."""
+    """Exact optimum over partitions by bidder DP; returns (value, allocation).
+
+    Runs on value tables scaled to one common denominator, which keeps every
+    comparison and so the chosen allocation."""
     n = len(valuations)
     m = valuations[0].m
     if any(v.m != m for v in valuations):
         raise DomainError("valuations disagree on m")
     if n * 3 ** m > OPT_WORK_CAP:
         raise CapabilityError(f"optimal welfare DP too large for n={n}, m={m}")
-    full = (1 << m) - 1
-    prev = [Fraction(0)] * (1 << m)
+    tables = [v.value_table() for v in valuations]
+    D = math.lcm(*(d for _, d in tables))
+    size = 1 << m
+    full = size - 1
+    prev = [0] * size
     choices = []
-    for v in valuations:
-        vals = [v._value_mask(t) for t in range(1 << m)]
-        cur = [Fraction(0)] * (1 << m)
-        take = [0] * (1 << m)
-        for mask in range(1 << m):
-            best, bestT = None, 0
-            for t in iter_submasks(mask):
+    for i, (vals, d) in enumerate(tables):
+        vals = rescale(vals, d, D)
+        cur = [0] * size
+        take = [0] * size
+        # the last bidder only has to complete the full item set
+        for mask in range(size) if i < n - 1 else (full,):
+            # submasks t of mask in descending order; the first maximum wins
+            best, bestT = prev[0] + vals[mask], mask
+            t = mask
+            while t:
+                t = (t - 1) & mask
                 cand = prev[mask ^ t] + vals[t]
-                if best is None or cand > best:
+                if cand > best:
                     best, bestT = cand, t
             cur[mask], take[mask] = best, bestT
         choices.append(take)
         prev = cur
-    opt = prev[full]
     mask = full
     picks = [0] * n
     for i in range(n - 1, -1, -1):
         picks[i] = choices[i][mask]
         mask ^= picks[i]
-    return opt, tuple(bundle_of(t) for t in picks)
+    return Fraction(prev[full], D), tuple(bundle_of(t) for t in picks)
 
 
 def check_no_overbidding(v: Valuation, bid_row):
     """Weak no-overbidding: bids on every bundle sum to at most its value.
 
-    For monotone valuations it is enough to check subsets of the support.
+    For monotone valuations it is enough to check subsets of the support,
+    so only the support's submasks are ever evaluated, in descending order.
     """
     bid_row = tuple(parse_money(x) for x in bid_row)
     support = [j for j, x in enumerate(bid_row) if x > 0]
     if len(support) > 18:
         raise CapabilityError("no-overbidding check capped at support size 18")
-    smask = mask_of(support)
-    for t in iter_submasks(smask):
-        if t == 0:
-            continue
-        total = sum((bid_row[j] for j in iter_bits(t)), Fraction(0))
-        val = v._value(bundle_of(t))
-        if total > val:
-            return False, {"S": sorted(bundle_of(t)), "bids": total, "value": val}
+    bids, D = scale_to_ints([bid_row[j] for j in support])
+    # index c counts over the support; sub[c] is the item mask it stands for
+    sub = [0] * (1 << len(support))
+    total = [0] * (1 << len(support))
+    for c in range(1, len(sub)):
+        low = c & -c
+        b = low.bit_length() - 1
+        sub[c] = sub[c ^ low] | (1 << support[b])
+        total[c] = total[c ^ low] + bids[b]
+    for c in range(len(sub) - 1, 0, -1):
+        val = v._value_mask(sub[c])
+        if total[c] * val.denominator > val.numerator * D:
+            S = sorted(bundle_of(sub[c]))
+            return False, {"S": S, "bids": Fraction(total[c], D), "value": val}
     return True, None
 
 
@@ -177,14 +192,11 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
             if k != i and bids[k][j] > p:
                 p = bids[k][j]
         prices.append(p)
+    vals, psum, D = priced_table(v, prices)
     size = 1 << m
-    psum = [Fraction(0)] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        psum[mask] = psum[mask ^ low] + prices[low.bit_length() - 1]
     blocked = bytearray(size)
     for mask in range(1, size):
-        if psum[mask] >= v._value_mask(mask):
+        if psum[mask] >= vals[mask]:
             blocked[mask] = 1
         else:
             mm = mask
@@ -194,17 +206,17 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
                     blocked[mask] = 1
                     break
                 mm ^= low
-    best_u, best_S, best_pay = Fraction(0), frozenset(), Fraction(0)
+    best_u, best_S, best_pay = 0, frozenset(), 0
     for mask in range(1, size):
         if blocked[mask]:
             continue
-        u = v._value_mask(mask) - psum[mask]
+        u = vals[mask] - psum[mask]
         if u < best_u:
             continue
         S = bundle_of(mask)
         if better_demand(u, S, best_u, best_S):
             best_u, best_S, best_pay = u, S, psum[mask]
-    return Deviation(best_u, best_S, best_pay)
+    return Deviation(Fraction(best_u, D), best_S, Fraction(best_pay, D))
 
 
 def is_pure_nash_no_overbid(valuations, bids, alloc=None):

@@ -99,13 +99,6 @@ def query_lower_bound(m: int) -> int:
     return lo
 
 
-def cover_bound_formula(m: int) -> int:
-    """Polynomial cap on the demand-cover size; documentation artifact."""
-    if m <= 0:
-        raise DomainError("need m > 0")
-    return 1000 * m ** 765
-
-
 # -- sensitive valuations ---------------------------------------------------------
 
 

@@ -35,3 +35,17 @@ def money_gcd(a: Fraction, b: Fraction) -> Fraction:
         return a
     num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
     return Fraction(num, a.denominator * b.denominator)
+
+
+def scale_to_ints(values):
+    """(ints, D) with ints[k] == values[k] * D exactly, where D is the least
+    common denominator of values (ints and Fractions). Scaling every value
+    by the same positive D keeps every order and tie."""
+    D = math.lcm(1, *{x.denominator for x in values})
+    return [x.numerator * (D // x.denominator) for x in values], D
+
+
+def rescale(ints, D: int, to: int):
+    """ints at denominator D re-expressed at denominator `to`, a multiple of D."""
+    k = to // D
+    return ints if k == 1 else [x * k for x in ints]

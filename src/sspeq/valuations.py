@@ -7,10 +7,11 @@ counting value / demand / XOS-clause queries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .money import Money, format_money, parse_money
+from .money import Money, format_money, parse_money, rescale, scale_to_ints
 
 EXHAUSTIVE_DEMAND_CAP = 16
 VERIFY_CAP = {
@@ -75,6 +76,21 @@ def iter_submasks(mask: int):
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def priced_table(v, prices):
+    """v's value table and every bundle's price sum at one common
+    denominator: (vals, psum, D) with vals[t] == D * v(t) and
+    psum[t] == D * (sum of prices over t), all Python ints."""
+    vals, Dv = v.value_table()
+    p, Dp = scale_to_ints(prices)
+    D = math.lcm(Dv, Dp)
+    vals, p = rescale(vals, Dv, D), rescale(p, Dp, D)
+    psum = [0] * (1 << v.m)
+    for mask in range(1, 1 << v.m):
+        low = mask & -mask
+        psum[mask] = psum[mask ^ low] + p[low.bit_length() - 1]
+    return vals, psum, D
 
 
 def bundle_key(S) -> tuple:
@@ -155,6 +171,11 @@ class Valuation:
     def _value_mask(self, mask: int) -> Money:
         return self._value(bundle_of(mask))
 
+    def value_table(self):
+        """(ints, D) with _value_mask(t) == Fraction(ints[t], D) for every
+        mask t. Built afresh on each call and not counted in the ledger."""
+        return scale_to_ints([self._value_mask(t) for t in range(1 << self.m)])
+
     def _check_prices(self, prices):
         prices = tuple(parse_money(p) for p in prices)
         if len(prices) != self.m:
@@ -168,13 +189,10 @@ class Valuation:
             raise CapabilityError(
                 f"exhaustive demand needs m <= {EXHAUSTIVE_DEMAND_CAP}, got {self.m}"
             )
-        psum = [Fraction(0)] * (1 << self.m)
+        vals, psum, _ = priced_table(self, prices)
+        best_profit, best = 0, frozenset()
         for mask in range(1, 1 << self.m):
-            low = mask & -mask
-            psum[mask] = psum[mask ^ low] + prices[low.bit_length() - 1]
-        best_profit, best = Fraction(0), frozenset()
-        for mask in range(1, 1 << self.m):
-            profit = self._value_mask(mask) - psum[mask]
+            profit = vals[mask] - psum[mask]
             if profit < best_profit:
                 continue
             S = bundle_of(mask)
@@ -231,6 +249,9 @@ class TableValuation(Valuation):
 
     def _value_mask(self, mask):
         return self.table[mask]
+
+    def value_table(self):
+        return scale_to_ints(self.table)
 
     def to_json(self):
         return {
@@ -396,6 +417,22 @@ class CoverageValuation(Valuation):
 
     def _value_mask(self, mask):
         return sum((w for em, w in self._edge_masks if em & mask), Fraction(0))
+
+    def value_table(self):
+        # low-bit DP: adding item j newly covers its edges not yet touched by rest
+        weights, D = scale_to_ints([w for _, _, w in self.edges])
+        nbrs = [[] for _ in range(self.m)]
+        for (u, v, _), w in zip(self.edges, weights):
+            nbrs[u].append((1 << v, w))
+            nbrs[v].append((1 << u, w))
+        table = [0] * (1 << self.m)
+        for mask in range(1, 1 << self.m):
+            low = mask & -mask
+            rest = mask ^ low
+            table[mask] = table[rest] + sum(
+                w for other, w in nbrs[low.bit_length() - 1] if not other & rest
+            )
+        return table, D
 
     def to_json(self):
         return {

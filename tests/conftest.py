@@ -12,6 +12,7 @@ from fractions import Fraction
 from sspeq.valuations import (
     AdditiveValuation,
     BudgetAdditiveValuation,
+    CoverageValuation,
     TableValuation,
     better_demand,
     bundle_of,
@@ -30,6 +31,20 @@ def brute_coverage_table(m, edges):
                 total += Fraction(w)
         table.append(total)
     return table
+
+
+def random_coverage_edges(rng, m, hi=6, den=6):
+    """Random multigraph on m vertices; weights k/d with d drawn from 1..den."""
+    if m < 2:
+        return []
+    return [
+        (*rng.sample(range(m), 2), Fraction(rng.randint(0, hi), rng.randint(1, den)))
+        for _ in range(rng.randint(0, 2 * m))
+    ]
+
+
+def random_coverage(rng, m, hi=6, den=6):
+    return CoverageValuation(m, random_coverage_edges(rng, m, hi, den))
 
 
 def random_additive(rng, m, lo=0, hi=8, den=4):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +7,16 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_best_deviation,
+    brute_coverage_table,
     brute_optimal_welfare,
     random_additive,
     random_budget_additive,
+    random_coverage,
     random_submodular_table,
     seeded,
 )
 from sspeq.auction import (
+    OPT_WORK_CAP,
     best_deviation,
     check_no_overbidding,
     greedy_allocation,
@@ -22,7 +26,15 @@ from sspeq.auction import (
     resolve,
     welfare,
 )
-from sspeq.valuations import AdditiveValuation, DomainError, TableValuation
+from sspeq.valuations import (
+    AdditiveValuation,
+    CapabilityError,
+    CoverageValuation,
+    DomainError,
+    TableValuation,
+    bundle_of,
+    mask_of,
+)
 
 
 def test_resolve_ties_to_lowest_index():
@@ -67,6 +79,31 @@ def test_optimal_welfare_frozen():
     assert welfare(vs, alloc) == 5
 
 
+def _tie_heavy_instance(seed, m=6):
+    """Unit-ish weights on three families: several allocations reach OPT."""
+    rng = seeded(seed)
+    pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    tab_edges = [(u, v, Fraction(1, 3)) for u, v in pairs if rng.random() < 0.4]
+    cov = CoverageValuation(m, [(u, v, Fraction(1, 2)) for u, v in pairs if rng.random() < 0.4])
+    tab = TableValuation(m, brute_coverage_table(m, tab_edges))
+    return [cov, tab, AdditiveValuation(m, [Fraction(1, 2)] * m)]
+
+
+@pytest.mark.parametrize(
+    "seed, want_opt, want_alloc",
+    [
+        (5, Fraction(17, 3), ([0, 5], [3], [1, 2, 4])),
+        (10, Fraction(14, 3), ([0, 4], [2], [1, 3, 5])),
+    ],
+)
+def test_optimal_welfare_frozen_tie_break(seed, want_opt, want_alloc):
+    # eight allocations reach OPT on each instance; the DP's pick is frozen
+    vs = _tie_heavy_instance(seed)
+    opt, alloc = optimal_welfare(vs)
+    assert opt == want_opt
+    assert tuple(sorted(S) for S in alloc) == want_alloc
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_optimal_welfare_matches_assignment_enumeration(seed):
@@ -77,6 +114,39 @@ def test_optimal_welfare_matches_assignment_enumeration(seed):
     got, alloc = optimal_welfare(vs)
     assert got == want
     assert welfare(vs, alloc) == want
+
+
+def _mixed_family(rng, n, m):
+    """n bidders of mixed kinds, coverage among them, each with its own
+    weight denominators."""
+    kinds = [random_coverage, random_additive, random_budget_additive]
+    vs = [random_coverage(rng, m, den=rng.randint(1, 6))]
+    for _ in range(n - 1):
+        if rng.random() < 0.25:
+            vs.append(random_submodular_table(rng, m))
+        else:
+            vs.append(kinds[rng.randrange(3)](rng, m, den=rng.randint(1, 6)))
+    rng.shuffle(vs)
+    return vs
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_optimal_welfare_mixed_families_match_brute(seed):
+    rng = seeded(seed)
+    vs = _mixed_family(rng, rng.randint(1, 3), rng.randint(1, 4))
+    want, _ = brute_optimal_welfare(vs)
+    got, alloc = optimal_welfare(vs)
+    assert got == want
+    assert welfare(vs, alloc) == want
+
+
+def test_optimal_welfare_cap_boundary():
+    # the cap is on n * 3^m: two bidders fit at m = 15, three do not
+    assert 2 * 3 ** 15 <= OPT_WORK_CAP < 3 * 3 ** 15
+    vs = [CoverageValuation(15, [(0, 1, 1)]) for _ in range(3)]
+    with pytest.raises(CapabilityError):
+        optimal_welfare(vs)
 
 
 def test_best_deviation_frozen_strictness():
@@ -115,6 +185,81 @@ def test_best_deviation_matches_brute(seed):
     want_u, want_S, want_pay = brute_best_deviation(vs, i, bids)
     d = best_deviation(vs, i, bids)
     assert (d.utility, d.bundle, d.payment) == (want_u, want_S, want_pay)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_best_deviation_mixed_families_match_brute(seed):
+    rng = seeded(seed)
+    n, m = rng.randint(2, 3), rng.randint(1, 4)
+    vs = _mixed_family(rng, n, m)
+    bids = [
+        [Fraction(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(m)]
+        for _ in range(n)
+    ]
+    for i in range(n):
+        want_u, want_S, want_pay = brute_best_deviation(vs, i, bids)
+        d = best_deviation(vs, i, bids)
+        assert (d.utility, d.bundle, d.payment) == (want_u, want_S, want_pay)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_no_overbidding_matches_brute(seed):
+    rng = seeded(seed)
+    m = rng.randint(1, 5)
+    v = random_coverage(rng, m, den=rng.randint(1, 6))
+    row = [Fraction(rng.randint(0, 3), rng.randint(1, 4)) * (rng.random() < 0.6) for _ in range(m)]
+    over = [
+        bundle_of(t)
+        for t in range(1, 1 << m)
+        if sum((row[j] for j in bundle_of(t)), Fraction(0)) > v.value(bundle_of(t))
+    ]
+    ok, witness = check_no_overbidding(v, row)
+    assert ok == (not over)
+    if not ok:
+        S = frozenset(witness["S"])
+        assert S in over
+        assert witness["bids"] == sum((row[j] for j in S), Fraction(0))
+        assert witness["value"] == v.value(S)
+
+
+@pytest.fixture(scope="module")
+def unit_demand_18():
+    """v(S) = 1 for every nonempty S over 18 items, as an explicit table."""
+    return TableValuation(18, [0] + [1] * ((1 << 18) - 1))
+
+
+def test_best_deviation_cap_boundary(unit_demand_18):
+    rival = [0] + [1] * 17
+    d = best_deviation([unit_demand_18, unit_demand_18], 0, [[0] * 18, rival])
+    assert (d.utility, d.bundle, d.payment) == (1, frozenset({0}), 0)
+    v = CoverageValuation(19, [(0, 1, 1)])
+    with pytest.raises(CapabilityError):
+        best_deviation([v, v], 0, [[0] * 19, [0] * 19])
+
+
+def test_no_overbidding_cap_boundary(unit_demand_18):
+    ok, _ = check_no_overbidding(unit_demand_18, [Fraction(1, 18)] * 18)
+    assert ok
+    ok, witness = check_no_overbidding(unit_demand_18, [Fraction(1, 17)] * 18)
+    assert not ok
+    assert witness["S"] == list(range(18))
+    v = CoverageValuation(19, [(0, 1, 1)])
+    with pytest.raises(CapabilityError):
+        check_no_overbidding(v, [1] * 19)
+
+
+def test_no_overbidding_evaluates_support_submasks_only():
+    v = CoverageValuation(40, [(j, j + 1, 1) for j in range(39)])
+    seen = []
+    inner = v._value_mask
+    v._value_mask = lambda mask: seen.append(mask) or inner(mask)
+    row = [0] * 40
+    row[3] = row[17] = row[39] = Fraction(1, 2)
+    assert check_no_overbidding(v, row) == (True, None)
+    items = [3, 17, 39]
+    assert sorted(seen) == sorted(mask_of(S) for r in (1, 2, 3) for S in combinations(items, r))
 
 
 def test_truthful_additive_is_equilibrium():

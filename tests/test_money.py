@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sspeq.money import format_money, money_gcd, parse_money
+from sspeq.money import (
+    format_money,
+    money_gcd,
+    parse_money,
+    rescale,
+    scale_to_ints,
+)
 
 
 def test_parse_accepts_fraction_int_string():
@@ -44,3 +50,21 @@ def test_gcd_divides_both(a, b):
     if g != 0:
         assert (abs(a) / g).denominator == 1
         assert (abs(b) / g).denominator == 1
+
+
+def test_scale_to_ints_basics():
+    assert scale_to_ints([Fraction(3, 4), Fraction(5, 6), 7]) == ([9, 10, 84], 12)
+    assert scale_to_ints([]) == ([], 1)
+    assert rescale([1, 2], 3, 12) == [4, 8]
+
+
+@given(st.lists(st.fractions(), max_size=8))
+def test_scaling_is_exact_and_keeps_order(xs):
+    ints, D = scale_to_ints(xs)
+    assert D > 0
+    assert [Fraction(k, D) for k in ints] == xs
+    for a, ka in zip(xs, ints):
+        for b, kb in zip(xs, ints):
+            assert (a < b) == (ka < kb) and (a == b) == (ka == kb)
+    big = rescale(ints, D, 5 * D)
+    assert [Fraction(k, 5 * D) for k in big] == xs

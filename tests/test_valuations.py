@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 from conftest import (
     brute_coverage_table,
     brute_demand,
+    random_additive,
     random_budget_additive,
+    random_coverage,
+    random_coverage_edges,
     random_submodular_table,
     seeded,
 )
 from sspeq.valuations import (
+    EXHAUSTIVE_DEMAND_CAP,
     AdditiveValuation,
     BudgetAdditiveValuation,
+    CapabilityError,
     CoverageValuation,
     DomainError,
     TableValuation,
@@ -194,3 +199,52 @@ def test_table_demand_matches_brute(seed):
     prices = [Fraction(rng.randint(0, 8), rng.randint(1, 3)) for _ in range(m)]
     want, _ = brute_demand(v, prices)
     assert v.demand(prices) == want
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_coverage_value_table_matches_brute(seed):
+    rng = seeded(seed)
+    m = rng.randint(1, 7)
+    edges = random_coverage_edges(rng, m, den=6)
+    ints, D = CoverageValuation(m, edges).value_table()
+    assert D > 0
+    assert [Fraction(x, D) for x in ints] == brute_coverage_table(m, edges)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+def test_value_table_matches_value_mask(seed):
+    rng = seeded(seed)
+    m = rng.randint(1, 5)
+    for v in (
+        random_additive(rng, m, den=6),
+        random_budget_additive(rng, m, den=6),
+        random_submodular_table(rng, m),
+        XOSExplicitValuation(m, [[Fraction(rng.randint(0, 5), rng.randint(1, 6))
+                                  for _ in range(m)] for _ in range(2)]),
+    ):
+        ints, D = v.value_table()
+        assert [Fraction(x, D) for x in ints] == [v._value_mask(t) for t in range(1 << m)]
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_coverage_demand_matches_brute(seed):
+    rng = seeded(seed)
+    m = rng.randint(1, 6)
+    v = random_coverage(rng, m, den=6)
+    prices = [Fraction(rng.randint(0, 8), rng.randint(1, 5)) for _ in range(m)]
+    want, _ = brute_demand(v, prices)
+    assert v.demand(prices) == want
+
+
+def test_exhaustive_demand_cap_boundary():
+    m = EXHAUSTIVE_DEMAND_CAP
+    path = [(j, j + 1, Fraction(1, 2)) for j in range(m)]
+    v = CoverageValuation(m, path[: m - 1])
+    # every edge is worth more than a vertex costs, so the demand is a minimum
+    # vertex cover of the path; of the two, the even one is lexicographically first
+    assert v.demand([Fraction(1, 3)] * m) == frozenset(range(0, m - 1, 2))
+    with pytest.raises(CapabilityError):
+        CoverageValuation(m + 1, path).demand([0] * (m + 1))
