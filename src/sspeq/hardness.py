@@ -12,6 +12,7 @@ queried vertex can be certified a local maximum until it concedes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -105,7 +106,10 @@ def query_lower_bound(m: int) -> int:
 class SensitiveValuation(Valuation):
     """Closed-form XOS valuation with sparse size-(m'+1) bumps.
 
-    demand() maximizes over nonempty bundles only.
+    demand() maximizes over nonempty bundles only. Bumps are stored through
+    `add_bump`, which also keeps `by_k`, the (k, mask) pairs in ascending k
+    order, and `k_lcm`, the lcm of the denominators of every stored k and
+    of default_k.
     """
 
     kind = "sensitive"
@@ -130,26 +134,41 @@ class SensitiveValuation(Valuation):
         if not 0 < self.default_k < Fraction(1, 4):
             raise DomainError("default k must sit in (0, 1/4)")
         self.k_map = {}
-        if k_map:
-            for bundle, k in dict(k_map).items():
-                bmask = bundle if isinstance(bundle, int) else mask_of(as_bundle(bundle))
-                if bmask.bit_count() != self.mp + 1 or bmask >= 1 << m:
-                    raise DomainError("k_map keys must be size-(m'+1) bundles")
-                kv = parse_money(k)
-                if not 0 < kv < Fraction(1, 4):
-                    raise DomainError("stored k must sit in (0, 1/4)")
-                if kv < self.default_k:
-                    raise DomainError("stored bumps must not undercut the default")
-                self.k_map[bmask] = kv
-        if len(self.k_map) > KMAP_CAP:
-            raise CapabilityError("k_map support too large")
         self.clause_items = {}
-        if clause_items:
-            for bundle, j in dict(clause_items).items():
-                bmask = bundle if isinstance(bundle, int) else mask_of(as_bundle(bundle))
-                if not (bmask >> j) & 1:
-                    raise DomainError("clause item must belong to its bundle")
-                self.clause_items[bmask] = int(j)
+        self.by_k = []
+        self.k_lcm = self.default_k.denominator
+        items = {_as_mask(b): j for b, j in dict(clause_items or {}).items()}
+        for bundle, k in dict(k_map or {}).items():
+            bmask = _as_mask(bundle)
+            self.add_bump(bmask, k, items.pop(bmask, None))
+        for bmask, j in items.items():
+            self.add_bump(bmask, None, j)
+
+    def add_bump(self, bundle, k=None, clause_item=None):
+        """Store bump k and/or the designated clause item of one size-(m'+1)
+        bundle, in place. Every check runs before anything is stored, and a
+        stored bump is never replaced."""
+        bmask = _as_mask(bundle)
+        if bmask.bit_count() != self.mp + 1 or bmask >= 1 << self.m:
+            raise DomainError("k_map keys must be size-(m'+1) bundles")
+        if k is not None:
+            k = parse_money(k)
+            if not 0 < k < Fraction(1, 4):
+                raise DomainError("stored k must sit in (0, 1/4)")
+            if k < self.default_k:
+                raise DomainError("stored bumps must not undercut the default")
+            if bmask in self.k_map:
+                raise DomainError("a stored bump is never replaced")
+            if len(self.k_map) >= KMAP_CAP:
+                raise CapabilityError("k_map support too large")
+        if clause_item is not None and not (bmask >> clause_item) & 1:
+            raise DomainError("clause item must belong to its bundle")
+        if k is not None:
+            self.k_map[bmask] = k
+            bisect.insort(self.by_k, (k, bmask))
+            self.k_lcm = math.lcm(self.k_lcm, k.denominator)
+        if clause_item is not None:
+            self.clause_items[bmask] = int(clause_item)
 
     def b_floor(self, s: int) -> Money:
         return Fraction((self.mp + 1) * s, self.mp + self.h)
@@ -267,6 +286,10 @@ class SensitiveValuation(Valuation):
         }
 
 
+def _as_mask(bundle) -> int:
+    return bundle if isinstance(bundle, int) else mask_of(as_bundle(bundle))
+
+
 register_kind(
     "sensitive",
     lambda d: SensitiveValuation(
@@ -334,19 +357,35 @@ def sparse_demand_oracle(sv: SensitiveValuation, prices):
     every stored bundle padded with the cheapest outsiders. A stored bundle
     inside a window prefix yields the identical padded candidate, so the
     prefix only needs its default-bump value and only when some subset is
-    unstored; a candidate whose profit upper bound (value cap minus the
-    cheapest conceivable cost of its size) falls strictly below the running
-    best cannot win any tie and is skipped.
+    unstored. Stored bundles are walked by descending k; the walk stops at
+    the first whose profit upper bound (value cap minus the cheapest
+    conceivable cost of its size) falls strictly below the running best,
+    since the bound only falls with k and the best only rises.
+
+    Values and prices are compared as Python ints at one common
+    denominator D; scaling by a positive D keeps every order and tie.
     """
     if len(sv.k_map) > KMAP_CAP:
         raise CapabilityError("k_map support too large for sparse demand")
     prices = [parse_money(p) for p in prices]
-    if len(prices) != sv.m or any(p < 0 for p in prices):
+    if len(prices) != sv.m:
         raise DomainError("need one price >= 0 per item")
-    order = sorted(range(sv.m), key=lambda j: (prices[j], j))
-    prefix_cost = [Fraction(0)]
+    mp, h = sv.mp, sv.h
+    D = math.lcm(4, mp + h, sv.k_lcm, *{p.denominator for p in prices})
+
+    def at_D(x):
+        return x.numerator * (D // x.denominator)
+
+    cost = [at_D(p) for p in prices]
+    if min(cost) < 0:
+        raise DomainError("need one price >= 0 per item")
+    order = sorted(range(sv.m), key=lambda j: (cost[j], j))
+    prefix_cost, prefix_mask = [0], [0]
     for j in order:
-        prefix_cost.append(prefix_cost[-1] + prices[j])
+        prefix_cost.append(prefix_cost[-1] + cost[j])
+        prefix_mask.append(prefix_mask[-1] | 1 << j)
+    floor = [(mp + 1) * s * (D // (mp + h)) for s in range(sv.m + 1)]
+    quarter = mp * D + D // 4
     best_profit, best = None, None
 
     def consider(profit, bundle):
@@ -354,62 +393,38 @@ def sparse_demand_oracle(sv: SensitiveValuation, prices):
         if best_profit is None or better_demand(profit, bundle, best_profit, best):
             best_profit, best = profit, bundle
 
-    window = range(sv.mp + 1, sv.mp + sv.h)
+    window = range(mp + 1, mp + h)
     for s in range(1, sv.m + 1):
-        if s in window:
-            continue
-        bundle = frozenset(order[:s])
-        consider(sv._value_mask(mask_of(bundle)) - prefix_cost[s], bundle)
+        if s not in window:
+            consider(at_D(sv._value_mask(prefix_mask[s])) - prefix_cost[s], frozenset(order[:s]))
     stored = len(sv.k_map)
+    default_value = quarter + at_D(sv.default_k)
     for s in window:
-        pm = mask_of(frozenset(order[:s]))
-        room = math.comb(s, sv.mp + 1)
-        if room > stored:
-            unstored = True
-        else:
-            inside = sum(1 for b in sv.k_map if b & pm == b)
-            unstored = inside < room
-        if not unstored:
-            continue
-        value = sv.b_floor(s)
-        bump = sv.mp + Fraction(1, 4) + sv.default_k
-        if bump > value:
-            value = bump
-        consider(value - prefix_cost[s], frozenset(order[:s]))
-    if not sv.k_map:
-        return best
-    max_pad = sv.h - 2
-    base_cost = prefix_cost[sv.mp + 1]
-    floor_cap = max(sv.b_floor(s) - prefix_cost[s] for s in window)
-    quarter = sv.mp + Fraction(1, 4)
-    items = list(sv.k_map.items())
-    for bmask, k in reversed(items):
-        if (
-            best_profit is not None
-            and quarter + k - base_cost < best_profit
-            and floor_cap < best_profit
+        pm = prefix_mask[s]
+        if math.comb(s, mp + 1) <= stored and all(
+            pm ^ mask_of(drop) in sv.k_map for drop in itertools.combinations(order[:s], s - mp - 1)
         ):
             continue
-        cost0 = Fraction(0)
-        for j in bundle_of(bmask):
-            cost0 += prices[j]
-        outsiders = []
-        out_cost = [Fraction(0)]
+        consider(max(floor[s], default_value) - prefix_cost[s], frozenset(order[:s]))
+    max_pad = h - 2
+    base_cost = prefix_cost[mp + 1]
+    floor_cap = max(floor[s] - prefix_cost[s] for s in window)
+    for k, bmask in reversed(sv.by_k):
+        mterm = quarter + at_D(k)
+        if mterm - base_cost < best_profit and floor_cap < best_profit:
+            break
+        cost0 = sum(cost[j] for j in iter_bits(bmask))
+        outsiders, out_cost = [], [0]
         for j in order:
             if len(outsiders) == max_pad:
                 break
             if not (bmask >> j) & 1:
                 outsiders.append(j)
-                out_cost.append(out_cost[-1] + prices[j])
-        mterm = quarter + k
+                out_cost.append(out_cost[-1] + cost[j])
         for pad in range(max_pad + 1):
-            s = sv.mp + 1 + pad
-            value = mterm if mterm >= sv.b_floor(s) else sv.b_floor(s)
-            profit = value - cost0 - out_cost[pad]
-            if best_profit is not None and profit < best_profit:
-                continue
-            bundle = frozenset(bundle_of(bmask)) | frozenset(outsiders[:pad])
-            consider(profit, bundle)
+            profit = max(mterm, floor[mp + 1 + pad]) - cost0 - out_cost[pad]
+            if profit >= best_profit:
+                consider(profit, bundle_of(bmask) | frozenset(outsiders[:pad]))
     return best
 
 
@@ -471,14 +486,16 @@ class OddGraphAdversary:
     """
 
     def __init__(self, m: int, g=LITERAL_G, h=LITERAL_H, seed: int = 0):
-        probe = SensitiveValuation(m, g=g, h=h)
+        # the live view; its default default_k, 2^-(m+4), is eps / 2
+        self._view = SensitiveValuation(m, g=g, h=h)
+        self._synced = 0
         self.m = m
-        self.mp = probe.mp
-        self.g = probe.g
-        self.h = probe.h
+        self.mp = self._view.mp
+        self.g = self._view.g
+        self.h = self._view.h
         self.literal = (self.g, self.h) == (LITERAL_G, LITERAL_H)
         self.eps = Fraction(1, 2 ** (m + 3))
-        self.default_k = self.eps / 2
+        self.default_k = self._view.default_k
         self.c_small = _fourth_root_floor(1 << (3 * self.mp - 4)) if 3 * self.mp > 4 else 1
         self.full_mask = (1 << m) - 1
         self.colored = {}
@@ -644,19 +661,15 @@ class OddGraphAdversary:
         return clause
 
     def view(self) -> SensitiveValuation:
-        """The sensitive valuation realized so far (defaults elsewhere)."""
-        return SensitiveValuation(
-            self.m,
-            k_map={mask: rec.k for mask, rec in self.colored.items()},
-            default_k=self.default_k,
-            clause_items={
-                mask: rec.clause_item
-                for mask, rec in self.colored.items()
-                if rec.clause_item is not None
-            },
-            g=self.g,
-            h=self.h,
-        )
+        """The sensitive valuation realized so far (defaults elsewhere).
+
+        Always the same live object: each call first stores the vertices
+        colored since the last call, so its ledger accumulates."""
+        for mask in self.order[self._synced:]:
+            rec = self.colored[mask]
+            self._view.add_bump(mask, rec.k, rec.clause_item)
+            self._synced += 1
+        return self._view
 
     def value_query(self, S) -> Money:
         """Value answers for any bundle size; window sizes may force vertex
@@ -715,6 +728,17 @@ def adversary_audit(adv: OddGraphAdversary):
     seen = set()
     last_value = None
     view = adv.view()
+    k_map = {mask: rec.k for mask, rec in adv.colored.items()}
+    clause_items = {
+        mask: rec.clause_item for mask, rec in adv.colored.items() if rec.clause_item is not None
+    }
+    if (
+        view.k_map != k_map
+        or view.clause_items != clause_items
+        or view.by_k != sorted((k, mask) for mask, k in k_map.items())
+        or view.k_lcm != math.lcm(view.default_k.denominator, *(k.denominator for k in k_map.values()))
+    ):
+        problems.append(("view-drift", len(adv.colored)))
     for mask in adv.order:
         if mask in seen:
             problems.append(("reassigned", bundle_of(mask)))

@@ -4,6 +4,7 @@ Every comparison is exact rational arithmetic, tolerance zero. Each test
 prints a one-line summary visible under pytest -s.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -274,6 +275,24 @@ def test_criterion_07_isoperimetric_inequality():
           "(100000 draws) both satisfy the edge bound, E(2) = 1")
 
 
+# Each searcher's m = 43 transcript: (answers, sha256 of one line per answer
+# with the sorted vertex, the value as num/den, the clause item and the
+# replay flag).
+CRITERION_08_TRANSCRIPTS = {
+    "bestreply": (2624, "69fd1c5f0f40fd015b28d6d82ccc8e422294785278e3d6c872ed852d16d506ef"),
+    "hill": (1313, "ed36a4a554301b9489f0ac226749e30eb2511fc3969af916615f835ce89de02f"),
+    "random": (1313, "4e6f2f6981c58e2ac0fa6e1ebfe52c36333fe7504ce0186f296e3b063fea1285"),
+}
+
+
+def transcript_digest(adv):
+    h = hashlib.sha256()
+    for a in adv.transcript:
+        v = a.value
+        h.update(f"{sorted(a.vertex)}|{v.numerator}/{v.denominator}|{a.clause_item}|{int(a.replay)}\n".encode())
+    return len(adv.transcript), h.hexdigest()
+
+
 def test_criterion_08_adversary_forces_query_lower_bound():
     budget = query_lower_bound(43)
     assert budget == 1313
@@ -287,6 +306,7 @@ def test_criterion_08_adversary_forces_query_lower_bound():
         assert result.queries == adv.num_queries()
         ok, problems = adversary_audit(adv)
         assert ok, problems
+        assert transcript_digest(adv) == CRITERION_08_TRANSCRIPTS[name], name
         outcomes[name] = result.queries
     print(f"criterion 08: every searcher spent its full budget {outcomes}, "
           f"no certificate, audits clean")

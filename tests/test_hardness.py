@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import seeded
 from sspeq.hardness import (
     ISO_EXHAUSTIVE_CAP,
+    KMAP_CAP,
     SEARCHERS,
     OddGraphAdversary,
     SensitiveValuation,
@@ -294,6 +295,56 @@ def test_sparse_demand_matches_exhaustive(seed):
     assert got == want
 
 
+def nondyadic_sensitive(rng, m, g, h, prices):
+    """Bumps over denominators 3, 5, 7, 81 and 2^13, stored in a shuffled
+    (non-monotone) k order, with some k values shared. Half the time every
+    size-(m'+1) subset of the cheapest m'+1 or m'+2 items is stored too, so
+    a window prefix can have no unstored subset."""
+    mp = m // 2
+    masks = set(rng.sample(odd_graph_vertices(mp), rng.randint(0, 8)))
+    if rng.random() < 0.5:
+        order = sorted(range(m), key=lambda j: (prices[j], j))
+        s = rng.choice([mp + 1, mp + 2])
+        masks |= {mask_of(c) for c in itertools.combinations(order[:s], mp + 1)}
+    masks = sorted(masks)
+    rng.shuffle(masks)
+    k_map, clause_items = {}, {}
+    for mask in masks:
+        if k_map and rng.random() < 0.2:
+            k_map[mask] = rng.choice(list(k_map.values()))
+        else:
+            den = rng.choice([3, 5, 7, 81, 2 ** 13])
+            k_map[mask] = Fraction(rng.randint(1, 4 * den - 1), 16 * den)
+        if rng.random() < 0.5:
+            clause_items[mask] = rng.choice(sorted(bundle_of(mask)))
+    return SensitiveValuation(m, k_map=k_map, clause_items=clause_items, g=g, h=h)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_sparse_demand_returns_the_exhaustive_bundle(seed):
+    rng = seeded(seed)
+    g, h = rng.choice([(1, 2), (2, 3), (1, 4), (2, 5)])
+    if rng.random() < 0.2:
+        prices = [Fraction(rng.randint(20, 40), rng.randint(1, 5)) for _ in range(9)]
+    else:
+        prices = [Fraction(rng.randint(0, 6), rng.randint(1, 5)) for _ in range(9)]
+    sv = nondyadic_sensitive(rng, 9, g, h, prices)
+    want, _ = brute_nonempty_demand(sv, prices)
+    assert sparse_demand_oracle(sv, prices) == want
+
+
+def test_sparse_demand_walk_does_not_stop_at_a_tied_bound():
+    # Two bumps with one k and one cost: the larger mask is walked first, and
+    # the smaller one's bound equals the best so far but wins the tie.
+    low, high = mask_of({0, 1, 2, 3, 4}), mask_of({0, 1, 2, 3, 5})
+    sv = SensitiveValuation(9, g=1, h=3, k_map={low: Fraction(1, 8), high: Fraction(1, 8)})
+    prices = [Fraction(0)] * 4 + [Fraction(1, 8)] * 2 + [Fraction(1)] * 3
+    want, profit = brute_nonempty_demand(sv, prices)
+    assert (want, profit) == (bundle_of(low), Fraction(17, 4))
+    assert sparse_demand_oracle(sv, prices) == want
+
+
 def test_sparse_demand_is_nonempty_even_at_a_loss():
     sv = SensitiveValuation(9, g=1, h=2)
     D = sparse_demand_oracle(sv, [Fraction(50)] * 9)
@@ -397,6 +448,98 @@ def test_demand_query_is_exact_for_realized_map():
         assert got == want
     ok, problems = adversary_audit(adv)
     assert ok, problems
+
+
+def rebuilt_view(adv):
+    """A fresh valuation built from the adversary's colored vertices."""
+    return SensitiveValuation(
+        adv.m,
+        k_map={mask: rec.k for mask, rec in adv.colored.items()},
+        default_k=adv.default_k,
+        clause_items={
+            mask: rec.clause_item for mask, rec in adv.colored.items() if rec.clause_item is not None
+        },
+        g=adv.g,
+        h=adv.h,
+    )
+
+
+@pytest.mark.parametrize("m", [9, 11])
+def test_live_view_tracks_a_best_reply_run(m):
+    adv = OddGraphAdversary(m, g=1, h=3, seed=m)
+    plain = adv.demand_query
+    answered = []
+
+    def demand_query(prices):
+        D = plain(prices)
+        assert D == sparse_demand_oracle(rebuilt_view(adv), prices)
+        answered.append(D)
+        return D
+
+    adv.demand_query = demand_query
+    SEARCHERS["bestreply"](adv, 40)
+    assert len(answered) >= 10
+    live = adv.view()
+    assert live is adv.view()
+    fresh = rebuilt_view(adv)
+    assert live.k_map == fresh.k_map
+    assert live.clause_items == fresh.clause_items
+    assert live.by_k == fresh.by_k
+    assert live.k_lcm == fresh.k_lcm
+    ok, problems = adversary_audit(adv)
+    assert ok, problems
+
+
+@pytest.mark.parametrize("corrupt", ["stray-bump", "edited-k", "dropped-item"])
+def test_audit_flags_a_drifted_live_view(corrupt):
+    adv = OddGraphAdversary(9, g=1, h=2)
+    SEARCHERS["hill"](adv, 10)
+    assert adversary_audit(adv)[0]
+    live = adv.view()
+    if corrupt == "stray-bump":
+        stray = next(v for v in odd_graph_vertices(4) if v not in adv.colored)
+        live.add_bump(stray, Fraction(1, 8))
+    elif corrupt == "edited-k":
+        live.k_map[adv.order[0]] += adv.eps
+    else:
+        del live.clause_items[next(iter(live.clause_items))]
+    ok, problems = adversary_audit(adv)
+    assert not ok
+    assert ("view-drift", len(adv.colored)) in problems
+
+
+def test_kmap_cap_boundary():
+    # size-11 bundles of 21 items in ascending mask order, one shared k
+    masks = sorted(mask_of(c) for c in itertools.islice(itertools.combinations(range(21), 11), KMAP_CAP + 1))
+    k = Fraction(1, 8)
+    extra = masks.pop()
+    full = {mask: k for mask in masks}
+    sv = SensitiveValuation(21, k_map=full, g=1, h=2)
+    assert len(sv.k_map) == len(sv.by_k) == KMAP_CAP
+    with pytest.raises(CapabilityError):
+        sv.add_bump(extra, k)
+    assert extra not in sv.k_map and len(sv.by_k) == KMAP_CAP
+    sv.add_bump(extra, None, min(bundle_of(extra)))  # a clause item alone stores no bump
+    full[extra] = k
+    with pytest.raises(CapabilityError):
+        SensitiveValuation(21, k_map=full, g=1, h=2)
+
+
+def test_add_bump_checks_before_storing():
+    sv = SensitiveValuation(9, g=1, h=2)
+    key = mask_of(range(5))
+    for bad in ({"bundle": mask_of(range(4)), "k": Fraction(1, 8)},
+                {"bundle": key, "k": Fraction(1, 4)},
+                {"bundle": key, "k": sv.default_k / 2},
+                {"bundle": key, "k": Fraction(1, 8), "clause_item": 7}):
+        with pytest.raises(DomainError):
+            sv.add_bump(**bad)
+        assert not sv.k_map and not sv.clause_items and not sv.by_k
+    sv.add_bump(key, Fraction(1, 24), 2)
+    assert sv.k_lcm == math.lcm(24, sv.default_k.denominator)
+    with pytest.raises(DomainError):
+        sv.add_bump(key, Fraction(1, 8))
+    assert sv.k_map == {key: Fraction(1, 24)} and sv.clause_items == {key: 2}
 
 
 @pytest.mark.parametrize("name", sorted(SEARCHERS))

@@ -1,0 +1,16 @@
+"""The benchmark's self-test runs as part of the suite, so a library change
+that alters any recorded benchmark digest fails here."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_perfbench_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
