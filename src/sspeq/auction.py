@@ -18,6 +18,7 @@ from .valuations import (
     as_bundle,
     better_demand,
     bundle_of,
+    mask_of,
     priced_table,
 )
 
@@ -38,10 +39,6 @@ def check_bids(bids, n=None, m=None):
     if any(x < 0 for r in rows for x in r):
         raise DomainError("bids must be nonnegative")
     return rows
-
-
-def empty_bids(n: int, m: int):
-    return tuple((Fraction(0),) * m for _ in range(n))
 
 
 def resolve(bids):
@@ -234,7 +231,7 @@ def is_pure_nash_no_overbid(valuations, bids, alloc=None):
         if not ok:
             witnesses.append({"kind": "overbidding", "bidder": i, **w})
     for i, v in enumerate(valuations):
-        current = v._value(res_alloc[i]) - payments[i]
+        current = v._value_mask(mask_of(res_alloc[i])) - payments[i]
         dev = best_deviation(valuations, i, bids)
         if dev.utility > current:
             witnesses.append(

@@ -17,7 +17,7 @@ import itertools
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .money import Money, format_money, parse_money
@@ -199,9 +199,6 @@ class SensitiveValuation(Valuation):
         if s >= self.mp + self.h:
             return Fraction(self.mp + 1)
         return max(self.mp + Fraction(1, 4) + self.max_k_inside(mask), self.b_floor(s))
-
-    def _value(self, S):
-        return self._value_mask(mask_of(S))
 
     def _argmax_stored_inside(self, mask):
         best = None
@@ -681,14 +678,14 @@ class OddGraphAdversary:
         if s == self.mp + 1:
             return self.answer(S).value
         if s <= self.mp or s >= self.mp + self.h:
-            return self.view()._value(S)
+            return self.view()._value_mask(mask_of(S))
         subsets = list(itertools.combinations(sorted(S), self.mp + 1))
         pending = [c for c in subsets if mask_of(c) not in self.colored]
         if len(pending) > WINDOW_QUERY_FACTOR * self.m:
             raise CapabilityError("window value query would force too many vertex queries")
         for c in pending:
             self.answer(frozenset(c))
-        return self.view()._value(S)
+        return self.view()._value_mask(mask_of(S))
 
     def demand_query(self, prices):
         """Exact demand against the realized map; while an unassigned vertex
@@ -700,7 +697,7 @@ class OddGraphAdversary:
         half = self.mp + Fraction(1, 2)
         view = self.view()
         D = sparse_demand_oracle(view, prices)
-        best = view._value(D) - sum((prices[j] for j in D), Fraction(0))
+        best = view._value_mask(mask_of(D)) - sum((prices[j] for j in D), Fraction(0))
         feed = _cheapest_vertex_iter(self.m, self.mp, prices)
         cur = next(feed, None)
         processed = 0
@@ -972,13 +969,13 @@ def isoperimetric_check(n: int, samples: int | None = None, seed: int = 0):
                 subset_mask |= 1 << idx
             scan(subset_mask)
         mode = "sampled"
-    floors = {k: (2 * k * math.log2(k)) / 3 for k in max_edges}
     return {
         "n": n,
         "vertices": nv,
         "mode": mode,
         "max_edges": dict(sorted(max_edges.items())),
-        "bound_floor": {k: math.floor(v) for k, v in sorted(floors.items())},
+        # floor(2k log2(k) / 3) == floor(floor(log2(k^(2k))) / 3), in integers
+        "bound_floor": {k: ((k ** (2 * k)).bit_length() - 1) // 3 for k in sorted(max_edges)},
         "ok": not failures,
         "failures": failures,
     }

@@ -5,9 +5,6 @@ from fractions import Fraction
 
 Money = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def parse_money(x):
     """Accept Fraction, int, or a 'num/den' / 'num' string."""

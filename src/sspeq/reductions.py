@@ -10,7 +10,6 @@ flagged-pair case split with a generic scan as fallback.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,10 +22,11 @@ from .valuations import (
     Valuation,
     as_bundle,
     bundle_key,
+    iter_bits,
     mask_of,
     register_kind,
 )
-from .auction import is_pure_nash_no_overbid, resolve, welfare
+from .auction import is_pure_nash_no_overbid, resolve
 from .stealing import OrderingState, compute_bids, find_steal
 
 SETPAIR_RETRY_FACTOR = 4000
@@ -149,9 +149,6 @@ class SetPairValuation(Valuation):
                 return Fraction(2)
         return Fraction(1)
 
-    def _value(self, S):
-        return self._value_mask(mask_of(S))
-
     def to_json(self):
         return {
             "kind": "set_pair",
@@ -210,7 +207,7 @@ def find_unprotected_set(valuations, bids):
     alloc, _ = resolve(bids)
     weak = None
     for i in (0, 1):
-        if valuations[i]._value(alloc[i]) <= 1:
+        if valuations[i]._value_mask(mask_of(alloc[i])) <= 1:
             weak = i
             break
     if weak is None:
@@ -243,7 +240,7 @@ def find_unprotected_set(valuations, bids):
     candidates.extend(all_items - {j} for j in range(m))
     best = None
     for U in candidates:
-        if dev._value(U) != 2:
+        if dev._value_mask(mask_of(U)) != 2:
             continue
         total = rival_sum(U)
         if total >= 1:
@@ -310,14 +307,15 @@ def maxcut_valuation(graph: WeightedGraph) -> CoverageValuation:
 
 def local_max_check(valuations, alloc):
     """True iff no single-item move between bidders raises welfare."""
-    alloc = tuple(as_bundle(S) for S in alloc)
-    for i, S in enumerate(alloc):
-        for j in sorted(S):
-            lost = valuations[i]._value(S) - valuations[i]._value(S - {j})
-            for ip, T in enumerate(alloc):
+    masks = [mask_of(S) for S in alloc]
+    for i, smask in enumerate(masks):
+        for j in iter_bits(smask):
+            lost = valuations[i]._value_mask(smask) - valuations[i]._value_mask(smask ^ (1 << j))
+            for ip, tmask in enumerate(masks):
                 if ip == i:
                     continue
-                gained = valuations[ip]._value(T | {j}) - valuations[ip]._value(T)
+                v = valuations[ip]
+                gained = v._value_mask(tmask | (1 << j)) - v._value_mask(tmask)
                 if gained > lost:
                     return False, (i, ip, j)
     return True, None

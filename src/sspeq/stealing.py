@@ -16,9 +16,9 @@ from .valuations import (
     BudgetAdditiveValuation,
     CapabilityError,
     DomainError,
-    as_bundle,
-    bundle_of,
     iter_bits,
+    iter_submasks,
+    mask_of,
 )
 from .auction import check_allocation, prices_from_bids
 
@@ -39,9 +39,6 @@ class OrderingState:
             rest = sorted(set(range(m)) - set(S))
             orders.append(owned + rest)
         return cls(orders)
-
-    def copy(self):
-        return OrderingState(self.orders)
 
     def steal_update(self, thief: int, victim: int, item: int, thief_owned_before: int, policy: str):
         if policy == "static":
@@ -82,10 +79,6 @@ def compute_bids(valuations, alloc, ordering: OrderingState):
 def find_steal(valuations, alloc, bids):
     """Lexicographically smallest (thief, victim, item) with a strictly
     profitable single-item steal, or None."""
-    owner = {}
-    for i, S in enumerate(alloc):
-        for j in S:
-            owner[j] = i
     for thief in range(len(valuations)):
         for victim in range(len(valuations)):
             if victim == thief:
@@ -133,7 +126,7 @@ class StealCapExceeded(Exception):
 
 
 def _welfare_quiet(valuations, alloc) -> Money:
-    return sum((v._value(S) for v, S in zip(valuations, alloc)), Fraction(0))
+    return sum((v._value_mask(mask_of(S)) for v, S in zip(valuations, alloc)), Fraction(0))
 
 
 def run_iterative_stealing(
@@ -195,7 +188,7 @@ def classify_loose_tight(valuations, alloc, bids):
     out = {}
     for i, S in enumerate(alloc):
         for j in S:
-            single = valuations[i]._value(frozenset({j}))
+            single = valuations[i]._value_mask(1 << j)
             if prices[j] < single:
                 out[j] = "strongly_loose" if prices[j] == 0 else "loose"
             else:
@@ -237,13 +230,8 @@ def marginal_diversity(v, j: int) -> int:
         raise CapabilityError("marginal diversity capped at m=12")
     rest = v.full_mask & ~(1 << j)
     seen = set()
-    sub = rest
-    while True:
-        base = v._value_mask(sub)
-        seen.add(v._value_mask(sub | (1 << j)) - base)
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
+    for sub in iter_submasks(rest):
+        seen.add(v._value_mask(sub | (1 << j)) - v._value_mask(sub))
     return len(seen)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .money import Money
-from .valuations import DomainError, Valuation, as_bundle
+from .valuations import DomainError, Valuation, as_bundle, mask_of
 from .auction import check_allocation
 from .stealing import OrderingState, compute_bids, find_steal
 
@@ -36,9 +36,6 @@ class MarginalValuation(Valuation):
         self.offset = base.value(frozenset({item}))
         self.ledger = base.ledger
 
-    def _value(self, S):
-        return self.base._value(S | {self.item}) - self.offset
-
     def _value_mask(self, mask):
         return self.base._value_mask(mask | (1 << self.item)) - self.offset
 
@@ -50,13 +47,8 @@ class ErasedValuation(Valuation):
         super().__init__(base.m)
         self.base = base
         self.erased = as_bundle(erased)
-        self._emask = 0
-        for j in self.erased:
-            self._emask |= 1 << j
+        self._emask = mask_of(self.erased)
         self.ledger = base.ledger
-
-    def _value(self, S):
-        return self.base._value(S - self.erased)
 
     def _value_mask(self, mask):
         return self.base._value_mask(mask & ~self._emask)

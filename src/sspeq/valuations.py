@@ -1,14 +1,15 @@
 """Valuation families over item bundles with exact rational values.
 
-Items are 0..m-1. Bundles are frozensets in the public API; bitmask helpers
-are provided for the subset-DP heavy code. Every family keeps a QueryLedger
-counting value / demand / XOS-clause queries.
+Items are 0..m-1. Bundles are frozensets in the public API and bitmasks
+inside (bit j is item j): a family defines its value once, as
+`_value_mask(mask)`. Every family keeps a QueryLedger counting value /
+demand / XOS-clause queries; internal `_value_mask` calls are not counted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .money import Money, format_money, parse_money, rescale, scale_to_ints
@@ -49,23 +50,15 @@ def mask_of(S) -> int:
 
 
 def bundle_of(mask: int) -> frozenset:
-    out = []
-    j = 0
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return frozenset(out)
+    return frozenset(iter_bits(mask))
 
 
 def iter_bits(mask: int):
-    j = 0
+    """The set bits of mask as item indices, ascending."""
     while mask:
-        if mask & 1:
-            yield j
-        mask >>= 1
-        j += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def iter_submasks(mask: int):
@@ -140,7 +133,7 @@ class Valuation:
         if not S <= self.all_items:
             raise DomainError(f"bundle {sorted(S)} not within 0..{self.m - 1}")
         self.ledger.value += 1
-        return self._value(S)
+        return self._value_mask(mask_of(S))
 
     def marginal(self, j: int, S) -> Money:
         """v(j | S) = v(S + j) - v(S); two value queries."""
@@ -165,11 +158,10 @@ class Valuation:
 
     # -- family internals --------------------------------------------------
 
-    def _value(self, S: frozenset) -> Money:
-        raise NotImplementedError
-
     def _value_mask(self, mask: int) -> Money:
-        return self._value(bundle_of(mask))
+        """The family's value of the bundle `mask`; the one value method a
+        family defines. Not counted in the ledger."""
+        raise NotImplementedError
 
     def value_table(self):
         """(ints, D) with _value_mask(t) == Fraction(ints[t], D) for every
@@ -203,10 +195,10 @@ class Valuation:
     def _xos_clause(self, S: frozenset) -> dict:
         # greedy ascending-index marginals; a legal clause for submodular v
         clause = {}
-        prev = frozenset()
+        prev = 0
         for j in sorted(S):
-            nxt = prev | {j}
-            clause[j] = self._value(nxt) - self._value(prev)
+            nxt = prev | (1 << j)
+            clause[j] = self._value_mask(nxt) - self._value_mask(prev)
             prev = nxt
         return clause
 
@@ -214,10 +206,6 @@ class Valuation:
 
     def to_json(self) -> dict:
         raise NotImplementedError
-
-    @staticmethod
-    def from_json(d: dict) -> "Valuation":
-        return valuation_from_json(d)
 
 
 class TableValuation(Valuation):
@@ -244,9 +232,6 @@ class TableValuation(Valuation):
                         )
         self.table = values
 
-    def _value(self, S):
-        return self.table[mask_of(S)]
-
     def _value_mask(self, mask):
         return self.table[mask]
 
@@ -272,9 +257,10 @@ class AdditiveValuation(Valuation):
         if any(x < 0 for x in item_values):
             raise DomainError("item values must be nonnegative")
         self.item_values = item_values
+        self._weights, self._D = scale_to_ints(item_values)
 
-    def _value(self, S):
-        return sum((self.item_values[j] for j in S), Fraction(0))
+    def _value_mask(self, mask):
+        return Fraction(sum(self._weights[j] for j in iter_bits(mask)), self._D)
 
     def _demand(self, prices):
         return frozenset(j for j in range(self.m) if self.item_values[j] > prices[j])
@@ -306,10 +292,12 @@ class BudgetAdditiveValuation(Valuation):
         if any(x < 0 for x in item_values):
             raise DomainError("item values must be nonnegative")
         self.item_values = item_values
+        # the budget is scaled with the weights, to one common denominator
+        (*self._weights, self._budget), self._D = scale_to_ints(item_values + (self.budget,))
 
-    def _value(self, S):
-        total = sum((self.item_values[j] for j in S), Fraction(0))
-        return min(self.budget, total)
+    def _value_mask(self, mask):
+        total = sum(self._weights[j] for j in iter_bits(mask))
+        return Fraction(min(self._budget, total), self._D)
 
     def _demand(self, prices):
         # exact knapsack-style branch and bound over profitable items
@@ -369,9 +357,12 @@ class XOSExplicitValuation(Valuation):
         if not parsed:
             raise DomainError("need at least one clause")
         self.clauses = parsed
+        flat, self._D = scale_to_ints([x for c in parsed for x in c])
+        self._rows = [flat[r * m : (r + 1) * m] for r in range(len(parsed))]
 
-    def _value(self, S):
-        return max(sum((c[j] for j in S), Fraction(0)) for c in self.clauses)
+    def _value_mask(self, mask):
+        items = list(iter_bits(mask))
+        return Fraction(max(sum(row[j] for j in items) for row in self._rows), self._D)
 
     def _xos_clause(self, S):
         best_val, best_c = Fraction(0), self.clauses[0]
@@ -411,9 +402,6 @@ class CoverageValuation(Valuation):
             parsed.append((min(u, v), max(u, v), w))
         self.edges = parsed
         self._edge_masks = [((1 << u) | (1 << v), w) for u, v, w in parsed]
-
-    def _value(self, S):
-        return self._value_mask(mask_of(S))
 
     def _value_mask(self, mask):
         return sum((w for em, w in self._edge_masks if em & mask), Fraction(0))
@@ -456,7 +444,7 @@ def verify_class(v: Valuation, cls: str):
     if m > VERIFY_CAP[cls]:
         raise CapabilityError(f"verify_class({cls}) capped at m={VERIFY_CAP[cls]}")
     if cls == "normalized":
-        val = v._value(frozenset())
+        val = v._value_mask(0)
         if val != 0:
             return False, {"S": [], "value": val}
         return True, None
@@ -551,7 +539,7 @@ def check_clause(v: Valuation, S, clause: dict, exhaustive: bool = True):
     if any(w < 0 for w in clause.values()):
         return False, {"reason": "negative weight"}
     total = sum(clause.values(), Fraction(0))
-    vS = v._value(S)
+    vS = v._value_mask(mask_of(S))
     if total != vS:
         return False, {"reason": "clause sum mismatch", "sum": total, "value": vS}
     if exhaustive:

@@ -55,6 +55,14 @@ def _mid_neighbors(mask: int, m: int, mp: int):
 def gray_middle_levels(m: int):
     """Hamilton path through all bitstrings of weight m' and m'+1 (m odd),
     consecutive strings differing in one bit. Output-verified before return."""
+    return [
+        "".join("1" if (mask >> j) & 1 else "0" for j in range(m))
+        for mask in _gray_path_masks(m)
+    ]
+
+
+def _gray_path_masks(m: int):
+    """The verified path of gray_middle_levels as bitmasks, bit j for item j."""
     if m % 2 == 0:
         raise DomainError("need odd m")
     if not 3 <= m <= GRAY_M_CAP:
@@ -70,7 +78,7 @@ def gray_middle_levels(m: int):
     if path is None:
         raise ConstructionError("middle-levels path search exhausted its attempts")
     _verify_path(path, m, mp, total)
-    return ["".join("1" if (mask >> j) & 1 else "0" for j in range(m)) for mask in path]
+    return path
 
 
 def _search_path(m, mp, start, total, attempt):
@@ -166,9 +174,6 @@ class GrayValuation(Valuation):
         if s == self.mp + 1:
             return self.mp + Fraction(1, 2) + self.k_of(mask) * self.eps
         return Fraction(self.mp + 1)
-
-    def _value(self, S):
-        return self._value_mask(mask_of(S))
 
     def designated_item(self, bmask: int) -> int:
         """The item leaving this size-(m'+1) bundle on the path's next step."""
@@ -270,10 +275,7 @@ class AdaptiveGrayOracle:
 def build_exponential_instance(m: int, eps=None):
     """Two mirrored gray valuations, adaptive oracles, and the path's first
     allocation (player 0 takes the zeros side, which has size m'+1)."""
-    strings = gray_middle_levels(m)
-    path_masks = [
-        sum(1 << j for j, ch in enumerate(s) if ch == "1") for s in strings
-    ]
+    path_masks = _gray_path_masks(m)
     L = len(path_masks)
     if eps is None:
         eps = Fraction(1, 2 * L)
@@ -290,10 +292,7 @@ register_kind(
     lambda d: GrayValuation(
         d["m"],
         d["player"],
-        [
-            sum(1 << j for j, ch in enumerate(s) if ch == "1")
-            for s in gray_middle_levels(d["m"])
-        ],
+        _gray_path_masks(d["m"]),
         d["eps"],
     ),
 )
@@ -369,11 +368,12 @@ def run_best_reply_dynamic(v0, v1, oracles=None, init_alloc=None, step_cap: int 
             trace.truncated = True
             break
         rival = bids[1 - responder]
-        current = valuations[responder]._value(alloc[responder]) - sum(
+        v = valuations[responder]
+        current = v._value_mask(mask_of(alloc[responder])) - sum(
             (rival[j] for j in alloc[responder]), Fraction(0)
         )
-        D = valuations[responder].demand(rival)
-        profit = valuations[responder]._value(D) - sum((rival[j] for j in D), Fraction(0))
+        D = v.demand(rival)
+        profit = v._value_mask(mask_of(D)) - sum((rival[j] for j in D), Fraction(0))
         target = D if profit > current else alloc[responder]
         new_row = _clause_row(oracles[responder], target, m)
         changed_bids = new_row != bids[responder]

@@ -76,6 +76,29 @@ def random_submodular_table(rng, m, edges_hi=6):
     return TableValuation(m, table)
 
 
+def brute_additive_value(item_values, S):
+    """Literal sum of the item values over the bundle."""
+    total = Fraction(0)
+    for j in S:
+        total += Fraction(item_values[j])
+    return total
+
+
+def brute_budget_additive_value(budget, item_values, S):
+    """The additive sum over the bundle, capped at the budget."""
+    return min(Fraction(budget), brute_additive_value(item_values, S))
+
+
+def brute_xos_value(clauses, S):
+    """The best additive clause sum over the bundle."""
+    return max(brute_additive_value(c, S) for c in clauses)
+
+
+def random_weights(rng, m, hi=9, den=6):
+    """m nonnegative rationals k/d with d drawn from 1..den."""
+    return [Fraction(rng.randint(0, hi), rng.randint(1, den)) for _ in range(m)]
+
+
 def brute_demand(v, prices):
     """Exhaustive demand with the empty bundle as baseline."""
     prices = [Fraction(p) for p in prices]

@@ -90,6 +90,11 @@ def test_steal_reports_frozen_run(tmp_path, capsys):
     assert d["opt"] == "5/1"
     assert d["ratio"] == "1/1"
     assert d["equilibrium_verified"] is True
+    # counted value queries only; internal _value_mask evaluations stay out
+    assert d["ledgers"] == [
+        {"value": 15, "demand": 0, "xos": 0},
+        {"value": 13, "demand": 0, "xos": 0},
+    ]
     rows = [json.loads(line) for line in trace.read_text().splitlines()]
     assert [(r["thief"], r["victim"], r["item"]) for r in rows] == [(0, 1, 0), (1, 0, 1)]
 
@@ -124,6 +129,10 @@ def test_topsteal_runs_frozen_instance(tmp_path, capsys):
     assert d["within_bound"] is True
     assert d["equilibrium_verified"] is True
     assert sum(d["cases"].values()) >= 1
+    assert d["ledgers"] == [
+        {"value": 19, "demand": 0, "xos": 0},
+        {"value": 14, "demand": 0, "xos": 0},
+    ]
 
 
 def test_dynamic_gray_m5(tmp_path, capsys):
@@ -137,6 +146,10 @@ def test_dynamic_gray_m5(tmp_path, capsys):
     assert d["sums_strictly_increase"] is True
     assert d["traditional"] is True
     assert d["equilibrium_verified"] is True
+    assert d["ledgers"] == [
+        {"value": 1, "demand": 11, "xos": 13},
+        {"value": 1, "demand": 11, "xos": 13},
+    ]
 
 
 def test_dynamic_step_cap_means_violation(tmp_path, capsys):

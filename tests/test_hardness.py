@@ -580,6 +580,16 @@ def test_isoperimetric_o4_sampled():
     assert out["ok"], out["failures"]
 
 
+def test_isoperimetric_bound_floor_is_exact():
+    # bound_floor[k] = floor(2k log2(k) / 3), the largest f with 2^(3f) <= k^(2k)
+    out3 = isoperimetric_check(3)
+    assert out3["bound_floor"] == {1: 0, 2: 1, 3: 3, 4: 5, 5: 7, 6: 10, 7: 13, 8: 16, 9: 19, 10: 22}
+    out4 = isoperimetric_check(4, samples=300, seed=0)
+    assert set(out4["bound_floor"]) == set(out4["max_edges"])
+    for k, f in out4["bound_floor"].items():
+        assert 2 ** (3 * f) <= k ** (2 * k) < 2 ** (3 * (f + 1)), k
+
+
 def test_isoperimetric_exhaustive_cap():
     assert ISO_EXHAUSTIVE_CAP < 35
     with pytest.raises(CapabilityError):

@@ -28,12 +28,12 @@ def utility_after(vals, bids, i, row):
     new_bids = [list(r) for r in bids]
     new_bids[i] = list(row)
     alloc, payments = resolve(new_bids)
-    return vals[i]._value(alloc[i]) - payments[i]
+    return vals[i].value(alloc[i]) - payments[i]
 
 
 def current_utility(vals, bids, i):
     alloc, payments = resolve(bids)
-    return vals[i]._value(alloc[i]) - payments[i]
+    return vals[i].value(alloc[i]) - payments[i]
 
 
 # -- set-pair systems -----------------------------------------------------------
@@ -119,8 +119,8 @@ def test_witness_is_equilibrium_with_zero_payments():
     assert all(b in (0, Fraction(1, 32)) for row in bids for b in row)
     alloc, payments = resolve(bids)
     assert payments == (0, 0)
-    assert vals[0]._value(alloc[0]) == 2
-    assert vals[1]._value(alloc[1]) == 2
+    assert vals[0].value(alloc[0]) == 2
+    assert vals[1].value(alloc[1]) == 2
     ok, witnesses = is_pure_nash_no_overbid(vals, bids)
     assert ok, witnesses
 

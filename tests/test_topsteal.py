@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_submodular_table, seeded
+from conftest import (
+    random_additive,
+    random_coverage,
+    random_submodular_table,
+    random_weights,
+    seeded,
+)
 from sspeq.auction import is_pure_nash_no_overbid, welfare
 from sspeq.stealing import find_steal
 from sspeq.topsteal import (
@@ -16,7 +22,12 @@ from sspeq.topsteal import (
     steal_count_bound,
     top_steal,
 )
-from sspeq.valuations import AdditiveValuation, DomainError
+from sspeq.valuations import (
+    AdditiveValuation,
+    BudgetAdditiveValuation,
+    DomainError,
+    XOSExplicitValuation,
+)
 
 CASES = {
     "pin_top_item",
@@ -41,6 +52,28 @@ def test_erased_valuation_ignores_items():
     ev = ErasedValuation(v, {0})
     assert ev.value({0, 1}) == 1
     assert ev.value({0}) == 0
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_marginal_and_erased_match_their_bases(seed):
+    rng = seeded(seed)
+    m = rng.randint(1, 6)
+    budget = rng.randint(0, 30) + Fraction(rng.randint(1, 5), 6)
+    for base in (
+        random_additive(rng, m, den=6),
+        BudgetAdditiveValuation(m, budget, random_weights(rng, m)),
+        random_coverage(rng, m, den=6),
+        random_submodular_table(rng, m),
+        XOSExplicitValuation(m, [random_weights(rng, m) for _ in range(rng.randint(1, 3))]),
+    ):
+        item = rng.randrange(m)
+        erased = frozenset(j for j in range(m) if rng.random() < 0.5)
+        mv, ev = MarginalValuation(base, item), ErasedValuation(base, erased)
+        for mask in range(1 << m):
+            S = frozenset(j for j in range(m) if mask >> j & 1)
+            assert mv.value(S) == base.value(S | {item}) - base.value({item})
+            assert ev.value(S) == base.value(S - erased)
 
 
 def test_competitor_info():

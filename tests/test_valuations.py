@@ -1,17 +1,24 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sspeq
 from conftest import (
+    brute_additive_value,
+    brute_budget_additive_value,
     brute_coverage_table,
     brute_demand,
+    brute_xos_value,
     random_additive,
     random_budget_additive,
     random_coverage,
     random_coverage_edges,
     random_submodular_table,
+    random_weights,
     seeded,
 )
 from sspeq.valuations import (
@@ -22,6 +29,7 @@ from sspeq.valuations import (
     CoverageValuation,
     DomainError,
     TableValuation,
+    Valuation,
     XOSExplicitValuation,
     better_demand,
     bundle_of,
@@ -226,6 +234,62 @@ def test_value_table_matches_value_mask(seed):
     ):
         ints, D = v.value_table()
         assert [Fraction(x, D) for x in ints] == [v._value_mask(t) for t in range(1 << m)]
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_int_scaled_values_match_direct_definitions(seed):
+    rng = seeded(seed)
+    m = rng.randint(1, 6)
+    items = random_weights(rng, m)
+    # k + d/6 with d in 1..5 is never an integer
+    budget = rng.randint(0, 30) + Fraction(rng.randint(1, 5), 6)
+    clauses = [random_weights(rng, m) for _ in range(rng.randint(1, 3))]
+    cases = (
+        (AdditiveValuation(m, items), lambda S: brute_additive_value(items, S)),
+        (
+            BudgetAdditiveValuation(m, budget, items),
+            lambda S: brute_budget_additive_value(budget, items, S),
+        ),
+        (XOSExplicitValuation(m, clauses), lambda S: brute_xos_value(clauses, S)),
+    )
+    for v, brute in cases:
+        for mask in range(1 << m):
+            S = frozenset(j for j in range(m) if mask >> j & 1)
+            assert v.value(S) == brute(S), (v.kind, sorted(S))
+        assert v.ledger.value == 1 << m
+
+
+def _library_valuation_classes():
+    for info in pkgutil.iter_modules(sspeq.__path__):
+        importlib.import_module(f"sspeq.{info.name}")
+    found, todo = [], [Valuation]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("sspeq."):
+                found.append(sub)
+    return found
+
+
+def test_every_family_defines_only_the_mask_value_method():
+    classes = _library_valuation_classes()
+    assert {c.__name__ for c in classes} >= {
+        "TableValuation",
+        "AdditiveValuation",
+        "BudgetAdditiveValuation",
+        "XOSExplicitValuation",
+        "CoverageValuation",
+        "MarginalValuation",
+        "ErasedValuation",
+        "GrayValuation",
+        "SetPairValuation",
+        "SensitiveValuation",
+    }
+    for cls in [Valuation, *classes]:
+        assert "_value" not in vars(cls), cls.__name__
+    for cls in classes:
+        assert "_value_mask" in vars(cls), cls.__name__
 
 
 @given(st.integers(0, 10_000))
