@@ -253,8 +253,7 @@ def is_traditional(valuations, alloc, bids, oracles=None):
     if oracles is None:
         oracles = valuations
     for i, v in enumerate(valuations):
-        ask = getattr(oracles[i], "xos_clause", None) or oracles[i].clause
-        clause = ask(alloc[i])
+        clause = oracles[i].xos_clause(alloc[i])
         for j in range(v.m):
             expected = clause.get(j, Fraction(0)) if j in alloc[i] else Fraction(0)
             if bids[i][j] != expected:

@@ -25,7 +25,6 @@ from .valuations import (
     verify_class,
 )
 from .auction import (
-    OPT_WORK_CAP,
     check_allocation,
     greedy_allocation,
     is_pure_nash_no_overbid,
@@ -172,10 +171,10 @@ def _initial_alloc(kind, instance_alloc, valuations):
 
 
 def _maybe_opt(valuations, alloc):
-    n, m = len(valuations), valuations[0].m
-    if n * 3 ** m > OPT_WORK_CAP:
+    try:
+        opt, _ = optimal_welfare(valuations)
+    except CapabilityError:
         return None, None
-    opt, _ = optimal_welfare(valuations)
     w = welfare(valuations, alloc)
     ratio = format_money(w / opt) if opt > 0 else None
     return format_money(opt), ratio

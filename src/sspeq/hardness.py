@@ -173,20 +173,22 @@ class SensitiveValuation(Valuation):
     def b_floor(self, s: int) -> Money:
         return Fraction((self.mp + 1) * s, self.mp + self.h)
 
-    def max_k_inside(self, mask: int) -> Money:
-        """Max bump over stored size-(m'+1) subsets; default_k counts whenever
-        some subset is unstored."""
-        s = mask.bit_count()
-        best = None
-        stored = 0
-        for bmask, k in self.k_map.items():
-            if bmask & mask == bmask:
-                stored += 1
-                if best is None or k > best:
-                    best = k
-        if stored < math.comb(s, self.mp + 1):
-            best = self.default_k if best is None else max(best, self.default_k)
-        return best
+    def stored_bump_inside(self, mask: int):
+        """(k, bmask) of the largest stored bump inside `mask`, ties to the
+        smallest sorted bundle, or None.
+
+        Walks `by_k` from the largest k down and stops once k drops below
+        the first hit. Stored bumps never undercut default_k, so default_k
+        counts only when this returns None."""
+        hit = None
+        for k, bmask in reversed(self.by_k):
+            if hit is not None and k < hit[0]:
+                break
+            if bmask & mask == bmask and (
+                hit is None or bundle_key(bundle_of(bmask)) < bundle_key(bundle_of(hit[1]))
+            ):
+                hit = (k, bmask)
+        return hit
 
     def _value_mask(self, mask):
         s = mask.bit_count()
@@ -198,22 +200,14 @@ class SensitiveValuation(Valuation):
             return Fraction(s)
         if s >= self.mp + self.h:
             return Fraction(self.mp + 1)
-        return max(self.mp + Fraction(1, 4) + self.max_k_inside(mask), self.b_floor(s))
+        hit = self.stored_bump_inside(mask)
+        k = self.default_k if hit is None else hit[0]
+        return max(self.mp + Fraction(1, 4) + k, self.b_floor(s))
 
-    def _argmax_stored_inside(self, mask):
-        best = None
-        for bmask, k in self.k_map.items():
-            if bmask & mask == bmask:
-                key = (-k, bundle_key(bundle_of(bmask)))
-                if best is None or key < best[0]:
-                    best = (key, bmask, k)
-        return None if best is None else (best[1], best[2])
-
-    def _some_unstored_inside(self, S):
-        for combo in itertools.combinations(sorted(S), self.mp + 1):
-            if mask_of(combo) not in self.k_map:
-                return frozenset(combo)
-        return None
+    def _padded(self, S, size):
+        """S and its smallest outside items up to `size` items, sorted."""
+        outside = (j for j in range(self.m) if j not in S)
+        return sorted([*S, *itertools.islice(outside, size - len(S))])
 
     def sensitive_clause(self, S):
         """Clause dict plus family tag, preferring C over A over M over B."""
@@ -226,38 +220,20 @@ class SensitiveValuation(Valuation):
         if s <= self.mp - self.g:
             return {min(S): Fraction(self.mp - self.g)}, "C"
         if s <= self.mp:
-            padded = sorted(S)
-            for j in range(self.m):
-                if len(padded) == self.mp:
-                    break
-                if j not in S:
-                    padded.append(j)
-            return {j: Fraction(1) for j in sorted(padded)}, "A"
-        if s >= self.mp + self.h:
-            core = sorted(S)[: self.mp + self.h]
-            w = Fraction(self.mp + 1, self.mp + self.h)
-            return {j: w for j in core}, "B"
-        m_term = self.mp + Fraction(1, 4) + self.max_k_inside(mask_of(S))
-        b_term = self.b_floor(s)
-        if m_term >= b_term:
-            stored = self._argmax_stored_inside(mask_of(S))
-            if stored is not None and self.mp + Fraction(1, 4) + stored[1] == m_term:
-                core_mask, k = stored
-            else:
-                core_mask, k = mask_of(self._some_unstored_inside(S)), self.default_k
-            core = bundle_of(core_mask)
-            j = self.clause_items.get(core_mask, min(core))
-            clause = {i: Fraction(1) for i in sorted(core)}
-            clause[j] = Fraction(1, 4) + k
-            return clause, "M"
-        padded = sorted(S)
-        for j in range(self.m):
-            if len(padded) == self.mp + self.h:
-                break
-            if j not in S:
-                padded.append(j)
+            return {j: Fraction(1) for j in self._padded(S, self.mp)}, "A"
         w = Fraction(self.mp + 1, self.mp + self.h)
-        return {j: w for j in sorted(padded)}, "B"
+        if s >= self.mp + self.h:
+            return {j: w for j in sorted(S)[: self.mp + self.h]}, "B"
+        hit = self.stored_bump_inside(mask_of(S))
+        if hit is None:
+            hit = (self.default_k, mask_of(sorted(S)[: self.mp + 1]))
+        k, core_mask = hit
+        if self.mp + Fraction(1, 4) + k < self.b_floor(s):
+            return {j: w for j in self._padded(S, self.mp + self.h)}, "B"
+        core = bundle_of(core_mask)
+        clause = {i: Fraction(1) for i in sorted(core)}
+        clause[self.clause_items.get(core_mask, min(core))] = Fraction(1, 4) + k
+        return clause, "M"
 
     def _xos_clause(self, S):
         return self.sensitive_clause(S)[0]
@@ -498,7 +474,6 @@ class OddGraphAdversary:
         self.colored = {}
         self.order = []
         self.q_set = set()
-        self.q_list = []
         self.x = 0
         self.conceded = False
         self.transcript = []
@@ -615,7 +590,6 @@ class OddGraphAdversary:
             self.stats.append({"materialized": 0, "replay": True})
             return ans
         self.q_set.add(mask)
-        self.q_list.append(mask)
         obstacles = [mask] + list(self.colored.keys())
         materialized = 0
         known_big = set()

@@ -180,6 +180,11 @@ def top_steal(valuations, init_alloc, t: int = None) -> TopStealRun:
     return TopStealRun(final_alloc, final_bids, trace, steals)
 
 
+def _give(alloc, thief, j):
+    """The allocation with item j moved to the thief."""
+    return tuple((S | {j}) if i == thief else (S - {j}) for i, S in enumerate(alloc))
+
+
 def _top_steal_rec(valuations, alloc, active, t, steals):
     n = len(valuations)
     m = valuations[0].m
@@ -193,9 +198,7 @@ def _top_steal_rec(valuations, alloc, active, t, steals):
             thief = info[j]["top"][0]
             steals.append((thief, holder, j))
             trace.steal = (thief, holder, j)
-            alloc = tuple(
-                (S | {j}) if i == thief else (S - {j}) for i, S in enumerate(alloc)
-            )
+            alloc = _give(alloc, thief, j)
             holder = thief
         bids = [[Fraction(0)] * m for _ in range(n)]
         bids[holder][j] = valuations[holder].value(frozenset({j}))
@@ -228,13 +231,11 @@ def _top_steal_rec(valuations, alloc, active, t, steals):
         steal = _find_top_steal(valuations, sub_alloc, bids, info)
         if steal is None:
             return alloc, bids, RecursionTrace("stable_bids", len(active), t)
-        thief, victim, j = steal
+        thief, _, j = steal
         steals.append(steal)
-        new_alloc = tuple(
-            (S | {j}) if i == thief else (S - {j}) if i == victim else S
-            for i, S in enumerate(alloc)
+        out_alloc, out_bids, child = _top_steal_rec(
+            valuations, _give(alloc, thief, j), active, t, steals
         )
-        out_alloc, out_bids, child = _top_steal_rec(valuations, new_alloc, active, t, steals)
         trace = RecursionTrace("steal_then_recurse", len(active), t, steal=steal, children=[child])
         return out_alloc, out_bids, trace
 
@@ -250,13 +251,11 @@ def _top_steal_rec(valuations, alloc, active, t, steals):
         trace = RecursionTrace("erased_stable", len(active), t, children=[child])
         return out_alloc, out_bids, trace
     steal = _find_top_steal(valuations, tuple(S & active for S in out_alloc), out_bids, info)
-    thief, victim, j = steal
+    thief, _, j = steal
     steals.append(steal)
-    new_alloc = tuple(
-        (S | {j}) if i == thief else (S - {j}) if i == victim else S
-        for i, S in enumerate(out_alloc)
+    out_alloc2, out_bids2, child2 = _top_steal_rec(
+        valuations, _give(out_alloc, thief, j), active, t, steals
     )
-    out_alloc2, out_bids2, child2 = _top_steal_rec(valuations, new_alloc, active, t, steals)
     trace = RecursionTrace(
         "erase_then_steal", len(active), t, steal=steal, children=[child, child2]
     )

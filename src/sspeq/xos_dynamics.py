@@ -242,16 +242,6 @@ class GrayValuation(Valuation):
 # -- oracles --------------------------------------------------------------------
 
 
-class GreedyOrderingOracle:
-    """Clause queries answered by the valuation's own clause rule."""
-
-    def __init__(self, valuation: Valuation):
-        self.valuation = valuation
-
-    def clause(self, S) -> dict:
-        return self.valuation.xos_clause(S)
-
-
 class AdaptiveGrayOracle:
     """Clause oracle for a GrayValuation that records, in first-touch order,
     the path-position coefficient committed for each queried middle bundle."""
@@ -261,7 +251,7 @@ class AdaptiveGrayOracle:
         self.k_map = {}
         self.touch_order = []
 
-    def clause(self, S) -> dict:
+    def xos_clause(self, S) -> dict:
         S = as_bundle(S)
         out = self.valuation.xos_clause(S)
         if len(S) == self.valuation.mp + 1:
@@ -333,7 +323,7 @@ def _winning_sum(bids) -> Money:
 
 
 def _clause_row(oracle, S, m):
-    clause = oracle.clause(S)
+    clause = oracle.xos_clause(S)
     row = [Fraction(0)] * m
     for j, w in clause.items():
         row[j] = w
@@ -351,7 +341,7 @@ def run_best_reply_dynamic(v0, v1, oracles=None, init_alloc=None, step_cap: int 
     if v1.m != m:
         raise DomainError("valuations disagree on m")
     if oracles is None:
-        oracles = tuple(GreedyOrderingOracle(v) for v in valuations)
+        oracles = valuations
     if init_alloc is None:
         raise DomainError("need an initial allocation")
     init_alloc = check_allocation(init_alloc, 2, m)

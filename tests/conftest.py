@@ -16,7 +16,6 @@ from sspeq.valuations import (
     TableValuation,
     better_demand,
     bundle_of,
-    mask_of,
 )
 
 

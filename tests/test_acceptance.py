@@ -6,7 +6,6 @@ prints a one-line summary visible under pytest -s.
 
 import hashlib
 import math
-import random
 from fractions import Fraction
 
 from conftest import (

@@ -118,6 +118,33 @@ def test_steal_budget_additive_reports_bound(capsys, tmp_path):
     assert d["steals"] <= d["steal_bound"]
 
 
+def test_steal_past_the_opt_cap_reports_no_opt(tmp_path, capsys):
+    # 2 * 3^16 exceeds optimal_welfare's work cap, so opt and ratio are null
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "family": "handmade",
+        "m": 16,
+        "n": 2,
+        "seed": 0,
+        "allocation": None,
+        "valuations": [
+            {"kind": "additive", "m": 16, "items": [f"{j % 5 + 1}/1" for j in range(16)]},
+            {"kind": "additive", "m": 16, "items": [f"{3 * j % 7 + 1}/2" for j in range(16)]},
+        ],
+    }))
+    code, out = run_cli(capsys, ["steal", "--instance", str(inst), "--init", "pool"])
+    assert code == 0
+    d = json.loads(out)
+    assert d["opt"] is None
+    assert d["ratio"] is None
+    assert d["steals"] == 5
+    assert d["welfare"] == "99/2"
+    assert d["ledgers"] == [
+        {"value": 194, "demand": 0, "xos": 0},
+        {"value": 132, "demand": 0, "xos": 0},
+    ]
+
+
 def test_topsteal_runs_frozen_instance(tmp_path, capsys):
     inst = write_additive_instance(tmp_path / "inst.json")
     code, out = run_cli(

@@ -232,6 +232,60 @@ def test_sensitive_clauses_are_legal_xos_presentations():
             assert at <= sv.value(T), (sorted(S), sorted(T), tag)
 
 
+def tied_sensitive(rng):
+    """m = 9, g = 1, h = 3 with bumps drawn from a small pool of k values
+    (default_k among them, non-dyadic denominators otherwise), so many window
+    bundles hold tied stored bumps; inserted in shuffled order."""
+    default_k = Fraction(1, rng.choice([13, 30, 2 ** 13]))
+    pool = [default_k]
+    for _ in range(rng.randint(1, 3)):
+        den = rng.choice([3, 5, 7, 81])
+        pool.append(max(default_k, Fraction(rng.randint(1, 4 * den - 1), 16 * den)))
+    if rng.random() < 0.3:
+        pool.append(max(default_k, Fraction(1, 28)))  # M and B tie at |S| = 6
+    masks = rng.sample(odd_graph_vertices(4), rng.randint(0, 60))
+    k_map = {mask: rng.choice(pool) for mask in masks}
+    clause_items = {
+        mask: rng.choice(sorted(bundle_of(mask))) for mask in masks if rng.random() < 0.4
+    }
+    return SensitiveValuation(
+        9, k_map=k_map, default_k=default_k, clause_items=clause_items, g=1, h=3
+    )
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_window_value_and_clause_follow_the_definition(seed):
+    sv = tied_sensitive(seeded(seed))
+    mp = sv.mp
+    w = Fraction(mp + 1, mp + sv.h)
+    for s in range(mp + 1, mp + sv.h):
+        for S in itertools.combinations(range(9), s):
+            # definition: max over every size-(m'+1) subset, default_k if unstored
+            subsets = [mask_of(c) for c in itertools.combinations(S, mp + 1)]
+            m_term = mp + Fraction(1, 4) + max(sv.k_map.get(c, sv.default_k) for c in subsets)
+            b_term = s * w
+            assert sv.value(S) == max(m_term, b_term), S
+            clause, tag = sv.sensitive_clause(S)
+            if m_term < b_term:
+                outside = [j for j in range(9) if j not in S][: mp + sv.h - s]
+                assert (clause, tag) == ({j: w for j in sorted(S + tuple(outside))}, "B"), S
+                continue
+            # core: the largest stored k, ties to the lexicographically first
+            core, k = mask_of(S[: mp + 1]), sv.default_k
+            stored = [c for c in subsets if c in sv.k_map]
+            if stored:
+                core = stored[0]
+                for c in stored:
+                    if sv.k_map[c] > sv.k_map[core]:
+                        core = c
+                k = sv.k_map[core]
+            want = {j: Fraction(1) for j in sorted(bundle_of(core))}
+            want[sv.clause_items.get(core, min(bundle_of(core)))] = Fraction(1, 4) + k
+            assert (clause, tag) == (want, "M"), S
+            assert list(clause) == sorted(clause)
+
+
 def test_clause_tags_follow_sizes():
     sv = SensitiveValuation(9, g=2, h=4)
     assert sv.sensitive_clause(range(1))[1] == "C"

@@ -10,7 +10,6 @@ from sspeq.valuations import (
     DomainError,
     bundle_of,
     check_clause,
-    mask_of,
     valuation_from_json,
     verify_class,
 )
@@ -165,8 +164,8 @@ def test_adaptive_oracle_records_touches():
     _, v1, _, _ = build_exponential_instance(5)
     oracle = AdaptiveGrayOracle(v1)
     S = bundle_of(v1.path_masks[1])
-    oracle.clause(S)
-    oracle.clause(S)
+    oracle.xos_clause(S)
+    oracle.xos_clause(S)
     assert oracle.touch_order == [v1.path_masks[1]]
     assert oracle.k_map[v1.path_masks[1]] == 1
 
