@@ -23,6 +23,8 @@ from .valuations import (
 )
 
 OPT_WORK_CAP = 40_000_000
+# the most items whose subsets best_deviation and check_no_overbidding walk
+SUBSET_CAP = 18
 
 
 def check_bids(bids, n=None, m=None):
@@ -142,8 +144,8 @@ def check_no_overbidding(v: Valuation, bid_row):
     """
     bid_row = tuple(parse_money(x) for x in bid_row)
     support = [j for j, x in enumerate(bid_row) if x > 0]
-    if len(support) > 18:
-        raise CapabilityError("no-overbidding check capped at support size 18")
+    if len(support) > SUBSET_CAP:
+        raise CapabilityError(f"no-overbidding check capped at support size {SUBSET_CAP}")
     bids, D = scale_to_ints([bid_row[j] for j in support])
     # index c counts over the support; sub[c] is the item mask it stands for
     sub = [0] * (1 << len(support))
@@ -180,8 +182,8 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
     v = valuations[i]
     if v.m != m:
         raise DomainError("valuation does not match bid width")
-    if m > 18:
-        raise CapabilityError("best deviation capped at m=18")
+    if m > SUBSET_CAP:
+        raise CapabilityError(f"best deviation capped at m={SUBSET_CAP}")
     prices = []
     for j in range(m):
         p = Fraction(0)

@@ -187,6 +187,25 @@ def _maybe_certify(valuations, bids, alloc):
     return ok, [w["kind"] for w in witnesses[:4]]
 
 
+def _finish_run(args, report, vals, alloc, bids, violated, trace_rows=None, opt=True, certify=True):
+    """Fill the report tail the run commands share (allocation, bids, welfare,
+    opt and ratio, certification, witness kinds, ledgers), emit the report
+    and return the exit code. The ledgers are read after the last counted
+    query, so every query the report makes is in them."""
+    report["allocation"] = _alloc_json(alloc)
+    report["bids"] = _bids_json(bids)
+    report["welfare"] = format_money(welfare(vals, alloc))
+    if opt:
+        report["opt"], report["ratio"] = _maybe_opt(vals, alloc)
+    if certify:
+        report["equilibrium_verified"], report["witness_kinds"] = _maybe_certify(vals, bids, alloc)
+    report["ledgers"] = _ledgers(vals)
+    _emit(report, args, trace_rows)
+    if violated or report.get("equilibrium_verified") is False:
+        return EXIT_VIOLATION
+    return EXIT_OK
+
+
 # -- generators ------------------------------------------------------------------
 
 
@@ -299,7 +318,6 @@ def cmd_steal(args):
     _, vals, inst_alloc, _ = _load_instance(args.instance)
     init = _initial_alloc(args.init, inst_alloc, vals)
     t0 = time.perf_counter()
-    truncated = False
     budget_additive = all(isinstance(v, BudgetAdditiveValuation) for v in vals)
     ba_run = budget_additive and args.policy == "stolen-last"
     try:
@@ -308,15 +326,11 @@ def cmd_steal(args):
         else:
             run = run_iterative_stealing(vals, init, policy=args.policy, step_cap=args.step_cap)
     except StealCapExceeded as exc:
-        truncated = True
-        run = None
-        log = exc.log
-    wall_ms = round(1000 * (time.perf_counter() - t0), 3)
-    if run is not None:
-        log = run.log
-        alloc, bids = run.alloc, run.bids
+        run, log = None, exc.log
     else:
-        alloc, bids = None, None
+        log = run.log
+    wall_ms = round(1000 * (time.perf_counter() - t0), 3)
+    truncated = run is None
     steals = len(log.events)
     report = {
         "algorithm": "steal",
@@ -341,23 +355,11 @@ def cmd_steal(args):
     if truncated:
         _emit(report, args, trace_rows)
         return EXIT_VIOLATION
-    n, m = len(vals), vals[0].m
-    report["allocation"] = _alloc_json(alloc)
-    report["bids"] = _bids_json(bids)
-    report["welfare"] = format_money(welfare(vals, alloc))
-    opt, ratio = _maybe_opt(vals, alloc)
-    report["opt"], report["ratio"] = opt, ratio
     if ba_run:
-        report["steal_bound"] = budget_additive_steal_bound(n, m)
+        report["steal_bound"] = budget_additive_steal_bound(len(vals), vals[0].m)
         report["within_bound"] = steals <= report["steal_bound"]
-    certified, witnesses = _maybe_certify(vals, bids, alloc)
-    report["equilibrium_verified"] = certified
-    report["witness_kinds"] = witnesses
-    report["ledgers"] = _ledgers(vals)
-    _emit(report, args, trace_rows)
-    if certified is False or (ba_run and not report["within_bound"]):
-        return EXIT_VIOLATION
-    return EXIT_OK
+    violated = ba_run and not report["within_bound"]
+    return _finish_run(args, report, vals, run.alloc, run.bids, violated, trace_rows)
 
 
 def cmd_topsteal(args):
@@ -384,26 +386,13 @@ def cmd_topsteal(args):
         "steal_bound": steal_count_bound(m, t),
         "within_bound": steals <= steal_count_bound(m, t),
         "cases": cases,
-        "allocation": _alloc_json(run.alloc),
-        "bids": _bids_json(run.bids),
-        "welfare": format_money(welfare(vals, run.alloc)),
         "wall_ms": wall_ms,
     }
     if greedy_w is not None:
         report["greedy_welfare"] = format_money(greedy_w)
         report["at_least_greedy"] = welfare(vals, run.alloc) >= greedy_w
-    opt, ratio = _maybe_opt(vals, run.alloc)
-    report["opt"], report["ratio"] = opt, ratio
-    certified, witnesses = _maybe_certify(vals, run.bids, run.alloc)
-    report["equilibrium_verified"] = certified
-    report["witness_kinds"] = witnesses
-    report["ledgers"] = _ledgers(vals)
-    _emit(report, args)
-    if not report["within_bound"] or certified is False:
-        return EXIT_VIOLATION
-    if report.get("at_least_greedy") is False:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    violated = not report["within_bound"] or report.get("at_least_greedy") is False
+    return _finish_run(args, report, vals, run.alloc, run.bids, violated)
 
 
 def cmd_dynamic(args):
@@ -424,9 +413,6 @@ def cmd_dynamic(args):
         "responses": run.trace.responses,
         "truncated": run.trace.truncated,
         "sums_strictly_increase": increasing,
-        "allocation": _alloc_json(run.alloc),
-        "bids": _bids_json(run.bids),
-        "welfare": format_money(welfare(vals, run.alloc)),
         "wall_ms": wall_ms,
     }
     trace_rows = [
@@ -437,19 +423,13 @@ def cmd_dynamic(args):
         }
         for row in run.trace.rows
     ]
-    if not run.trace.truncated:
-        traditional, _ = is_traditional(vals, run.alloc, run.bids, oracles=oracles)
-        report["traditional"] = traditional
-        certified, witnesses = _maybe_certify(vals, run.bids, run.alloc)
-        report["equilibrium_verified"] = certified
-        report["witness_kinds"] = witnesses
-    report["ledgers"] = _ledgers(vals)
-    _emit(report, args, trace_rows)
-    if run.trace.truncated or not increasing or report.get("traditional") is False:
-        return EXIT_VIOLATION
-    if report.get("equilibrium_verified") is False:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    settled = not run.trace.truncated
+    if settled:
+        report["traditional"], _ = is_traditional(vals, run.alloc, run.bids, oracles=oracles)
+    violated = not settled or not increasing or report.get("traditional") is False
+    return _finish_run(
+        args, report, vals, run.alloc, run.bids, violated, trace_rows, opt=False, certify=settled
+    )
 
 
 def cmd_adversary(args):

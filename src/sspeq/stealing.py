@@ -8,6 +8,7 @@ exceeds the standing bid, after which bids are recomputed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from .valuations import (
 from .auction import check_allocation, prices_from_bids
 
 ORDERING_POLICIES = ("stolen-last", "static")
+STEAL_BOUND_M_CAP = 12
 
 
 class OrderingState:
@@ -226,13 +228,11 @@ def run_budget_additive_stealing(valuations, init_alloc, step_cap=None) -> Steal
 
 def marginal_diversity(v, j: int) -> int:
     """Number of distinct marginals of item j across all bundles avoiding it."""
-    if v.m > 12:
-        raise CapabilityError("marginal diversity capped at m=12")
-    rest = v.full_mask & ~(1 << j)
-    seen = set()
-    for sub in iter_submasks(rest):
-        seen.add(v._value_mask(sub | (1 << j)) - v._value_mask(sub))
-    return len(seen)
+    if v.m > STEAL_BOUND_M_CAP:
+        raise CapabilityError(f"marginal diversity capped at m={STEAL_BOUND_M_CAP}")
+    vals, _ = v.value_table()
+    bit = 1 << j
+    return len({vals[sub | bit] - vals[sub] for sub in iter_submasks(v.full_mask & ~bit)})
 
 
 def pseudo_poly_steal_bound(valuations) -> int:
@@ -246,13 +246,15 @@ def granularity_steal_bound(valuations):
     delta = Fraction(0)
     vmax = Fraction(0)
     for v in valuations:
-        if v.m > 12:
-            raise CapabilityError("granularity bound capped at m=12")
-        vmax = max(vmax, v._value_mask(v.full_mask))
+        if v.m > STEAL_BOUND_M_CAP:
+            raise CapabilityError(f"granularity bound capped at m={STEAL_BOUND_M_CAP}")
+        vals, D = v.value_table()
+        vmax = max(vmax, Fraction(vals[v.full_mask], D))
+        g = 0
         for mask in range(1 << v.m):
             for j in iter_bits(v.full_mask & ~mask):
-                diff = v._value_mask(mask | (1 << j)) - v._value_mask(mask)
-                delta = money_gcd(delta, diff)
+                g = math.gcd(g, vals[mask | (1 << j)] - vals[mask])
+        delta = money_gcd(delta, Fraction(g, D))
     if delta == 0:
         return None
     return len(valuations) * vmax / delta

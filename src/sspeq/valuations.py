@@ -15,6 +15,7 @@ from fractions import Fraction
 from .money import Money, format_money, parse_money, rescale, scale_to_ints
 
 EXHAUSTIVE_DEMAND_CAP = 16
+TABLE_M_CAP = 20
 VERIFY_CAP = {
     "normalized": 30,
     "monotone": 14,
@@ -215,22 +216,18 @@ class TableValuation(Valuation):
 
     def __init__(self, m: int, values, validate: bool = True):
         super().__init__(m)
-        if m > 20:
-            raise CapabilityError(f"table valuation capped at m=20, got {m}")
+        if m > TABLE_M_CAP:
+            raise CapabilityError(f"table valuation capped at m={TABLE_M_CAP}, got {m}")
         values = [parse_money(x) for x in values]
         if len(values) != 1 << m:
             raise DomainError(f"need {1 << m} table entries, got {len(values)}")
         if values[0] != 0:
             raise DomainError("v(empty) must be 0")
-        if validate and m <= VERIFY_CAP["monotone"]:
-            for mask in range(1 << m):
-                rest = self.full_mask & ~mask
-                for j in iter_bits(rest):
-                    if values[mask] > values[mask | (1 << j)]:
-                        raise DomainError(
-                            f"not monotone at {sorted(bundle_of(mask))} + item {j}"
-                        )
         self.table = values
+        if validate and m <= VERIFY_CAP["monotone"]:
+            ok, bad = verify_class(self, "monotone")
+            if not ok:
+                raise DomainError(f"not monotone at {bad['S']} + item {bad['item']}")
 
     def _value_mask(self, mask):
         return self.table[mask]
@@ -436,7 +433,8 @@ class CoverageValuation(Valuation):
 def verify_class(v: Valuation, cls: str):
     """Check a valuation class property exhaustively; returns (ok, witness).
 
-    Witnesses carry the violating bundles and both side values.
+    Witnesses carry the violating bundles and both side values. Every class
+    but `normalized` compares the ints of `v.value_table()`.
     """
     m = v.m
     if cls not in VERIFY_CAP:
@@ -448,87 +446,103 @@ def verify_class(v: Valuation, cls: str):
         if val != 0:
             return False, {"S": [], "value": val}
         return True, None
+    if cls == "additive":
+        vals, psum, D = priced_table(v, [v._value_mask(1 << j) for j in range(m)])
+        for mask in range(1 << m):
+            if vals[mask] != psum[mask]:
+                return False, {"S": sorted(bundle_of(mask)), "lhs": Fraction(vals[mask], D)}
+        return True, None
+    vals, D = v.value_table()
     if cls == "monotone":
         for mask in range(1 << m):
-            base = v._value_mask(mask)
             for j in iter_bits(v.full_mask & ~mask):
-                up = v._value_mask(mask | (1 << j))
-                if base > up:
+                if vals[mask] > vals[mask | (1 << j)]:
                     return False, {
                         "S": sorted(bundle_of(mask)),
                         "item": j,
-                        "lhs": base,
-                        "rhs": up,
+                        "lhs": Fraction(vals[mask], D),
+                        "rhs": Fraction(vals[mask | (1 << j)], D),
                     }
         return True, None
     if cls == "submodular":
         for mask in range(1 << m):
             rest = list(iter_bits(v.full_mask & ~mask))
-            base = v._value_mask(mask)
-            singles = {j: v._value_mask(mask | (1 << j)) for j in rest}
-            for a in range(len(rest)):
-                for b in range(a + 1, len(rest)):
-                    j, jp = rest[a], rest[b]
-                    both = v._value_mask(mask | (1 << j) | (1 << jp))
-                    if singles[j] + singles[jp] < both + base:
+            for a, j in enumerate(rest):
+                for jp in rest[a + 1 :]:
+                    lhs = vals[mask | (1 << j)] + vals[mask | (1 << jp)]
+                    rhs = vals[mask | (1 << j) | (1 << jp)] + vals[mask]
+                    if lhs < rhs:
                         return False, {
                             "S": sorted(bundle_of(mask)),
                             "items": [j, jp],
-                            "lhs": singles[j] + singles[jp],
-                            "rhs": both + base,
+                            "lhs": Fraction(lhs, D),
+                            "rhs": Fraction(rhs, D),
                         }
         return True, None
     if cls == "subadditive":
-        vals = [v._value_mask(mask) for mask in range(1 << m)]
         for s in range(1, 1 << m):
             for t in range(1, 1 << m):
                 if vals[s] + vals[t] < vals[s | t]:
                     return False, {
                         "S": sorted(bundle_of(s)),
                         "T": sorted(bundle_of(t)),
-                        "lhs": vals[s] + vals[t],
-                        "rhs": vals[s | t],
+                        "lhs": Fraction(vals[s] + vals[t], D),
+                        "rhs": Fraction(vals[s | t], D),
                     }
         return True, None
-    if cls == "additive":
-        singles = [v._value_mask(1 << j) for j in range(m)]
-        for mask in range(1 << m):
-            total = sum((singles[j] for j in iter_bits(mask)), Fraction(0))
-            if v._value_mask(mask) != total:
-                return False, {"S": sorted(bundle_of(mask)), "lhs": v._value_mask(mask)}
-        return True, None
-    if cls == "xos":
-        return _verify_xos(v)
-    raise DomainError(f"unknown class {cls!r}")
+    return _verify_xos(vals, D)
 
 
-def _verify_xos(v: Valuation):
-    """Exact LP membership test: v is XOS iff for every S the best additive
-    vector dominated by v on subsets of S reaches v(S)."""
-    from sympy import Rational
-    from sympy.solvers.simplex import linprog
-
-    m = v.m
-    vals = [v._value_mask(mask) for mask in range(1 << m)]
-    for smask in range(1, 1 << m):
+def _verify_xos(vals, D: int):
+    """XOS check of the value table (vals, D) of v. v is XOS iff it is
+    fractionally subadditive (Feige, STOC 2006): for every S the largest sum
+    of an additive a >= 0 with a(T) <= v(T) on every nonempty T within S
+    reaches v(S). Each S is one exact LP on the ints."""
+    if min(vals) < 0:
+        raise DomainError("the XOS check needs nonnegative values")
+    for smask in range(1, len(vals)):
         items = list(iter_bits(smask))
-        idx = {j: i for i, j in enumerate(items)}
-        A, b = [], []
-        for t in iter_submasks(smask):
-            if t == 0:
-                continue
-            row = [0] * len(items)
-            for j in iter_bits(t):
-                row[idx[j]] = 1
-            A.append(row)
-            b.append(Rational(vals[t].numerator, vals[t].denominator))
-        # maximize sum a_j == minimize -sum a_j; variables are >= 0
-        c = [-1] * len(items)
-        opt, _ = linprog(c, A=A, b=b)
-        reached = Fraction(-int(opt.p), int(opt.q)) if opt.is_Rational else None
-        if reached is None or reached != vals[smask]:
-            return False, {"S": sorted(bundle_of(smask)), "best": -opt, "value": vals[smask]}
+        subs = [t for t in iter_submasks(smask) if t]
+        best = _max_sum([[t >> j & 1 for j in items] for t in subs], [vals[t] for t in subs])
+        if best != vals[smask]:
+            return False, {
+                "S": sorted(bundle_of(smask)),
+                "best": best / D,
+                "value": Fraction(vals[smask], D),
+            }
     return True, None
+
+
+def _max_sum(rows, b):
+    """max sum(x) subject to rows . x <= b and x >= 0, for ints b >= 0, as a
+    Fraction: simplex on the condensed tableau with Bland's rule. x = 0 is a
+    feasible start, so there is no phase 1. Integer pivoting keeps T equal to
+    d times the rational tableau; each update divides exactly by the old d."""
+    n = len(rows[0])
+    T = [[0] + [1] * n] + [[bi, *row] for bi, row in zip(b, rows)]
+    col_var, row_var = list(range(n + 1)), list(range(n + 1, n + 1 + len(T)))
+    d = 1
+    while True:
+        cols = [c for c in range(1, n + 1) if T[0][c] > 0]
+        if not cols:
+            return Fraction(-T[0][0], d)
+        c = min(cols, key=col_var.__getitem__)
+        r = None
+        for i in range(1, len(T)):
+            if T[i][c] > 0 and (
+                r is None or (T[i][0] * T[r][c], row_var[i]) < (T[r][0] * T[i][c], row_var[r])
+            ):
+                r = i
+        P, pivot_row = T[r][c], T[r]
+        for i, row in enumerate(T):
+            if i != r:
+                f = row[c]
+                for j in range(n + 1):
+                    row[j] = (row[j] * P - f * pivot_row[j]) // d
+                row[c] = -f
+        pivot_row[c] = d
+        d = P
+        col_var[c], row_var[r] = row_var[r], col_var[c]
 
 
 def check_clause(v: Valuation, S, clause: dict, exhaustive: bool = True):
@@ -544,16 +558,15 @@ def check_clause(v: Valuation, S, clause: dict, exhaustive: bool = True):
         return False, {"reason": "clause sum mismatch", "sum": total, "value": vS}
     if exhaustive:
         if v.m > EXHAUSTIVE_DEMAND_CAP:
-            raise CapabilityError("exhaustive clause check capped at m=16")
+            raise CapabilityError(f"exhaustive clause check capped at m={EXHAUSTIVE_DEMAND_CAP}")
+        vals, csum, D = priced_table(v, [clause.get(j, 0) for j in range(v.m)])
         for tmask in range(1, 1 << v.m):
-            at = sum((clause.get(j, Fraction(0)) for j in iter_bits(tmask)), Fraction(0))
-            vt = v._value_mask(tmask)
-            if at > vt:
+            if csum[tmask] > vals[tmask]:
                 return False, {
                     "reason": "clause exceeds value",
                     "T": sorted(bundle_of(tmask)),
-                    "clause": at,
-                    "value": vt,
+                    "clause": Fraction(csum[tmask], D),
+                    "value": Fraction(vals[tmask], D),
                 }
     return True, None
 

@@ -75,6 +75,18 @@ def random_submodular_table(rng, m, edges_hi=6):
     return TableValuation(m, table)
 
 
+def random_table(rng, m, monotone=True):
+    """A nonnegative table: each bundle adds a random step to its best
+    one-item-smaller subset. Steps may be negative (clamped at 0) unless
+    monotone; most monotone ones are not XOS."""
+    values = [Fraction(0)] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = max(values[mask ^ (1 << j)] for j in range(m) if mask >> j & 1)
+        step = Fraction(rng.randint(0 if monotone else -3, 4), rng.randint(1, 3))
+        values[mask] = max(Fraction(0), low + step)
+    return values
+
+
 def brute_additive_value(item_values, S):
     """Literal sum of the item values over the bundle."""
     total = Fraction(0)

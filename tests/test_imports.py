@@ -1,11 +1,13 @@
-"""No module of the library or the suite imports a name it never uses.
+"""No module of the library or the suite imports a name it never uses, and
+the library imports nothing outside the standard library.
 
-No linter ships with the project, so this AST scan is the check. Package
-`__init__.py` files are skipped (their imports are re-exports), and so is
-`from __future__ import annotations`.
+No linter ships with the project, so these AST scans are the check. Package
+`__init__.py` files are skipped by the unused-name scan (their imports are
+re-exports), and so is `from __future__ import annotations`.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +50,41 @@ def test_scan_flags_only_the_unused_import():
         "    print(sys.argv)\n"
     )
     assert unused_imports(source) == [(2, "os")]
+
+
+def third_party_imports(source):
+    """(line, module) of every absolute import whose top-level package is not
+    in the standard library, at any depth of the module."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        hits += [(node.lineno, n) for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    return hits
+
+
+def test_library_has_no_runtime_dependency():
+    paths = sorted((ROOT / "src" / "sspeq").glob("*.py"))
+    assert len(paths) > 5
+    hits = [
+        f"{p.relative_to(ROOT)}:{line}: {name}"
+        for p in paths
+        for line, name in third_party_imports(p.read_text())
+    ]
+    assert hits == []
+
+
+def test_scan_flags_a_planted_third_party_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "from .money import parse_money\n"
+        "def f():\n"
+        "    import sympy\n"
+        "    from sympy.solvers.simplex import linprog\n"
+    )
+    assert third_party_imports(source) == [(5, "sympy"), (6, "sympy.solvers.simplex")]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import random_budget_additive, random_submodular_table, seeded
 from sspeq.auction import is_pure_nash_no_overbid
 from sspeq.stealing import (
+    STEAL_BOUND_M_CAP,
     OrderingState,
     StealCapExceeded,
     budget_additive_steal_bound,
@@ -12,11 +15,17 @@ from sspeq.stealing import (
     compute_bids,
     find_steal,
     granularity_steal_bound,
+    marginal_diversity,
     pseudo_poly_steal_bound,
     run_budget_additive_stealing,
     run_iterative_stealing,
 )
-from sspeq.valuations import AdditiveValuation, BudgetAdditiveValuation
+from sspeq.valuations import (
+    AdditiveValuation,
+    BudgetAdditiveValuation,
+    CapabilityError,
+    CoverageValuation,
+)
 
 
 def two_bidder_instance():
@@ -127,3 +136,18 @@ def test_settlement_bounds_cover_frozen_run():
 def test_granularity_bound_none_when_flat():
     vs = [AdditiveValuation(2, (0, 0))]
     assert granularity_steal_bound(vs) is None
+
+
+def test_settlement_bound_cap_boundary():
+    cap = STEAL_BOUND_M_CAP
+    path = [(j, j + 1, Fraction(1, 2)) for j in range(cap)]
+    v = CoverageValuation(cap, path[: cap - 1])
+    # an end vertex adds 1/2 or nothing; an inner one adds 0, 1/2 or 1
+    assert marginal_diversity(v, 0) == 2
+    assert marginal_diversity(v, 1) == 3
+    assert granularity_steal_bound([v]) == cap - 1
+    w = CoverageValuation(cap + 1, path)
+    with pytest.raises(CapabilityError, match=f"m={cap}"):
+        marginal_diversity(w, 0)
+    with pytest.raises(CapabilityError, match=f"m={cap}"):
+        granularity_steal_bound([v, w])

@@ -23,6 +23,8 @@ from conftest import (
 )
 from sspeq.valuations import (
     EXHAUSTIVE_DEMAND_CAP,
+    TABLE_M_CAP,
+    VERIFY_CAP,
     AdditiveValuation,
     BudgetAdditiveValuation,
     CapabilityError,
@@ -312,3 +314,41 @@ def test_exhaustive_demand_cap_boundary():
     assert v.demand([Fraction(1, 3)] * m) == frozenset(range(0, m - 1, 2))
     with pytest.raises(CapabilityError):
         CoverageValuation(m + 1, path).demand([0] * (m + 1))
+
+
+@pytest.mark.parametrize("cls", sorted(VERIFY_CAP))
+def test_verify_class_cap_boundary(cls):
+    cap = VERIFY_CAP[cls]
+    # additive valuations belong to every class
+    assert verify_class(AdditiveValuation(cap, range(1, cap + 1)), cls) == (True, None)
+    with pytest.raises(CapabilityError, match=f"m={cap}"):
+        verify_class(AdditiveValuation(cap + 1, range(1, cap + 2)), cls)
+
+
+def test_exhaustive_clause_check_cap_boundary():
+    m = EXHAUSTIVE_DEMAND_CAP
+    path = [(j, j + 1, Fraction(1, 2)) for j in range(m)]
+    v = CoverageValuation(m, path[: m - 1])
+    assert check_clause(v, {0, 2}, {0: Fraction(1, 2), 2: 1}) == (True, None)
+    assert check_clause(v, {0, 2}, {0: 1, 2: Fraction(1, 2)}) == (
+        False,
+        {"reason": "clause exceeds value", "T": [0], "clause": 1, "value": Fraction(1, 2)},
+    )
+    w = CoverageValuation(m + 1, path)
+    assert check_clause(w, {0, 2}, {0: Fraction(1, 2), 2: 1}, exhaustive=False) == (True, None)
+    with pytest.raises(CapabilityError, match=f"m={m}"):
+        check_clause(w, {0, 2}, {0: Fraction(1, 2), 2: 1})
+
+
+def test_table_valuation_cap_boundary():
+    zero = Fraction(0)
+    assert TableValuation(TABLE_M_CAP, [zero] * (1 << TABLE_M_CAP)).m == TABLE_M_CAP
+    # the cap is checked before the values are read
+    with pytest.raises(CapabilityError, match=f"m={TABLE_M_CAP}"):
+        TableValuation(TABLE_M_CAP + 1, None)
+
+
+def test_xos_check_rejects_negative_values():
+    v = TableValuation(2, [0, -1, 1, 1], validate=False)
+    with pytest.raises(DomainError):
+        verify_class(v, "xos")
