@@ -448,6 +448,8 @@ def cmd_adversary(args):
         "conceded": result.conceded,
         "certified": result.certified,
         "colored": len(adv.colored),
+        "answers": len(adv.transcript),
+        "materialized": sum(st["materialized"] for st in adv.stats),
         "audit_ok": ok,
         "audit_problems": [str(p) for p in problems[:8]],
         "wall_ms": wall_ms,

@@ -40,6 +40,10 @@ LITERAL_H = 10
 KMAP_CAP = 100_000
 WINDOW_QUERY_FACTOR = 10
 DEMAND_PIVOT_FACTOR = 50
+# a mask within 4 differences of a key agrees with it on one of 5 disjoint blocks
+NEAR_BLOCKS = 5
+# one shared unit weight for the clauses that every transcript keeps
+_ONE = Fraction(1)
 
 
 # -- odd graph ------------------------------------------------------------------
@@ -50,6 +54,8 @@ def odd_graph_vertices(mp: int):
     return [mask_of(c) for c in itertools.combinations(range(2 * mp + 1), mp + 1)]
 
 def odd_graph_neighbors(mp: int, mask: int):
+    """Neighbours in ascending bundle_key order: they differ only in the
+    one item j added to the complement, and j ascends."""
     full = (1 << (2 * mp + 1)) - 1
     comp = full ^ mask
     return [comp | (1 << j) for j in iter_bits(mask)]
@@ -480,6 +486,8 @@ class OddGraphAdversary:
         self.stats = []
         self.rng = random.Random(seed)
         self.walk_ok = odd_graph_ball_size(self.mp, 4) > self.c_small
+        self._blocks = [mask_of(range(b, m, NEAR_BLOCKS)) for b in range(NEAR_BLOCKS)]
+        self._near = [{} for _ in self._blocks]
 
     def num_queries(self) -> int:
         return len(self.q_set)
@@ -493,11 +501,26 @@ class OddGraphAdversary:
     def _blocked(self, mask) -> bool:
         return mask in self.colored or mask in self.q_set
 
-    def _clear(self, v: int, obstacles) -> bool:
-        for w in obstacles:
-            i = (v & w).bit_count()
-            if i < 3 or i > self.mp - 2:
-                return False
+    def _index(self, mask: int) -> None:
+        """Add a blocked vertex (the query or a colored one) to the block index."""
+        for block, table in zip(self._blocks, self._near):
+            table.setdefault(mask & block, []).append(mask)
+
+    def _clear(self, v: int) -> bool:
+        """True when no blocked vertex w lies within odd-graph distance 4 of v,
+        i.e. no i = |v & w| has i <= 2 or i >= m'-1.
+
+        Such a w differs from v in at most 4 items (i >= m'-1) or from the
+        complement of v in 2i-1 <= 3 items (i <= 2), so it agrees with one
+        of those two keys on a whole block; only those candidates are tested."""
+        hi = self.mp - 2
+        comp = self.full_mask ^ v
+        for block, table in zip(self._blocks, self._near):
+            for key in (v & block, comp & block):
+                for w in table.get(key, ()):
+                    i = (v & w).bit_count()
+                    if i < 3 or i > hi:
+                        return False
         return True
 
     def _random_step(self, cur: int) -> int:
@@ -508,7 +531,7 @@ class OddGraphAdversary:
         b = rest & -rest
         return (self.full_mask ^ cur) | b
 
-    def _component(self, start: int, obstacles):
+    def _component(self, start: int):
         """(reached, materialized, is_small) for start's component in the
         uncolored non-queried region; capped BFS is the only small verdict."""
         reached = {start}
@@ -525,7 +548,7 @@ class OddGraphAdversary:
                     if not self._blocked(cand):
                         cur = cand
                         reached.add(cand)
-                if self._clear(cur, obstacles):
+                if self._clear(cur):
                     return reached, len(reached), False
         visited = {start}
         queue = deque([start])
@@ -566,15 +589,15 @@ class OddGraphAdversary:
             raise ConstructionError("component must hang off the query")
         for w in sorted(comp, key=lambda v: (-dist[v], bundle_key(bundle_of(v)))):
             k = self._bump()
-            parents = [
+            parent = next(
                 p
                 for p in odd_graph_neighbors(self.mp, w)
                 if (p == qmask and dist[w] == 1) or dist.get(p, -1) == dist[w] - 1
-            ]
-            parent = min(parents, key=lambda p: bundle_key(bundle_of(p)))
+            )
             j = (w & parent).bit_length() - 1
             self.colored[w] = _ColoredVertex(self.mp + Fraction(1, 4) + k, k, j, len(self.order))
             self.order.append(w)
+            self._index(w)
 
     def answer(self, S) -> AdversaryAnswer:
         S = self._check_vertex(S)
@@ -590,28 +613,22 @@ class OddGraphAdversary:
             self.stats.append({"materialized": 0, "replay": True})
             return ans
         self.q_set.add(mask)
-        obstacles = [mask] + list(self.colored.keys())
+        self._index(mask)
         materialized = 0
         known_big = set()
-        for nb in sorted(odd_graph_neighbors(self.mp, mask), key=lambda v: bundle_key(bundle_of(v))):
+        for nb in odd_graph_neighbors(self.mp, mask):
             if self._blocked(nb) or nb in known_big:
                 continue
-            reached, used, small = self._component(nb, obstacles)
+            reached, used, small = self._component(nb)
             materialized += used
             if small:
                 self._color_component(mask, reached)
-                obstacles.extend(reached)
             else:
                 known_big |= reached
         k = self._bump()
         value = self.mp + Fraction(1, 4) + k
-        uncolored = [
-            nb
-            for nb in odd_graph_neighbors(self.mp, mask)
-            if nb not in self.colored
-        ]
-        if uncolored:
-            target = min(uncolored, key=lambda v: bundle_key(bundle_of(v)))
+        target = next((nb for nb in odd_graph_neighbors(self.mp, mask) if nb not in self.colored), None)
+        if target is not None:
             j = (mask & target).bit_length() - 1
         else:
             self.conceded = True
@@ -627,7 +644,7 @@ class OddGraphAdversary:
     def _clause_of(self, mask: int, rec: _ColoredVertex):
         if rec.clause_item is None:
             return None
-        clause = {i: Fraction(1) for i in bundle_of(mask)}
+        clause = dict.fromkeys(iter_bits(mask), _ONE)
         clause[rec.clause_item] = Fraction(1, 4) + rec.k
         return clause
 

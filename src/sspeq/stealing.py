@@ -226,19 +226,28 @@ def run_budget_additive_stealing(valuations, init_alloc, step_cap=None) -> Steal
 # -- settlement bounds ---------------------------------------------------------
 
 
-def marginal_diversity(v, j: int) -> int:
-    """Number of distinct marginals of item j across all bundles avoiding it."""
+def _diversity_sum(v, items) -> int:
+    """Distinct marginals of each of `items` across all bundles avoiding it,
+    summed, from one read of v's value table."""
     if v.m > STEAL_BOUND_M_CAP:
         raise CapabilityError(f"marginal diversity capped at m={STEAL_BOUND_M_CAP}")
     vals, _ = v.value_table()
-    bit = 1 << j
-    return len({vals[sub | bit] - vals[sub] for sub in iter_submasks(v.full_mask & ~bit)})
+    total = 0
+    for j in items:
+        bit = 1 << j
+        total += len({vals[sub | bit] - vals[sub] for sub in iter_submasks(v.full_mask & ~bit)})
+    return total
+
+
+def marginal_diversity(v, j: int) -> int:
+    """Number of distinct marginals of item j across all bundles avoiding it."""
+    return _diversity_sum(v, (j,))
 
 
 def pseudo_poly_steal_bound(valuations) -> int:
     """Sum over bidders and items of marginal diversity; every steal strictly
     raises some item's standing bid through that bidder's marginal set."""
-    return sum(marginal_diversity(v, j) for v in valuations for j in range(v.m))
+    return sum(_diversity_sum(v, range(v.m)) for v in valuations)
 
 
 def granularity_steal_bound(valuations):

@@ -208,6 +208,7 @@ def test_adversary_small_family(tmp_path, capsys):
     assert d["audit_ok"] is True
     assert d["certified"] is False
     assert d["queries"] == 30
+    assert (d["answers"], d["materialized"]) == (30, 2722)
     assert "query_lower_bound" not in d
 
 

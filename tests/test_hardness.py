@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from collections import deque
@@ -32,6 +33,7 @@ from sspeq.valuations import (
     CapabilityError,
     DomainError,
     better_demand,
+    bundle_key,
     bundle_of,
     mask_of,
 )
@@ -134,6 +136,15 @@ def test_ball_size_matches_bfs(mp):
     dist = bfs_distances(mp, start)
     for r in range(0, 2 * mp + 2):
         assert odd_graph_ball_size(mp, r) == sum(1 for d in dist.values() if d <= r)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_neighbors_come_in_bundle_key_order(data):
+    mp = data.draw(st.integers(1, 21))
+    items = data.draw(st.permutations(range(2 * mp + 1)))[: mp + 1]
+    nbs = odd_graph_neighbors(mp, mask_of(items))
+    assert nbs == sorted(nbs, key=lambda v: bundle_key(bundle_of(v)))
 
 
 def test_ball_size_frozen_large():
@@ -415,6 +426,88 @@ def test_sparse_demand_rejects_bad_prices():
 
 
 # -- adversary ----------------------------------------------------------------------
+
+
+def plant(rng, m, v, i):
+    """A size-(m'+1) bundle sharing exactly i items with vertex v."""
+    inside = rng.sample(list(bundle_of(v)), i)
+    outside = rng.sample([j for j in range(m) if not (v >> j) & 1], m // 2 + 1 - i)
+    return mask_of(inside + outside)
+
+
+def loop_clear(mp, v, blocked):
+    return all(3 <= (v & w).bit_count() <= mp - 2 for w in blocked)
+
+
+def assert_index_lists_blocked_once(adv):
+    blocked = set(adv.colored) | adv.q_set
+    for table in adv._near:
+        listed = [w for ws in table.values() for w in ws]
+        assert len(listed) == len(blocked) and set(listed) == blocked
+
+
+@pytest.mark.parametrize("m", [9, 11, 43])
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 22), max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_block_index_clear_matches_the_loop(m, seed, sizes):
+    rng = seeded(seed)
+    mp = m // 2
+    v = mask_of(rng.sample(range(m), mp + 1))
+    # one obstacle alone at every intersection size: the near lookup finds
+    # i >= m'-1 and the complement lookup i <= 2
+    for i in range(1, mp + 2):
+        adv = OddGraphAdversary(m, g=1, h=2)
+        adv._index(plant(rng, m, v, i))
+        assert adv._clear(v) == (3 <= i <= mp - 2), i
+    # a blocked set grown by real answers, plus planted obstacles
+    adv = OddGraphAdversary(m, g=1, h=2, seed=seed)
+    SEARCHERS["hill"](adv, 8)
+    assert_index_lists_blocked_once(adv)
+    planted = [plant(rng, m, v, min(i, mp + 1)) for i in sizes]
+    for w in planted:
+        adv._index(w)
+    blocked = set(adv.colored) | adv.q_set | set(planted)
+    assert adv._clear(v) == loop_clear(mp, v, blocked)
+    for _ in range(20):
+        u = mask_of(rng.sample(range(m), mp + 1))
+        assert adv._clear(u) == loop_clear(mp, u, blocked)
+
+
+# Small-family runs (g = 1, h = 2, adversary seed m) that color cut-off
+# components: (answers, colored, sha256 over the transcript lines, adv.order
+# and the per-answer materialized counts), recorded from the linear-scan _clear.
+COLORING_RUNS = {
+    ("bestreply", 5, 10): (15, 10, "7d321ddf36fa8570400be74fafe06b92a3b4f74b27d12140e03401cb755d03da"),
+    ("hill", 5, 10): (8, 10, "9ff6607b3fb5afe0e797bcf182f1da9aaf4f59e32aae358d8346c065d9aae66e"),
+    ("random", 5, 10): (8, 10, "7577b510b8dec6fc89a30e06e6972e5fad729abc9900fc113f0df69a6ce9ec7e"),
+    ("bestreply", 7, 35): (55, 35, "14578c33727c535e1304037e7481431346306a557a81d20139ba4a4b279f736e"),
+    ("hill", 7, 35): (28, 35, "6aca05dbacd9ac32856568e62145ebd31f49d1080120c55007c2da9b295fe74b"),
+    ("random", 7, 35): (30, 35, "aa681346c7dbd68f41671e58b3cbc331a59344390e6255ea4579363fd9f6a374"),
+    ("bestreply", 9, 60): (118, 62, "19921ae182bde9e4f5e9f7c028752911222268d612b3f55ce8b28470bc8470d2"),
+    ("hill", 9, 60): (60, 62, "723bf488d2379419c934ea1bf87ffb50866107091fd0adb0071185e7cfc04c31"),
+    ("random", 9, 60): (60, 61, "d549cebdf4183c3da0e12af7de0bcd6109b102767091cadc144499c382572eac"),
+}
+
+
+def coloring_digest(adv):
+    h = hashlib.sha256()
+    for a in adv.transcript:
+        v = a.value
+        h.update(f"{sorted(a.vertex)}|{v.numerator}/{v.denominator}|{a.clause_item}|{int(a.replay)}\n".encode())
+    h.update(f"{adv.order}|{[s['materialized'] for s in adv.stats]}\n".encode())
+    return h.hexdigest()
+
+
+def test_coloring_path_is_pinned():
+    colored_small = False
+    for (name, m, budget), want in COLORING_RUNS.items():
+        adv = OddGraphAdversary(m, g=1, h=2, seed=m)
+        SEARCHERS[name](adv, budget)
+        assert (len(adv.transcript), len(adv.colored), coloring_digest(adv)) == want, (name, m)
+        assert adversary_audit(adv)[0]
+        assert_index_lists_blocked_once(adv)
+        colored_small |= len(adv.colored) > adv.num_queries()
+    assert colored_small
 
 
 def test_adversary_fresh_values_strictly_increase():

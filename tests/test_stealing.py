@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_budget_additive, random_submodular_table, seeded
+from conftest import random_budget_additive, random_submodular_table, random_table, seeded
 from sspeq.auction import is_pure_nash_no_overbid
 from sspeq.stealing import (
     STEAL_BOUND_M_CAP,
@@ -25,6 +25,7 @@ from sspeq.valuations import (
     BudgetAdditiveValuation,
     CapabilityError,
     CoverageValuation,
+    TableValuation,
 )
 
 
@@ -131,6 +132,22 @@ def test_settlement_bounds_cover_frozen_run():
     assert pseudo_poly_steal_bound(vs) >= run.log.steals()
     g = granularity_steal_bound(vs)
     assert g is not None and g >= run.log.steals()
+
+
+@given(seed=st.integers(0, 2**32 - 1), ms=st.lists(st.integers(1, 6), min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_pseudo_poly_bound_sums_marginal_diversity(seed, ms):
+    rng = seeded(seed)
+    vs = [TableValuation(m, random_table(rng, m)) for m in ms]
+    want = 0
+    for v in vs:
+        for j in range(v.m):
+            marginals = {
+                v._value_mask(S | 1 << j) - v._value_mask(S) for S in range(1 << v.m) if not S >> j & 1
+            }
+            assert marginal_diversity(v, j) == len(marginals)
+            want += len(marginals)
+    assert pseudo_poly_steal_bound(vs) == want
 
 
 def test_granularity_bound_none_when_flat():
