@@ -131,6 +131,11 @@ def _welfare_quiet(valuations, alloc) -> Money:
     return sum((v._value_mask(mask_of(S)) for v, S in zip(valuations, alloc)), Fraction(0))
 
 
+def _standing_prices(bids):
+    """The highest bid on each item, from rows the caller built and checked."""
+    return tuple(max(col) for col in zip(*bids))
+
+
 def run_iterative_stealing(
     valuations,
     init_alloc,
@@ -138,15 +143,17 @@ def run_iterative_stealing(
     step_cap: int = 100_000,
     classifier=None,
 ) -> StealRun:
-    """Run single-item stealing to quiescence. The optional classifier tags
-    each event from the pre-steal state."""
+    """Run single-item stealing to quiescence. The optional classifier,
+    called as classifier(valuations, alloc, prices, steal) with the standing
+    prices, tags each event from the pre-steal state."""
     if policy not in ORDERING_POLICIES:
         raise DomainError(f"policy must be one of {ORDERING_POLICIES}")
     m = valuations[0].m
     alloc = list(check_allocation(init_alloc, len(valuations), m))
     ordering = OrderingState.owner_first(alloc, m)
     bids = compute_bids(valuations, alloc, ordering)
-    log = StealLog(tuple(alloc), prices_from_bids(bids))
+    prices = _standing_prices(bids)
+    log = StealLog(tuple(alloc), prices)
     while True:
         steal = find_steal(valuations, alloc, bids)
         if steal is None:
@@ -154,13 +161,14 @@ def run_iterative_stealing(
         if len(log.events) >= step_cap:
             raise StealCapExceeded(step_cap, log)
         thief, victim, item = steal
-        tag = classifier(valuations, alloc, bids, steal) if classifier else None
+        tag = classifier(valuations, alloc, prices, steal) if classifier else None
         w_before = _welfare_quiet(valuations, alloc)
         thief_owned_before = len(alloc[thief])
         alloc[thief] = alloc[thief] | {item}
         alloc[victim] = alloc[victim] - {item}
         ordering.steal_update(thief, victim, item, thief_owned_before, policy)
         bids = compute_bids(valuations, alloc, ordering)
+        prices = _standing_prices(bids)
         log.events.append(
             StealEvent(
                 thief,
@@ -168,13 +176,20 @@ def run_iterative_stealing(
                 item,
                 w_before,
                 _welfare_quiet(valuations, alloc),
-                prices_from_bids(bids),
+                prices,
                 tag,
             )
         )
 
 
 # -- budget-additive bookkeeping ----------------------------------------------
+
+
+def _loose_tight(v, j: int, price) -> str:
+    """The tag of item j held by v at its standing price."""
+    if price < v._value_mask(1 << j):
+        return "strongly_loose" if price == 0 else "loose"
+    return "tight"
 
 
 def classify_loose_tight(valuations, alloc, bids):
@@ -187,15 +202,7 @@ def classify_loose_tight(valuations, alloc, bids):
         if not isinstance(v, BudgetAdditiveValuation):
             raise DomainError("loose/tight classification needs budget-additive bidders")
     prices = prices_from_bids(bids)
-    out = {}
-    for i, S in enumerate(alloc):
-        for j in S:
-            single = valuations[i]._value_mask(1 << j)
-            if prices[j] < single:
-                out[j] = "strongly_loose" if prices[j] == 0 else "loose"
-            else:
-                out[j] = "tight"
-    return out
+    return {j: _loose_tight(valuations[i], j, prices[j]) for i, S in enumerate(alloc) for j in S}
 
 
 def budget_additive_steal_bound(n: int, m: int) -> int:
@@ -213,10 +220,9 @@ def run_budget_additive_stealing(valuations, init_alloc, step_cap=None) -> Steal
     if step_cap is None:
         step_cap = budget_additive_steal_bound(n, m)
 
-    def classifier(vals, alloc, bids, steal):
+    def classifier(vals, alloc, prices, steal):
         _, victim, item = steal
-        tags = classify_loose_tight(vals, alloc, bids)
-        return tags[item]
+        return _loose_tight(vals[victim], item, prices[item])
 
     return run_iterative_stealing(
         valuations, init_alloc, policy="stolen-last", step_cap=step_cap, classifier=classifier

@@ -137,9 +137,13 @@ class Valuation:
         return self._value_mask(mask_of(S))
 
     def marginal(self, j: int, S) -> Money:
-        """v(j | S) = v(S + j) - v(S); two value queries."""
+        """v(j | S) = v(S + j) - v(S); counted as two value queries."""
         S = as_bundle(S)
-        return self.value(S | {j}) - self.value(S)
+        if j not in self.all_items or not S <= self.all_items:
+            raise DomainError(f"bundle {sorted(S | {j})} not within 0..{self.m - 1}")
+        self.ledger.value += 2
+        mask = mask_of(S)
+        return self._value_mask(mask | (1 << j)) - self._value_mask(mask)
 
     def demand(self, prices) -> frozenset:
         """Profit-maximizing bundle at item prices; ties break to the smallest

@@ -17,19 +17,19 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .money import Money, format_money, parse_money
+from .money import Money, format_money, parse_money, rescale, scale_to_ints
 from .valuations import (
     CapabilityError,
     ConstructionError,
     DomainError,
     Valuation,
     as_bundle,
-    better_demand,
     bundle_of,
+    iter_bits,
     mask_of,
     register_kind,
 )
-from .auction import check_allocation, resolve
+from .auction import check_allocation
 
 GRAY_M_CAP = 25
 GRAY_DEMAND_CAP = 15
@@ -199,36 +199,45 @@ class GrayValuation(Valuation):
         return {j: w for j in sorted(S)}
 
     def _demand(self, prices):
-        order = sorted(range(self.m), key=lambda j: (prices[j], j))
-        prefix_cost = [Fraction(0)]
-        for j in order:
-            prefix_cost.append(prefix_cost[-1] + prices[j])
-        best_profit, best = Fraction(0), frozenset()
-        best_k = -1
-
-        def consider(profit, S, k=-1):
-            nonlocal best_profit, best, best_k
-            if profit == best_profit and k > best_k and len(S) == self.mp + 1:
-                best_profit, best, best_k = profit, S, k
-                return
-            if better_demand(profit, S, best_profit, best):
-                best_profit, best, best_k = profit, S, k
-
-        for s in range(1, self.m + 1):
-            if s == self.mp + 1:
-                continue
-            val = Fraction(min(s, self.mp)) if s <= self.mp else Fraction(self.mp + 1)
-            consider(val - prefix_cost[s], frozenset(order[:s]))
+        """Best bundle at the prices, on ints at E = lcm(price denominators,
+        2 * eps denominator), where every value is an int too. Ties: a
+        middle-level bundle beats any other bundle and, among middle-level
+        bundles, the larger path position k wins; otherwise the smaller
+        bundle, then the lexicographically smaller one."""
         if self.m > GRAY_DEMAND_CAP:
             raise CapabilityError(f"exact middle-level demand capped at m={GRAY_DEMAND_CAP}")
-        for combo in itertools.combinations(range(self.m), self.mp + 1):
-            bmask = mask_of(combo)
-            k = self.k_of(bmask)
-            profit = self.mp + Fraction(1, 2) + k * self.eps - sum(
-                (prices[j] for j in combo), Fraction(0)
-            )
-            consider(profit, frozenset(combo), k)
-        return best
+        p, Dp = scale_to_ints(prices)
+        E = math.lcm(Dp, 2 * self.eps.denominator)
+        p = rescale(p, Dp, E)
+        eps_E = self.eps.numerator * (E // self.eps.denominator)
+        mp = self.mp
+        # off the middle a bundle is worth min(|S|, m'+1), so the cheapest
+        # prefix of the (price, item) order is the best bundle of its size;
+        # sizes ascend, so a later prefix wins only on strictly more profit
+        order = sorted(range(self.m), key=lambda j: (p[j], j))
+        best_profit, best_size = 0, 0
+        cost = 0
+        for s, j in enumerate(order, 1):
+            cost += p[j]
+            profit = min(s, mp + 1) * E - cost
+            if s != mp + 1 and profit > best_profit:
+                best_profit, best_size = profit, s
+        # middle bundles in lexicographic order, worth (2m'+1)/2 + k * eps
+        half = (2 * mp + 1) * E // 2
+        flip = 0 if self.player == 1 else self.full_mask
+        best_mask, best_k = None, -1
+        for combo in itertools.combinations([(1 << j, p[j]) for j in range(self.m)], mp + 1):
+            mask = cost = 0
+            for bit, x in combo:
+                mask |= bit
+                cost += x
+            k = self.pos.get(mask ^ flip, 0)
+            profit = half + k * eps_E - cost
+            if profit > best_profit or (profit == best_profit and k > best_k):
+                best_profit, best_mask, best_k = profit, mask, k
+        if best_mask is None:
+            return frozenset(order[:best_size])
+        return bundle_of(best_mask)
 
     def to_json(self):
         return {
@@ -317,11 +326,6 @@ class DynamicRun:
     trace: DynamicTrace
 
 
-def _winning_sum(bids) -> Money:
-    m = len(bids[0])
-    return sum((max(row[j] for row in bids) for j in range(m)), Fraction(0))
-
-
 def _clause_row(oracle, S, m):
     clause = oracle.xos_clause(S)
     row = [Fraction(0)] * m
@@ -330,11 +334,29 @@ def _clause_row(oracle, S, m):
     return tuple(row)
 
 
+def _scaled(bids):
+    """Both bid rows as ints at their least common denominator: (rows, D)."""
+    m = len(bids[0])
+    ints, D = scale_to_ints(bids[0] + bids[1])
+    if min(ints) < 0:
+        raise DomainError("bids must be nonnegative")
+    return (ints[:m], ints[m:]), D
+
+
+def _won_by_1(rows) -> int:
+    """The mask of items bidder 1 outbids strictly; ties go to bidder 0, as
+    in resolve."""
+    r0, r1 = rows
+    return sum(1 << j for j in range(len(r0)) if r1[j] > r0[j])
+
+
 def run_best_reply_dynamic(v0, v1, oracles=None, init_alloc=None, step_cap: int = 10_000):
     """Alternating exact-demand responses with strict-improvement gating.
 
     The allocation is always resolve(bids). A terminated (non-truncated) run
-    has canonical clause bids, hence is traditional.
+    has canonical clause bids, hence is traditional. Each response compares
+    ints: both bid rows at one common denominator D, rescaled whenever a row
+    changes; bids, trace sums and the result stay Fractions.
     """
     valuations = (v0, v1)
     m = v0.m
@@ -345,35 +367,40 @@ def run_best_reply_dynamic(v0, v1, oracles=None, init_alloc=None, step_cap: int 
     if init_alloc is None:
         raise DomainError("need an initial allocation")
     init_alloc = check_allocation(init_alloc, 2, m)
+    full = v0.full_mask
     bids = [
         _clause_row(oracles[0], init_alloc[0], m),
         _clause_row(oracles[1], init_alloc[1], m),
     ]
-    alloc, _ = resolve(bids)
-    trace = DynamicTrace(alloc, _winning_sum(bids))
+    rows, D = _scaled(bids)
+    won = _won_by_1(rows)
+    alloc = (bundle_of(full ^ won), bundle_of(won))
+    trace = DynamicTrace(alloc, Fraction(sum(map(max, *rows)), D))
     responder = 1
     quiet = 0
     while quiet < 2:
         if trace.responses >= step_cap:
             trace.truncated = True
             break
-        rival = bids[1 - responder]
+        rival = rows[1 - responder]
         v = valuations[responder]
-        current = v._value_mask(mask_of(alloc[responder])) - sum(
-            (rival[j] for j in alloc[responder]), Fraction(0)
-        )
-        D = v.demand(rival)
-        profit = v._value_mask(mask_of(D)) - sum((rival[j] for j in D), Fraction(0))
-        target = D if profit > current else alloc[responder]
+        held = won if responder == 1 else full ^ won
+        demanded = v.demand(bids[1 - responder])
+        dmask = mask_of(demanded)
+        # a strict improvement: v(demanded) - v(held) > (rival price difference) / D
+        gain = v._value_mask(dmask) - v._value_mask(held)
+        extra = sum(rival[j] for j in iter_bits(dmask)) - sum(rival[j] for j in iter_bits(held))
+        target = demanded if gain.numerator * D > extra * gain.denominator else alloc[responder]
         new_row = _clause_row(oracles[responder], target, m)
         changed_bids = new_row != bids[responder]
         bids[responder] = new_row
-        new_alloc, _ = resolve(bids)
-        if new_alloc != alloc:
-            alloc = new_alloc
-            trace.rows.append(DynamicStep(responder, alloc, _winning_sum(bids)))
-            quiet = 0
-        elif changed_bids:
+        if changed_bids:
+            rows, D = _scaled(bids)
+            new_won = _won_by_1(rows)
+            if new_won != won:
+                won = new_won
+                alloc = (bundle_of(full ^ won), bundle_of(won))
+                trace.rows.append(DynamicStep(responder, alloc, Fraction(sum(map(max, *rows)), D)))
             quiet = 0
         else:
             quiet += 1

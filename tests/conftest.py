@@ -5,6 +5,7 @@ enumeration, direct definitions) so they stay independent from the
 library's optimized code paths.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from sspeq.valuations import (
     TableValuation,
     better_demand,
     bundle_of,
+    mask_of,
 )
 
 
@@ -120,6 +122,51 @@ def brute_demand(v, prices):
         if better_demand(profit, S, best_profit, best):
             best_profit, best = profit, S
     return best, best_profit
+
+
+def brute_gray_demand(v, prices):
+    """Exhaustive demand of a GrayValuation under its own tie rule: the
+    largest profit; among the bundles reaching it, a middle-level bundle
+    (size m'+1) wins if there is one, the one with the largest path
+    position k first; otherwise the usual demand tie rule decides."""
+    prices = [Fraction(p) for p in prices]
+    scored = []
+    for mask in range(1 << v.m):
+        S = bundle_of(mask)
+        scored.append((v.value(S) - sum((prices[j] for j in S), Fraction(0)), S))
+    top = max(profit for profit, _ in scored)
+    tied = [S for profit, S in scored if profit == top]
+    middle = [S for S in tied if len(S) == v.mp + 1]
+    if middle:
+        k_max = max(v.k_of(mask_of(S)) for S in middle)
+        tied = [S for S in middle if v.k_of(mask_of(S)) == k_max]
+    best = tied[0]
+    for S in tied[1:]:
+        if better_demand(top, S, top, best):
+            best = S
+    return best
+
+
+def canon(x) -> str:
+    """Canonical text of a result built from ints, strings, None, Fractions,
+    sets, sequences and dicts: rationals as num/den, sets and dict keys
+    sorted."""
+    if x is None or isinstance(x, (int, str)):
+        return repr(x)
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, (set, frozenset)):
+        return "{" + ",".join(canon(e) for e in sorted(x)) + "}"
+    if isinstance(x, (tuple, list)):
+        return "[" + ",".join(canon(e) for e in x) + "]"
+    if isinstance(x, dict):
+        return "<" + ",".join(canon(k) + ":" + canon(x[k]) for k in sorted(x)) + ">"
+    raise TypeError(f"no canonical form for {type(x).__name__}")
+
+
+def canon_digest(x) -> str:
+    """sha256 of canon(x), for pinning a whole result in one line."""
+    return hashlib.sha256(canon(x).encode()).hexdigest()
 
 
 def brute_best_deviation(valuations, i, bids):

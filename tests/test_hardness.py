@@ -510,6 +510,32 @@ def test_coloring_path_is_pinned():
     assert colored_small
 
 
+def test_color_component_takes_the_first_parent():
+    # at m = 9 the odd graph has 6-cycles, so a vertex three steps from the
+    # query can have two neighbours two steps from it
+    m, mp = 9, 4
+    q = mask_of(range(mp + 1))
+    w = mask_of([0, 1, 5, 6, 7])
+    assert odd_graph_distance(mp, q, w) == 3
+
+    def dist(u):
+        return odd_graph_distance(mp, q, u)
+
+    # the component: every vertex on a shortest path from q to w, q excluded
+    comp = {u for u in odd_graph_vertices(mp) if u != q and dist(u) + odd_graph_distance(mp, u, w) == 3}
+    parents = [p for p in odd_graph_neighbors(mp, w) if p in comp and dist(p) == 2]
+    assert len(parents) >= 2
+    assert (w & parents[0]) != (w & max(parents))
+    adv = OddGraphAdversary(m, g=1, h=2)
+    adv._color_component(q, comp)
+    assert set(adv.colored) == comp
+    for u in comp:
+        # the first neighbour, in neighbour order, one step closer to q
+        parent = next(p for p in odd_graph_neighbors(mp, u) if p == q or (p in comp and dist(p) == dist(u) - 1))
+        assert adv.colored[u].clause_item == (u & parent).bit_length() - 1
+    assert adv.colored[w].clause_item == (w & parents[0]).bit_length() - 1
+
+
 def test_adversary_fresh_values_strictly_increase():
     adv = OddGraphAdversary(9, g=1, h=2)
     rng = seeded(4)

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_budget_additive, random_submodular_table, random_table, seeded
+from conftest import (
+    canon_digest,
+    random_budget_additive,
+    random_submodular_table,
+    random_table,
+    seeded,
+)
 from sspeq.auction import is_pure_nash_no_overbid
 from sspeq.stealing import (
     STEAL_BOUND_M_CAP,
@@ -124,6 +130,36 @@ def test_budget_additive_run_tags_and_bound(seed):
         assert e.tag in ("loose", "tight", "strongly_loose")
         assert e.welfare_after > e.welfare_before
     assert find_steal(vs, run.alloc, run.bids) is None
+
+
+# sha256 of the full runs of budget-additive stealing on 20 seeded instances
+# (n = 3, m = 12): event logs, final state and ledgers, recorded from the
+# Fraction-arithmetic loop.
+BUDGET_RUNS_DIGEST = "0575e7a2356c3a88ffda393918d4afbc67b49b9c7c7b3b065bf9cf2d3516f967"
+
+
+def budget_runs():
+    runs = []
+    for seed in range(20):
+        rng = seeded(seed)
+        vs = [random_budget_additive(rng, 12) for _ in range(3)]
+        init = [set() for _ in range(3)]
+        for j in range(12):
+            init[rng.randrange(3)].add(j)
+        run = run_budget_additive_stealing(vs, init)
+        events = [
+            (e.thief, e.victim, e.item, e.welfare_before, e.welfare_after, e.prices_after, e.tag)
+            for e in run.log.events
+        ]
+        ledgers = [v.ledger.snapshot() for v in vs]
+        runs.append((run.log.initial_alloc, run.log.initial_prices, events, run.alloc, run.bids, ledgers))
+    return runs
+
+
+def test_budget_additive_runs_are_pinned():
+    runs = budget_runs()
+    assert sum(len(events) for _, _, events, _, _, _ in runs) > 0
+    assert canon_digest(runs) == BUDGET_RUNS_DIGEST
 
 
 def test_settlement_bounds_cover_frozen_run():

@@ -1,12 +1,20 @@
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_demand, random_submodular_table, seeded
+from conftest import (
+    brute_demand,
+    brute_gray_demand,
+    canon_digest,
+    random_submodular_table,
+    seeded,
+)
 from sspeq.auction import is_pure_nash_no_overbid, is_traditional
 from sspeq.valuations import (
+    CapabilityError,
     DomainError,
     bundle_of,
     check_clause,
@@ -14,6 +22,7 @@ from sspeq.valuations import (
     verify_class,
 )
 from sspeq.xos_dynamics import (
+    GRAY_DEMAND_CAP,
     AdaptiveGrayOracle,
     GrayValuation,
     build_exponential_instance,
@@ -112,6 +121,69 @@ def test_gray_demand_maximizes_profit(seed):
     assert got == want_profit
 
 
+@functools.lru_cache(maxsize=None)
+def exponential_instance(m):
+    """One exponential instance per m for the whole module (the m = 7 path
+    search takes seconds)."""
+    return build_exponential_instance(m)
+
+
+@st.composite
+def gray_prices(draw, m, L, eps):
+    """A shared base k/d (d in 1..8, mostly 1/2) plus a multiple of eps per
+    item. Near base 1/2 every size earns about m'/2: steps 0, 2, 4 make
+    middle bundles tie with each other, and steps near the path length L
+    make them tie with bundles of other sizes."""
+    half = st.just(Fraction(1, 2))
+    base = draw(st.one_of(half, half, half, st.builds(Fraction, st.integers(0, 8), st.integers(1, 8))))
+    steps = draw(st.sampled_from(((0, 2, 4), (0, 1, 2, L - 2, L - 1, L))))
+    return [base + draw(st.sampled_from(steps)) * eps for _ in range(m)]
+
+
+@pytest.mark.parametrize("m", [5, 7])
+@pytest.mark.parametrize("player", [0, 1])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_gray_demand_is_the_brute_bundle(m, player, data):
+    v = exponential_instance(m)[player]
+    prices = data.draw(gray_prices(m, v.L, v.eps))
+    assert v.demand(prices) == brute_gray_demand(v, prices)
+
+
+@pytest.mark.parametrize(
+    "player,steps,tied,want",
+    [
+        # a size-2 bundle and three middle bundles (k = 16, 12, 18) tie
+        (0, [10, 10, 16, 12, 18], [{0, 1}, {0, 1, 2}, {0, 1, 3}, {0, 1, 4}], {0, 1, 4}),
+        # a size-2 bundle and two middle bundles (k = 15, 17) tie
+        (1, [11, 15, 17, 9, 2], [{3, 4}, {1, 3, 4}, {2, 3, 4}], {2, 3, 4}),
+    ],
+)
+def test_gray_demand_tie_goes_to_the_largest_path_position(player, steps, tied, want):
+    v = exponential_instance(5)[player]
+    prices = [Fraction(1, 2) + c * v.eps for c in steps]
+    profit = {}
+    for mask in range(1 << 5):
+        S = bundle_of(mask)
+        profit[S] = v.value(S) - sum((prices[j] for j in S), Fraction(0))
+    top = max(profit.values())
+    assert {S for S in profit if profit[S] == top} == set(map(frozenset, tied))
+    assert v.demand(prices) == brute_gray_demand(v, prices) == frozenset(want)
+
+
+def test_gray_demand_cap_boundary():
+    def stub(m):
+        # a one-vertex path of weight m': every middle bundle has k = 0
+        return GrayValuation(m, 1, [(1 << (m // 2)) - 1], Fraction(1, 4))
+
+    m = GRAY_DEMAND_CAP
+    # at price 1/2 sizes m', m'+1 and m'+2 all earn m'/2; the tie goes to
+    # the middle, and among the k = 0 middle bundles to the smallest
+    assert stub(m).demand([Fraction(1, 2)] * m) == frozenset(range(m // 2 + 1))
+    with pytest.raises(CapabilityError, match=f"capped at m={GRAY_DEMAND_CAP}"):
+        stub(m + 2).demand([Fraction(1, 2)] * (m + 2))
+
+
 def test_exponential_dynamic_m5_frozen():
     v0, v1, oracles, init = build_exponential_instance(5)
     assert init == (frozenset({2, 3, 4}), frozenset({0, 1}))
@@ -139,13 +211,33 @@ def test_exponential_dynamic_m5_frozen():
     assert sorted(oracles[1].k_map.values()) == list(range(1, 20, 2))
 
 
+# sha256 of the whole m = 7 run: trace rows, final state, both oracles'
+# touch orders and both ledgers, recorded from the Fraction-arithmetic dynamic.
+DYNAMIC_M7_DIGEST = "2b88bc5afea98f29144562dc47a3eec73ade4d14c6d2fae86540772287a67935"
+
+
 def test_exponential_dynamic_m7_length():
-    v0, v1, oracles, init = build_exponential_instance(7)
+    # the shared instance with fresh oracles; its ledgers count from here
+    v0, v1, _, init = exponential_instance(7)
+    oracles = (AdaptiveGrayOracle(v0), AdaptiveGrayOracle(v1))
+    before = [v.ledger.snapshot() for v in (v0, v1)]
     run = run_best_reply_dynamic(v0, v1, oracles=oracles, init_alloc=init)
-    assert not run.trace.truncated
-    assert run.trace.exchanges() == 69
-    ok, _ = dynamic_trace_audit(run.trace)
+    t = run.trace
+    assert not t.truncated
+    assert t.exchanges() == 69
+    ok, _ = dynamic_trace_audit(t)
     assert ok
+    pinned = (
+        t.initial_alloc,
+        t.initial_sum,
+        [(row.responder, row.alloc, row.winning_sum) for row in t.rows],
+        t.responses,
+        run.alloc,
+        run.bids,
+        [o.touch_order for o in oracles],
+        [{q: n - b[q] for q, n in v.ledger.snapshot().items()} for v, b in zip((v0, v1), before)],
+    )
+    assert canon_digest(pinned) == DYNAMIC_M7_DIGEST
 
 
 def test_dynamic_requires_init():
