@@ -9,6 +9,7 @@ demand / XOS-clause queries; internal `_value_mask` calls are not counted.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,8 +150,9 @@ class Valuation:
         """Profit-maximizing bundle at item prices; ties break to the smallest
         cardinality, then the lexicographically smallest sorted tuple."""
         prices = self._check_prices(prices)
+        bundle = self._demand(prices)
         self.ledger.demand += 1
-        return self._demand(prices)
+        return bundle
 
     def xos_clause(self, S) -> dict:
         """Additive clause a with a(S) = v(S) and a(T) <= v(T) everywhere,
@@ -228,10 +230,11 @@ class TableValuation(Valuation):
         if values[0] != 0:
             raise DomainError("v(empty) must be 0")
         self.table = values
-        if validate and m <= VERIFY_CAP["monotone"]:
-            ok, bad = verify_class(self, "monotone")
-            if not ok:
-                raise DomainError(f"not monotone at {bad['S']} + item {bad['item']}")
+        if validate:
+            drop = _first_monotone_drop(self.value_table()[0], m)
+            if drop is not None:
+                mask, j = drop
+                raise DomainError(f"not monotone at {sorted(bundle_of(mask))} + item {j}")
 
     def _value_mask(self, mask):
         return self.table[mask]
@@ -458,16 +461,16 @@ def verify_class(v: Valuation, cls: str):
         return True, None
     vals, D = v.value_table()
     if cls == "monotone":
-        for mask in range(1 << m):
-            for j in iter_bits(v.full_mask & ~mask):
-                if vals[mask] > vals[mask | (1 << j)]:
-                    return False, {
-                        "S": sorted(bundle_of(mask)),
-                        "item": j,
-                        "lhs": Fraction(vals[mask], D),
-                        "rhs": Fraction(vals[mask | (1 << j)], D),
-                    }
-        return True, None
+        drop = _first_monotone_drop(vals, m)
+        if drop is None:
+            return True, None
+        mask, j = drop
+        return False, {
+            "S": sorted(bundle_of(mask)),
+            "item": j,
+            "lhs": Fraction(vals[mask], D),
+            "rhs": Fraction(vals[mask | (1 << j)], D),
+        }
     if cls == "submodular":
         for mask in range(1 << m):
             rest = list(iter_bits(v.full_mask & ~mask))
@@ -495,6 +498,27 @@ def verify_class(v: Valuation, cls: str):
                     }
         return True, None
     return _verify_xos(vals, D)
+
+
+def _first_monotone_drop(vals, m: int):
+    """(mask, item) of the first vals[S] > vals[S + j] in (mask, item) order,
+    or None. Slices of the table per item find whether there is a drop at
+    all; the ordered scan runs only to name the first one."""
+    n = 1 << m
+    for j in range(m):
+        bit, step = 1 << j, 2 << j
+        if bit * step <= n:  # fewer strided slices than contiguous blocks
+            pairs = ((vals[r::step], vals[r + bit :: step]) for r in range(bit))
+        else:
+            pairs = ((vals[b : b + bit], vals[b + bit : b + step]) for b in range(0, n, step))
+        if any(any(map(operator.gt, lo, hi)) for lo, hi in pairs):
+            break
+    else:
+        return None
+    for mask in range(n):
+        for j in iter_bits((n - 1) & ~mask):
+            if vals[mask] > vals[mask | (1 << j)]:
+                return mask, j
 
 
 def _verify_xos(vals, D: int):

@@ -11,6 +11,7 @@ exchange exactly one item and raises the winning-bid sum by exactly eps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -31,7 +32,7 @@ from .valuations import (
 )
 from .auction import check_allocation
 
-GRAY_M_CAP = 25
+GRAY_M_CAP = 15
 GRAY_DEMAND_CAP = 15
 
 
@@ -39,17 +40,9 @@ GRAY_DEMAND_CAP = 15
 
 
 def _mid_neighbors(mask: int, m: int, mp: int):
-    w = mask.bit_count()
-    out = []
-    if w == mp:
-        for j in range(m):
-            if not (mask >> j) & 1:
-                out.append(mask | (1 << j))
-    else:
-        for j in range(m):
-            if (mask >> j) & 1:
-                out.append(mask ^ (1 << j))
-    return out
+    """The masks one flip away inside the middle levels, by ascending item."""
+    up = mask.bit_count() == mp
+    return [mask ^ (1 << j) for j in range(m) if (mask >> j) & 1 != up]
 
 
 def gray_middle_levels(m: int):
@@ -61,8 +54,26 @@ def gray_middle_levels(m: int):
     ]
 
 
+# Recorded paths for m <= 9, as the item flipped at each step from the start
+# (1 << m') - 1. The frozen exchange counts and traces are read off these
+# exact paths.
+_RECORDED_FLIPS = {
+    3: "20120",
+    5: "4134102301401231240",
+    7: "415215615436401365265134036032432504125620320540610624104164021023523",
+    9: (
+        "807361024617247147583014830170126506516028374586547543621627380"
+        "350817815026126546530875345143271571328324684710725486483481281"
+        "542836136582563561581340253402408356716736756708702357023073041"
+        "52652418718347061058628401263243206804708718758742042136426350"
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
 def _gray_path_masks(m: int):
-    """The verified path of gray_middle_levels as bitmasks, bit j for item j."""
+    """The verified path of gray_middle_levels as a tuple of bitmasks, bit j
+    for item j. A deterministic function of m, so built once per m."""
     if m % 2 == 0:
         raise DomainError("need odd m")
     if not 3 <= m <= GRAY_M_CAP:
@@ -70,53 +81,49 @@ def _gray_path_masks(m: int):
     mp = m // 2
     total = 2 * math.comb(m, mp)
     start = (1 << mp) - 1
-    path = None
-    for attempt in range(30):
-        path = _search_path(m, mp, start, total, attempt)
-        if path is not None:
-            break
-    if path is None:
-        raise ConstructionError("middle-levels path search exhausted its attempts")
+    if m in _RECORDED_FLIPS:
+        path = [start]
+        for j in _RECORDED_FLIPS[m]:
+            path.append(path[-1] ^ (1 << int(j)))
+    else:
+        path = _rotation_extension(m, mp, start, total)
     _verify_path(path, m, mp, total)
-    return path
+    return tuple(path)
 
 
-def _search_path(m, mp, start, total, attempt):
-    rng = random.Random(attempt)
-    visited = {start}
+def _rotation_extension(m, mp, start, total):
+    """Seeded Posa rotation-extension from the fixed start. The end extends to
+    its free neighbour with the fewest free neighbours. An end with none
+    rotates at a path neighbour w: the path after w is reversed, so the
+    vertex after w becomes the end. The rotation taken is the one with the
+    shortest reversed suffix among those whose new end can extend, else a
+    random one."""
+    rng = random.Random(0)
     path = [start]
-    backtracks = 0
+    pos = {start: 0}
 
-    def candidates(u):
-        cands = [v for v in _mid_neighbors(u, m, mp) if v not in visited]
-        if attempt > 0:
-            rng.shuffle(cands)
-        deg = {}
-        for v in cands:
-            deg[v] = sum(1 for w in _mid_neighbors(v, m, mp) if w not in visited)
-        need = total - len(path) - 1
-        kept = [v for v in cands if deg[v] > 0 or need == 0]
-        # descending degree so list.pop() yields the most constrained vertex
-        kept.sort(key=lambda v: -deg[v])
-        return kept
+    def free(u):
+        return [w for w in _mid_neighbors(u, m, mp) if w not in pos]
 
-    stack = [candidates(start)]
-    while stack:
-        if len(path) == total:
-            return path
-        frame = stack[-1]
-        if not frame:
-            stack.pop()
-            visited.discard(path.pop())
-            backtracks += 1
-            if backtracks > 200_000:
-                return None
+    # every step extends or rotates; a good run takes about 1.2 * total
+    for _ in range(4 * total):
+        end = path[-1]
+        nxt = free(end)
+        if nxt:
+            rng.shuffle(nxt)
+            w = min(nxt, key=lambda u: len(free(u)))
+            pos[w] = len(path)
+            path.append(w)
+            if len(path) == total:
+                return path
             continue
-        nxt = frame.pop()
-        visited.add(nxt)
-        path.append(nxt)
-        stack.append(candidates(nxt))
-    return None
+        n = len(path)
+        pivots = [pos[w] for w in _mid_neighbors(end, m, mp) if pos[w] < n - 2]
+        good = [i for i in pivots if free(path[i + 1])]
+        i = max(good) if good else rng.choice(pivots)
+        path[i + 1 :] = path[:i:-1]
+        pos.update(zip(path[i + 1 :], range(i + 1, n)))
+    raise ConstructionError(f"middle-levels rotation-extension exceeded {4 * total} steps")
 
 
 def _verify_path(path, m, mp, total):
@@ -152,7 +159,7 @@ class GrayValuation(Valuation):
             raise DomainError("player must be 0 or 1")
         self.player = player
         self.mp = m // 2
-        self.path_masks = list(path_masks)
+        self.path_masks = tuple(path_masks)
         self.L = len(self.path_masks)
         self.pos = {mask: i for i, mask in enumerate(self.path_masks)}
         self.eps = parse_money(eps)

@@ -18,9 +18,11 @@ from conftest import (
     random_coverage,
     random_coverage_edges,
     random_submodular_table,
+    random_table,
     random_weights,
     seeded,
 )
+from sspeq import valuations
 from sspeq.valuations import (
     EXHAUSTIVE_DEMAND_CAP,
     TABLE_M_CAP,
@@ -73,6 +75,37 @@ def test_budget_additive_values_and_clause():
 def test_table_rejects_non_monotone():
     with pytest.raises(DomainError):
         TableValuation(2, [0, 2, 1, 1])
+
+
+def test_table_rejects_non_monotone_above_the_verify_cap():
+    m = VERIFY_CAP["monotone"] + 1
+    values = [Fraction(5)] * (1 << m)
+    values[0], values[0b11] = 0, 2
+    with pytest.raises(DomainError, match=r"not monotone at \[0\] \+ item 1"):
+        TableValuation(m, values)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_monotone_check_names_the_first_planted_drop(seed):
+    rng = seeded(seed)
+    m = rng.randint(1, 7)
+    values = random_table(rng, m)
+    for _ in range(rng.randint(0, 2)):
+        t = rng.randrange(1, 1 << m)
+        values[t] -= Fraction(rng.randint(1, 3), 2)
+    drops = [
+        (mask, j)
+        for mask in range(1 << m)
+        for j in range(m)
+        if not mask >> j & 1 and values[mask] > values[mask | (1 << j)]
+    ]
+    ok, witness = verify_class(TableValuation(m, values, validate=False), "monotone")
+    if not drops:
+        assert ok and witness is None
+    else:
+        mask, j = drops[0]
+        assert not ok and (witness["S"], witness["item"]) == (sorted(bundle_of(mask)), j)
 
 
 def test_table_rejects_nonzero_empty():
@@ -312,8 +345,20 @@ def test_exhaustive_demand_cap_boundary():
     # every edge is worth more than a vertex costs, so the demand is a minimum
     # vertex cover of the path; of the two, the even one is lexicographically first
     assert v.demand([Fraction(1, 3)] * m) == frozenset(range(0, m - 1, 2))
+    w = CoverageValuation(m + 1, path)
     with pytest.raises(CapabilityError):
-        CoverageValuation(m + 1, path).demand([0] * (m + 1))
+        w.demand([0] * (m + 1))
+    # a refused demand computed nothing, so the ledger does not count it
+    assert w.ledger.demand == 0
+
+
+def test_budget_additive_node_cap_leaves_the_ledger_alone(monkeypatch):
+    # ten items worth 1 each against a budget of 5 need far more than 20 nodes
+    monkeypatch.setattr(valuations, "BB_NODE_CAP", 20)
+    v = BudgetAdditiveValuation(10, 5, [1] * 10)
+    with pytest.raises(CapabilityError, match="node cap"):
+        v.demand([0] * 10)
+    assert v.ledger.demand == 0
 
 
 @pytest.mark.parametrize("cls", sorted(VERIFY_CAP))

@@ -1,4 +1,5 @@
-import functools
+import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     random_submodular_table,
     seeded,
 )
+from sspeq import xos_dynamics
 from sspeq.auction import is_pure_nash_no_overbid, is_traditional
 from sspeq.valuations import (
     CapabilityError,
@@ -23,6 +25,7 @@ from sspeq.valuations import (
 )
 from sspeq.xos_dynamics import (
     GRAY_DEMAND_CAP,
+    GRAY_M_CAP,
     AdaptiveGrayOracle,
     GrayValuation,
     build_exponential_instance,
@@ -52,6 +55,50 @@ def test_middle_levels_structure(m, length):
 def test_middle_levels_rejects_even_m():
     with pytest.raises(DomainError):
         gray_middle_levels(4)
+
+
+# sha256 of each path's masks, space-separated in path order. The m <= 9 pins
+# were recorded from the backtracking search the recorded paths replace.
+PATH_DIGESTS = {
+    3: "6abe02a0f43d5a1a7162bad148ee383ab48efb440a7394ed4a71e2c47ef7495e",
+    5: "94089b2eed15f363bccbdd7ac53e3018670a4b2248050c800684c21ce4247276",
+    7: "ffde7aa54fcacf97817ad7e55795534d6a2985c0637bb7c3aa5f64671d781c78",
+    9: "d39da660d375dd3ca4f5e1d589de4411d149ef2ee207a9a65afb5df75f9282d3",
+    11: "f3cd50f40a53c3ff7320e90d52b474ab448dc1e95826f8671b1ed3c50c0f0292",
+}
+
+
+@pytest.mark.parametrize("m", sorted(PATH_DIGESTS))
+def test_middle_levels_path_is_pinned(m):
+    masks = build_exponential_instance(m)[1].path_masks
+    assert hashlib.sha256(" ".join(map(str, masks)).encode()).hexdigest() == PATH_DIGESTS[m]
+
+
+def test_middle_levels_cap_boundary():
+    assert GRAY_M_CAP == 15
+    strings = gray_middle_levels(15)
+    assert len(strings) == 2 * math.comb(15, 7)
+    assert strings[0] == "1" * 7 + "0" * 8
+    with pytest.raises(DomainError, match=f"need 3 <= m <= {GRAY_M_CAP}"):
+        gray_middle_levels(17)
+
+
+def test_loading_a_two_bidder_instance_builds_the_path_once(monkeypatch):
+    builds = []
+    search = xos_dynamics._rotation_extension
+
+    def counted(*args):
+        builds.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(xos_dynamics, "_rotation_extension", counted)
+    xos_dynamics._gray_path_masks.cache_clear()
+    v0, v1 = (
+        valuation_from_json({"kind": "gray_exponential", "m": 11, "player": p, "eps": "1/1848"})
+        for p in (0, 1)
+    )
+    assert len(builds) == 1
+    assert v0.path_masks is v1.path_masks
 
 
 def test_gray_valuation_frozen_values():
@@ -121,13 +168,6 @@ def test_gray_demand_maximizes_profit(seed):
     assert got == want_profit
 
 
-@functools.lru_cache(maxsize=None)
-def exponential_instance(m):
-    """One exponential instance per m for the whole module (the m = 7 path
-    search takes seconds)."""
-    return build_exponential_instance(m)
-
-
 @st.composite
 def gray_prices(draw, m, L, eps):
     """A shared base k/d (d in 1..8, mostly 1/2) plus a multiple of eps per
@@ -145,7 +185,7 @@ def gray_prices(draw, m, L, eps):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_gray_demand_is_the_brute_bundle(m, player, data):
-    v = exponential_instance(m)[player]
+    v = build_exponential_instance(m)[player]
     prices = data.draw(gray_prices(m, v.L, v.eps))
     assert v.demand(prices) == brute_gray_demand(v, prices)
 
@@ -160,7 +200,7 @@ def test_gray_demand_is_the_brute_bundle(m, player, data):
     ],
 )
 def test_gray_demand_tie_goes_to_the_largest_path_position(player, steps, tied, want):
-    v = exponential_instance(5)[player]
+    v = build_exponential_instance(5)[player]
     prices = [Fraction(1, 2) + c * v.eps for c in steps]
     profit = {}
     for mask in range(1 << 5):
@@ -180,8 +220,11 @@ def test_gray_demand_cap_boundary():
     # at price 1/2 sizes m', m'+1 and m'+2 all earn m'/2; the tie goes to
     # the middle, and among the k = 0 middle bundles to the smallest
     assert stub(m).demand([Fraction(1, 2)] * m) == frozenset(range(m // 2 + 1))
+    v = stub(m + 2)
     with pytest.raises(CapabilityError, match=f"capped at m={GRAY_DEMAND_CAP}"):
-        stub(m + 2).demand([Fraction(1, 2)] * (m + 2))
+        v.demand([Fraction(1, 2)] * (m + 2))
+    # a refused demand computed nothing, so the ledger does not count it
+    assert v.ledger.demand == 0
 
 
 def test_exponential_dynamic_m5_frozen():
@@ -217,10 +260,7 @@ DYNAMIC_M7_DIGEST = "2b88bc5afea98f29144562dc47a3eec73ade4d14c6d2fae86540772287a
 
 
 def test_exponential_dynamic_m7_length():
-    # the shared instance with fresh oracles; its ledgers count from here
-    v0, v1, _, init = exponential_instance(7)
-    oracles = (AdaptiveGrayOracle(v0), AdaptiveGrayOracle(v1))
-    before = [v.ledger.snapshot() for v in (v0, v1)]
+    v0, v1, oracles, init = build_exponential_instance(7)
     run = run_best_reply_dynamic(v0, v1, oracles=oracles, init_alloc=init)
     t = run.trace
     assert not t.truncated
@@ -235,9 +275,19 @@ def test_exponential_dynamic_m7_length():
         run.alloc,
         run.bids,
         [o.touch_order for o in oracles],
-        [{q: n - b[q] for q, n in v.ledger.snapshot().items()} for v, b in zip((v0, v1), before)],
+        [v.ledger.snapshot() for v in (v0, v1)],
     )
     assert canon_digest(pinned) == DYNAMIC_M7_DIGEST
+
+
+@pytest.mark.parametrize("m,count", [(9, 251), (11, 923)])
+def test_exponential_dynamic_walks_the_whole_path(m, count):
+    v0, v1, oracles, init = build_exponential_instance(m)
+    run = run_best_reply_dynamic(v0, v1, oracles=oracles, init_alloc=init)
+    assert not run.trace.truncated
+    assert run.trace.exchanges() == count == 2 * math.comb(m, m // 2) - 1
+    ok, problem = dynamic_trace_audit(run.trace)
+    assert ok, problem
 
 
 def test_dynamic_requires_init():
