@@ -20,6 +20,7 @@ from .valuations import (
     bundle_of,
     mask_of,
     priced_table,
+    subset_sums,
 )
 
 OPT_WORK_CAP = 40_000_000
@@ -104,7 +105,9 @@ def optimal_welfare(valuations):
     if any(v.m != m for v in valuations):
         raise DomainError("valuations disagree on m")
     if n * 3 ** m > OPT_WORK_CAP:
-        raise CapabilityError(f"optimal welfare DP too large for n={n}, m={m}")
+        raise CapabilityError(
+            f"optimal welfare DP too large for n={n}, m={m}: n * 3^m exceeds {OPT_WORK_CAP}"
+        )
     tables = [v.value_table() for v in valuations]
     D = math.lcm(*(d for _, d in tables))
     size = 1 << m
@@ -148,13 +151,8 @@ def check_no_overbidding(v: Valuation, bid_row):
         raise CapabilityError(f"no-overbidding check capped at support size {SUBSET_CAP}")
     bids, D = scale_to_ints([bid_row[j] for j in support])
     # index c counts over the support; sub[c] is the item mask it stands for
-    sub = [0] * (1 << len(support))
-    total = [0] * (1 << len(support))
-    for c in range(1, len(sub)):
-        low = c & -c
-        b = low.bit_length() - 1
-        sub[c] = sub[c ^ low] | (1 << support[b])
-        total[c] = total[c ^ low] + bids[b]
+    sub = subset_sums([1 << j for j in support])
+    total = subset_sums(bids)
     for c in range(len(sub) - 1, 0, -1):
         val = v._value_mask(sub[c])
         if total[c] * val.denominator > val.numerator * D:
@@ -205,17 +203,13 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
                     blocked[mask] = 1
                     break
                 mm ^= low
-    best_u, best_S, best_pay = 0, frozenset(), 0
+    best_u, best = 0, 0
     for mask in range(1, size):
-        if blocked[mask]:
-            continue
-        u = vals[mask] - psum[mask]
-        if u < best_u:
-            continue
-        S = bundle_of(mask)
-        if better_demand(u, S, best_u, best_S):
-            best_u, best_S, best_pay = u, S, psum[mask]
-    return Deviation(Fraction(best_u, D), best_S, Fraction(best_pay, D))
+        if not blocked[mask]:
+            u = vals[mask] - psum[mask]
+            if u >= best_u and better_demand(u, mask, best_u, best):
+                best_u, best = u, mask
+    return Deviation(Fraction(best_u, D), bundle_of(best), Fraction(psum[best], D))
 
 
 def is_pure_nash_no_overbid(valuations, bids, alloc=None):

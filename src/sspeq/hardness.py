@@ -28,7 +28,6 @@ from .valuations import (
     Valuation,
     as_bundle,
     better_demand,
-    bundle_key,
     bundle_of,
     iter_bits,
     mask_of,
@@ -54,7 +53,7 @@ def odd_graph_vertices(mp: int):
     return [mask_of(c) for c in itertools.combinations(range(2 * mp + 1), mp + 1)]
 
 def odd_graph_neighbors(mp: int, mask: int):
-    """Neighbours in ascending bundle_key order: they differ only in the
+    """Neighbours in ascending sorted-bundle order: they differ only in the
     one item j added to the complement, and j ascends."""
     full = (1 << (2 * mp + 1)) - 1
     comp = full ^ mask
@@ -166,7 +165,7 @@ class SensitiveValuation(Valuation):
             if bmask in self.k_map:
                 raise DomainError("a stored bump is never replaced")
             if len(self.k_map) >= KMAP_CAP:
-                raise CapabilityError("k_map support too large")
+                raise CapabilityError(f"k_map support too large: more than {KMAP_CAP} bumps")
         if clause_item is not None and not (bmask >> clause_item) & 1:
             raise DomainError("clause item must belong to its bundle")
         if k is not None:
@@ -190,9 +189,7 @@ class SensitiveValuation(Valuation):
         for k, bmask in reversed(self.by_k):
             if hit is not None and k < hit[0]:
                 break
-            if bmask & mask == bmask and (
-                hit is None or bundle_key(bundle_of(bmask)) < bundle_key(bundle_of(hit[1]))
-            ):
+            if bmask & mask == bmask and (hit is None or better_demand(k, bmask, *hit)):
                 hit = (k, bmask)
         return hit
 
@@ -254,14 +251,12 @@ class SensitiveValuation(Valuation):
             "g": self.g,
             "h": self.h,
             "default_k": format_money(self.default_k),
-            "k_map": [
-                [sorted(bundle_of(bmask)), format_money(k)]
-                for bmask, k in sorted(self.k_map.items(), key=lambda e: bundle_key(bundle_of(e[0])))
-            ],
-            "clause_items": [
-                [sorted(bundle_of(bmask)), j]
-                for bmask, j in sorted(self.clause_items.items(), key=lambda e: bundle_key(bundle_of(e[0])))
-            ],
+            "k_map": sorted(
+                [sorted(bundle_of(bmask)), format_money(k)] for bmask, k in self.k_map.items()
+            ),
+            "clause_items": sorted(
+                [sorted(bundle_of(bmask)), j] for bmask, j in self.clause_items.items()
+            ),
         }
 
 
@@ -345,7 +340,9 @@ def sparse_demand_oracle(sv: SensitiveValuation, prices):
     denominator D; scaling by a positive D keeps every order and tie.
     """
     if len(sv.k_map) > KMAP_CAP:
-        raise CapabilityError("k_map support too large for sparse demand")
+        raise CapabilityError(
+            f"k_map support too large for sparse demand: more than {KMAP_CAP} bumps"
+        )
     prices = [parse_money(p) for p in prices]
     if len(prices) != sv.m:
         raise DomainError("need one price >= 0 per item")
@@ -367,15 +364,15 @@ def sparse_demand_oracle(sv: SensitiveValuation, prices):
     quarter = mp * D + D // 4
     best_profit, best = None, None
 
-    def consider(profit, bundle):
+    def consider(profit, mask):
         nonlocal best_profit, best
-        if best_profit is None or better_demand(profit, bundle, best_profit, best):
-            best_profit, best = profit, bundle
+        if best_profit is None or better_demand(profit, mask, best_profit, best):
+            best_profit, best = profit, mask
 
     window = range(mp + 1, mp + h)
     for s in range(1, sv.m + 1):
         if s not in window:
-            consider(at_D(sv._value_mask(prefix_mask[s])) - prefix_cost[s], frozenset(order[:s]))
+            consider(at_D(sv._value_mask(prefix_mask[s])) - prefix_cost[s], prefix_mask[s])
     stored = len(sv.k_map)
     default_value = quarter + at_D(sv.default_k)
     for s in window:
@@ -384,7 +381,7 @@ def sparse_demand_oracle(sv: SensitiveValuation, prices):
             pm ^ mask_of(drop) in sv.k_map for drop in itertools.combinations(order[:s], s - mp - 1)
         ):
             continue
-        consider(max(floor[s], default_value) - prefix_cost[s], frozenset(order[:s]))
+        consider(max(floor[s], default_value) - prefix_cost[s], pm)
     max_pad = h - 2
     base_cost = prefix_cost[mp + 1]
     floor_cap = max(floor[s] - prefix_cost[s] for s in window)
@@ -393,18 +390,19 @@ def sparse_demand_oracle(sv: SensitiveValuation, prices):
         if mterm - base_cost < best_profit and floor_cap < best_profit:
             break
         cost0 = sum(cost[j] for j in iter_bits(bmask))
-        outsiders, out_cost = [], [0]
+        # out_mask[pad] holds the pad cheapest items outside bmask
+        out_mask, out_cost = [0], [0]
         for j in order:
-            if len(outsiders) == max_pad:
+            if len(out_mask) > max_pad:
                 break
             if not (bmask >> j) & 1:
-                outsiders.append(j)
+                out_mask.append(out_mask[-1] | 1 << j)
                 out_cost.append(out_cost[-1] + cost[j])
         for pad in range(max_pad + 1):
             profit = max(mterm, floor[mp + 1 + pad]) - cost0 - out_cost[pad]
             if profit >= best_profit:
-                consider(profit, bundle_of(bmask) | frozenset(outsiders[:pad]))
-    return best
+                consider(profit, bmask | out_mask[pad])
+    return bundle_of(best)
 
 
 def _cheapest_vertex_iter(m: int, mp: int, prices):
@@ -587,7 +585,7 @@ class OddGraphAdversary:
                     frontier.append(w)
         if len(dist) != len(comp):
             raise ConstructionError("component must hang off the query")
-        for w in sorted(comp, key=lambda v: (-dist[v], bundle_key(bundle_of(v)))):
+        for w in sorted(comp, key=lambda v: (-dist[v], tuple(iter_bits(v)))):
             k = self._bump()
             parent = next(
                 p
@@ -673,7 +671,10 @@ class OddGraphAdversary:
         subsets = list(itertools.combinations(sorted(S), self.mp + 1))
         pending = [c for c in subsets if mask_of(c) not in self.colored]
         if len(pending) > WINDOW_QUERY_FACTOR * self.m:
-            raise CapabilityError("window value query would force too many vertex queries")
+            raise CapabilityError(
+                "window value query would force too many vertex queries: "
+                f"{len(pending)} > {WINDOW_QUERY_FACTOR} * m"
+            )
         for c in pending:
             self.answer(frozenset(c))
         return self.view()._value_mask(mask_of(S))
@@ -699,7 +700,9 @@ class OddGraphAdversary:
                 break
             processed += 1
             if processed > DEMAND_PIVOT_FACTOR * self.m:
-                raise CapabilityError("demand pivoting exceeded its query cap")
+                raise CapabilityError(
+                    f"demand pivoting exceeded its query cap {DEMAND_PIVOT_FACTOR} * m"
+                )
             ans = self.answer(cur[1])
             profit = ans.value - cur[0]
             if profit > best:
@@ -911,7 +914,9 @@ def isoperimetric_check(n: int, samples: int | None = None, seed: int = 0):
     verts = [mask_of(c) for c in itertools.combinations(range(2 * n - 1), n - 1)]
     nv = len(verts)
     if samples is None and nv > ISO_EXHAUSTIVE_CAP:
-        raise CapabilityError("exhaustive mode needs a small odd graph")
+        raise CapabilityError(
+            f"exhaustive mode needs a small odd graph: {nv} vertices > {ISO_EXHAUSTIVE_CAP}"
+        )
     adj = [0] * nv
     for a in range(nv):
         for b in range(a + 1, nv):

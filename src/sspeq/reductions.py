@@ -21,13 +21,13 @@ from .valuations import (
     DomainError,
     Valuation,
     as_bundle,
-    bundle_key,
+    better_demand,
     iter_bits,
     mask_of,
     register_kind,
 )
 from .auction import is_pure_nash_no_overbid, resolve
-from .stealing import OrderingState, compute_bids, find_steal
+from .stealing import compute_bids, find_steal, owner_first
 
 SETPAIR_RETRY_FACTOR = 4000
 
@@ -240,17 +240,18 @@ def find_unprotected_set(valuations, bids):
     candidates.extend(all_items - {j} for j in range(m))
     best = None
     for U in candidates:
-        if dev._value_mask(mask_of(U)) != 2:
+        umask = mask_of(U)
+        if dev._value_mask(umask) != 2:
             continue
         total = rival_sum(U)
         if total >= 1:
             continue
-        key = (total, len(U), bundle_key(U))
-        if best is None or key < best[0]:
-            best = (key, U)
+        # the least rival total wins, then the demand tie rule
+        if best is None or better_demand(-total, umask, -best[0], best[1]):
+            best = (total, umask, U)
     if best is None:
         return None
-    return finish(best[1], "scan")
+    return finish(best[2], "scan")
 
 
 # -- max-cut reduction ---------------------------------------------------------
@@ -323,8 +324,7 @@ def local_max_check(valuations, alloc):
 
 def local_max_bids(valuations, alloc):
     """Procedure bids (owner-first marginal ordering) for a local maximum."""
-    ordering = OrderingState.owner_first(alloc, valuations[0].m)
-    return compute_bids(valuations, alloc, ordering)
+    return compute_bids(valuations, alloc, owner_first(alloc, valuations[0].m))
 
 
 @dataclass
@@ -344,7 +344,7 @@ def star_gap_instance() -> GapWitness:
     vals = (maxcut_valuation(graph), maxcut_valuation(graph))
     alloc = (frozenset({2}), frozenset({0, 1}))
     orders = ((2, 0, 1), (1, 0, 2))
-    bids = compute_bids(vals, alloc, OrderingState([list(o) for o in orders]))
+    bids = compute_bids(vals, alloc, orders)
     return GapWitness(graph, alloc, bids, orders, (1, 0, 1), None)
 
 
@@ -376,8 +376,7 @@ def equilibrium_not_local_max_search(seeds, max_vertices: int = 8):
             rng.shuffle(own)
             rest = sorted(set(range(nv)) - S)
             orders.append(own + rest)
-        ordering = OrderingState(orders)
-        bids = compute_bids(vals, alloc, ordering)
+        bids = compute_bids(vals, alloc, orders)
         if find_steal(vals, alloc, bids) is not None:
             continue
         is_lm, move = local_max_check(vals, alloc)

@@ -27,49 +27,20 @@ ORDERING_POLICIES = ("stolen-last", "static")
 STEAL_BOUND_M_CAP = 12
 
 
-class OrderingState:
-    """Per-bidder item orderings with the owned-prefix invariant."""
-
-    def __init__(self, orders):
-        self.orders = [list(o) for o in orders]
-
-    @classmethod
-    def owner_first(cls, alloc, m: int):
-        orders = []
-        for S in alloc:
-            owned = sorted(S)
-            rest = sorted(set(range(m)) - set(S))
-            orders.append(owned + rest)
-        return cls(orders)
-
-    def steal_update(self, thief: int, victim: int, item: int, thief_owned_before: int, policy: str):
-        if policy == "static":
-            return
-        if policy != "stolen-last":
-            raise DomainError(f"unknown ordering policy {policy!r}")
-        to = self.orders[thief]
-        to.remove(item)
-        to.insert(thief_owned_before, item)
-        vo = self.orders[victim]
-        vo.remove(item)
-        vo.append(item)
-
-    def check_owner_prefix(self, alloc) -> bool:
-        for order, S in zip(self.orders, alloc):
-            if set(order[: len(S)]) != set(S):
-                return False
-        return True
+def owner_first(alloc, m: int):
+    """Each bidder's item order: its owned items ascending, then the rest."""
+    return [sorted(S) + sorted(set(range(m)) - set(S)) for S in alloc]
 
 
-def compute_bids(valuations, alloc, ordering: OrderingState):
-    """Marginal bids along each bidder's ordering, zero off the owned bundle."""
+def compute_bids(valuations, alloc, orders):
+    """Marginal bids along each bidder's item order, zero off the owned bundle."""
     m = valuations[0].m
     alloc = check_allocation(alloc, len(valuations), m)
     bids = []
     for i, v in enumerate(valuations):
         row = [Fraction(0)] * m
         seen = set()
-        for j in ordering.orders[i]:
+        for j in orders[i]:
             if j not in alloc[i]:
                 continue
             row[j] = v.marginal(j, seen)
@@ -116,7 +87,7 @@ class StealLog:
 class StealRun:
     alloc: tuple
     bids: tuple
-    ordering: OrderingState
+    orders: list
     log: StealLog
 
 
@@ -150,24 +121,28 @@ def run_iterative_stealing(
         raise DomainError(f"policy must be one of {ORDERING_POLICIES}")
     m = valuations[0].m
     alloc = list(check_allocation(init_alloc, len(valuations), m))
-    ordering = OrderingState.owner_first(alloc, m)
-    bids = compute_bids(valuations, alloc, ordering)
+    orders = owner_first(alloc, m)
+    bids = compute_bids(valuations, alloc, orders)
     prices = _standing_prices(bids)
     log = StealLog(tuple(alloc), prices)
     while True:
         steal = find_steal(valuations, alloc, bids)
         if steal is None:
-            return StealRun(tuple(alloc), bids, ordering, log)
+            return StealRun(tuple(alloc), bids, orders, log)
         if len(log.events) >= step_cap:
             raise StealCapExceeded(step_cap, log)
         thief, victim, item = steal
         tag = classifier(valuations, alloc, prices, steal) if classifier else None
         w_before = _welfare_quiet(valuations, alloc)
-        thief_owned_before = len(alloc[thief])
+        if policy == "stolen-last":
+            # the item closes the thief's owned prefix and goes last for the victim
+            orders[thief].remove(item)
+            orders[thief].insert(len(alloc[thief]), item)
+            orders[victim].remove(item)
+            orders[victim].append(item)
         alloc[thief] = alloc[thief] | {item}
         alloc[victim] = alloc[victim] - {item}
-        ordering.steal_update(thief, victim, item, thief_owned_before, policy)
-        bids = compute_bids(valuations, alloc, ordering)
+        bids = compute_bids(valuations, alloc, orders)
         prices = _standing_prices(bids)
         log.events.append(
             StealEvent(

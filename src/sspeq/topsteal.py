@@ -18,7 +18,7 @@ from fractions import Fraction
 from .money import Money
 from .valuations import DomainError, Valuation, as_bundle, mask_of
 from .auction import check_allocation
-from .stealing import OrderingState, compute_bids, find_steal
+from .stealing import compute_bids, find_steal, owner_first
 
 
 class TopStealDiagnostic(Exception):
@@ -135,8 +135,7 @@ def compose_top_item(alloc, bids, i: int, j: int, singleton_value: Money):
 def _restricted_bids(valuations, alloc, active):
     """Marginal bids over the active items only, ascending order."""
     sub_alloc = tuple(S & active for S in alloc)
-    ordering = OrderingState.owner_first(sub_alloc, valuations[0].m)
-    return compute_bids(valuations, sub_alloc, ordering), sub_alloc
+    return compute_bids(valuations, sub_alloc, owner_first(sub_alloc, valuations[0].m)), sub_alloc
 
 
 def _find_top_steal(valuations, alloc, bids, info):

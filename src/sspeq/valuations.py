@@ -19,7 +19,7 @@ EXHAUSTIVE_DEMAND_CAP = 16
 TABLE_M_CAP = 20
 VERIFY_CAP = {
     "normalized": 30,
-    "monotone": 14,
+    "monotone": TABLE_M_CAP,
     "submodular": 13,
     "subadditive": 10,
     "additive": 14,
@@ -80,26 +80,31 @@ def priced_table(v, prices):
     vals, Dv = v.value_table()
     p, Dp = scale_to_ints(prices)
     D = math.lcm(Dv, Dp)
-    vals, p = rescale(vals, Dv, D), rescale(p, Dp, D)
-    psum = [0] * (1 << v.m)
-    for mask in range(1, 1 << v.m):
-        low = mask & -mask
-        psum[mask] = psum[mask ^ low] + p[low.bit_length() - 1]
-    return vals, psum, D
+    return rescale(vals, Dv, D), subset_sums(rescale(p, Dp, D)), D
 
 
-def bundle_key(S) -> tuple:
-    return tuple(sorted(S))
+def subset_sums(weights):
+    """sums[t] == the sum of weights[b] over the set bits b of t, for every
+    t < 1 << len(weights), in one low-bit prefix pass."""
+    sums = [0] * (1 << len(weights))
+    for t in range(1, len(sums)):
+        low = t & -t
+        sums[t] = sums[t ^ low] + weights[low.bit_length() - 1]
+    return sums
 
 
-def better_demand(profit_a, S_a, profit_b, S_b) -> bool:
-    """True if (profit_a, S_a) beats (profit_b, S_b) under the demand tie rule:
-    larger profit, then smaller cardinality, then lexicographically smaller."""
+def better_demand(profit_a, a: int, profit_b, b: int) -> bool:
+    """True if (profit_a, bundle mask a) beats (profit_b, b) under the demand
+    tie rule: larger profit, then fewer items, then the lexicographically
+    smaller sorted bundle. Between two bundles of one size that is the one
+    holding the lowest item of a ^ b."""
     if profit_a != profit_b:
         return profit_a > profit_b
-    if len(S_a) != len(S_b):
-        return len(S_a) < len(S_b)
-    return bundle_key(S_a) < bundle_key(S_b)
+    size_a, size_b = a.bit_count(), b.bit_count()
+    if size_a != size_b:
+        return size_a < size_b
+    diff = a ^ b
+    return bool(a & diff & -diff)
 
 
 @dataclass
@@ -189,15 +194,12 @@ class Valuation:
                 f"exhaustive demand needs m <= {EXHAUSTIVE_DEMAND_CAP}, got {self.m}"
             )
         vals, psum, _ = priced_table(self, prices)
-        best_profit, best = 0, frozenset()
+        best_profit, best = 0, 0
         for mask in range(1, 1 << self.m):
             profit = vals[mask] - psum[mask]
-            if profit < best_profit:
-                continue
-            S = bundle_of(mask)
-            if better_demand(profit, S, best_profit, best):
-                best_profit, best = profit, S
-        return best
+            if profit >= best_profit and better_demand(profit, mask, best_profit, best):
+                best_profit, best = profit, mask
+        return bundle_of(best)
 
     def _xos_clause(self, S: frozenset) -> dict:
         # greedy ascending-index marginals; a legal clause for submodular v
@@ -309,30 +311,29 @@ class BudgetAdditiveValuation(Valuation):
         gains = {j: self.item_values[j] - prices[j] for j in cand}
         if sum((self.item_values[j] for j in cand), Fraction(0)) <= self.budget:
             return frozenset(cand)
-        best = [Fraction(0), frozenset()]
+        best = [Fraction(0), 0]
         nodes = [0]
 
         def walk(idx, chosen_val, chosen_price, chosen):
             nodes[0] += 1
             if nodes[0] > BB_NODE_CAP:
-                raise CapabilityError("budget-additive demand search exceeded node cap")
+                raise CapabilityError(
+                    f"budget-additive demand search exceeded node cap {BB_NODE_CAP}"
+                )
             profit = min(self.budget, chosen_val) - chosen_price
-            S = frozenset(chosen)
-            if better_demand(profit, S, best[0], best[1]):
-                best[0], best[1] = profit, S
+            if better_demand(profit, chosen, best[0], best[1]):
+                best[0], best[1] = profit, chosen
             if idx == len(cand):
                 return
             remaining = sum((gains[j] for j in cand[idx:]), Fraction(0))
             if profit + remaining < best[0]:
                 return
             j = cand[idx]
-            chosen.append(j)
-            walk(idx + 1, chosen_val + self.item_values[j], chosen_price + prices[j], chosen)
-            chosen.pop()
+            walk(idx + 1, chosen_val + self.item_values[j], chosen_price + prices[j], chosen | 1 << j)
             walk(idx + 1, chosen_val, chosen_price, chosen)
 
-        walk(0, Fraction(0), Fraction(0), [])
-        return best[1]
+        walk(0, Fraction(0), Fraction(0), 0)
+        return bundle_of(best[1])
 
     def to_json(self):
         return {

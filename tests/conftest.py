@@ -15,7 +15,6 @@ from sspeq.valuations import (
     BudgetAdditiveValuation,
     CoverageValuation,
     TableValuation,
-    better_demand,
     bundle_of,
     mask_of,
 )
@@ -112,6 +111,16 @@ def random_weights(rng, m, hi=9, den=6):
     return [Fraction(rng.randint(0, hi), rng.randint(1, den)) for _ in range(m)]
 
 
+def brute_better_demand(profit_a, S_a, profit_b, S_b):
+    """The demand tie rule on frozensets: larger profit, then smaller
+    cardinality, then the lexicographically smaller sorted tuple."""
+    if profit_a != profit_b:
+        return profit_a > profit_b
+    if len(S_a) != len(S_b):
+        return len(S_a) < len(S_b)
+    return tuple(sorted(S_a)) < tuple(sorted(S_b))
+
+
 def brute_demand(v, prices):
     """Exhaustive demand with the empty bundle as baseline."""
     prices = [Fraction(p) for p in prices]
@@ -119,7 +128,7 @@ def brute_demand(v, prices):
     for mask in range(1 << v.m):
         S = bundle_of(mask)
         profit = v.value(S) - sum((prices[j] for j in S), Fraction(0))
-        if better_demand(profit, S, best_profit, best):
+        if brute_better_demand(profit, S, best_profit, best):
             best_profit, best = profit, S
     return best, best_profit
 
@@ -142,7 +151,7 @@ def brute_gray_demand(v, prices):
         tied = [S for S in middle if v.k_of(mask_of(S)) == k_max]
     best = tied[0]
     for S in tied[1:]:
-        if better_demand(top, S, top, best):
+        if brute_better_demand(top, S, top, best):
             best = S
     return best
 
@@ -197,7 +206,7 @@ def brute_best_deviation(valuations, i, bids):
             continue
         pay = sum((prices[j] for j in T), Fraction(0))
         u = v.value(T) - pay
-        if better_demand(u, T, best_u, best_S):
+        if brute_better_demand(u, T, best_u, best_S):
             best_u, best_S, best_pay = u, T, pay
     return best_u, best_S, best_pay
 

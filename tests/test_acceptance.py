@@ -10,12 +10,12 @@ from fractions import Fraction
 
 from conftest import (
     brute_best_deviation,
+    brute_better_demand,
     random_budget_additive,
     random_submodular_table,
     seeded,
 )
 from sspeq.auction import (
-    better_demand,
     bundle_of,
     check_no_overbidding,
     greedy_allocation,
@@ -368,7 +368,7 @@ def test_criterion_09_sensitive_closed_form_and_sparse_demand():
             for mask in range(1, 1 << m):
                 S = bundle_of(mask)
                 profit = sv._value_mask(mask) - sum(prices[j] for j in S)
-                if best is None or better_demand(profit, S, best[1], best[0]):
+                if best is None or brute_better_demand(profit, S, best[1], best[0]):
                     best = (S, profit)
             assert sparse_profit == best[1]
             vectors += 1

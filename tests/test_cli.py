@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sspeq.cli import main
+from sspeq.cli import CERTIFY_M_CAP, GEN_TABLE_M_CAP, main
 
 
 def run_cli(capsys, argv):
@@ -63,6 +63,12 @@ def test_gen_families_emit_valid_instances(argv, capsys):
         assert d["allocation"] is not None
 
 
+@pytest.mark.parametrize("m, code", [(GEN_TABLE_M_CAP, 0), (GEN_TABLE_M_CAP + 1, 2)])
+def test_gen_table_cap_boundary(m, code, capsys):
+    argv = ["gen", "--family", "table-submodular", "--m", str(m)]
+    assert run_cli(capsys, argv)[0] == code
+
+
 def test_gen_csv_format(capsys):
     code, out = run_cli(capsys, ["gen", "--family", "coverage", "--m", "3", "--format", "csv"])
     assert code == 0
@@ -116,6 +122,26 @@ def test_steal_budget_additive_reports_bound(capsys, tmp_path):
     d = json.loads(out)
     assert d["within_bound"] is True
     assert d["steals"] <= d["steal_bound"]
+
+
+@pytest.mark.parametrize("m", [CERTIFY_M_CAP, CERTIFY_M_CAP + 1])
+def test_steal_certify_cap_boundary(m, tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "family": "handmade",
+        "m": m,
+        "n": 2,
+        "seed": 0,
+        "allocation": None,
+        "valuations": [
+            {"kind": "additive", "m": m, "items": [f"{j % 3 + 1}/1" for j in range(m)]},
+            {"kind": "additive", "m": m, "items": [f"{j % 2 + 1}/1" for j in range(m)]},
+        ],
+    }))
+    code, out = run_cli(capsys, ["steal", "--instance", str(inst), "--init", "pool"])
+    assert code == 0
+    verified = json.loads(out)["equilibrium_verified"]
+    assert verified is (True if m <= CERTIFY_M_CAP else None)
 
 
 def test_steal_past_the_opt_cap_reports_no_opt(tmp_path, capsys):

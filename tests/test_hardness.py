@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded
+from conftest import brute_better_demand, seeded
+from sspeq import hardness
 from sspeq.hardness import (
     ISO_EXHAUSTIVE_CAP,
     KMAP_CAP,
@@ -32,8 +33,6 @@ from sspeq.hardness import (
 from sspeq.valuations import (
     CapabilityError,
     DomainError,
-    better_demand,
-    bundle_key,
     bundle_of,
     mask_of,
 )
@@ -82,7 +81,7 @@ def brute_nonempty_demand(sv, prices):
     for mask in range(1, 1 << sv.m):
         S = bundle_of(mask)
         profit = sv._value_mask(mask) - sum((prices[j] for j in S), Fraction(0))
-        if best_profit is None or better_demand(profit, S, best_profit, best):
+        if best_profit is None or brute_better_demand(profit, S, best_profit, best):
             best_profit, best = profit, S
     return best, best_profit
 
@@ -144,7 +143,7 @@ def test_neighbors_come_in_bundle_key_order(data):
     mp = data.draw(st.integers(1, 21))
     items = data.draw(st.permutations(range(2 * mp + 1)))[: mp + 1]
     nbs = odd_graph_neighbors(mp, mask_of(items))
-    assert nbs == sorted(nbs, key=lambda v: bundle_key(bundle_of(v)))
+    assert nbs == sorted(nbs, key=lambda v: tuple(sorted(bundle_of(v))))
 
 
 def test_ball_size_frozen_large():
@@ -679,6 +678,37 @@ def test_audit_flags_a_drifted_live_view(corrupt):
     ok, problems = adversary_audit(adv)
     assert not ok
     assert ("view-drift", len(adv.colored)) in problems
+
+
+def test_window_query_cap_boundary(monkeypatch):
+    # a 6-item window bundle at m = 7 has C(6, 4) = 15 vertex subsets
+    monkeypatch.setattr(hardness, "WINDOW_QUERY_FACTOR", 2)
+    adv = OddGraphAdversary(7, g=1, h=4)
+    with pytest.raises(CapabilityError, match=r"15 > 2 \* m"):
+        adv.value_query(range(6))
+    assert adv.num_queries() == 0
+    # one answered subset leaves exactly 2m = 14 to force
+    adv.answer(range(4))
+    assert adv.value_query(range(6)) == Fraction(24, 7)
+    assert adv.num_queries() == 15
+
+
+def test_demand_pivot_cap_boundary(monkeypatch):
+    # at m = 7 these prices take 2m = 14 and 2m + 1 = 15 pivots
+    at_cap = [Fraction(p) for p in ("5/12", "3/8", "5/12", "3/8", "5/12", "7/12", "5/12")]
+    past_cap = [Fraction(p) for p in ("1/3", "3/8", "3/8", "1/3", "1/3", "1/2", "1/3")]
+    for prices, pivots in ((at_cap, 14), (past_cap, 15)):
+        adv = OddGraphAdversary(7, g=1, h=3)
+        adv.demand_query(prices)
+        assert len(adv.transcript) == pivots
+    monkeypatch.setattr(hardness, "DEMAND_PIVOT_FACTOR", 2)
+    adv = OddGraphAdversary(7, g=1, h=3)
+    adv.demand_query(at_cap)
+    assert len(adv.transcript) == 14
+    adv = OddGraphAdversary(7, g=1, h=3)
+    with pytest.raises(CapabilityError, match=r"cap 2 \* m"):
+        adv.demand_query(past_cap)
+    assert len(adv.transcript) == 14
 
 
 def test_kmap_cap_boundary():

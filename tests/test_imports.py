@@ -1,5 +1,6 @@
-"""No module of the library or the suite imports a name it never uses, and
-the library imports nothing outside the standard library.
+"""No module of the library or the suite imports a name it never uses, the
+library imports nothing outside the standard library, and every
+`CapabilityError` the library raises names the cap it hit.
 
 No linter ships with the project, so these AST scans are the check. Package
 `__init__.py` files are skipped by the unused-name scan (their imports are
@@ -88,3 +89,61 @@ def test_scan_flags_a_planted_third_party_import():
         "    from sympy.solvers.simplex import linprog\n"
     )
     assert third_party_imports(source) == [(5, "sympy"), (6, "sympy.solvers.simplex")]
+
+
+def unnamed_cap_raises(source):
+    """Line of every `raise CapabilityError(...)` whose message formats no
+    upper-case constant bound at module level."""
+    tree = ast.parse(source)
+    constants = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            constants |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.ImportFrom):
+            constants |= {alias.asname or alias.name for alias in node.names}
+    constants = {name for name in constants if name.isupper()}
+    hits = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        if getattr(node.exc.func, "id", None) != "CapabilityError":
+            continue
+        formatted = {
+            name.id
+            for arg in node.exc.args
+            if isinstance(arg, ast.JoinedStr)
+            for part in arg.values
+            if isinstance(part, ast.FormattedValue)
+            for name in ast.walk(part.value)
+            if isinstance(name, ast.Name)
+        }
+        if not formatted & constants:
+            hits.append(node.lineno)
+    return hits
+
+
+def test_every_capability_error_names_its_cap():
+    paths = sorted((ROOT / "src" / "sspeq").glob("*.py"))
+    raises = sum(p.read_text().count("raise CapabilityError(") for p in paths)
+    assert raises > 15
+    hits = [
+        f"{p.relative_to(ROOT)}:{line}"
+        for p in paths
+        for line in unnamed_cap_raises(p.read_text())
+    ]
+    assert hits == []
+
+
+def test_cap_scan_flags_a_literal_message():
+    source = (
+        "from .valuations import CapabilityError\n"
+        "CAP = 8\n"
+        "def f(m, n):\n"
+        "    if m > CAP:\n"
+        "        raise CapabilityError(f'capped at m={CAP}')\n"
+        "    if n > 9:\n"
+        "        raise CapabilityError('too large')\n"
+        "    if n > m:\n"
+        "        raise CapabilityError(f'n={n} exceeds m={m}')\n"
+    )
+    assert unnamed_cap_raises(source) == [7, 9]

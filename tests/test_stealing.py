@@ -14,7 +14,6 @@ from conftest import (
 from sspeq.auction import is_pure_nash_no_overbid
 from sspeq.stealing import (
     STEAL_BOUND_M_CAP,
-    OrderingState,
     StealCapExceeded,
     budget_additive_steal_bound,
     classify_loose_tight,
@@ -22,6 +21,7 @@ from sspeq.stealing import (
     find_steal,
     granularity_steal_bound,
     marginal_diversity,
+    owner_first,
     pseudo_poly_steal_bound,
     run_budget_additive_stealing,
     run_iterative_stealing,
@@ -53,16 +53,13 @@ def test_frozen_two_steal_trace():
 
 def test_marginal_bids_follow_ordering():
     v = BudgetAdditiveValuation(2, 3, (2, 2))
-    ordering = OrderingState([[0, 1]])
-    assert compute_bids([v], ({0, 1},), ordering) == ((2, 1),)
-    ordering = OrderingState([[1, 0]])
-    assert compute_bids([v], ({0, 1},), ordering) == ((1, 2),)
+    assert compute_bids([v], ({0, 1},), [[0, 1]]) == ((2, 1),)
+    assert compute_bids([v], ({0, 1},), [[1, 0]]) == ((1, 2),)
 
 
 def test_find_steal_is_lexicographic():
     vs = [AdditiveValuation(2, (5, 5)), AdditiveValuation(2, (1, 1))]
-    ordering = OrderingState.owner_first(({}, {0, 1}), 2)
-    bids = compute_bids(vs, ({}, {0, 1}), ordering)
+    bids = compute_bids(vs, ({}, {0, 1}), owner_first(({}, {0, 1}), 2))
     assert find_steal(vs, (frozenset(), frozenset({0, 1})), bids) == (0, 1, 0)
 
 
@@ -95,19 +92,19 @@ def test_stealing_increases_welfare_and_settles_at_equilibrium(seed):
         if last is not None:
             assert e.welfare_before == last
         last = e.welfare_after
-    assert run.ordering.check_owner_prefix(run.alloc)
+    # each bidder's owned items form a prefix of its item order
+    assert all(set(order[: len(S)]) == S for order, S in zip(run.orders, run.alloc))
     ok, witnesses = is_pure_nash_no_overbid(vs, run.bids)
     assert ok, witnesses
 
 
 def test_loose_tight_tags_frozen():
     v = BudgetAdditiveValuation(2, 3, (2, 2))
-    ordering = OrderingState([[0, 1]])
     alloc = (frozenset({0, 1}),)
-    bids = compute_bids([v], alloc, ordering)
+    bids = compute_bids([v], alloc, [[0, 1]])
     assert classify_loose_tight([v], alloc, bids) == {0: "tight", 1: "loose"}
     w = BudgetAdditiveValuation(2, 2, (2, 2))
-    bids = compute_bids([w], alloc, ordering)
+    bids = compute_bids([w], alloc, [[0, 1]])
     assert classify_loose_tight([w], alloc, bids) == {0: "tight", 1: "strongly_loose"}
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import sspeq
 from conftest import (
     brute_additive_value,
+    brute_better_demand,
     brute_budget_additive_value,
     brute_coverage_table,
     brute_demand,
@@ -50,10 +51,24 @@ def test_mask_round_trip():
 
 
 def test_better_demand_prefers_profit_then_size_then_lex():
-    assert better_demand(Fraction(2), frozenset({0, 1}), Fraction(1), frozenset())
-    assert better_demand(Fraction(1), frozenset({3}), Fraction(1), frozenset({0, 1}))
-    assert better_demand(Fraction(1), frozenset({0, 2}), Fraction(1), frozenset({0, 3}))
-    assert not better_demand(Fraction(1), frozenset({0, 3}), Fraction(1), frozenset({0, 2}))
+    assert better_demand(Fraction(2), 0b11, Fraction(1), 0)
+    assert better_demand(Fraction(1), 0b1000, Fraction(1), 0b11)
+    assert better_demand(Fraction(1), 0b101, Fraction(1), 0b1001)
+    assert not better_demand(Fraction(1), 0b1001, Fraction(1), 0b101)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mask_tie_rule_matches_the_frozenset_reference(data):
+    m = data.draw(st.integers(1, 12))
+    a = data.draw(st.integers(0, (1 << m) - 1))
+    if data.draw(st.booleans()):  # a rival of the same size
+        b = mask_of(data.draw(st.permutations(range(m)))[: a.bit_count()])
+    else:
+        b = data.draw(st.integers(0, (1 << m) - 1))
+    profit_a, profit_b = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    want = brute_better_demand(profit_a, bundle_of(a), profit_b, bundle_of(b))
+    assert better_demand(profit_a, a, profit_b, b) == want
 
 
 def test_additive_basics():
@@ -77,8 +92,8 @@ def test_table_rejects_non_monotone():
         TableValuation(2, [0, 2, 1, 1])
 
 
-def test_table_rejects_non_monotone_above_the_verify_cap():
-    m = VERIFY_CAP["monotone"] + 1
+def test_table_rejects_non_monotone_at_m_15():
+    m = 15
     values = [Fraction(5)] * (1 << m)
     values[0], values[0b11] = 0, 2
     with pytest.raises(DomainError, match=r"not monotone at \[0\] \+ item 1"):
