@@ -4,6 +4,13 @@ Each bidder keeps a full ordering of the items in which its owned items form
 a prefix. Bids on owned items are marginals against the preceding owned items;
 bids elsewhere are zero. A steal moves one item to a bidder whose marginal
 exceeds the standing bid, after which bids are recomputed.
+
+The procedures run on each bidder's int value oracle at one common
+denominator D (`int_oracles`): bundles are masks, and bids, marginals,
+standing prices and welfare are ints scaled by D. Fractions appear only in
+results. `compute_bids` and `find_steal` are the Fraction faces of the two
+kernels. Every ledger counts as the query API would: two value queries per
+bid and per marginal tested.
 """
 
 from __future__ import annotations
@@ -32,34 +39,79 @@ def owner_first(alloc, m: int):
     return [sorted(S) + sorted(set(range(m)) - set(S)) for S in alloc]
 
 
+def int_oracles(valuations):
+    """(oracles, D): each bidder's `int_oracle` at one common denominator D."""
+    built = [v.int_oracle() for v in valuations]
+    D = math.lcm(*(d for _, d in built))
+    return [f if d == D else v.int_oracle(D // d)[0] for v, (f, d) in zip(valuations, built)], D
+
+
+def money_rows(rows, D: int) -> tuple:
+    """Int bid rows at denominator D as a tuple of Fraction tuples."""
+    return tuple(tuple(Fraction(x, D) for x in row) for row in rows)
+
+
+def bid_rows(oracles, ledgers, masks, orders, m: int) -> list:
+    """Int marginal bids along each bidder's item order, zero off its bundle
+    mask. The bundle's value is carried from bid to bid, and each bid counts
+    two value queries."""
+    rows = []
+    for f, ledger, mask, order in zip(oracles, ledgers, masks, orders):
+        row = [0] * m
+        seen, prev = 0, f(0)
+        for j in order:
+            bit = 1 << j
+            if mask & bit:
+                seen |= bit
+                cur = f(seen)
+                row[j] = cur - prev
+                prev = cur
+        ledger.value += 2 * seen.bit_count()
+        rows.append(row)
+    return rows
+
+
+def steal_search(oracles, ledgers, masks, rows, top=None):
+    """Lexicographically smallest (thief, victim, item) whose int marginal
+    strictly beats the victim's bid on the item, or None. With `top`, a map
+    from item to the bidders allowed to take it, other thieves are skipped.
+    Each marginal tested counts two value queries."""
+    n = len(oracles)
+    for thief in range(n):
+        f, own = oracles[thief], masks[thief]
+        base = f(own)
+        tests = 0
+        for victim in range(n):
+            if victim == thief:
+                continue
+            row = rows[victim]
+            for j in iter_bits(masks[victim]):
+                if top is not None and thief not in top[j]:
+                    continue
+                tests += 1
+                if f(own | 1 << j) - base > row[j]:
+                    ledgers[thief].value += 2 * tests
+                    return (thief, victim, j)
+        ledgers[thief].value += 2 * tests
+    return None
+
+
 def compute_bids(valuations, alloc, orders):
     """Marginal bids along each bidder's item order, zero off the owned bundle."""
     m = valuations[0].m
     alloc = check_allocation(alloc, len(valuations), m)
-    bids = []
-    for i, v in enumerate(valuations):
-        row = [Fraction(0)] * m
-        seen = set()
-        for j in orders[i]:
-            if j not in alloc[i]:
-                continue
-            row[j] = v.marginal(j, seen)
-            seen.add(j)
-        bids.append(tuple(row))
-    return tuple(bids)
+    oracles, D = int_oracles(valuations)
+    ledgers = [v.ledger for v in valuations]
+    return money_rows(bid_rows(oracles, ledgers, [mask_of(S) for S in alloc], orders, m), D)
 
 
 def find_steal(valuations, alloc, bids):
     """Lexicographically smallest (thief, victim, item) with a strictly
     profitable single-item steal, or None."""
-    for thief in range(len(valuations)):
-        for victim in range(len(valuations)):
-            if victim == thief:
-                continue
-            for j in sorted(alloc[victim]):
-                if valuations[thief].marginal(j, alloc[thief]) > bids[victim][j]:
-                    return (thief, victim, j)
-    return None
+    oracles, D = int_oracles(valuations)
+    ledgers = [v.ledger for v in valuations]
+    rows = [[D * b for b in row] for row in bids]
+    return steal_search(oracles, ledgers, [mask_of(S) for S in alloc], rows)
 
 
 @dataclass
@@ -98,15 +150,6 @@ class StealCapExceeded(Exception):
         self.log = log
 
 
-def _welfare_quiet(valuations, alloc) -> Money:
-    return sum((v._value_mask(mask_of(S)) for v, S in zip(valuations, alloc)), Fraction(0))
-
-
-def _standing_prices(bids):
-    """The highest bid on each item, from rows the caller built and checked."""
-    return tuple(max(col) for col in zip(*bids))
-
-
 def run_iterative_stealing(
     valuations,
     init_alloc,
@@ -122,18 +165,21 @@ def run_iterative_stealing(
     m = valuations[0].m
     alloc = list(check_allocation(init_alloc, len(valuations), m))
     orders = owner_first(alloc, m)
-    bids = compute_bids(valuations, alloc, orders)
-    prices = _standing_prices(bids)
+    oracles, D = int_oracles(valuations)
+    ledgers = [v.ledger for v in valuations]
+    masks = [mask_of(S) for S in alloc]
+    rows = bid_rows(oracles, ledgers, masks, orders, m)
+    prices = tuple(Fraction(p, D) for p in map(max, zip(*rows)))
+    welfare = Fraction(sum(f(mask) for f, mask in zip(oracles, masks)), D)
     log = StealLog(tuple(alloc), prices)
     while True:
-        steal = find_steal(valuations, alloc, bids)
+        steal = steal_search(oracles, ledgers, masks, rows)
         if steal is None:
-            return StealRun(tuple(alloc), bids, orders, log)
+            return StealRun(tuple(alloc), money_rows(rows, D), orders, log)
         if len(log.events) >= step_cap:
             raise StealCapExceeded(step_cap, log)
         thief, victim, item = steal
         tag = classifier(valuations, alloc, prices, steal) if classifier else None
-        w_before = _welfare_quiet(valuations, alloc)
         if policy == "stolen-last":
             # the item closes the thief's owned prefix and goes last for the victim
             orders[thief].remove(item)
@@ -142,19 +188,12 @@ def run_iterative_stealing(
             orders[victim].append(item)
         alloc[thief] = alloc[thief] | {item}
         alloc[victim] = alloc[victim] - {item}
-        bids = compute_bids(valuations, alloc, orders)
-        prices = _standing_prices(bids)
-        log.events.append(
-            StealEvent(
-                thief,
-                victim,
-                item,
-                w_before,
-                _welfare_quiet(valuations, alloc),
-                prices,
-                tag,
-            )
-        )
+        masks[thief] |= 1 << item
+        masks[victim] ^= 1 << item
+        rows = bid_rows(oracles, ledgers, masks, orders, m)
+        prices = tuple(Fraction(p, D) for p in map(max, zip(*rows)))
+        before, welfare = welfare, Fraction(sum(f(mask) for f, mask in zip(oracles, masks)), D)
+        log.events.append(StealEvent(thief, victim, item, before, welfare, prices, tag))
 
 
 # -- budget-additive bookkeeping ----------------------------------------------

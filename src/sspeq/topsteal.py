@@ -7,6 +7,10 @@ singleton value makes them untouchable), recurses on marginal instances, and
 at the base treats two-competitor markets with plain marginal bids plus at
 most one steal per pinned item. For deeper t it erases each bidder's
 top-competitor items to fall to t-1.
+
+The recursion reads each bidder's int value oracle (`stealing.int_oracles`);
+the conditioned and erased sub-instances compose their base's oracle, and the
+competitor tests compare int singletons. Bids stay Fractions.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 from .money import Money
 from .valuations import DomainError, Valuation, as_bundle, mask_of
 from .auction import check_allocation
-from .stealing import compute_bids, find_steal, owner_first
+from .stealing import compute_bids, find_steal, int_oracles, owner_first, steal_search
 
 
 class TopStealDiagnostic(Exception):
@@ -39,6 +43,10 @@ class MarginalValuation(Valuation):
     def _value_mask(self, mask):
         return self.base._value_mask(mask | (1 << self.item)) - self.offset
 
+    def int_oracle(self, scale: int = 1):
+        f, D = self.base.int_oracle(scale)
+        return marginal_oracle(f, self.item), D
+
 
 class ErasedValuation(Valuation):
     """The base valuation blind to a fixed set of erased items."""
@@ -53,17 +61,38 @@ class ErasedValuation(Valuation):
     def _value_mask(self, mask):
         return self.base._value_mask(mask & ~self._emask)
 
+    def int_oracle(self, scale: int = 1):
+        f, D = self.base.int_oracle(scale)
+        return erased_oracle(f, self._emask), D
 
-def competitor_info(valuations, items):
-    """Per item: competitor list, top-competitor list, top singleton value."""
+
+def marginal_oracle(f, item: int):
+    """The int oracle of v(. | item), given v's int oracle f."""
+    bit = 1 << item
+    offset = f(bit)
+    return lambda mask: f(mask | bit) - offset
+
+
+def erased_oracle(f, emask: int):
+    """The int oracle of v blind to the items of emask, given v's f."""
+    keep = ~emask
+    return lambda mask: f(mask & keep)
+
+
+def _single(v, f, j: int) -> int:
+    """v's int singleton value of item j; one counted value query."""
+    v.ledger.value += 1
+    return f(1 << j)
+
+
+def _competitors(valuations, oracles, items):
+    """Per item: competitor list, top-competitor list and the top singleton
+    value as an int at the oracles' denominator."""
     out = {}
     for j in sorted(items):
-        singles = [(i, v.value(frozenset({j}))) for i, v in enumerate(valuations)]
+        singles = [(i, _single(v, f, j)) for i, (v, f) in enumerate(zip(valuations, oracles))]
         comp = [(i, x) for i, x in singles if x > 0]
-        if not comp:
-            out[j] = {"competitors": [], "top": [], "top_value": Fraction(0)}
-            continue
-        top_val = max(x for _, x in comp)
+        top_val = max((x for _, x in comp), default=0)
         out[j] = {
             "competitors": [i for i, _ in comp],
             "top": [i for i, x in comp if x == top_val],
@@ -72,15 +101,28 @@ def competitor_info(valuations, items):
     return out
 
 
+def competitor_info(valuations, items):
+    """Per item: competitor list, top-competitor list, top singleton value."""
+    oracles, D = int_oracles(valuations)
+    out = _competitors(valuations, oracles, items)
+    for d in out.values():
+        d["top_value"] = Fraction(d["top_value"], D)
+    return out
+
+
 def preprocess_to_competitors(valuations, alloc):
     """Move every item held by a non-competitor to its lowest-index top
     competitor (welfare-free for submodular bidders); items nobody values are
     returned as ignorable and stay put."""
     m = valuations[0].m
-    alloc = [set(S) for S in check_allocation(alloc, len(valuations), m)]
-    info = competitor_info(valuations, range(m))
+    alloc = check_allocation(alloc, len(valuations), m)
+    return _to_competitors(alloc, competitor_info(valuations, range(m)))
+
+
+def _to_competitors(alloc, info):
+    alloc = [set(S) for S in alloc]
     ignorable = set()
-    for j in range(m):
+    for j in sorted(info):
         holder = next(i for i, S in enumerate(alloc) if j in S)
         comp = info[j]["competitors"]
         if not comp:
@@ -138,22 +180,19 @@ def _restricted_bids(valuations, alloc, active):
     return compute_bids(valuations, sub_alloc, owner_first(sub_alloc, valuations[0].m)), sub_alloc
 
 
-def _find_top_steal(valuations, alloc, bids, info):
+def _find_top_steal(valuations, oracles, D, alloc, bids, info):
     """Lexicographically smallest steal whose thief is a top competitor."""
-    any_steal = find_steal(valuations, alloc, bids)
+    ledgers = [v.ledger for v in valuations]
+    masks = [mask_of(S) for S in alloc]
+    rows = [[D * b for b in row] for row in bids]
+    any_steal = steal_search(oracles, ledgers, masks, rows)
     if any_steal is None:
         return None
-    n = len(valuations)
-    for thief in range(n):
-        for victim in range(n):
-            if victim == thief:
-                continue
-            for j in sorted(alloc[victim]):
-                if thief not in info[j]["top"]:
-                    continue
-                if valuations[thief].marginal(j, alloc[thief]) > bids[victim][j]:
-                    return (thief, victim, j)
-    raise TopStealDiagnostic(f"steal {any_steal} exists but no top-competitor steal does")
+    top = {j: d["top"] for j, d in info.items()}
+    steal = steal_search(oracles, ledgers, masks, rows, top)
+    if steal is None:
+        raise TopStealDiagnostic(f"steal {any_steal} exists but no top-competitor steal does")
+    return steal
 
 
 def top_steal(valuations, init_alloc, t: int = None) -> TopStealRun:
@@ -167,14 +206,17 @@ def top_steal(valuations, init_alloc, t: int = None) -> TopStealRun:
     alloc = check_allocation(init_alloc, n, m)
     if set().union(*alloc) != set(range(m)):
         raise DomainError("initial allocation must cover all items")
-    alloc, _ignorable = preprocess_to_competitors(valuations, alloc)
-    info = competitor_info(valuations, range(m))
+    oracles, D = int_oracles(valuations)
+    # the move and the restriction check each ask every singleton, so the
+    # ledger reads as for preprocess_to_competitors then competitor_info
+    alloc, _ignorable = _to_competitors(alloc, _competitors(valuations, oracles, range(m)))
+    info = _competitors(valuations, oracles, range(m))
     worst = max((len(d["competitors"]) for d in info.values()), default=0)
     if worst > t:
         raise DomainError(f"instance is only {worst}-restricted, got t={t}")
     steals = []
     final_alloc, final_bids, trace = _top_steal_rec(
-        list(valuations), alloc, frozenset(range(m)), t, steals
+        list(valuations), oracles, D, alloc, frozenset(range(m)), t, steals
     )
     return TopStealRun(final_alloc, final_bids, trace, steals)
 
@@ -184,10 +226,10 @@ def _give(alloc, thief, j):
     return tuple((S | {j}) if i == thief else (S - {j}) for i, S in enumerate(alloc))
 
 
-def _top_steal_rec(valuations, alloc, active, t, steals):
+def _top_steal_rec(valuations, oracles, D, alloc, active, t, steals):
     n = len(valuations)
     m = valuations[0].m
-    info = competitor_info(valuations, active)
+    info = _competitors(valuations, oracles, active)
 
     if len(active) == 1:
         (j,) = active
@@ -200,7 +242,7 @@ def _top_steal_rec(valuations, alloc, active, t, steals):
             alloc = _give(alloc, thief, j)
             holder = thief
         bids = [[Fraction(0)] * m for _ in range(n)]
-        bids[holder][j] = valuations[holder].value(frozenset({j}))
+        bids[holder][j] = Fraction(_single(valuations[holder], oracles[holder], j), D)
         return alloc, tuple(tuple(r) for r in bids), trace
 
     # pin an item whose holder is already a top competitor
@@ -214,12 +256,13 @@ def _top_steal_rec(valuations, alloc, active, t, steals):
             break
     if pin is not None:
         i, j = pin
-        single = valuations[i].value(frozenset({j}))
-        sub_vals = list(valuations)
+        single = Fraction(_single(valuations[i], oracles[i], j), D)
+        sub_vals, sub_oracles = list(valuations), list(oracles)
         sub_vals[i] = MarginalValuation(valuations[i], j)
+        sub_oracles[i] = marginal_oracle(oracles[i], j)
         sub_alloc = tuple(S - {j} if k == i else S for k, S in enumerate(alloc))
         out_alloc, out_bids, child = _top_steal_rec(
-            sub_vals, sub_alloc, active - {j}, t, steals
+            sub_vals, sub_oracles, D, sub_alloc, active - {j}, t, steals
         )
         alloc2, bids2 = compose_top_item(out_alloc, out_bids, i, j, single)
         trace = RecursionTrace("pin_top_item", len(active), t, children=[child])
@@ -227,33 +270,39 @@ def _top_steal_rec(valuations, alloc, active, t, steals):
 
     if t == 2:
         bids, sub_alloc = _restricted_bids(valuations, alloc, active)
-        steal = _find_top_steal(valuations, sub_alloc, bids, info)
+        steal = _find_top_steal(valuations, oracles, D, sub_alloc, bids, info)
         if steal is None:
             return alloc, bids, RecursionTrace("stable_bids", len(active), t)
         thief, _, j = steal
         steals.append(steal)
         out_alloc, out_bids, child = _top_steal_rec(
-            valuations, _give(alloc, thief, j), active, t, steals
+            valuations, oracles, D, _give(alloc, thief, j), active, t, steals
         )
         trace = RecursionTrace("steal_then_recurse", len(active), t, steal=steal, children=[child])
         return out_alloc, out_bids, trace
 
     # t > 2: erase every bidder's top-competitor items and fall to t-1
-    erased_sets = []
+    sub_vals, sub_oracles = list(valuations), list(oracles)
     for i in range(n):
-        erased_sets.append(frozenset(j for j in active if i in info[j]["top"]))
-    sub_vals = [ErasedValuation(v, e) if e else v for v, e in zip(valuations, erased_sets)]
-    sub_info = competitor_info(sub_vals, active)
+        erased = frozenset(j for j in active if i in info[j]["top"])
+        if erased:
+            sub_vals[i] = ErasedValuation(valuations[i], erased)
+            sub_oracles[i] = erased_oracle(oracles[i], mask_of(erased))
+    sub_info = _competitors(sub_vals, sub_oracles, active)
     assert all(len(d["competitors"]) <= t - 1 for d in sub_info.values())
-    out_alloc, out_bids, child = _top_steal_rec(sub_vals, alloc, active, t - 1, steals)
+    out_alloc, out_bids, child = _top_steal_rec(
+        sub_vals, sub_oracles, D, alloc, active, t - 1, steals
+    )
     if find_steal(valuations, tuple(S & active for S in out_alloc), out_bids) is None:
         trace = RecursionTrace("erased_stable", len(active), t, children=[child])
         return out_alloc, out_bids, trace
-    steal = _find_top_steal(valuations, tuple(S & active for S in out_alloc), out_bids, info)
+    steal = _find_top_steal(
+        valuations, oracles, D, tuple(S & active for S in out_alloc), out_bids, info
+    )
     thief, _, j = steal
     steals.append(steal)
     out_alloc2, out_bids2, child2 = _top_steal_rec(
-        valuations, _give(out_alloc, thief, j), active, t, steals
+        valuations, oracles, D, _give(out_alloc, thief, j), active, t, steals
     )
     trace = RecursionTrace(
         "erase_then_steal", len(active), t, steal=steal, children=[child, child2]

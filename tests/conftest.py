@@ -229,5 +229,81 @@ def brute_optimal_welfare(valuations):
     return best, best_alloc
 
 
+def brute_bids(valuations, alloc, orders):
+    """Marginal bids through the query API: v(j | owned items before j in
+    the bidder's order), two counted value queries each; zero off the
+    bundle."""
+    m = valuations[0].m
+    bids = []
+    for v, S, order in zip(valuations, alloc, orders):
+        row = [Fraction(0)] * m
+        seen = set()
+        for j in order:
+            if j in S:
+                row[j] = v.marginal(j, seen)
+                seen.add(j)
+        bids.append(tuple(row))
+    return tuple(bids)
+
+
+def brute_find_steal(valuations, alloc, bids, top=None):
+    """The first (thief, victim, item), in lexicographic order, whose
+    marginal beats the victim's bid; with `top`, only the thieves in
+    top[item] are tried."""
+    for thief, v in enumerate(valuations):
+        for victim, S in enumerate(alloc):
+            if victim == thief:
+                continue
+            for j in sorted(S):
+                if top is not None and thief not in top[j]:
+                    continue
+                if v.marginal(j, alloc[thief]) > bids[victim][j]:
+                    return (thief, victim, j)
+    return None
+
+
+def brute_loose_tight(v, j, price):
+    """An owned item's tag: loose below the owner's singleton value
+    (strongly loose at price zero), else tight."""
+    if price < v._value_mask(1 << j):
+        return "strongly_loose" if price == 0 else "loose"
+    return "tight"
+
+
+def brute_stealing(valuations, init_alloc, policy="stolen-last", step_cap=100_000, tagged=False):
+    """Single-item stealing in Fractions: bids recomputed through the query
+    API after every steal, standing prices as column maxima, welfare from
+    uncounted values. With `tagged`, each event carries the victim's
+    loose/tight tag of the stolen item at the pre-steal prices. Returns
+    (alloc, bids, orders, initial prices, events, capped)."""
+    m = valuations[0].m
+    alloc = [frozenset(S) for S in init_alloc]
+    orders = [sorted(S) + sorted(set(range(m)) - S) for S in alloc]
+    bids = brute_bids(valuations, alloc, orders)
+    prices = tuple(max(col) for col in zip(*bids))
+    initial, events = prices, []
+
+    def welfare():
+        return sum((v._value_mask(mask_of(S)) for v, S in zip(valuations, alloc)), Fraction(0))
+
+    while True:
+        steal = brute_find_steal(valuations, alloc, bids)
+        if steal is None or len(events) >= step_cap:
+            return tuple(alloc), bids, orders, initial, events, steal is not None
+        thief, victim, item = steal
+        tag = brute_loose_tight(valuations[victim], item, prices[item]) if tagged else None
+        before = welfare()
+        if policy == "stolen-last":
+            orders[thief].remove(item)
+            orders[thief].insert(len(alloc[thief]), item)
+            orders[victim].remove(item)
+            orders[victim].append(item)
+        alloc[thief] |= {item}
+        alloc[victim] -= {item}
+        bids = brute_bids(valuations, alloc, orders)
+        prices = tuple(max(col) for col in zip(*bids))
+        events.append((thief, victim, item, before, welfare(), prices, tag))
+
+
 def seeded(seed):
     return random.Random(seed)

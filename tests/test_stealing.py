@@ -5,14 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_bids,
+    brute_find_steal,
+    brute_stealing,
     canon_digest,
+    random_additive,
     random_budget_additive,
+    random_coverage,
     random_submodular_table,
     random_table,
+    random_weights,
     seeded,
 )
 from sspeq.auction import is_pure_nash_no_overbid
 from sspeq.stealing import (
+    ORDERING_POLICIES,
     STEAL_BOUND_M_CAP,
     StealCapExceeded,
     budget_additive_steal_bound,
@@ -20,18 +27,24 @@ from sspeq.stealing import (
     compute_bids,
     find_steal,
     granularity_steal_bound,
+    int_oracles,
     marginal_diversity,
     owner_first,
     pseudo_poly_steal_bound,
     run_budget_additive_stealing,
     run_iterative_stealing,
+    steal_search,
 )
+from sspeq.topsteal import ErasedValuation, MarginalValuation, top_steal
 from sspeq.valuations import (
+    TABLE_M_CAP,
     AdditiveValuation,
     BudgetAdditiveValuation,
     CapabilityError,
     CoverageValuation,
     TableValuation,
+    XOSExplicitValuation,
+    mask_of,
 )
 
 
@@ -127,6 +140,10 @@ def test_budget_additive_run_tags_and_bound(seed):
         assert e.tag in ("loose", "tight", "strongly_loose")
         assert e.welfare_after > e.welfare_before
     assert find_steal(vs, run.alloc, run.bids) is None
+    # the same events, tags included, as the Fraction reference loop
+    want = brute_stealing(vs, init, tagged=True)[4]
+    assert [(e.thief, e.victim, e.item, e.welfare_before, e.welfare_after, e.prices_after, e.tag)
+            for e in run.log.events] == want
 
 
 # sha256 of the full runs of budget-additive stealing on 20 seeded instances
@@ -201,3 +218,112 @@ def test_settlement_bound_cap_boundary():
         marginal_diversity(w, 0)
     with pytest.raises(CapabilityError, match=f"m={cap}"):
         granularity_steal_bound([v, w])
+
+
+# -- the int kernels against the Fraction reference in conftest ------------------
+
+FAMILIES = ("table", "coverage", "additive", "budget", "xos")
+
+
+def random_bidder(rng, kind, m):
+    """A bidder of one family, or a conditioned or erased one of a random family."""
+    if kind == "table":
+        return random_submodular_table(rng, m)
+    if kind == "coverage":
+        return random_coverage(rng, m, den=6)
+    if kind == "additive":
+        return random_additive(rng, m, den=6)
+    if kind == "budget":
+        return random_budget_additive(rng, m, den=6)
+    if kind == "xos":
+        return XOSExplicitValuation(m, [random_weights(rng, m) for _ in range(rng.randint(1, 3))])
+    base = random_bidder(rng, rng.choice(FAMILIES), m)
+    if kind == "marginal":
+        return MarginalValuation(base, rng.randrange(m))
+    return ErasedValuation(base, {j for j in range(m) if rng.random() < 0.3})
+
+
+def random_instance(seed, kinds, m_max=8):
+    """(valuations, allocation) drawn from the seed alone, so a second call
+    gives a fresh copy with fresh ledgers."""
+    rng = seeded(seed)
+    n, m = rng.randint(2, 3), rng.randint(1, m_max)
+    vals = [random_bidder(rng, rng.choice(kinds), m) for _ in range(n)]
+    alloc = [set() for _ in range(n)]
+    for j in range(m):
+        alloc[rng.randrange(n)].add(j)
+    return vals, [frozenset(S) for S in alloc], rng
+
+
+def run_both(vals, ref_vals, init, run, **kw):
+    """The library run and the reference run on twin instances: event rows,
+    final state (None when capped) and ledgers of each."""
+    try:
+        out = run(vals, init, **kw)
+        log, final = out.log, (out.alloc, out.bids, out.orders)
+    except StealCapExceeded as err:
+        log, final = err.log, None
+    rows = [
+        (e.thief, e.victim, e.item, e.welfare_before, e.welfare_after, e.prices_after, e.tag)
+        for e in log.events
+    ]
+    alloc, bids, orders, initial, events, capped = brute_stealing(ref_vals, init, **kw)
+    assert log.initial_alloc == tuple(init)
+    assert log.initial_prices == initial
+    assert rows == events
+    assert final == (None if capped else (alloc, bids, orders))
+    assert [v.ledger.snapshot() for v in vals] == [v.ledger.snapshot() for v in ref_vals]
+
+
+@given(seed=st.integers(0, 2**32 - 1), policy=st.sampled_from(ORDERING_POLICIES))
+@settings(max_examples=150, deadline=None)
+def test_int_stealing_matches_the_fraction_reference(seed, policy):
+    kinds = FAMILIES + ("marginal", "erased")
+    vals, init, _ = random_instance(seed, kinds)
+    ref_vals, _, _ = random_instance(seed, kinds)
+    # XOS bidders need not settle: compare the first 40 steals then
+    run_both(vals, ref_vals, init, run_iterative_stealing, policy=policy, step_cap=40)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_bid_and_steal_faces_match_the_fraction_reference(seed):
+    kinds = FAMILIES + ("marginal", "erased")
+    vals, alloc, rng = random_instance(seed, kinds)
+    ref_vals, _, _ = random_instance(seed, kinds)
+    m = vals[0].m
+    # arbitrary item orders, owned items not necessarily first
+    orders = [rng.sample(range(m), m) for _ in vals]
+    assert compute_bids(vals, alloc, orders) == brute_bids(ref_vals, alloc, orders)
+    # bids of any denominator, near the marginals so that both outcomes occur
+    bids = [[Fraction(rng.randint(0, 12), rng.randint(1, 5)) for _ in range(m)] for _ in vals]
+    assert find_steal(vals, alloc, bids) == brute_find_steal(ref_vals, alloc, bids)
+    top = {j: [i for i in range(len(vals)) if rng.random() < 0.5] for j in range(m)}
+    oracles, D = int_oracles(vals)
+    ledgers = [v.ledger for v in vals]
+    rows = [[D * b for b in row] for row in bids]
+    masks = [mask_of(S) for S in alloc]
+    assert steal_search(oracles, ledgers, masks, rows, top) == brute_find_steal(
+        ref_vals, alloc, bids, top
+    )
+    assert [v.ledger.snapshot() for v in vals] == [v.ledger.snapshot() for v in ref_vals]
+
+
+def test_stealing_runs_above_the_table_cap():
+    # additive families sum blocks of stored weights; XOS and coverage
+    # bidders fall back to scaled values: none builds a 2^m table
+    m = TABLE_M_CAP + 2
+    pool = (frozenset(range(m)), frozenset(), frozenset())
+
+    def instance(kinds):
+        rng = seeded(22)
+        return [random_bidder(rng, kind, m) for kind in kinds]
+
+    for kinds in (("additive", "additive", "budget"), ("budget", "budget", "budget"),
+                  ("xos", "coverage", "additive")):
+        vals, ref_vals = instance(kinds), instance(kinds)
+        run_both(vals, ref_vals, pool, run_iterative_stealing)
+    vals = instance(("budget", "budget", "budget"))
+    assert run_budget_additive_stealing(vals, pool).log.steals() > 0
+    run = top_steal(instance(("additive", "budget", "xos")), pool, t=3)
+    assert find_steal(instance(("additive", "budget", "xos")), run.alloc, run.bids) is None

@@ -26,6 +26,7 @@ from sspeq.valuations import (
     AdditiveValuation,
     BudgetAdditiveValuation,
     DomainError,
+    TableValuation,
     XOSExplicitValuation,
 )
 
@@ -174,3 +175,22 @@ def test_top_steal_from_greedy_keeps_greedy_welfare():
         init = greedy_allocation(vs)
         run = top_steal(vs, init, t=2)
         assert welfare(vs, run.alloc) >= welfare(vs, init)
+
+
+@given(st.integers(0, 10_000), st.sampled_from([2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_top_steal_is_scale_free(seed, t):
+    # dividing every value by 21 leaves each bidder a denominator among 1, 3,
+    # 7 and 21: the run must be the same, with every bid divided by 21
+    rng = seeded(seed)
+    m = rng.randint(2, 5)
+    vs = [random_submodular_table(rng, m) for _ in range(t)]
+    init = [set() for _ in range(t)]
+    for j in range(m):
+        init[rng.randrange(t)].add(j)
+    scaled = [TableValuation(m, [x / 21 for x in v.table]) for v in vs]
+    run, small = top_steal(vs, init, t=t), top_steal(scaled, init, t=t)
+    assert (small.alloc, small.steals) == (run.alloc, run.steals)
+    assert [node.case for node in small.trace.walk()] == [node.case for node in run.trace.walk()]
+    assert small.bids == tuple(tuple(x / 21 for x in row) for row in run.bids)
+    assert [v.ledger.snapshot() for v in scaled] == [v.ledger.snapshot() for v in vs]

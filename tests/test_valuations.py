@@ -24,6 +24,7 @@ from conftest import (
     seeded,
 )
 from sspeq import valuations
+from sspeq.reductions import SetPairSystem, SetPairValuation
 from sspeq.valuations import (
     EXHAUSTIVE_DEMAND_CAP,
     TABLE_M_CAP,
@@ -40,6 +41,7 @@ from sspeq.valuations import (
     bundle_of,
     check_clause,
     mask_of,
+    sum_oracle,
     valuation_from_json,
     verify_class,
 )
@@ -308,6 +310,77 @@ def test_int_scaled_values_match_direct_definitions(seed):
             S = frozenset(j for j in range(m) if mask >> j & 1)
             assert v.value(S) == brute(S), (v.kind, sorted(S))
         assert v.ledger.value == 1 << m
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_additive_value_tables_equal_the_base_build(seed):
+    rng = seeded(seed)
+    m = rng.randint(1, 10)
+    items = random_weights(rng, m)
+    total = sum(items, Fraction(0))
+    # a budget above the total is never reached, so its denominator drops out
+    budget = rng.choice([total + Fraction(1, 7), Fraction(rng.randint(0, 40), rng.randint(1, 6))])
+    for v in (AdditiveValuation(m, items), BudgetAdditiveValuation(m, budget, items)):
+        assert v.value_table() == Valuation.value_table(v), v.kind
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_int_oracles_scale_every_value(seed):
+    rng = seeded(seed)
+    m = rng.randint(1, 7)
+    system = SetPairSystem(m, [(frozenset({0}), frozenset({m - 1}))])
+    scale = rng.randint(1, 4)
+    for v in (
+        random_additive(rng, m, den=6),
+        BudgetAdditiveValuation(m, Fraction(rng.randint(0, 30), 7), random_weights(rng, m)),
+        random_coverage(rng, m, den=6),
+        random_submodular_table(rng, m),
+        XOSExplicitValuation(m, [random_weights(rng, m) for _ in range(2)]),
+        SetPairValuation(system, [1], rng.randint(0, 1)),
+    ):
+        f, D = v.int_oracle()
+        g, E = v.int_oracle(scale)
+        assert E == scale * D, v.kind
+        for mask in range(1 << m):
+            assert Fraction(f(mask), D) == Fraction(g(mask), E) == v._value_mask(mask), v.kind
+        assert v.ledger.total() == 0
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 12, 16, 17, 22, 25, 40])
+def test_sum_oracle_matches_the_bit_sum(m):
+    # 1, 2, 3 and 5 blocks, of sizes 6 to 8
+    rng = seeded(m)
+    weights = [rng.randint(0, 50) for _ in range(m)]
+    cap = rng.randint(0, 25 * m)
+    plain, capped = sum_oracle(weights), sum_oracle(weights, cap)
+    for mask in [0, (1 << m) - 1, *(rng.getrandbits(m) for _ in range(300))]:
+        total = sum(w for j, w in enumerate(weights) if mask >> j & 1)
+        assert (plain(mask), capped(mask)) == (total, min(cap, total))
+
+
+def test_int_oracles_build_no_table(monkeypatch):
+    # above the table cap, where a 2^m table would take minutes
+    m = TABLE_M_CAP + 2
+    rng = seeded(3)
+    system = SetPairSystem(m, [(frozenset({0, 1}), frozenset({m - 1}))])
+    cases = [
+        random_additive(rng, m, den=6),
+        BudgetAdditiveValuation(m, Fraction(61, 4), random_weights(rng, m)),
+        XOSExplicitValuation(m, [random_weights(rng, m) for _ in range(3)]),
+        random_coverage(rng, m, den=6),
+        SetPairValuation(system, [1], 0),
+    ]
+
+    def no_table(self):
+        raise AssertionError(f"{self.kind} built a 2^{self.m} table")
+
+    for v in cases:
+        monkeypatch.setattr(type(v), "value_table", no_table)
+        f, D = v.int_oracle(3)
+        for mask in [0, (1 << m) - 1, 0b11, *(rng.getrandbits(m) for _ in range(200))]:
+            assert f(mask) == D * v._value_mask(mask), v.kind
 
 
 def _library_valuation_classes():
