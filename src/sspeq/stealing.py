@@ -7,10 +7,11 @@ exceeds the standing bid, after which bids are recomputed.
 
 The procedures run on each bidder's int value oracle at one common
 denominator D (`int_oracles`): bundles are masks, and bids, marginals,
-standing prices and welfare are ints scaled by D. Fractions appear only in
-results. `compute_bids` and `find_steal` are the Fraction faces of the two
-kernels. Every ledger counts as the query API would: two value queries per
-bid and per marginal tested.
+standing prices and welfare are ints scaled by D (exact Fractions for a
+family with no int form). Fractions appear only in results. `compute_bids`
+and `find_steal` are the Fraction faces of the two kernels. Every ledger
+counts as the query API would: two value queries per bid and per marginal
+tested.
 """
 
 from __future__ import annotations
@@ -43,7 +44,11 @@ def int_oracles(valuations):
     """(oracles, D): each bidder's `int_oracle` at one common denominator D."""
     built = [v.int_oracle() for v in valuations]
     D = math.lcm(*(d for _, d in built))
-    return [f if d == D else v.int_oracle(D // d)[0] for v, (f, d) in zip(valuations, built)], D
+    return [f if d == D else _times(f, D // d) for f, d in built], D
+
+
+def _times(f, k: int):
+    return lambda mask: k * f(mask)
 
 
 def money_rows(rows, D: int) -> tuple:
@@ -96,22 +101,37 @@ def steal_search(oracles, ledgers, masks, rows, top=None):
     return None
 
 
+def _checked_masks(valuations, alloc):
+    """(alloc, masks): the checked allocation and its bundle masks. Every
+    allocated item must lie within every bidder's items, since each bidder's
+    oracle reads bundles that may hold any of them."""
+    alloc = check_allocation(alloc, len(valuations), valuations[0].m)
+    masks = [mask_of(S) for S in alloc]
+    whole = 0
+    for mask in masks:
+        whole |= mask
+    for v in valuations:
+        if whole >> v.m:
+            raise DomainError(f"allocation not within 0..{v.m - 1}")
+    return alloc, masks
+
+
 def compute_bids(valuations, alloc, orders):
     """Marginal bids along each bidder's item order, zero off the owned bundle."""
-    m = valuations[0].m
-    alloc = check_allocation(alloc, len(valuations), m)
+    _, masks = _checked_masks(valuations, alloc)
     oracles, D = int_oracles(valuations)
     ledgers = [v.ledger for v in valuations]
-    return money_rows(bid_rows(oracles, ledgers, [mask_of(S) for S in alloc], orders, m), D)
+    return money_rows(bid_rows(oracles, ledgers, masks, orders, valuations[0].m), D)
 
 
 def find_steal(valuations, alloc, bids):
     """Lexicographically smallest (thief, victim, item) with a strictly
     profitable single-item steal, or None."""
+    _, masks = _checked_masks(valuations, alloc)
     oracles, D = int_oracles(valuations)
     ledgers = [v.ledger for v in valuations]
     rows = [[D * b for b in row] for row in bids]
-    return steal_search(oracles, ledgers, [mask_of(S) for S in alloc], rows)
+    return steal_search(oracles, ledgers, masks, rows)
 
 
 @dataclass
@@ -163,11 +183,11 @@ def run_iterative_stealing(
     if policy not in ORDERING_POLICIES:
         raise DomainError(f"policy must be one of {ORDERING_POLICIES}")
     m = valuations[0].m
-    alloc = list(check_allocation(init_alloc, len(valuations), m))
+    alloc, masks = _checked_masks(valuations, init_alloc)
+    alloc = list(alloc)
     orders = owner_first(alloc, m)
     oracles, D = int_oracles(valuations)
     ledgers = [v.ledger for v in valuations]
-    masks = [mask_of(S) for S in alloc]
     rows = bid_rows(oracles, ledgers, masks, orders, m)
     prices = tuple(Fraction(p, D) for p in map(max, zip(*rows)))
     welfare = Fraction(sum(f(mask) for f, mask in zip(oracles, masks)), D)

@@ -43,8 +43,8 @@ class MarginalValuation(Valuation):
     def _value_mask(self, mask):
         return self.base._value_mask(mask | (1 << self.item)) - self.offset
 
-    def int_oracle(self, scale: int = 1):
-        f, D = self.base.int_oracle(scale)
+    def int_oracle(self):
+        f, D = self.base.int_oracle()
         return marginal_oracle(f, self.item), D
 
 
@@ -61,8 +61,8 @@ class ErasedValuation(Valuation):
     def _value_mask(self, mask):
         return self.base._value_mask(mask & ~self._emask)
 
-    def int_oracle(self, scale: int = 1):
-        f, D = self.base.int_oracle(scale)
+    def int_oracle(self):
+        f, D = self.base.int_oracle()
         return erased_oracle(f, self._emask), D
 
 

@@ -104,19 +104,17 @@ def sum_oracle(weights, cap=None):
     size = -(-len(weights) // k)
     low = (1 << size) - 1
     blocks = [subset_sums(weights[b : b + size]) for b in range(0, len(weights), size)]
-    if k == 1:
-        table = blocks[0] if cap is None else [min(cap, x) for x in blocks[0]]
-        return table.__getitem__
-    if k == 2:
-        lo, hi = blocks
-        if cap is None:
-            return lambda mask: lo[mask & low] + hi[mask >> size]
-        return lambda mask: min(cap, lo[mask & low] + hi[mask >> size])
+    if cap is None:
+        cap = sum(weights)
 
     def total(mask):
-        return sum(block[mask >> size * i & low] for i, block in enumerate(blocks))
+        t = 0
+        for block in blocks:
+            t += block[mask & low]
+            mask >>= size
+        return t if t < cap else cap
 
-    return total if cap is None else lambda mask: min(cap, total(mask))
+    return total
 
 
 def better_demand(profit_a, a: int, profit_b, b: int) -> bool:
@@ -203,22 +201,17 @@ class Valuation:
 
     def value_table(self):
         """(ints, D) with _value_mask(t) == Fraction(ints[t], D) for every
-        mask t, not counted in the ledger. The base builds it afresh on each
-        call; TableValuation returns the one it scaled at construction, as a
-        tuple, so callers read it and never write it."""
+        mask t. Built afresh on each call and not counted in the ledger."""
         return scale_to_ints([self._value_mask(t) for t in range(1 << self.m)])
 
-    def int_oracle(self, scale: int = 1):
+    def int_oracle(self):
         """(f, D) with f(mask) == D * _value_mask(mask) exactly for every
-        mask, where D is `scale` times a denominator of the family's own, so
-        that bidders can share one D. f is not counted in the ledger and
-        builds no 2^m table.
+        mask. f is not counted in the ledger and builds no 2^m table.
 
         Families that store int weights or an int table override this to
-        return ints. The base knows no denominator: its D is `scale`, and f
-        returns D * _value_mask(mask), an exact Fraction."""
-        value = self._value_mask
-        return (lambda mask: scale * value(mask)), scale
+        return ints. The base knows no denominator: its D is 1 and f is
+        _value_mask itself, whose exact Fractions compare with ints."""
+        return self._value_mask, 1
 
     def _check_prices(self, prices):
         prices = tuple(parse_money(p) for p in prices)
@@ -272,10 +265,8 @@ class TableValuation(Valuation):
         if values[0] != 0:
             raise DomainError("v(empty) must be 0")
         self.table = values
-        ints, D = scale_to_ints(values)
-        self._scaled = (tuple(ints), D)
         if validate:
-            drop = _first_monotone_drop(ints, m)
+            drop = _first_monotone_drop(self.value_table()[0], m)
             if drop is not None:
                 mask, j = drop
                 raise DomainError(f"not monotone at {sorted(bundle_of(mask))} + item {j}")
@@ -284,11 +275,11 @@ class TableValuation(Valuation):
         return self.table[mask]
 
     def value_table(self):
-        return self._scaled
+        return scale_to_ints(self.table)
 
-    def int_oracle(self, scale: int = 1):
-        ints, D = self._scaled
-        return rescale(ints, D, D * scale).__getitem__, D * scale
+    def int_oracle(self):
+        ints, D = self.value_table()
+        return ints.__getitem__, D
 
     def to_json(self):
         return {
@@ -317,8 +308,8 @@ class AdditiveValuation(Valuation):
     def value_table(self):
         return subset_sums(self._weights), self._D
 
-    def int_oracle(self, scale: int = 1):
-        return sum_oracle([w * scale for w in self._weights]), self._D * scale
+    def int_oracle(self):
+        return sum_oracle(self._weights), self._D
 
     def _demand(self, prices):
         return frozenset(j for j in range(self.m) if self.item_values[j] > prices[j])
@@ -364,9 +355,8 @@ class BudgetAdditiveValuation(Valuation):
         g = math.gcd(self._D, *table)
         return (table, self._D) if g == 1 else ([x // g for x in table], self._D // g)
 
-    def int_oracle(self, scale: int = 1):
-        weights = [w * scale for w in self._weights]
-        return sum_oracle(weights, self._budget * scale), self._D * scale
+    def int_oracle(self):
+        return sum_oracle(self._weights, self._budget), self._D
 
     def _demand(self, prices):
         # exact knapsack-style branch and bound over profitable items
@@ -432,10 +422,6 @@ class XOSExplicitValuation(Valuation):
         items = list(iter_bits(mask))
         return Fraction(max(sum(row[j] for j in items) for row in self._rows), self._D)
 
-    def int_oracle(self, scale: int = 1):
-        sums = [sum_oracle([w * scale for w in row]) for row in self._rows]
-        return (lambda mask: max(s(mask) for s in sums)), self._D * scale
-
     def _xos_clause(self, S):
         best_val, best_c = Fraction(0), self.clauses[0]
         for c in self.clauses:
@@ -477,11 +463,6 @@ class CoverageValuation(Valuation):
 
     def _value_mask(self, mask):
         return sum((w for em, w in self._edge_masks if em & mask), Fraction(0))
-
-    def int_oracle(self, scale: int = 1):
-        weights, D = scale_to_ints([w for _, _, w in self.edges])
-        edges = [(em, w * scale) for (em, _), w in zip(self._edge_masks, weights)]
-        return (lambda mask: sum(w for em, w in edges if em & mask)), D * scale
 
     def value_table(self):
         # low-bit DP: adding item j newly covers its edges not yet touched by rest

@@ -42,6 +42,7 @@ from sspeq.valuations import (
     BudgetAdditiveValuation,
     CapabilityError,
     CoverageValuation,
+    DomainError,
     TableValuation,
     XOSExplicitValuation,
     mask_of,
@@ -74,6 +75,27 @@ def test_find_steal_is_lexicographic():
     vs = [AdditiveValuation(2, (5, 5)), AdditiveValuation(2, (1, 1))]
     bids = compute_bids(vs, ({}, {0, 1}), owner_first(({}, {0, 1}), 2))
     assert find_steal(vs, (frozenset(), frozenset({0, 1})), bids) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AdditiveValuation(2, (5, 5)),
+    lambda: BudgetAdditiveValuation(2, 4, (3, 3)),
+    lambda: TableValuation(2, [0, 1, 1, 2]),
+    lambda: CoverageValuation(2, [(0, 1, 3)]),
+])
+def test_faces_reject_items_outside_the_bidders(make):
+    bids = ((0, 0, 0), (0, 0, 1))
+    # item 2 lies outside every bidder's 0..1
+    with pytest.raises(DomainError):
+        find_steal([make(), make()], ({0}, {1, 2}), bids)
+    with pytest.raises(DomainError):
+        compute_bids([make(), make()], ({0}, {1, 2}), [[0, 1, 2]] * 2)
+    # a bidder with fewer items than the first cannot read the victim's item 2
+    wide = AdditiveValuation(3, (1, 1, 1))
+    with pytest.raises(DomainError):
+        find_steal([wide, make()], ({0}, {1, 2}), bids)
+    with pytest.raises(DomainError):
+        run_iterative_stealing([wide, make()], ({0}, {1, 2}))
 
 
 def test_step_cap_raises_with_partial_log():
@@ -311,7 +333,8 @@ def test_bid_and_steal_faces_match_the_fraction_reference(seed):
 
 def test_stealing_runs_above_the_table_cap():
     # additive families sum blocks of stored weights; XOS and coverage
-    # bidders fall back to scaled values: none builds a 2^m table
+    # bidders use the base oracle, their exact Fraction values: none builds
+    # a 2^m table
     m = TABLE_M_CAP + 2
     pool = (frozenset(range(m)), frozenset(), frozenset())
 

@@ -25,6 +25,7 @@ from conftest import (
 )
 from sspeq import valuations
 from sspeq.reductions import SetPairSystem, SetPairValuation
+from sspeq.stealing import int_oracles
 from sspeq.valuations import (
     EXHAUSTIVE_DEMAND_CAP,
     TABLE_M_CAP,
@@ -327,24 +328,25 @@ def test_additive_value_tables_equal_the_base_build(seed):
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
-def test_int_oracles_scale_every_value(seed):
+def test_int_oracles_share_one_denominator(seed):
     rng = seeded(seed)
     m = rng.randint(1, 7)
     system = SetPairSystem(m, [(frozenset({0}), frozenset({m - 1}))])
-    scale = rng.randint(1, 4)
-    for v in (
+    vals = [
         random_additive(rng, m, den=6),
         BudgetAdditiveValuation(m, Fraction(rng.randint(0, 30), 7), random_weights(rng, m)),
         random_coverage(rng, m, den=6),
         random_submodular_table(rng, m),
         XOSExplicitValuation(m, [random_weights(rng, m) for _ in range(2)]),
         SetPairValuation(system, [1], rng.randint(0, 1)),
-    ):
-        f, D = v.int_oracle()
-        g, E = v.int_oracle(scale)
-        assert E == scale * D, v.kind
+    ]
+    rng.shuffle(vals)
+    oracles, D = int_oracles(vals)
+    for v, f in zip(vals, oracles):
+        g, d = v.int_oracle()
+        assert D % d == 0, v.kind
         for mask in range(1 << m):
-            assert Fraction(f(mask), D) == Fraction(g(mask), E) == v._value_mask(mask), v.kind
+            assert Fraction(g(mask), d) == Fraction(f(mask), D) == v._value_mask(mask), v.kind
         assert v.ledger.total() == 0
 
 
@@ -378,7 +380,7 @@ def test_int_oracles_build_no_table(monkeypatch):
 
     for v in cases:
         monkeypatch.setattr(type(v), "value_table", no_table)
-        f, D = v.int_oracle(3)
+        f, D = v.int_oracle()
         for mask in [0, (1 << m) - 1, 0b11, *(rng.getrandbits(m) for _ in range(200))]:
             assert f(mask) == D * v._value_mask(mask), v.kind
 
