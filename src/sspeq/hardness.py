@@ -29,6 +29,7 @@ from .valuations import (
     as_bundle,
     better_demand,
     bundle_of,
+    cheapest_subsets,
     iter_bits,
     mask_of,
     register_kind,
@@ -325,36 +326,44 @@ def eq_char_check(sv: SensitiveValuation, alloc) -> bool:
 
 
 def sparse_demand_oracle(sv: SensitiveValuation, prices):
-    """Exact profit maximizer over nonempty bundles.
-
-    Candidates are the cheapest prefix of every size plus, for window sizes,
-    every stored bundle padded with the cheapest outsiders. A stored bundle
-    inside a window prefix yields the identical padded candidate, so the
-    prefix only needs its default-bump value and only when some subset is
-    unstored. Stored bundles are walked by descending k; the walk stops at
-    the first whose profit upper bound (value cap minus the cheapest
-    conceivable cost of its size) falls strictly below the running best,
-    since the bound only falls with k and the best only rises.
-
-    Values and prices are compared as Python ints at one common
-    denominator D; scaling by a positive D keeps every order and tie.
-    """
+    """Exact profit maximizer over nonempty bundles; `_sparse_demand` at the
+    prices' common denominator with sv's."""
     if len(sv.k_map) > KMAP_CAP:
-        raise CapabilityError(
-            f"k_map support too large for sparse demand: more than {KMAP_CAP} bumps"
-        )
+        raise CapabilityError(f"k_map support too large for sparse demand: more than {KMAP_CAP} bumps")
+    return bundle_of(_sparse_demand(sv, *_scaled_prices(sv, prices))[1])
+
+
+def _scaled_prices(sv: SensitiveValuation, prices, *dens):
+    """(cost, D): the prices as ints at D, the lcm of 4, m'+h, sv.k_lcm,
+    `dens` and the prices' denominators. Scaling by a positive D keeps
+    every order and tie."""
     prices = [parse_money(p) for p in prices]
-    if len(prices) != sv.m:
+    D = math.lcm(4, sv.mp + sv.h, sv.k_lcm, *dens, *{p.denominator for p in prices})
+    cost = [p.numerator * (D // p.denominator) for p in prices]
+    if len(cost) != sv.m or min(cost) < 0:
         raise DomainError("need one price >= 0 per item")
+    return cost, D
+
+
+def _sparse_demand(sv: SensitiveValuation, cost, D: int):
+    """(profit, mask) of the demanded nonempty bundle, profit at D, for int
+    item costs at D (D as in `_scaled_prices`).
+
+    Candidates are the cheapest prefix of every size (valued by the closed
+    form off the window) plus, for window sizes, every stored bundle padded
+    with the cheapest outsiders. A stored bundle inside a window prefix
+    yields the identical padded candidate, so the prefix only needs its
+    default-bump value and only when some subset is unstored. Stored
+    bundles are walked by descending k; the walk stops at the first whose
+    profit upper bound (value cap minus the cheapest conceivable cost of
+    its size) falls strictly below the running best, since the bound only
+    falls with k and the best only rises.
+    """
     mp, h = sv.mp, sv.h
-    D = math.lcm(4, mp + h, sv.k_lcm, *{p.denominator for p in prices})
 
     def at_D(x):
         return x.numerator * (D // x.denominator)
 
-    cost = [at_D(p) for p in prices]
-    if min(cost) < 0:
-        raise DomainError("need one price >= 0 per item")
     order = sorted(range(sv.m), key=lambda j: (cost[j], j))
     prefix_cost, prefix_mask = [0], [0]
     for j in order:
@@ -372,7 +381,8 @@ def sparse_demand_oracle(sv: SensitiveValuation, prices):
     window = range(mp + 1, mp + h)
     for s in range(1, sv.m + 1):
         if s not in window:
-            consider(at_D(sv._value_mask(prefix_mask[s])) - prefix_cost[s], prefix_mask[s])
+            value = max(s, mp - sv.g) if s <= mp else mp + 1
+            consider(value * D - prefix_cost[s], prefix_mask[s])
     stored = len(sv.k_map)
     default_value = quarter + at_D(sv.default_k)
     for s in window:
@@ -402,33 +412,7 @@ def sparse_demand_oracle(sv: SensitiveValuation, prices):
             profit = max(mterm, floor[mp + 1 + pad]) - cost0 - out_cost[pad]
             if profit >= best_profit:
                 consider(profit, bmask | out_mask[pad])
-    return bundle_of(best)
-
-
-def _cheapest_vertex_iter(m: int, mp: int, prices):
-    """Size-(m'+1) bundles in nondecreasing price order (ties by index
-    vector), enumerated lazily through a heap."""
-    import heapq
-
-    order = sorted(range(m), key=lambda j: (prices[j], j))
-    k = mp + 1
-
-    def cost(idxs):
-        return sum((prices[order[i]] for i in idxs), Fraction(0))
-
-    start = tuple(range(k))
-    heap = [(cost(start), start)]
-    seen = {start}
-    while heap:
-        c, idxs = heapq.heappop(heap)
-        yield c, frozenset(order[i] for i in idxs)
-        for t in range(k):
-            nxt = idxs[t] + 1
-            if nxt < m and (t == k - 1 or nxt < idxs[t + 1]):
-                cand = idxs[:t] + (nxt,) + idxs[t + 1 :]
-                if cand not in seen:
-                    seen.add(cand)
-                    heapq.heappush(heap, (cost(cand), cand))
+    return best_profit, best
 
 
 # -- the adversary -----------------------------------------------------------------
@@ -668,8 +652,7 @@ class OddGraphAdversary:
             return self.answer(S).value
         if s <= self.mp or s >= self.mp + self.h:
             return self.view()._value_mask(mask_of(S))
-        subsets = list(itertools.combinations(sorted(S), self.mp + 1))
-        pending = [c for c in subsets if mask_of(c) not in self.colored]
+        pending = [c for c in itertools.combinations(sorted(S), self.mp + 1) if mask_of(c) not in self.colored]
         if len(pending) > WINDOW_QUERY_FACTOR * self.m:
             raise CapabilityError(
                 "window value query would force too many vertex queries: "
@@ -682,34 +665,26 @@ class OddGraphAdversary:
     def demand_query(self, prices):
         """Exact demand against the realized map; while an unassigned vertex
         could still beat the best determined profit, the cheapest one is
-        processed as a fresh query."""
-        prices = [parse_money(p) for p in prices]
-        if len(prices) != self.m or any(p < 0 for p in prices):
-            raise DomainError("need one price >= 0 per item")
-        half = self.mp + Fraction(1, 2)
+        processed as a fresh query. Profits are ints at one D that eps also
+        divides, so every pivot's answer m'+1/4+x*eps is exact there."""
         view = self.view()
-        D = sparse_demand_oracle(view, prices)
-        best = view._value_mask(mask_of(D)) - sum((prices[j] for j in D), Fraction(0))
-        feed = _cheapest_vertex_iter(self.m, self.mp, prices)
-        cur = next(feed, None)
+        cost, D = _scaled_prices(view, prices, self.eps.denominator)
+        best = _sparse_demand(view, cost, D)[0]
+        half = self.mp * D + D // 2
         processed = 0
-        while True:
-            while cur is not None and mask_of(cur[1]) in self.colored:
-                cur = next(feed, None)
-            if cur is None or half - cur[0] <= best:
+        for c, mask in cheapest_subsets(cost, self.mp + 1):
+            if mask in self.colored:
+                continue
+            if half - c <= best:
                 break
             processed += 1
             if processed > DEMAND_PIVOT_FACTOR * self.m:
                 raise CapabilityError(
                     f"demand pivoting exceeded its query cap {DEMAND_PIVOT_FACTOR} * m"
                 )
-            ans = self.answer(cur[1])
-            profit = ans.value - cur[0]
-            if profit > best:
-                best = profit
-        view = self.view()
-        D = sparse_demand_oracle(view, prices)
-        return D
+            value = self.answer(bundle_of(mask)).value
+            best = max(best, value.numerator * (D // value.denominator) - c)
+        return sparse_demand_oracle(self.view(), prices)
 
 
 def adversary_audit(adv: OddGraphAdversary):

@@ -89,19 +89,17 @@ def build_good_set_pair_system(m: int, count: int, seed: int = 0) -> SetPairSyst
     quarter, eighth = m // 4, m // 8
     pairs = []
     budget = SETPAIR_RETRY_FACTOR * count
-    while len(pairs) < count:
-        if budget <= 0:
-            raise ConstructionError("set-pair sampling exhausted its retries")
-        budget -= 1
+    for _ in range(budget):
         a = frozenset(rng.sample(range(m), quarter))
         b = frozenset(rng.sample(sorted(frozenset(range(m)) - a), quarter))
-        ok = True
-        for a2, b2 in pairs:
-            if not 0 < len(a & b2) <= eighth or not 0 < len(a2 & b) <= eighth:
-                ok = False
-                break
-        if ok:
+        if all(0 < len(a & b2) <= eighth and 0 < len(a2 & b) <= eighth for a2, b2 in pairs):
             pairs.append((a, b))
+            if len(pairs) == count:
+                break
+    else:
+        raise ConstructionError(
+            f"set-pair sampling exhausted its retries: {budget} samples = {SETPAIR_RETRY_FACTOR} * count"
+        )
     system = SetPairSystem(m, pairs)
     good, problems = verify_set_pair_system(system)
     if not good:

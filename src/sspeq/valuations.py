@@ -8,6 +8,7 @@ demand / XOS-clause queries; internal `_value_mask` calls are not counted.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -93,6 +94,32 @@ def subset_sums(weights):
         low = t & -t
         sums[t] = sums[t ^ low] + weights[low.bit_length() - 1]
     return sums
+
+
+def cheapest_subsets(costs, k):
+    """(cost, mask) of every k-item subset, for int item costs, lazily in
+    nondecreasing cost, ties to the smaller index vector into the items
+    sorted by (cost, item). In the heap, `pos` holds a subset's indices and
+    `key` the indices it lacks at bits m-1-i, so a smaller key is a smaller
+    vector. A subset's one parent moves down its lowest index above its own
+    position, so a pop pushes at most two children, each one index up: the
+    popped cost plus one difference."""
+    m = len(costs)
+    if not 0 <= k <= m:
+        return
+    order = sorted(range(m), key=lambda j: (costs[j], j))
+    step = [costs[b] - costs[a] for a, b in zip(order, order[1:])]
+    heap = [(sum(costs[j] for j in order[:k]), (1 << m - k) - 1, (1 << k) - 1, mask_of(order[:k]))]
+    while heap:
+        cost, key, pos, mask = heapq.heappop(heap)
+        yield cost, mask
+        # the children move up the top index of the low run of indices
+        # 0, 1, ... or the lowest index above that run
+        above = pos & (pos + 1)
+        for a in ((~pos & (pos + 1)).bit_length() - 2, (above & -above).bit_length() - 1):
+            if 0 <= a < m - 1 and not pos >> (a + 1) & 1:
+                heapq.heappush(heap, (cost + step[a], key ^ 3 << (m - 2 - a), pos ^ 3 << a,
+                                      mask ^ 1 << order[a] ^ 1 << order[a + 1]))
 
 
 def sum_oracle(weights, cap=None):

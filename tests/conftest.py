@@ -121,6 +121,17 @@ def brute_better_demand(profit_a, S_a, profit_b, S_b):
     return tuple(sorted(S_a)) < tuple(sorted(S_b))
 
 
+def brute_cheapest_subsets(costs, k):
+    """Every k-item subset as (cost, mask), sorted by cost and then by its
+    index vector into the items sorted by (cost, item)."""
+    order = sorted(range(len(costs)), key=lambda j: (costs[j], j))
+    ranked = sorted(
+        (sum(costs[order[i]] for i in idxs), idxs)
+        for idxs in itertools.combinations(range(len(costs)), k)
+    )
+    return [(cost, mask_of(order[i] for i in idxs)) for cost, idxs in ranked]
+
+
 def brute_demand(v, prices):
     """Exhaustive demand with the empty bundle as baseline."""
     prices = [Fraction(p) for p in prices]

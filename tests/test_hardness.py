@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_better_demand, seeded
+from conftest import brute_better_demand, brute_cheapest_subsets, seeded
 from sspeq import hardness
 from sspeq.hardness import (
     ISO_EXHAUSTIVE_CAP,
@@ -16,7 +16,6 @@ from sspeq.hardness import (
     SEARCHERS,
     OddGraphAdversary,
     SensitiveValuation,
-    _cheapest_vertex_iter,
     adversary_audit,
     eq_char_check,
     is_j_local_max,
@@ -157,18 +156,6 @@ def test_query_lower_bound_values():
     assert (21 * (q - 1)) ** 4 < 2 ** 59 <= (21 * q) ** 4
     with pytest.raises(DomainError):
         query_lower_bound(6)
-
-
-def test_cheapest_vertex_iter_order():
-    rng = seeded(3)
-    prices = [Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(5)]
-    out = list(_cheapest_vertex_iter(5, 2, prices))
-    assert len(out) == 10
-    costs = [c for c, _ in out]
-    assert costs == sorted(costs)
-    assert {b for _, b in out} == {bundle_of(v) for v in odd_graph_vertices(2)}
-    for c, b in out:
-        assert c == sum((prices[j] for j in b), Fraction(0))
 
 
 # -- sensitive valuations ----------------------------------------------------------
@@ -636,6 +623,53 @@ def rebuilt_view(adv):
     )
 
 
+def reference_demand_query(adv, prices):
+    """The pivot loop on Fractions: take the best profit of the realized map,
+    then answer unassigned vertices in brute cheapest order while m'+1/2
+    minus the vertex's cost beats it. Returns (demand after, pivots)."""
+    prices = [Fraction(p) for p in prices]
+    half = adv.mp + Fraction(1, 2)
+    view = rebuilt_view(adv)
+    D = sparse_demand_oracle(view, prices)
+    best = view._value_mask(mask_of(D)) - sum((prices[j] for j in D), Fraction(0))
+    pivots = 0
+    for cost, mask in brute_cheapest_subsets(prices, adv.mp + 1):
+        if mask in adv.colored:
+            continue
+        if half - cost <= best:
+            break
+        pivots += 1
+        best = max(best, adv.answer(bundle_of(mask)).value - cost)
+    return sparse_demand_oracle(rebuilt_view(adv), prices), pivots
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_demand_query_matches_the_fraction_pivot_loop(data):
+    m = data.draw(st.sampled_from([9, 11]))
+    g = data.draw(st.integers(1, m // 2 - 1))
+    h = data.draw(st.integers(2, m // 2 + 1))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    adv = OddGraphAdversary(m, g=g, h=h, seed=seed)
+    twin = OddGraphAdversary(m, g=g, h=h, seed=seed)
+    for _ in range(data.draw(st.integers(1, 4))):
+        # odd denominators share no factor with eps; halves and quarters make
+        # ties with m'+1/2 reachable
+        prices = []
+        for _ in range(m):
+            den = data.draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
+            prices.append(Fraction(data.draw(st.integers(0, den)), den))
+        before = len(adv.transcript)
+        D = adv.demand_query(prices)
+        assert D == sparse_demand_oracle(rebuilt_view(adv), prices)
+        want, pivots = reference_demand_query(twin, prices)
+        assert (D, len(adv.transcript) - before) == (want, pivots)
+        if m == 9:
+            profit = adv.view()._value_mask(mask_of(D)) - sum((prices[j] for j in D), Fraction(0))
+            assert profit == brute_nonempty_demand(rebuilt_view(adv), prices)[1]
+    assert [a.vertex for a in adv.transcript] == [a.vertex for a in twin.transcript]
+
+
 @pytest.mark.parametrize("m", [9, 11])
 def test_live_view_tracks_a_best_reply_run(m):
     adv = OddGraphAdversary(m, g=1, h=3, seed=m)
@@ -791,6 +825,15 @@ def test_isoperimetric_bound_floor_is_exact():
     assert set(out4["bound_floor"]) == set(out4["max_edges"])
     for k, f in out4["bound_floor"].items():
         assert 2 ** (3 * f) <= k ** (2 * k) < 2 ** (3 * (f + 1)), k
+
+
+def test_isoperimetric_exhaustive_cap_boundary(monkeypatch):
+    # O_3 has C(5, 2) = 10 vertices
+    monkeypatch.setattr(hardness, "ISO_EXHAUSTIVE_CAP", 10)
+    assert isoperimetric_check(3)["mode"] == "exhaustive"
+    monkeypatch.setattr(hardness, "ISO_EXHAUSTIVE_CAP", 9)
+    with pytest.raises(CapabilityError, match="10 vertices > 9"):
+        isoperimetric_check(3)
 
 
 def test_isoperimetric_exhaustive_cap():

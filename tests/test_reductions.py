@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sspeq import reductions
 from sspeq.auction import is_pure_nash_no_overbid, resolve, welfare
 from sspeq.reductions import (
     SetPairSystem,
@@ -17,7 +18,7 @@ from sspeq.reductions import (
     star_gap_instance,
     verify_set_pair_system,
 )
-from sspeq.valuations import DomainError, bundle_of, valuation_from_json, verify_class
+from sspeq.valuations import ConstructionError, DomainError, bundle_of, valuation_from_json, verify_class
 
 CORNER = SetPairSystem(
     8, [(frozenset({0, 1}), frozenset({2, 3})), (frozenset({2, 4}), frozenset({1, 5}))]
@@ -63,6 +64,16 @@ def test_builder_output_verifies(m, count):
     assert system.count() == count
     ok, problems = verify_set_pair_system(system)
     assert ok, problems
+
+
+def test_setpair_retry_factor_boundary(monkeypatch):
+    # seed 1 at m = 16 takes between 16 * 6 and 17 * 6 samples for 6 pairs
+    default = build_good_set_pair_system(16, 6, seed=1)
+    monkeypatch.setattr(reductions, "SETPAIR_RETRY_FACTOR", 17)
+    assert build_good_set_pair_system(16, 6, seed=1).pairs == default.pairs
+    monkeypatch.setattr(reductions, "SETPAIR_RETRY_FACTOR", 16)
+    with pytest.raises(ConstructionError, match=r"96 samples = 16 \* count"):
+        build_good_set_pair_system(16, 6, seed=1)
 
 
 def test_builder_rejects_bad_m():

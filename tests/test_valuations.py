@@ -11,6 +11,7 @@ from conftest import (
     brute_additive_value,
     brute_better_demand,
     brute_budget_additive_value,
+    brute_cheapest_subsets,
     brute_coverage_table,
     brute_demand,
     brute_xos_value,
@@ -40,6 +41,7 @@ from sspeq.valuations import (
     XOSExplicitValuation,
     better_demand,
     bundle_of,
+    cheapest_subsets,
     check_clause,
     mask_of,
     sum_oracle,
@@ -72,6 +74,14 @@ def test_mask_tie_rule_matches_the_frozenset_reference(data):
     profit_a, profit_b = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
     want = brute_better_demand(profit_a, bundle_of(a), profit_b, bundle_of(b))
     assert better_demand(profit_a, a, profit_b, b) == want
+
+
+@given(st.lists(st.integers(0, 3), max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_cheapest_subsets_match_the_sorted_combinations(costs):
+    # costs in 0..3 make ties common, so the index-vector tie rule is exercised
+    for k in range(len(costs) + 2):
+        assert list(cheapest_subsets(costs, k)) == brute_cheapest_subsets(costs, k)
 
 
 def test_additive_basics():
