@@ -215,7 +215,7 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
 def is_pure_nash_no_overbid(valuations, bids, alloc=None):
     """Full equilibrium check: consistent allocation, no overbidding, and no
     strictly profitable deviation for any bidder. Returns (ok, witnesses)."""
-    bids = check_bids(bids, n=len(valuations))
+    bids = check_bids(bids, n=len(valuations), m=valuations[0].m)
     res_alloc, payments = resolve(bids)
     witnesses = []
     if alloc is not None:
@@ -244,7 +244,7 @@ def is_pure_nash_no_overbid(valuations, bids, alloc=None):
 
 def is_traditional(valuations, alloc, bids, oracles=None):
     """Bids equal an XOS clause of the owned bundle and are zero elsewhere."""
-    bids = check_bids(bids, n=len(valuations))
+    bids = check_bids(bids, n=len(valuations), m=valuations[0].m)
     alloc = check_allocation(alloc, len(valuations), valuations[0].m)
     if oracles is None:
         oracles = valuations

@@ -48,6 +48,8 @@ from .xos_dynamics import (
     run_best_reply_dynamic,
 )
 from .hardness import (
+    LITERAL_G,
+    LITERAL_H,
     SEARCHERS,
     OddGraphAdversary,
     SensitiveValuation,
@@ -97,19 +99,19 @@ def _jsonable(x):
     return x
 
 
-def _alloc_json(alloc):
-    return [sorted(S) for S in alloc]
-
-def _bids_json(bids):
-    return [[format_money(b) for b in row] for row in bids]
-
-
 def _parse_bids(rows):
     return tuple(tuple(parse_money(b) for b in row) for row in rows)
 
 
 def _ledgers(valuations):
     return [v.ledger.snapshot() for v in valuations]
+
+
+def _timed(fn, *args, **kwargs):
+    """fn's result and its wall time in ms."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, round(1000 * (time.perf_counter() - t0), 3)
 
 
 def _emit(report, args, trace_rows=None):
@@ -192,8 +194,8 @@ def _finish_run(args, report, vals, alloc, bids, violated, trace_rows=None, opt=
     opt and ratio, certification, witness kinds, ledgers), emit the report
     and return the exit code. The ledgers are read after the last counted
     query, so every query the report makes is in them."""
-    report["allocation"] = _alloc_json(alloc)
-    report["bids"] = _bids_json(bids)
+    report["allocation"] = _jsonable(alloc)
+    report["bids"] = _jsonable(bids)
     report["welfare"] = format_money(welfare(vals, alloc))
     if opt:
         report["opt"], report["ratio"] = _maybe_opt(vals, alloc)
@@ -209,10 +211,10 @@ def _finish_run(args, report, vals, alloc, bids, violated, trace_rows=None, opt=
 # -- generators ------------------------------------------------------------------
 
 
-def _gen_table_submodular(rng, m, universe=None):
-    """Weighted coverage plus a capped linear cardinality term; both parts
-    are monotone submodular, so the table is."""
-    u = universe or 2 * m
+def _gen_table_submodular(rng, m):
+    """Weighted coverage of a 2m-element universe plus a capped linear
+    cardinality term; both parts are monotone submodular, so the table is."""
+    u = 2 * m
     weights = [Fraction(rng.randint(1, 8), rng.choice((1, 2))) for _ in range(u)]
     umask = [
         sum(1 << e for e in rng.sample(range(u), rng.randint(1, max(2, u // 3))))
@@ -303,7 +305,7 @@ def cmd_gen(args):
             raise DomainError("the exponential instance has two bidders")
         v0, v1, _, init_alloc = build_exponential_instance(m)
         vals = [v0, v1]
-        instance["allocation"] = _alloc_json(init_alloc)
+        instance["allocation"] = _jsonable(init_alloc)
     else:
         raise DomainError(f"unknown family '{family}'")
     instance["valuations"] = [v.to_json() for v in vals]
@@ -317,19 +319,20 @@ def cmd_gen(args):
 def cmd_steal(args):
     _, vals, inst_alloc, _ = _load_instance(args.instance)
     init = _initial_alloc(args.init, inst_alloc, vals)
-    t0 = time.perf_counter()
     budget_additive = all(isinstance(v, BudgetAdditiveValuation) for v in vals)
     ba_run = budget_additive and args.policy == "stolen-last"
-    try:
-        if ba_run:
-            run = run_budget_additive_stealing(vals, init, step_cap=args.step_cap)
-        else:
-            run = run_iterative_stealing(vals, init, policy=args.policy, step_cap=args.step_cap)
-    except StealCapExceeded as exc:
-        run, log = None, exc.log
-    else:
-        log = run.log
-    wall_ms = round(1000 * (time.perf_counter() - t0), 3)
+
+    def steal():
+        try:
+            if ba_run:
+                run = run_budget_additive_stealing(vals, init, step_cap=args.step_cap)
+            else:
+                run = run_iterative_stealing(vals, init, policy=args.policy, step_cap=args.step_cap)
+        except StealCapExceeded as exc:
+            return None, exc.log
+        return run, run.log
+
+    (run, log), wall_ms = _timed(steal)
     truncated = run is None
     steals = len(log.events)
     report = {
@@ -366,13 +369,11 @@ def cmd_topsteal(args):
     _, vals, inst_alloc, _ = _load_instance(args.instance)
     init = _initial_alloc(args.init, inst_alloc, vals)
     greedy_w = welfare(vals, greedy_allocation(vals)) if args.init == "greedy" else None
-    t0 = time.perf_counter()
     try:
-        run = top_steal(vals, init, t=args.t)
+        run, wall_ms = _timed(top_steal, vals, init, t=args.t)
     except TopStealDiagnostic as exc:
         _emit({"algorithm": "topsteal", "diagnostic": str(exc)}, args)
         return EXIT_VIOLATION
-    wall_ms = round(1000 * (time.perf_counter() - t0), 3)
     n, m = len(vals), vals[0].m
     t = args.t if args.t is not None else n
     steals = len(run.steals)
@@ -403,9 +404,7 @@ def cmd_dynamic(args):
     oracles = None
     if all(isinstance(v, GrayValuation) for v in vals):
         oracles = tuple(AdaptiveGrayOracle(v) for v in vals)
-    t0 = time.perf_counter()
-    run = run_best_reply_dynamic(vals[0], vals[1], oracles=oracles, init_alloc=init, step_cap=args.step_cap)
-    wall_ms = round(1000 * (time.perf_counter() - t0), 3)
+    run, wall_ms = _timed(run_best_reply_dynamic, *vals, init, oracles=oracles, step_cap=args.step_cap)
     increasing, _ = dynamic_trace_audit(run.trace)
     report = {
         "algorithm": "dynamic",
@@ -418,7 +417,7 @@ def cmd_dynamic(args):
     trace_rows = [
         {
             "responder": row.responder,
-            "allocation": _alloc_json(row.alloc),
+            "allocation": _jsonable(row.alloc),
             "winning_sum": format_money(row.winning_sum),
         }
         for row in run.trace.rows
@@ -434,10 +433,7 @@ def cmd_dynamic(args):
 
 def cmd_adversary(args):
     adv = OddGraphAdversary(args.m, g=args.g, h=args.h, seed=args.seed)
-    searcher = SEARCHERS[args.algorithm]
-    t0 = time.perf_counter()
-    result = searcher(adv, args.budget)
-    wall_ms = round(1000 * (time.perf_counter() - t0), 3)
+    result, wall_ms = _timed(SEARCHERS[args.algorithm], adv, args.budget)
     ok, problems = adversary_audit(adv)
     report = {
         "algorithm": f"adversary-{args.algorithm}",
@@ -480,11 +476,10 @@ def cmd_verify(args):
     report = {
         "equilibrium": ok,
         "witnesses": _jsonable(witnesses[:8]),
-        "allocation": _alloc_json(res_alloc),
+        "allocation": _jsonable(res_alloc),
         "welfare": format_money(welfare(vals, res_alloc)),
     }
-    opt, ratio = _maybe_opt(vals, res_alloc)
-    report["opt"], report["ratio"] = opt, ratio
+    report["opt"], report["ratio"] = _maybe_opt(vals, res_alloc)
     _emit(report, args)
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -517,7 +512,7 @@ def cmd_maxcut_reduce(args):
     if args.side is not None:
         side = frozenset(int(x) for x in args.side.split(",") if x != "")
         alloc = (side, frozenset(range(graph.vertices)) - side)
-        instance["allocation"] = _alloc_json(alloc)
+        instance["allocation"] = _jsonable(alloc)
         is_lm, move = local_max_check(vals, alloc)
         instance["local_max"] = is_lm
         instance["improving_move"] = list(move) if move else None
@@ -535,29 +530,20 @@ def cmd_isoperimetric(args):
 
 def cmd_bench(args):
     rng = random.Random(args.seed)
-    rows = []
-
-    def timed(name, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        rows.append({"name": name, "wall_ms": round(1000 * (time.perf_counter() - t0), 3), **out})
-
-    def pool(n, m):
-        return tuple([frozenset(range(m))] + [frozenset()] * (n - 1))
 
     def bench_steal():
         vals = [_gen_table_submodular(random.Random(rng.randint(0, 10 ** 6)), 6) for _ in range(3)]
-        run = run_iterative_stealing(vals, pool(3, 6))
+        run = run_iterative_stealing(vals, _initial_alloc("pool", None, vals))
         return {"steals": len(run.log.events), "welfare": format_money(welfare(vals, run.alloc))}
 
     def bench_budget():
         vals = [_gen_budget_additive(random.Random(rng.randint(0, 10 ** 6)), 8) for _ in range(3)]
-        run = run_budget_additive_stealing(vals, pool(3, 8))
+        run = run_budget_additive_stealing(vals, _initial_alloc("pool", None, vals))
         return {"steals": len(run.log.events)}
 
     def bench_topsteal():
         vals = [_gen_table_submodular(random.Random(rng.randint(0, 10 ** 6)), 6) for _ in range(2)]
-        run = top_steal(vals, pool(2, 6))
+        run = top_steal(vals, _initial_alloc("pool", None, vals))
         return {"steals": len(run.steals)}
 
     def bench_dynamic():
@@ -570,11 +556,12 @@ def cmd_bench(args):
         res = SEARCHERS["hill"](adv, 40)
         return {"queries": res.queries, "conceded": res.conceded}
 
-    timed("steal-submodular", bench_steal)
-    timed("steal-budget-additive", bench_budget)
-    timed("topsteal", bench_topsteal)
-    timed("dynamic-gray-m5", bench_dynamic)
-    timed("adversary-small", bench_adversary)
+    rows = []
+    for name, fn in (("steal-submodular", bench_steal), ("steal-budget-additive", bench_budget),
+                     ("topsteal", bench_topsteal), ("dynamic-gray-m5", bench_dynamic),
+                     ("adversary-small", bench_adversary)):
+        out, wall_ms = _timed(fn)
+        rows.append({"name": name, "wall_ms": wall_ms, **out})
     _emit({"bench": rows}, args)
     return EXIT_OK
 
@@ -588,6 +575,10 @@ def _build_parser():
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--instance", required=True)
+    run.add_argument("--init", choices=("auto", "instance", "greedy", "pool"), default="auto")
+
     p = argparse.ArgumentParser(prog="sspeq")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -597,27 +588,21 @@ def _build_parser():
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--count", type=int, default=3)
     g.add_argument("--support", type=int, default=5)
-    g.add_argument("--g", type=int, default=20)
-    g.add_argument("--h", type=int, default=10)
+    g.add_argument("--g", type=int, default=LITERAL_G)
+    g.add_argument("--h", type=int, default=LITERAL_H)
     g.set_defaults(fn=cmd_gen)
 
-    s = sub.add_parser("steal", parents=[common])
-    s.add_argument("--instance", required=True)
-    s.add_argument("--init", choices=("auto", "instance", "greedy", "pool"), default="auto")
+    s = sub.add_parser("steal", parents=[common, run])
     s.add_argument("--policy", choices=("stolen-last", "static"), default="stolen-last")
     s.add_argument("--step-cap", type=int, default=100_000)
     s.add_argument("--trace-out", default=None)
     s.set_defaults(fn=cmd_steal)
 
-    ts = sub.add_parser("topsteal", parents=[common])
-    ts.add_argument("--instance", required=True)
-    ts.add_argument("--init", choices=("auto", "instance", "greedy", "pool"), default="auto")
+    ts = sub.add_parser("topsteal", parents=[common, run])
     ts.add_argument("--t", type=int, default=None)
     ts.set_defaults(fn=cmd_topsteal)
 
-    d = sub.add_parser("dynamic", parents=[common])
-    d.add_argument("--instance", required=True)
-    d.add_argument("--init", choices=("auto", "instance", "greedy", "pool"), default="auto")
+    d = sub.add_parser("dynamic", parents=[common, run])
     d.add_argument("--step-cap", type=int, default=10_000)
     d.add_argument("--trace-out", default=None)
     d.set_defaults(fn=cmd_dynamic)
@@ -626,8 +611,8 @@ def _build_parser():
     a.add_argument("--m", type=int, required=True)
     a.add_argument("--algorithm", choices=sorted(SEARCHERS), required=True)
     a.add_argument("--budget", type=int, default=2000)
-    a.add_argument("--g", type=int, default=20)
-    a.add_argument("--h", type=int, default=10)
+    a.add_argument("--g", type=int, default=LITERAL_G)
+    a.add_argument("--h", type=int, default=LITERAL_H)
     a.add_argument("--report", dest="out")
     a.add_argument("--trace-out", default=None)
     a.set_defaults(fn=cmd_adversary)

@@ -89,21 +89,16 @@ def _fourth_root_floor(x: int) -> int:
 
 
 def query_lower_bound(m: int) -> int:
-    """Smallest q with (m' q)^4 >= 2^(3m'-4), the concede query floor."""
+    """Smallest q with (m' q)^4 >= 2^(3m'-4), the concede query floor:
+    ceil(r / m') for r the least integer with r^4 >= 2^(3m'-4)."""
     if m % 2 == 0 or m < 5:
         raise DomainError("need odd m >= 5")
     mp = m // 2
     target = 1 << (3 * mp - 4)
-    lo, hi = 1, 2
-    while (mp * hi) ** 4 < target:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (mp * mid) ** 4 >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    r = _fourth_root_floor(target)
+    if r ** 4 < target:
+        r += 1
+    return -(-r // mp)
 
 
 # -- sensitive valuations ---------------------------------------------------------
@@ -584,43 +579,34 @@ class OddGraphAdversary:
     def answer(self, S) -> AdversaryAnswer:
         S = self._check_vertex(S)
         mask = mask_of(S)
-        if mask in self.colored:
-            rec = self.colored[mask]
-            self.q_set.add(mask)
-            ans = AdversaryAnswer(
-                S, rec.value, rec.k, self._clause_of(mask, rec), rec.clause_item,
-                True, rec.clause_item is None,
-            )
-            self.transcript.append(ans)
-            self.stats.append({"materialized": 0, "replay": True})
-            return ans
+        rec = self.colored.get(mask)
+        replay = rec is not None
         self.q_set.add(mask)
-        self._index(mask)
         materialized = 0
-        known_big = set()
-        for nb in odd_graph_neighbors(self.mp, mask):
-            if self._blocked(nb) or nb in known_big:
-                continue
-            reached, used, small = self._component(nb)
-            materialized += used
-            if small:
-                self._color_component(mask, reached)
-            else:
-                known_big |= reached
-        k = self._bump()
-        value = self.mp + Fraction(1, 4) + k
-        target = next((nb for nb in odd_graph_neighbors(self.mp, mask) if nb not in self.colored), None)
-        if target is not None:
-            j = (mask & target).bit_length() - 1
-        else:
-            self.conceded = True
-            j = None
-        rec = _ColoredVertex(value, k, j, len(self.order))
-        self.colored[mask] = rec
-        self.order.append(mask)
-        ans = AdversaryAnswer(S, value, k, self._clause_of(mask, rec), j, False, j is None)
+        if not replay:
+            self._index(mask)
+            known_big = set()
+            for nb in odd_graph_neighbors(self.mp, mask):
+                if self._blocked(nb) or nb in known_big:
+                    continue
+                reached, used, small = self._component(nb)
+                materialized += used
+                if small:
+                    self._color_component(mask, reached)
+                else:
+                    known_big |= reached
+            k = self._bump()
+            target = next((nb for nb in odd_graph_neighbors(self.mp, mask) if nb not in self.colored), None)
+            j = None if target is None else (mask & target).bit_length() - 1
+            self.conceded |= j is None
+            rec = _ColoredVertex(self.mp + Fraction(1, 4) + k, k, j, len(self.order))
+            self.colored[mask] = rec
+            self.order.append(mask)
+        ans = AdversaryAnswer(
+            S, rec.value, rec.k, self._clause_of(mask, rec), rec.clause_item, replay, rec.clause_item is None
+        )
         self.transcript.append(ans)
-        self.stats.append({"materialized": materialized, "replay": False})
+        self.stats.append({"materialized": materialized, "replay": replay})
         return ans
 
     def _clause_of(self, mask: int, rec: _ColoredVertex):
@@ -764,6 +750,14 @@ class _CertTracker:
         self.known = {}
         self.by_partner = {}
         self.hit = None
+        self.seen = 0
+
+    def sync(self, transcript):
+        """Add the rows past the last sync; the certificate, if any."""
+        for ans in transcript[self.seen:]:
+            self.add(ans)
+        self.seen = len(transcript)
+        return self.hit
 
     def add(self, ans: AdversaryAnswer):
         mask = mask_of(ans.vertex)
@@ -786,91 +780,70 @@ class _CertTracker:
                 )
 
 
-def _sync(tracker: _CertTracker, adv: OddGraphAdversary, upto: int) -> int:
-    for ans in adv.transcript[upto:]:
-        tracker.add(ans)
-    return len(adv.transcript)
+def _search(adv: OddGraphAdversary, budget: int, first, step) -> SearchResult:
+    """Answer `first`, then each vertex `step(S, ans)` names, until the budget
+    is spent, the adversary concedes, the revealed rows certify a local
+    maximum or `step` returns None. Rows answered inside `step` (demand
+    pivots) count toward the certificate."""
+    tracker = _CertTracker(adv.mp)
+    steps = 0
+    S = first
+    while S is not None and adv.num_queries() < budget:
+        ans = adv.answer(S)
+        steps += 1
+        if tracker.sync(adv.transcript) or ans.conceded:
+            break
+        S = step(S, ans)
+        if tracker.sync(adv.transcript):
+            break
+    return SearchResult(adv.num_queries(), adv.conceded, tracker.hit is not None, tracker.hit, steps)
 
 
 def hill_climb_search(adv: OddGraphAdversary, budget: int, start=None) -> SearchResult:
     """Follow each answer's designated item to its partner vertex."""
-    S = as_bundle(start) if start is not None else frozenset(range(adv.mp + 1))
-    tracker = _CertTracker(adv.mp)
-    seen = 0
-    steps = 0
-    while adv.num_queries() < budget:
-        ans = adv.answer(S)
-        steps += 1
-        seen = _sync(tracker, adv, seen)
-        if ans.conceded or tracker.hit is not None:
-            break
-        S = bundle_of(odd_graph_partner(adv.mp, mask_of(S), ans.clause_item))
-    return SearchResult(adv.num_queries(), adv.conceded, tracker.hit is not None, tracker.hit, steps)
+
+    def step(S, ans):
+        return bundle_of(odd_graph_partner(adv.mp, mask_of(S), ans.clause_item))
+
+    first = as_bundle(start) if start is not None else frozenset(range(adv.mp + 1))
+    return _search(adv, budget, first, step)
 
 
 def random_probe_search(adv: OddGraphAdversary, budget: int, seed: int = 0) -> SearchResult:
     """Query uniformly random fresh vertices."""
     rng = random.Random(seed)
-    tracker = _CertTracker(adv.mp)
     asked = set()
-    seen = 0
-    steps = 0
-    while adv.num_queries() < budget:
-        S = None
-        for _ in range(64):
-            cand = frozenset(rng.sample(range(adv.m), adv.mp + 1))
-            if mask_of(cand) not in asked:
-                S = cand
-                break
-        if S is None:
-            for combo in itertools.combinations(range(adv.m), adv.mp + 1):
-                if mask_of(combo) not in asked:
-                    S = frozenset(combo)
-                    break
-        if S is None:
-            break
-        asked.add(mask_of(S))
-        ans = adv.answer(S)
-        steps += 1
-        seen = _sync(tracker, adv, seen)
-        if ans.conceded or tracker.hit is not None:
-            break
-    return SearchResult(adv.num_queries(), adv.conceded, tracker.hit is not None, tracker.hit, steps)
+
+    def fresh(*_):
+        draws = (frozenset(rng.sample(range(adv.m), adv.mp + 1)) for _ in range(64))
+        combos = map(frozenset, itertools.combinations(range(adv.m), adv.mp + 1))
+        S = next((c for c in itertools.chain(draws, combos) if c not in asked), None)
+        if S is not None:
+            asked.add(S)
+        return S
+
+    return _search(adv, budget, fresh(), fresh)
 
 
 def best_reply_search(adv: OddGraphAdversary, budget: int) -> SearchResult:
     """Two simulated bidders: the large side bids its answered clause, the
     small side responds with an exact demand (pivots count as queries)."""
-    big = frozenset(range(adv.mp + 1))
-    tracker = _CertTracker(adv.mp)
-    seen = 0
-    steps = 0
-    while adv.num_queries() < budget:
-        ans = adv.answer(big)
-        steps += 1
-        seen = _sync(tracker, adv, seen)
-        if ans.conceded or tracker.hit is not None:
-            break
-        prices = [Fraction(0)] * adv.m
-        for j, w in ans.clause.items():
-            prices[j] = w
+
+    def step(big, ans):
         try:
-            D = adv.demand_query(prices)
+            D = adv.demand_query([ans.clause.get(j, Fraction(0)) for j in range(adv.m)])
         except CapabilityError:
-            D = None
-        seen = _sync(tracker, adv, seen)
-        if tracker.hit is not None:
-            break
-        if D is not None and len(D) == adv.mp + 1 and D != big:
-            big = D
-        else:
-            big = bundle_of(odd_graph_partner(adv.mp, mask_of(big), ans.clause_item))
-    return SearchResult(adv.num_queries(), adv.conceded, tracker.hit is not None, tracker.hit, steps)
+            D = big
+        if len(D) == adv.mp + 1 and D != big:
+            return D
+        return bundle_of(odd_graph_partner(adv.mp, mask_of(big), ans.clause_item))
+
+    return _search(adv, budget, frozenset(range(adv.mp + 1)), step)
 
 
 SEARCHERS = {
     "hill": hill_climb_search,
-    "random": lambda adv, budget: random_probe_search(adv, budget, seed=0),
+    "random": random_probe_search,
     "bestreply": best_reply_search,
 }
 

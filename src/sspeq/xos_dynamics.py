@@ -278,13 +278,12 @@ class AdaptiveGrayOracle:
         return out
 
 
-def build_exponential_instance(m: int, eps=None):
-    """Two mirrored gray valuations, adaptive oracles, and the path's first
-    allocation (player 0 takes the zeros side, which has size m'+1)."""
+def build_exponential_instance(m: int):
+    """Two mirrored gray valuations at eps = 1/(2L) for path length L,
+    adaptive oracles, and the path's first allocation (player 0 takes the
+    zeros side, which has size m'+1)."""
     path_masks = _gray_path_masks(m)
-    L = len(path_masks)
-    if eps is None:
-        eps = Fraction(1, 2 * L)
+    eps = Fraction(1, 2 * len(path_masks))
     v0 = GrayValuation(m, 0, path_masks, eps)
     v1 = GrayValuation(m, 1, path_masks, eps)
     oracles = (AdaptiveGrayOracle(v0), AdaptiveGrayOracle(v1))
@@ -357,7 +356,7 @@ def _won_by_1(rows) -> int:
     return sum(1 << j for j in range(len(r0)) if r1[j] > r0[j])
 
 
-def run_best_reply_dynamic(v0, v1, oracles=None, init_alloc=None, step_cap: int = 10_000):
+def run_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap: int = 10_000):
     """Alternating exact-demand responses with strict-improvement gating.
 
     The allocation is always resolve(bids). A terminated (non-truncated) run
@@ -371,8 +370,6 @@ def run_best_reply_dynamic(v0, v1, oracles=None, init_alloc=None, step_cap: int 
         raise DomainError("valuations disagree on m")
     if oracles is None:
         oracles = valuations
-    if init_alloc is None:
-        raise DomainError("need an initial allocation")
     init_alloc = check_allocation(init_alloc, 2, m)
     full = v0.full_mask
     bids = [

@@ -61,6 +61,16 @@ def test_welfare_rejects_overlap():
         welfare(vs, [{0}, {0}])
 
 
+@pytest.mark.parametrize("width", [2, 4])
+def test_equilibrium_checks_reject_bids_of_the_wrong_width(width):
+    vs = [AdditiveValuation(3, (1, 1, 1)), AdditiveValuation(3, (2, 1, 1))]
+    bids = [[1] * width, [0] * width]
+    with pytest.raises(DomainError, match=f"expected 3 items, got {width}"):
+        is_pure_nash_no_overbid(vs, bids)
+    with pytest.raises(DomainError, match=f"expected 3 items, got {width}"):
+        is_traditional(vs, [{0, 1, 2}, set()], bids)
+
+
 def test_no_overbidding_checker():
     v = AdditiveValuation(2, (1, 1))
     assert check_no_overbidding(v, (1, 1))[0]

@@ -254,6 +254,15 @@ def test_verify_equilibrium_and_violation(tmp_path, capsys):
     assert "allocation-mismatch" in kinds or "deviation" in kinds
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_verify_rejects_bids_of_the_wrong_width(width, tmp_path, capsys):
+    inst = write_additive_instance(tmp_path / "inst.json")
+    bids = tmp_path / "bids.json"
+    bids.write_text(json.dumps({"bids": [["1/1"] * width, ["0/1"] * width]}))
+    code, _ = run_cli(capsys, ["verify", "--instance", str(inst), "--bids", str(bids)])
+    assert code == 2
+
+
 def test_verify_needs_bids(tmp_path, capsys):
     inst = write_additive_instance(tmp_path / "inst.json")
     code, _ = run_cli(capsys, ["verify", "--instance", str(inst)])

@@ -14,7 +14,10 @@ from sspeq.hardness import (
     ISO_EXHAUSTIVE_CAP,
     KMAP_CAP,
     SEARCHERS,
+    AdversaryAnswer,
+    LocalMaxCertificate,
     OddGraphAdversary,
+    SearchResult,
     SensitiveValuation,
     adversary_audit,
     eq_char_check,
@@ -154,6 +157,9 @@ def test_query_lower_bound_values():
     q = query_lower_bound(43)
     assert q == 1313
     assert (21 * (q - 1)) ** 4 < 2 ** 59 <= (21 * q) ** 4
+    for m in range(5, 402, 2):
+        mp, q = m // 2, query_lower_bound(m)
+        assert (mp * (q - 1)) ** 4 < 2 ** (3 * mp - 4) <= (mp * q) ** 4, m
     with pytest.raises(DomainError):
         query_lower_bound(6)
 
@@ -461,17 +467,19 @@ def test_block_index_clear_matches_the_loop(m, seed, sizes):
 
 # Small-family runs (g = 1, h = 2, adversary seed m) that color cut-off
 # components: (answers, colored, sha256 over the transcript lines, adv.order
-# and the per-answer materialized counts), recorded from the linear-scan _clear.
+# and the per-answer materialized counts), recorded from the linear-scan _clear,
+# and the run's (queries, steps, conceded, certified), recorded from the
+# searchers' own loops.
 COLORING_RUNS = {
-    ("bestreply", 5, 10): (15, 10, "7d321ddf36fa8570400be74fafe06b92a3b4f74b27d12140e03401cb755d03da"),
-    ("hill", 5, 10): (8, 10, "9ff6607b3fb5afe0e797bcf182f1da9aaf4f59e32aae358d8346c065d9aae66e"),
-    ("random", 5, 10): (8, 10, "7577b510b8dec6fc89a30e06e6972e5fad729abc9900fc113f0df69a6ce9ec7e"),
-    ("bestreply", 7, 35): (55, 35, "14578c33727c535e1304037e7481431346306a557a81d20139ba4a4b279f736e"),
-    ("hill", 7, 35): (28, 35, "6aca05dbacd9ac32856568e62145ebd31f49d1080120c55007c2da9b295fe74b"),
-    ("random", 7, 35): (30, 35, "aa681346c7dbd68f41671e58b3cbc331a59344390e6255ea4579363fd9f6a374"),
-    ("bestreply", 9, 60): (118, 62, "19921ae182bde9e4f5e9f7c028752911222268d612b3f55ce8b28470bc8470d2"),
-    ("hill", 9, 60): (60, 62, "723bf488d2379419c934ea1bf87ffb50866107091fd0adb0071185e7cfc04c31"),
-    ("random", 9, 60): (60, 61, "d549cebdf4183c3da0e12af7de0bcd6109b102767091cadc144499c382572eac"),
+    ("bestreply", 5, 10): (15, 10, "7d321ddf36fa8570400be74fafe06b92a3b4f74b27d12140e03401cb755d03da", (8, 8, True, False)),
+    ("hill", 5, 10): (8, 10, "9ff6607b3fb5afe0e797bcf182f1da9aaf4f59e32aae358d8346c065d9aae66e", (8, 8, True, False)),
+    ("random", 5, 10): (8, 10, "7577b510b8dec6fc89a30e06e6972e5fad729abc9900fc113f0df69a6ce9ec7e", (8, 8, True, False)),
+    ("bestreply", 7, 35): (55, 35, "14578c33727c535e1304037e7481431346306a557a81d20139ba4a4b279f736e", (28, 28, True, False)),
+    ("hill", 7, 35): (28, 35, "6aca05dbacd9ac32856568e62145ebd31f49d1080120c55007c2da9b295fe74b", (28, 28, True, False)),
+    ("random", 7, 35): (30, 35, "aa681346c7dbd68f41671e58b3cbc331a59344390e6255ea4579363fd9f6a374", (30, 30, True, False)),
+    ("bestreply", 9, 60): (118, 62, "19921ae182bde9e4f5e9f7c028752911222268d612b3f55ce8b28470bc8470d2", (60, 59, False, False)),
+    ("hill", 9, 60): (60, 62, "723bf488d2379419c934ea1bf87ffb50866107091fd0adb0071185e7cfc04c31", (60, 60, False, False)),
+    ("random", 9, 60): (60, 61, "d549cebdf4183c3da0e12af7de0bcd6109b102767091cadc144499c382572eac", (60, 60, False, False)),
 }
 
 
@@ -488,8 +496,10 @@ def test_coloring_path_is_pinned():
     colored_small = False
     for (name, m, budget), want in COLORING_RUNS.items():
         adv = OddGraphAdversary(m, g=1, h=2, seed=m)
-        SEARCHERS[name](adv, budget)
-        assert (len(adv.transcript), len(adv.colored), coloring_digest(adv)) == want, (name, m)
+        res = SEARCHERS[name](adv, budget)
+        got = (res.queries, res.steps, res.conceded, res.certified)
+        assert (len(adv.transcript), len(adv.colored), coloring_digest(adv), got) == want, (name, m)
+        assert res.certificate is None
         assert adversary_audit(adv)[0]
         assert_index_lists_blocked_once(adv)
         colored_small |= len(adv.colored) > adv.num_queries()
@@ -787,6 +797,59 @@ def test_searchers_run_to_budget_on_small_family(name):
     assert result.queries == adv.num_queries()
     ok, problems = adversary_audit(adv)
     assert ok, problems
+
+
+class ScriptedAdversary:
+    """Answers vertices from a script of mask -> (value, clause item); a
+    missing clause item concedes."""
+
+    def __init__(self, mp, script):
+        self.mp = mp
+        self.script = script
+        self.transcript = []
+        self.conceded = False
+
+    def num_queries(self):
+        return len({mask_of(a.vertex) for a in self.transcript})
+
+    def answer(self, S):
+        value, j = self.script[mask_of(S)]
+        ans = AdversaryAnswer(frozenset(S), value, Fraction(0), None, j, False, j is None)
+        self.conceded |= j is None
+        self.transcript.append(ans)
+        return ans
+
+
+@pytest.mark.parametrize("partner_item", [3, None])
+def test_search_stops_on_a_certified_local_max(partner_item):
+    # the real adversary never lets two answers certify; a scripted one does,
+    # also with the answer that concedes
+    mp = 2
+    a = mask_of([0, 1, 2])
+    p = odd_graph_partner(mp, a, 2)
+    script = {a: (Fraction(3), 2), p: (Fraction(2), partner_item)}
+    cert = LocalMaxCertificate(bundle_of(a), 2, Fraction(3), Fraction(2))
+    want = SearchResult(2, partner_item is None, True, cert, 2)
+    adv = ScriptedAdversary(mp, script)
+    asked = []
+
+    def to_partner(S, ans):
+        asked.append(S)
+        return bundle_of(odd_graph_partner(mp, mask_of(S), ans.clause_item))
+
+    assert hardness._search(adv, 10, bundle_of(a), to_partner) == want
+    assert asked == [bundle_of(a)]
+    # the partner answered inside the step, as a demand pivot is: the search
+    # stops before it asks the step's vertex
+    adv = ScriptedAdversary(mp, script)
+
+    def pivot(S, ans):
+        adv.answer(bundle_of(p))
+        return S
+
+    want.steps = 1
+    assert hardness._search(adv, 10, bundle_of(a), pivot) == want
+    assert len(adv.transcript) == 2
 
 
 def test_hill_climb_on_tiny_graph_ends_without_certificate():

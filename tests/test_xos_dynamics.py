@@ -292,7 +292,7 @@ def test_exponential_dynamic_walks_the_whole_path(m, count):
 
 def test_dynamic_requires_init():
     v0, v1, _, _ = build_exponential_instance(5)
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):
         run_best_reply_dynamic(v0, v1)
 
 
