@@ -19,7 +19,6 @@ from .valuations import (
     better_demand,
     bundle_of,
     mask_of,
-    priced_table,
     subset_sums,
 )
 
@@ -99,7 +98,10 @@ def optimal_welfare(valuations):
     """Exact optimum over partitions by bidder DP; returns (value, allocation).
 
     Runs on value tables scaled to one common denominator, which keeps every
-    comparison and so the chosen allocation."""
+    comparison and so the chosen allocation. Bidder i takes, from the items
+    left to bidders 0..i, the submask t with the largest (welfare, t) pair:
+    the highest welfare, ties to the largest t. Bidder 0's welfare is its
+    value alone, so its max runs bit by bit over its 2^m table, not 3^m."""
     n = len(valuations)
     m = valuations[0].m
     if any(v.m != m for v in valuations):
@@ -110,12 +112,23 @@ def optimal_welfare(valuations):
         )
     tables = [v.value_table() for v in valuations]
     D = math.lcm(*(d for _, d in tables))
+    tables = [rescale(vals, d, D) for vals, d in tables]
     size = 1 << m
     full = size - 1
-    prev = [0] * size
-    choices = []
-    for i, (vals, d) in enumerate(tables):
-        vals = rescale(vals, d, D)
+    # bidder 0: pairs[mask] becomes the largest (value, t) over submasks t of
+    # mask; after the pass on `bit`, over the t that drop only bits up to it
+    pairs = list(zip(tables[0], range(size)))
+    bit = 1
+    while bit < size:
+        for lo in range(bit, size, 2 * bit):
+            for mask in range(lo, lo + bit):
+                if pairs[mask ^ bit] > pairs[mask]:
+                    pairs[mask] = pairs[mask ^ bit]
+        bit *= 2
+    prev, take = zip(*pairs)
+    choices = [take]
+    for i in range(1, n):
+        vals = tables[i]
         cur = [0] * size
         take = [0] * size
         # the last bidder only has to complete the full item set
@@ -145,7 +158,12 @@ def check_no_overbidding(v: Valuation, bid_row):
     For monotone valuations it is enough to check subsets of the support,
     so only the support's submasks are ever evaluated, in descending order.
     """
-    bid_row = tuple(parse_money(x) for x in bid_row)
+    return _no_overbidding((v._value_mask, 1), tuple(parse_money(x) for x in bid_row))
+
+
+def _no_overbidding(oracle, bid_row):
+    """check_no_overbidding on an oracle (f, Dv) with f(mask) == Dv * v(mask)."""
+    f, Dv = oracle
     support = [j for j, x in enumerate(bid_row) if x > 0]
     if len(support) > SUBSET_CAP:
         raise CapabilityError(f"no-overbidding check capped at support size {SUBSET_CAP}")
@@ -154,10 +172,10 @@ def check_no_overbidding(v: Valuation, bid_row):
     sub = subset_sums([1 << j for j in support])
     total = subset_sums(bids)
     for c in range(len(sub) - 1, 0, -1):
-        val = v._value_mask(sub[c])
-        if total[c] * val.denominator > val.numerator * D:
+        val = f(sub[c])
+        if total[c] * Dv > val * D:
             S = sorted(bundle_of(sub[c]))
-            return False, {"S": S, "bids": Fraction(total[c], D), "value": val}
+            return False, {"S": S, "bids": Fraction(total[c], D), "value": Fraction(val, Dv)}
     return True, None
 
 
@@ -168,6 +186,12 @@ class Deviation:
     payment: Money
 
 
+def _rival_prices(bids, i):
+    """Per item, the highest bid of the bidders other than i."""
+    return [max((row[j] for k, row in enumerate(bids) if k != i), default=Fraction(0))
+            for j in range(len(bids[0]))]
+
+
 def best_deviation(valuations, i: int, bids) -> Deviation:
     """Best strictly-winnable response for bidder i against the rivals' bids.
 
@@ -176,21 +200,23 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
     rival price on each item of T. Exact for subadditive valuations.
     """
     bids = check_bids(bids)
-    n, m = len(bids), len(bids[0])
+    m = len(bids[0])
     v = valuations[i]
     if v.m != m:
         raise DomainError("valuation does not match bid width")
     if m > SUBSET_CAP:
         raise CapabilityError(f"best deviation capped at m={SUBSET_CAP}")
-    prices = []
-    for j in range(m):
-        p = Fraction(0)
-        for k in range(n):
-            if k != i and bids[k][j] > p:
-                p = bids[k][j]
-        prices.append(p)
-    vals, psum, D = priced_table(v, prices)
-    size = 1 << m
+    return _best_deviation(v.value_table(), _rival_prices(bids, i))
+
+
+def _best_deviation(table, prices) -> Deviation:
+    """best_deviation on the deviator's value table (ints, Dv) and the
+    rival prices, all at one common denominator."""
+    vals, Dv = table
+    p, Dp = scale_to_ints(prices)
+    D = math.lcm(Dv, Dp)
+    vals, psum = rescale(vals, Dv, D), subset_sums(rescale(p, Dp, D))
+    size = len(vals)
     blocked = bytearray(size)
     for mask in range(1, size):
         if psum[mask] >= vals[mask]:
@@ -214,31 +240,33 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
 
 def is_pure_nash_no_overbid(valuations, bids, alloc=None):
     """Full equilibrium check: consistent allocation, no overbidding, and no
-    strictly profitable deviation for any bidder. Returns (ok, witnesses)."""
-    bids = check_bids(bids, n=len(valuations), m=valuations[0].m)
+    strictly profitable deviation for any bidder. Returns (ok, witnesses):
+    a mismatch first, then overbidding and deviations, each by bidder.
+    Both checks of a bidder read one value table of it."""
+    m = valuations[0].m
+    bids = check_bids(bids, n=len(valuations), m=m)
+    if m > SUBSET_CAP:
+        raise CapabilityError(f"equilibrium check capped at m={SUBSET_CAP}")
+    if any(v.m != m for v in valuations):
+        raise DomainError("valuation does not match bid width")
     res_alloc, payments = resolve(bids)
     witnesses = []
     if alloc is not None:
-        alloc = check_allocation(alloc, len(valuations), valuations[0].m)
+        alloc = check_allocation(alloc, len(valuations), m)
         if tuple(alloc) != res_alloc:
             witnesses.append({"kind": "allocation-mismatch", "resolved": res_alloc})
+    deviations = []
     for i, v in enumerate(valuations):
-        ok, w = check_no_overbidding(v, bids[i])
+        vals, D = table = v.value_table()
+        ok, w = _no_overbidding((vals.__getitem__, D), bids[i])
         if not ok:
             witnesses.append({"kind": "overbidding", "bidder": i, **w})
-    for i, v in enumerate(valuations):
-        current = v._value_mask(mask_of(res_alloc[i])) - payments[i]
-        dev = best_deviation(valuations, i, bids)
+        current = Fraction(vals[mask_of(res_alloc[i])], D) - payments[i]
+        dev = _best_deviation(table, _rival_prices(bids, i))
         if dev.utility > current:
-            witnesses.append(
-                {
-                    "kind": "deviation",
-                    "bidder": i,
-                    "bundle": sorted(dev.bundle),
-                    "utility": dev.utility,
-                    "current": current,
-                }
-            )
+            deviations.append({"kind": "deviation", "bidder": i, "bundle": sorted(dev.bundle),
+                               "utility": dev.utility, "current": current})
+    witnesses += deviations
     return not witnesses, witnesses
 
 

@@ -100,7 +100,10 @@ def _jsonable(x):
 
 
 def _parse_bids(rows):
-    return tuple(tuple(parse_money(b) for b in row) for row in rows)
+    try:
+        return tuple(tuple(parse_money(b) for b in row) for row in rows)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"bids must be rows of rationals: {exc}") from None
 
 
 def _ledgers(valuations):
@@ -468,7 +471,10 @@ def cmd_adversary(args):
 def cmd_verify(args):
     inst, vals, alloc, bids = _load_instance(args.instance)
     if args.bids:
-        bids = _parse_bids(_load_json(args.bids)["bids"])
+        d = _load_json(args.bids)
+        if not isinstance(d, dict) or "bids" not in d:
+            raise DomainError(f"bids file {args.bids} has no 'bids' key")
+        bids = _parse_bids(d["bids"])
     if bids is None:
         raise DomainError("verification needs bids (instance field or --bids)")
     ok, witnesses = is_pure_nash_no_overbid(vals, bids, alloc)

@@ -240,6 +240,36 @@ def brute_optimal_welfare(valuations):
     return best, best_alloc
 
 
+def reference_partition_dp(valuations):
+    """The bidder-by-bidder submask DP in Fractions, every bidder walking all
+    3^m (mask, submask) pairs: bidder i takes, from the items left to
+    bidders 0..i, the first submask in descending order of the highest
+    welfare. Pins the allocation, not only OPT's value."""
+    m = valuations[0].m
+    size = 1 << m
+    prev = [Fraction(0)] * size
+    choices = []
+    for v in valuations:
+        vals = [v._value_mask(t) for t in range(size)]
+        cur, take = [None] * size, [0] * size
+        for mask in range(size):
+            t = mask
+            while True:
+                cand = prev[mask ^ t] + vals[t]
+                if cur[mask] is None or cand > cur[mask]:
+                    cur[mask], take[mask] = cand, t
+                if t == 0:
+                    break
+                t = (t - 1) & mask
+        choices.append(take)
+        prev = cur
+    mask, picks = size - 1, []
+    for take in reversed(choices):
+        picks.append(take[mask])
+        mask ^= take[mask]
+    return prev[size - 1], tuple(bundle_of(t) for t in reversed(picks))
+
+
 def brute_bids(valuations, alloc, orders):
     """Marginal bids through the query API: v(j | owned items before j in
     the bidder's order), two counted value queries each; zero off the

@@ -13,10 +13,12 @@ from conftest import (
     random_budget_additive,
     random_coverage,
     random_submodular_table,
+    reference_partition_dp,
     seeded,
 )
 from sspeq.auction import (
     OPT_WORK_CAP,
+    SUBSET_CAP,
     best_deviation,
     check_no_overbidding,
     greedy_allocation,
@@ -77,6 +79,8 @@ def test_no_overbidding_checker():
     ok, witness = check_no_overbidding(v, (2, 0))
     assert not ok
     assert witness["S"] == [0]
+    # every nonempty bundle overbids; submasks run in descending order
+    assert check_no_overbidding(v, (2, 2))[1]["S"] == [0, 1]
 
 
 def test_optimal_welfare_frozen():
@@ -149,6 +153,31 @@ def test_optimal_welfare_mixed_families_match_brute(seed):
     got, alloc = optimal_welfare(vs)
     assert got == want
     assert welfare(vs, alloc) == want
+
+
+def _tie_heavy_table(rng, m, monotone):
+    """Values in halves from 0 to 3: many allocations tie at OPT. Monotone
+    tables add a step of 0 or 1/2 to the best one-item-smaller bundle."""
+    values = [Fraction(0)] * (1 << m)
+    for mask in range(1, 1 << m):
+        if monotone:
+            low = max(values[mask ^ (1 << j)] for j in range(m) if mask >> j & 1)
+            values[mask] = low + Fraction(rng.randint(0, 1), 2)
+        else:
+            values[mask] = Fraction(rng.randint(0, 6), 2)
+    return TableValuation(m, values, validate=monotone)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_optimal_welfare_allocation_matches_reference_dp(seed):
+    # the allocation, not only the value: bidder 0's bitwise max must break
+    # ties as the 3^m walk does, on monotone and non-monotone tables alike
+    rng = seeded(seed)
+    n, m = rng.randint(1, 4), rng.randint(1, 7)
+    monotone = rng.random() < 0.5
+    vs = [_tie_heavy_table(rng, m, monotone) for _ in range(n)]
+    assert optimal_welfare(vs) == reference_partition_dp(vs)
 
 
 def test_optimal_welfare_cap_boundary():
@@ -270,6 +299,76 @@ def test_no_overbidding_evaluates_support_submasks_only():
     assert check_no_overbidding(v, row) == (True, None)
     items = [3, 17, 39]
     assert sorted(seen) == sorted(mask_of(S) for r in (1, 2, 3) for S in combinations(items, r))
+
+
+def _reference_equilibrium_check(vs, bids, alloc):
+    """is_pure_nash_no_overbid through the public faces, one bidder check at
+    a time: a mismatch, then overbidding by bidder, then deviations."""
+    res_alloc, payments = resolve(bids)
+    witnesses = []
+    if alloc is not None and tuple(frozenset(S) for S in alloc) != res_alloc:
+        witnesses.append({"kind": "allocation-mismatch", "resolved": res_alloc})
+    for i, v in enumerate(vs):
+        ok, w = check_no_overbidding(v, bids[i])
+        if not ok:
+            witnesses.append({"kind": "overbidding", "bidder": i, **w})
+    for i, v in enumerate(vs):
+        current = v.value(res_alloc[i]) - payments[i]
+        dev = best_deviation(vs, i, bids)
+        if dev.utility > current:
+            witnesses.append({"kind": "deviation", "bidder": i, "bundle": sorted(dev.bundle),
+                              "utility": dev.utility, "current": current})
+    return not witnesses, witnesses
+
+
+def _bid_profile(rng, vs, kind):
+    """One bid row per bidder: random rationals, or pool-style singleton
+    values (which overbid whenever a bundle is worth less than its items)."""
+    m = vs[0].m
+    rows = [[Fraction(0)] * m for _ in vs]
+    for i, v in enumerate(vs):
+        if kind == "pool" and i == 0:
+            rows[i] = [v.value({j}) for j in range(m)]
+        elif kind == "random" or rng.random() < 0.5:
+            rows[i] = [Fraction(rng.randint(0, 4), rng.randint(1, 5)) * (rng.random() < 0.7)
+                       for _ in range(m)]
+    return rows
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_equilibrium_check_matches_public_faces(seed):
+    rng = seeded(seed)
+    n, m = rng.randint(1, 3), rng.randint(1, 5)
+    vs = _mixed_family(rng, n, m)
+    for kind in ("pool", "random", "mixed"):
+        bids = _bid_profile(rng, vs, kind)
+        alloc = None
+        if rng.random() < 0.5:
+            alloc = resolve(bids)[0] if rng.random() < 0.5 else [set()] * (n - 1) + [set(range(m))]
+        want = _reference_equilibrium_check(vs, bids, alloc)
+        got = is_pure_nash_no_overbid(vs, bids, alloc)
+        assert got == want
+        for w in got[1]:
+            if w["kind"] == "overbidding":
+                S = frozenset(w["S"])
+                assert type(w["value"]) is Fraction and w["value"] == vs[w["bidder"]].value(S)
+                assert w["bids"] == sum((bids[w["bidder"]][j] for j in S), Fraction(0))
+
+
+def test_equilibrium_check_caps_before_building_tables(unit_demand_18, monkeypatch):
+    def no_table(self):
+        raise AssertionError("value_table built past the cap")
+
+    # at the cap: bidder 0 wins every item at zero bids; bidder 1 can take one
+    ok, witnesses = is_pure_nash_no_overbid([unit_demand_18] * 2, [[0] * 18] * 2)
+    assert not ok
+    assert witnesses == [{"kind": "deviation", "bidder": 1, "bundle": [0], "utility": 1, "current": 0}]
+    m = SUBSET_CAP + 1
+    v = CoverageValuation(m, [(0, 1, 1)])
+    monkeypatch.setattr(CoverageValuation, "value_table", no_table)
+    with pytest.raises(CapabilityError, match=f"m={SUBSET_CAP}"):
+        is_pure_nash_no_overbid([v, v], [[0] * m, [1] * m])
 
 
 def test_truthful_additive_is_equilibrium():

@@ -269,6 +269,19 @@ def test_verify_needs_bids(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "content", [{"rows": [["1/1", "0/1"], ["0/1", "1/1"]]}, {"bids": [["x", "0/1"], ["0/1", "1/1"]]}]
+)
+def test_verify_rejects_a_malformed_bids_file(content, tmp_path, capsys):
+    # a missing "bids" key or a non-rational entry is bad input, not a violation
+    inst = write_additive_instance(tmp_path / "inst.json")
+    bids = tmp_path / "bids.json"
+    bids.write_text(json.dumps(content))
+    code, out = run_cli(capsys, ["verify", "--instance", str(inst), "--bids", str(bids)])
+    assert code == 2
+    assert out == ""
+
+
 def test_setpair_gen_then_check(tmp_path, capsys):
     sysfile = tmp_path / "sys.json"
     assert main(["setpair-gen", "--m", "8", "--count", "2", "--out", str(sysfile)]) == 0
