@@ -19,6 +19,7 @@ from .valuations import (
     better_demand,
     bundle_of,
     mask_of,
+    priced_table,
     subset_sums,
 )
 
@@ -212,10 +213,7 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
 def _best_deviation(table, prices) -> Deviation:
     """best_deviation on the deviator's value table (ints, Dv) and the
     rival prices, all at one common denominator."""
-    vals, Dv = table
-    p, Dp = scale_to_ints(prices)
-    D = math.lcm(Dv, Dp)
-    vals, psum = rescale(vals, Dv, D), subset_sums(rescale(p, Dp, D))
+    vals, psum, D = priced_table(table, prices)
     size = len(vals)
     blocked = bytearray(size)
     for mask in range(1, size):

@@ -5,6 +5,7 @@ under a fixed seed (wall times excluded)."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -34,6 +35,7 @@ from .auction import (
     welfare,
 )
 from .stealing import (
+    ORDERING_POLICIES,
     StealCapExceeded,
     budget_additive_steal_bound,
     run_budget_additive_stealing,
@@ -100,10 +102,7 @@ def _jsonable(x):
 
 
 def _parse_bids(rows):
-    try:
-        return tuple(tuple(parse_money(b) for b in row) for row in rows)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"bids must be rows of rationals: {exc}") from None
+    return tuple(tuple(parse_money(b) for b in row) for row in rows)
 
 
 def _ledgers(valuations):
@@ -143,20 +142,34 @@ def _emit(report, args, trace_rows=None):
         sys.stdout.write(text)
 
 
+@contextlib.contextmanager
+def _loading(path):
+    """Raise what a missing or malformed input file throws (an unreadable
+    file, bad JSON, a missing key or entry, a value of the wrong type or a
+    zero denominator) as a DomainError naming the file."""
+    try:
+        yield
+    except DomainError:
+        raise
+    except (LookupError, TypeError, ValueError, ZeroDivisionError, OSError) as exc:
+        raise DomainError(f"cannot load {path}: {type(exc).__name__}: {exc}") from None
+
+
 def _load_json(path):
-    with open(path) as fh:
+    with _loading(path), open(path) as fh:
         return json.load(fh)
 
 
 def _load_instance(path):
     d = _load_json(path)
-    vals = tuple(valuation_from_json(v) for v in d["valuations"])
-    if len(vals) != d["n"] or any(v.m != d["m"] for v in vals):
-        raise DomainError("instance header disagrees with its valuations")
-    alloc = None
-    if d.get("allocation") is not None:
-        alloc = check_allocation([frozenset(S) for S in d["allocation"]], d["n"], d["m"])
-    bids = _parse_bids(d["bids"]) if d.get("bids") else None
+    with _loading(path):
+        vals = tuple(valuation_from_json(v) for v in d["valuations"])
+        if len(vals) != d["n"] or any(v.m != d["m"] for v in vals):
+            raise DomainError("instance header disagrees with its valuations")
+        alloc = None
+        if d.get("allocation") is not None:
+            alloc = check_allocation([frozenset(S) for S in d["allocation"]], d["n"], d["m"])
+        bids = _parse_bids(d["bids"]) if d.get("bids") else None
     return d, vals, alloc, bids
 
 
@@ -471,10 +484,8 @@ def cmd_adversary(args):
 def cmd_verify(args):
     inst, vals, alloc, bids = _load_instance(args.instance)
     if args.bids:
-        d = _load_json(args.bids)
-        if not isinstance(d, dict) or "bids" not in d:
-            raise DomainError(f"bids file {args.bids} has no 'bids' key")
-        bids = _parse_bids(d["bids"])
+        with _loading(args.bids):
+            bids = _parse_bids(_load_json(args.bids)["bids"])
     if bids is None:
         raise DomainError("verification needs bids (instance field or --bids)")
     ok, witnesses = is_pure_nash_no_overbid(vals, bids, alloc)
@@ -497,14 +508,16 @@ def cmd_setpair_gen(args):
 
 
 def cmd_setpair_check(args):
-    system = SetPairSystem.from_json(_load_json(args.system))
+    with _loading(args.system):
+        system = SetPairSystem.from_json(_load_json(args.system))
     ok, problems = verify_set_pair_system(system)
     _emit({"good": ok, "problems": [list(p) for p in problems]}, args)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def cmd_maxcut_reduce(args):
-    graph = WeightedGraph.from_json(_load_json(args.graph))
+    with _loading(args.graph):
+        graph = WeightedGraph.from_json(_load_json(args.graph))
     vals = [maxcut_valuation(graph), maxcut_valuation(graph)]
     instance = {
         "family": "maxcut",
@@ -599,7 +612,7 @@ def _build_parser():
     g.set_defaults(fn=cmd_gen)
 
     s = sub.add_parser("steal", parents=[common, run])
-    s.add_argument("--policy", choices=("stolen-last", "static"), default="stolen-last")
+    s.add_argument("--policy", choices=ORDERING_POLICIES, default="stolen-last")
     s.add_argument("--step-cap", type=int, default=100_000)
     s.add_argument("--trace-out", default=None)
     s.set_defaults(fn=cmd_steal)

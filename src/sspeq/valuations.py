@@ -76,11 +76,11 @@ def iter_submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def priced_table(v, prices):
-    """v's value table and every bundle's price sum at one common
+def priced_table(table, prices):
+    """A value table (vals, Dv) and every bundle's price sum at one common
     denominator: (vals, psum, D) with vals[t] == D * v(t) and
     psum[t] == D * (sum of prices over t), all Python ints."""
-    vals, Dv = v.value_table()
+    vals, Dv = table
     p, Dp = scale_to_ints(prices)
     D = math.lcm(Dv, Dp)
     return rescale(vals, Dv, D), subset_sums(rescale(p, Dp, D)), D
@@ -253,7 +253,7 @@ class Valuation:
             raise CapabilityError(
                 f"exhaustive demand needs m <= {EXHAUSTIVE_DEMAND_CAP}, got {self.m}"
             )
-        vals, psum, _ = priced_table(self, prices)
+        vals, psum, _ = priced_table(self.value_table(), prices)
         best_profit, best = 0, 0
         for mask in range(1, 1 << self.m):
             profit = vals[mask] - psum[mask]
@@ -292,8 +292,9 @@ class TableValuation(Valuation):
         if values[0] != 0:
             raise DomainError("v(empty) must be 0")
         self.table = values
+        self._ints, self._D = scale_to_ints(values)
         if validate:
-            drop = _first_monotone_drop(self.value_table()[0], m)
+            drop = _first_monotone_drop(self._ints, m)
             if drop is not None:
                 mask, j = drop
                 raise DomainError(f"not monotone at {sorted(bundle_of(mask))} + item {j}")
@@ -302,11 +303,10 @@ class TableValuation(Valuation):
         return self.table[mask]
 
     def value_table(self):
-        return scale_to_ints(self.table)
+        return list(self._ints), self._D
 
     def int_oracle(self):
-        ints, D = self.value_table()
-        return ints.__getitem__, D
+        return self._ints.__getitem__, self._D
 
     def to_json(self):
         return {
@@ -535,7 +535,7 @@ def verify_class(v: Valuation, cls: str):
             return False, {"S": [], "value": val}
         return True, None
     if cls == "additive":
-        vals, psum, D = priced_table(v, [v._value_mask(1 << j) for j in range(m)])
+        vals, psum, D = priced_table(v.value_table(), [v._value_mask(1 << j) for j in range(m)])
         for mask in range(1 << m):
             if vals[mask] != psum[mask]:
                 return False, {"S": sorted(bundle_of(mask)), "lhs": Fraction(vals[mask], D)}
@@ -668,7 +668,7 @@ def check_clause(v: Valuation, S, clause: dict, exhaustive: bool = True):
     if exhaustive:
         if v.m > EXHAUSTIVE_DEMAND_CAP:
             raise CapabilityError(f"exhaustive clause check capped at m={EXHAUSTIVE_DEMAND_CAP}")
-        vals, csum, D = priced_table(v, [clause.get(j, 0) for j in range(v.m)])
+        vals, csum, D = priced_table(v.value_table(), [clause.get(j, 0) for j in range(v.m)])
         for tmask in range(1, 1 << v.m):
             if csum[tmask] > vals[tmask]:
                 return False, {

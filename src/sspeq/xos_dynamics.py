@@ -12,7 +12,6 @@ exchange exactly one item and raises the winning-bid sum by exactly eps.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -25,7 +24,9 @@ from .valuations import (
     DomainError,
     Valuation,
     as_bundle,
+    better_demand,
     bundle_of,
+    cheapest_subsets,
     iter_bits,
     mask_of,
     register_kind,
@@ -33,7 +34,7 @@ from .valuations import (
 from .auction import check_allocation
 
 GRAY_M_CAP = 15
-GRAY_DEMAND_CAP = 15
+GRAY_DEMAND_POP_CAP = math.comb(15, 8)  # heap pops: every middle bundle at m = 15
 
 
 # -- middle-levels path -------------------------------------------------------
@@ -211,8 +212,6 @@ class GrayValuation(Valuation):
         middle-level bundle beats any other bundle and, among middle-level
         bundles, the larger path position k wins; otherwise the smaller
         bundle, then the lexicographically smaller one."""
-        if self.m > GRAY_DEMAND_CAP:
-            raise CapabilityError(f"exact middle-level demand capped at m={GRAY_DEMAND_CAP}")
         p, Dp = scale_to_ints(prices)
         E = math.lcm(Dp, 2 * self.eps.denominator)
         p = rescale(p, Dp, E)
@@ -222,28 +221,29 @@ class GrayValuation(Valuation):
         # prefix of the (price, item) order is the best bundle of its size;
         # sizes ascend, so a later prefix wins only on strictly more profit
         order = sorted(range(self.m), key=lambda j: (p[j], j))
-        best_profit, best_size = 0, 0
-        cost = 0
+        best_profit = best_size = cost = 0
         for s, j in enumerate(order, 1):
             cost += p[j]
             profit = min(s, mp + 1) * E - cost
             if s != mp + 1 and profit > best_profit:
                 best_profit, best_size = profit, s
-        # middle bundles in lexicographic order, worth (2m'+1)/2 + k * eps
+        # middle bundles by nondecreasing cost, worth (2m'+1)/2 + k * eps; once
+        # even k = L-1 falls strictly short of the best, none later can tie
         half = (2 * mp + 1) * E // 2
+        top = half + (self.L - 1) * eps_E
         flip = 0 if self.player == 1 else self.full_mask
-        best_mask, best_k = None, -1
-        for combo in itertools.combinations([(1 << j, p[j]) for j in range(self.m)], mp + 1):
-            mask = cost = 0
-            for bit, x in combo:
-                mask |= bit
-                cost += x
+        best_mask, best_k = mask_of(order[:best_size]), -1
+        for pops, (cost, mask) in enumerate(cheapest_subsets(p, mp + 1), 1):
+            if top - cost < best_profit:
+                break
+            if pops > GRAY_DEMAND_POP_CAP:
+                raise CapabilityError(f"middle-level demand capped at {GRAY_DEMAND_POP_CAP} bundles")
             k = self.pos.get(mask ^ flip, 0)
             profit = half + k * eps_E - cost
-            if profit > best_profit or (profit == best_profit and k > best_k):
+            if profit > best_profit or profit == best_profit and (
+                k > best_k or k == best_k and better_demand(profit, mask, profit, best_mask)
+            ):
                 best_profit, best_mask, best_k = profit, mask, k
-        if best_mask is None:
-            return frozenset(order[:best_size])
         return bundle_of(best_mask)
 
     def to_json(self):

@@ -282,6 +282,39 @@ def test_verify_rejects_a_malformed_bids_file(content, tmp_path, capsys):
     assert out == ""
 
 
+MALFORMED_FILES = {
+    "no-valuations": ("steal", "--instance", {"n": 2, "m": 2}),
+    "float-item-value": (
+        "steal", "--instance", {"n": 1, "m": 1, "valuations": [{"kind": "additive", "m": 1, "items": [1.5]}]}
+    ),
+    "not-json": ("steal", "--instance", "{valuations"),
+    "additive-without-items": (
+        "steal", "--instance", {"n": 1, "m": 1, "valuations": [{"kind": "additive", "m": 1}]}
+    ),
+    "missing-file": ("verify", "--instance", None),
+    "one-set-pair": ("setpair-check", "--system", {"m": 8, "pairs": [[[0, 1, 2]]]}),
+    "graph-without-vertices": ("maxcut-reduce", "--graph", {"edges": [[0, 1, "1/1"]]}),
+    "edge-without-weight": ("maxcut-reduce", "--graph", {"vertices": 2, "edges": [[0, 1]]}),
+    "zero-denominator": (
+        "steal", "--instance", {"n": 1, "m": 1, "valuations": [{"kind": "additive", "m": 1, "items": ["1/0"]}]}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_input_files_exit_2(case, tmp_path, capsys):
+    # bad input is a usage error with a one-line message, not a violation
+    command, flag, content = MALFORMED_FILES[case]
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    code = main([command, flag, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot load {path}: ") and err.count("\n") == 1
+
+
 def test_setpair_gen_then_check(tmp_path, capsys):
     sysfile = tmp_path / "sys.json"
     assert main(["setpair-gen", "--m", "8", "--count", "2", "--out", str(sysfile)]) == 0

@@ -25,6 +25,7 @@ from conftest import (
     seeded,
 )
 from sspeq import valuations
+from sspeq.money import scale_to_ints
 from sspeq.reductions import SetPairSystem, SetPairValuation
 from sspeq.stealing import int_oracles
 from sspeq.valuations import (
@@ -393,6 +394,27 @@ def test_int_oracles_build_no_table(monkeypatch):
         f, D = v.int_oracle()
         for mask in [0, (1 << m) - 1, 0b11, *(rng.getrandbits(m) for _ in range(200))]:
             assert f(mask) == D * v._value_mask(mask), v.kind
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_table_valuation_scales_its_entries_once(validate, monkeypatch):
+    m = 5
+    values = random_table(seeded(5), m)
+    v = TableValuation(m, values, validate=validate)
+    want = scale_to_ints(values)
+
+    def no_scaling(values):
+        raise AssertionError("the table entries were scaled again")
+
+    monkeypatch.setattr(valuations, "scale_to_ints", no_scaling)
+    table = v.value_table()
+    assert table == want
+    f, D = v.int_oracle()
+    assert ([f(t) for t in range(1 << m)], D) == want
+    # each call returns its own list
+    table[0][-1] += 1
+    assert v.value_table() == want
+    assert f((1 << m) - 1) == want[0][-1]
 
 
 def _library_valuation_classes():

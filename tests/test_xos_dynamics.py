@@ -20,11 +20,13 @@ from sspeq.valuations import (
     DomainError,
     bundle_of,
     check_clause,
+    cheapest_subsets,
+    mask_of,
     valuation_from_json,
     verify_class,
 )
 from sspeq.xos_dynamics import (
-    GRAY_DEMAND_CAP,
+    GRAY_DEMAND_POP_CAP,
     GRAY_M_CAP,
     AdaptiveGrayOracle,
     GrayValuation,
@@ -211,18 +213,98 @@ def test_gray_demand_tie_goes_to_the_largest_path_position(player, steps, tied, 
     assert v.demand(prices) == brute_gray_demand(v, prices) == frozenset(want)
 
 
-def test_gray_demand_cap_boundary():
+@pytest.mark.parametrize("m", [5, 7, 9, 11])
+@pytest.mark.parametrize("player", [0, 1])
+@given(st.integers(0, 10_000))
+@settings(max_examples=12, deadline=None)
+def test_gray_demand_is_the_brute_bundle_on_uniform_prices(m, player, seed):
+    rng = seeded(seed)
+    v = build_exponential_instance(m)[player]
+    # uniform on [0, 1] in steps of eps / 2, eps = 1 / (2L)
+    prices = [Fraction(rng.randint(0, 4 * v.L), 4 * v.L) for _ in range(m)]
+    assert v.demand(prices) == brute_gray_demand(v, prices)
+
+
+def ties_reversed(costs, k):
+    """cheapest_subsets with each run of equal costs yielded in reverse."""
+    run = []
+    for cost, mask in cheapest_subsets(costs, k):
+        if run and run[0][0] != cost:
+            yield from reversed(run)
+            run = []
+        run.append((cost, mask))
+    yield from reversed(run)
+
+
+def short_middle_path(rng, m, length):
+    """A random walk of at most `length` distinct masks through the middle
+    levels, one flip per step, from a random mask of weight m' or m'+1."""
+    mp = m // 2
+    path = [mask_of(rng.sample(range(m), rng.choice((mp, mp + 1))))]
+    while len(path) < length:
+        end = path[-1]
+        up = end.bit_count() == mp
+        steps = [end ^ 1 << j for j in range(m) if (end >> j & 1) != up and end ^ 1 << j not in path]
+        if not steps:
+            break
+        path.append(rng.choice(steps))
+    return path
+
+
+@pytest.mark.parametrize("reverse_ties", [False, True])
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_gray_demand_on_short_custom_paths(reverse_ties, seed):
+    # off a short path every middle bundle has k = 0, and a set of at least
+    # m'+1 items at one cheapest price gives many middle bundles of one cost:
+    # (profit, k) ties that the lexicographic rule decides, whatever order
+    # the kernel yields them in (about a fifth of the draws)
+    rng = seeded(seed)
+    m = rng.choice((5, 7))
+    path = short_middle_path(rng, m, rng.randint(1, 5))
+    v = GrayValuation(m, rng.randrange(2), path, Fraction(1, 2 * len(path)))
+    base = rng.choice((Fraction(1, 2), Fraction(rng.randint(0, 8), rng.randint(1, 8))))
+    cheap = rng.sample(range(m), rng.randint(m // 2 + 1, m))
+    prices = [base + (0 if j in cheap else rng.randint(1, 2 * v.L)) * v.eps for j in range(m)]
+    with pytest.MonkeyPatch.context() as patch:
+        if reverse_ties:
+            patch.setattr(xos_dynamics, "cheapest_subsets", ties_reversed)
+        assert v.demand(prices) == brute_gray_demand(v, prices)
+
+
+def test_gray_demand_tie_is_lexicographic_in_any_kernel_order(monkeypatch):
+    # every middle bundle has k = 0; {0,1,3}, {1,2,3} and {1,3,4} earn 2,
+    # as do sizes 2 and 4, and the tie goes to the lexicographically first
+    v = GrayValuation(5, 1, [0b01010], Fraction(1, 4))
+    prices = [Fraction(1, 2), 0, Fraction(1, 2), 0, Fraction(1, 2)]
+    order = [mask for _, mask in ties_reversed([1, 0, 1, 0, 1], 3)]
+    assert order[:3] == [0b11010, 0b01110, 0b01011]
+    monkeypatch.setattr(xos_dynamics, "cheapest_subsets", ties_reversed)
+    assert v.demand(prices) == brute_gray_demand(v, prices) == frozenset({0, 1, 3})
+
+
+def test_gray_demand_cap_boundary(monkeypatch):
     def stub(m):
         # a one-vertex path of weight m': every middle bundle has k = 0
         return GrayValuation(m, 1, [(1 << (m // 2)) - 1], Fraction(1, 4))
 
-    m = GRAY_DEMAND_CAP
-    # at price 1/2 sizes m', m'+1 and m'+2 all earn m'/2; the tie goes to
+    pops = []
+
+    def counted(costs, k):
+        for item in cheapest_subsets(costs, k):
+            pops.append(item)
+            yield item
+
+    assert GRAY_DEMAND_POP_CAP == math.comb(15, 8) == 6435
+    monkeypatch.setattr(xos_dynamics, "cheapest_subsets", counted)
+    # at price 1/2 sizes m', m'+1 and m'+2 all earn m'/2 and every middle
+    # bundle costs the same, so the demand pops them all; the tie goes to
     # the middle, and among the k = 0 middle bundles to the smallest
-    assert stub(m).demand([Fraction(1, 2)] * m) == frozenset(range(m // 2 + 1))
-    v = stub(m + 2)
-    with pytest.raises(CapabilityError, match=f"capped at m={GRAY_DEMAND_CAP}"):
-        v.demand([Fraction(1, 2)] * (m + 2))
+    assert stub(15).demand([Fraction(1, 2)] * 15) == frozenset(range(8))
+    assert len(pops) == GRAY_DEMAND_POP_CAP
+    v = stub(17)
+    with pytest.raises(CapabilityError, match=f"capped at {GRAY_DEMAND_POP_CAP} bundles"):
+        v.demand([Fraction(1, 2)] * 17)
     # a refused demand computed nothing, so the ledger does not count it
     assert v.ledger.demand == 0
 
@@ -280,7 +362,7 @@ def test_exponential_dynamic_m7_length():
     assert canon_digest(pinned) == DYNAMIC_M7_DIGEST
 
 
-@pytest.mark.parametrize("m,count", [(9, 251), (11, 923)])
+@pytest.mark.parametrize("m,count", [(9, 251), (11, 923), (13, 3431)])
 def test_exponential_dynamic_walks_the_whole_path(m, count):
     v0, v1, oracles, init = build_exponential_instance(m)
     run = run_best_reply_dynamic(v0, v1, oracles=oracles, init_alloc=init)
