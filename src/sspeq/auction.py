@@ -213,7 +213,7 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
 def _best_deviation(table, prices) -> Deviation:
     """best_deviation on the deviator's value table (ints, Dv) and the
     rival prices, all at one common denominator."""
-    vals, psum, D = priced_table(table, prices)
+    vals, psum, D = priced_table(table, scale_to_ints(prices))
     size = len(vals)
     blocked = bytearray(size)
     for mask in range(1, size):

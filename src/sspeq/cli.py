@@ -622,7 +622,7 @@ def _build_parser():
     ts.set_defaults(fn=cmd_topsteal)
 
     d = sub.add_parser("dynamic", parents=[common, run])
-    d.add_argument("--step-cap", type=int, default=10_000)
+    d.add_argument("--step-cap", type=int, default=None)  # None: default_step_cap
     d.add_argument("--trace-out", default=None)
     d.set_defaults(fn=cmd_dynamic)
 

@@ -237,7 +237,7 @@ class SensitiveValuation(Valuation):
     def _xos_clause(self, S):
         return self.sensitive_clause(S)[0]
 
-    def _demand(self, prices):
+    def _fraction_demand(self, prices):
         return sparse_demand_oracle(self, prices)
 
     def to_json(self):

@@ -77,11 +77,11 @@ def iter_submasks(mask: int):
 
 
 def priced_table(table, prices):
-    """A value table (vals, Dv) and every bundle's price sum at one common
-    denominator: (vals, psum, D) with vals[t] == D * v(t) and
-    psum[t] == D * (sum of prices over t), all Python ints."""
+    """A value table (vals, Dv) and item prices (p, Dp), both ints at their
+    denominators, brought to one common denominator: (vals, psum, D) with
+    vals[t] == D * v(t) and psum[t] == D * (sum of prices over t)."""
     vals, Dv = table
-    p, Dp = scale_to_ints(prices)
+    p, Dp = prices
     D = math.lcm(Dv, Dp)
     return rescale(vals, Dv, D), subset_sums(rescale(p, Dp, D)), D
 
@@ -205,10 +205,9 @@ class Valuation:
     def demand(self, prices) -> frozenset:
         """Profit-maximizing bundle at item prices; ties break to the smallest
         cardinality, then the lexicographically smallest sorted tuple."""
-        prices = self._check_prices(prices)
-        bundle = self._demand(prices)
+        mask = self._demand(*scale_to_ints(self._check_prices(prices)))
         self.ledger.demand += 1
-        return bundle
+        return bundle_of(mask)
 
     def xos_clause(self, S) -> dict:
         """Additive clause a with a(S) = v(S) and a(T) <= v(T) everywhere,
@@ -248,18 +247,27 @@ class Valuation:
             raise DomainError("prices must be nonnegative")
         return prices
 
-    def _demand(self, prices) -> frozenset:
+    # a family whose demand works on Fraction prices defines it as
+    # _fraction_demand(prices) -> frozenset, and _demand calls it
+    _fraction_demand = None
+
+    def _demand(self, p, D: int) -> int:
+        """The mask of the demanded bundle at item prices p[j] / D, for ints
+        p[j] >= 0: the uncounted demand entry behind `demand`. By default an
+        exhaustive scan of the value table on ints."""
+        if self._fraction_demand is not None:
+            return mask_of(self._fraction_demand(tuple(Fraction(x, D) for x in p)))
         if self.m > EXHAUSTIVE_DEMAND_CAP:
             raise CapabilityError(
                 f"exhaustive demand needs m <= {EXHAUSTIVE_DEMAND_CAP}, got {self.m}"
             )
-        vals, psum, _ = priced_table(self.value_table(), prices)
+        vals, psum, _ = priced_table(self.value_table(), (p, D))
         best_profit, best = 0, 0
         for mask in range(1, 1 << self.m):
             profit = vals[mask] - psum[mask]
             if profit >= best_profit and better_demand(profit, mask, best_profit, best):
                 best_profit, best = profit, mask
-        return bundle_of(best)
+        return best
 
     def _xos_clause(self, S: frozenset) -> dict:
         # greedy ascending-index marginals; a legal clause for submodular v
@@ -338,7 +346,7 @@ class AdditiveValuation(Valuation):
     def int_oracle(self):
         return sum_oracle(self._weights), self._D
 
-    def _demand(self, prices):
+    def _fraction_demand(self, prices):
         return frozenset(j for j in range(self.m) if self.item_values[j] > prices[j])
 
     def _xos_clause(self, S):
@@ -385,7 +393,7 @@ class BudgetAdditiveValuation(Valuation):
     def int_oracle(self):
         return sum_oracle(self._weights, self._budget), self._D
 
-    def _demand(self, prices):
+    def _fraction_demand(self, prices):
         # exact knapsack-style branch and bound over profitable items
         cand = [j for j in range(self.m) if self.item_values[j] > prices[j]]
         gains = {j: self.item_values[j] - prices[j] for j in cand}
@@ -535,7 +543,8 @@ def verify_class(v: Valuation, cls: str):
             return False, {"S": [], "value": val}
         return True, None
     if cls == "additive":
-        vals, psum, D = priced_table(v.value_table(), [v._value_mask(1 << j) for j in range(m)])
+        prices = scale_to_ints([v._value_mask(1 << j) for j in range(m)])
+        vals, psum, D = priced_table(v.value_table(), prices)
         for mask in range(1 << m):
             if vals[mask] != psum[mask]:
                 return False, {"S": sorted(bundle_of(mask)), "lhs": Fraction(vals[mask], D)}
@@ -668,7 +677,8 @@ def check_clause(v: Valuation, S, clause: dict, exhaustive: bool = True):
     if exhaustive:
         if v.m > EXHAUSTIVE_DEMAND_CAP:
             raise CapabilityError(f"exhaustive clause check capped at m={EXHAUSTIVE_DEMAND_CAP}")
-        vals, csum, D = priced_table(v.value_table(), [clause.get(j, 0) for j in range(v.m)])
+        prices = scale_to_ints([clause.get(j, 0) for j in range(v.m)])
+        vals, csum, D = priced_table(v.value_table(), prices)
         for tmask in range(1, 1 << v.m):
             if csum[tmask] > vals[tmask]:
                 return False, {

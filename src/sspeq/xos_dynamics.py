@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .money import Money, format_money, parse_money, rescale, scale_to_ints
+from .money import Money, format_money, parse_money, rescale
 from .valuations import (
     CapabilityError,
     ConstructionError,
@@ -34,6 +34,7 @@ from .valuations import (
 from .auction import check_allocation
 
 GRAY_M_CAP = 15
+STEP_CAP = 10_000  # the dynamic's default response cap, but for a Gray pair
 GRAY_DEMAND_POP_CAP = math.comb(15, 8)  # heap pops: every middle bundle at m = 15
 
 
@@ -183,6 +184,19 @@ class GrayValuation(Valuation):
             return self.mp + Fraction(1, 2) + self.k_of(mask) * self.eps
         return Fraction(self.mp + 1)
 
+    def int_oracle(self):
+        """Closed form at E = lcm(2, eps denominator): min(|S|, m'+1) * E off
+        the middle, (2m'+1) * E/2 + k * eps * E on it."""
+        mp, pos, flip = self.mp, self.pos, 0 if self.player == 1 else self.full_mask
+        E = math.lcm(2, self.eps.denominator)
+        half, eps_E = (2 * mp + 1) * E // 2, self.eps.numerator * (E // self.eps.denominator)
+
+        def f(mask):
+            s = mask.bit_count()
+            return half + pos.get(mask ^ flip, 0) * eps_E if s == mp + 1 else min(s, mp + 1) * E
+
+        return f, E
+
     def designated_item(self, bmask: int) -> int:
         """The item leaving this size-(m'+1) bundle on the path's next step."""
         cw = self.codeword_of(bmask)
@@ -206,15 +220,14 @@ class GrayValuation(Valuation):
         w = Fraction(self.mp + 1, s)
         return {j: w for j in sorted(S)}
 
-    def _demand(self, prices):
-        """Best bundle at the prices, on ints at E = lcm(price denominators,
-        2 * eps denominator), where every value is an int too. Ties: a
-        middle-level bundle beats any other bundle and, among middle-level
-        bundles, the larger path position k wins; otherwise the smaller
-        bundle, then the lexicographically smaller one."""
-        p, Dp = scale_to_ints(prices)
-        E = math.lcm(Dp, 2 * self.eps.denominator)
-        p = rescale(p, Dp, E)
+    def _demand(self, p, D):
+        """Best bundle at the prices p / D, on ints at E = lcm(D, 2, eps
+        denominator), where every value is an int too. Ties: a middle-level
+        bundle beats any other bundle and, among middle-level bundles, the
+        larger path position k wins; otherwise the smaller bundle, then the
+        lexicographically smaller one."""
+        E = math.lcm(D, 2, self.eps.denominator)
+        p = rescale(p, D, E)
         eps_E = self.eps.numerator * (E // self.eps.denominator)
         mp = self.mp
         # off the middle a bundle is worth min(|S|, m'+1), so the cheapest
@@ -244,7 +257,7 @@ class GrayValuation(Valuation):
                 k > best_k or k == best_k and better_demand(profit, mask, profit, best_mask)
             ):
                 best_profit, best_mask, best_k = profit, mask, k
-        return bundle_of(best_mask)
+        return best_mask
 
     def to_json(self):
         return {
@@ -332,23 +345,6 @@ class DynamicRun:
     trace: DynamicTrace
 
 
-def _clause_row(oracle, S, m):
-    clause = oracle.xos_clause(S)
-    row = [Fraction(0)] * m
-    for j, w in clause.items():
-        row[j] = w
-    return tuple(row)
-
-
-def _scaled(bids):
-    """Both bid rows as ints at their least common denominator: (rows, D)."""
-    m = len(bids[0])
-    ints, D = scale_to_ints(bids[0] + bids[1])
-    if min(ints) < 0:
-        raise DomainError("bids must be nonnegative")
-    return (ints[:m], ints[m:]), D
-
-
 def _won_by_1(rows) -> int:
     """The mask of items bidder 1 outbids strictly; ties go to bidder 0, as
     in resolve."""
@@ -356,13 +352,25 @@ def _won_by_1(rows) -> int:
     return sum(1 << j for j in range(len(r0)) if r1[j] > r0[j])
 
 
-def run_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap: int = 10_000):
+def default_step_cap(v0, v1) -> int:
+    """The dynamic's default response cap: 10,000, raised for a pair of
+    GrayValuations to the 2 * C(m, m') + 2 responses of the whole path."""
+    if isinstance(v0, GrayValuation) and isinstance(v1, GrayValuation):
+        return max(STEP_CAP, 2 * math.comb(v0.m, v0.mp) + 2)
+    return STEP_CAP
+
+
+def run_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap=None):
     """Alternating exact-demand responses with strict-improvement gating.
 
     The allocation is always resolve(bids). A terminated (non-truncated) run
-    has canonical clause bids, hence is traditional. Each response compares
-    ints: both bid rows at one common denominator D, rescaled whenever a row
-    changes; bids, trace sums and the result stay Fractions.
+    has canonical clause bids, hence is traditional. The loop runs on ints:
+    both bid rows sit at one run denominator D, which grows (rescaling both
+    rows) only when a clause brings a denominator that does not divide it.
+    The responder's demand is the int entry `_demand` on the rival's row,
+    counted as one demand query; the strict-improvement test reads the
+    responder's `int_oracle`. Bids, trace sums and the result stay
+    Fractions. step_cap defaults to `default_step_cap(v0, v1)` responses.
     """
     valuations = (v0, v1)
     m = v0.m
@@ -370,13 +378,30 @@ def run_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap: int = 10_
         raise DomainError("valuations disagree on m")
     if oracles is None:
         oracles = valuations
+    if step_cap is None:
+        step_cap = default_step_cap(v0, v1)
     init_alloc = check_allocation(init_alloc, 2, m)
     full = v0.full_mask
-    bids = [
-        _clause_row(oracles[0], init_alloc[0], m),
-        _clause_row(oracles[1], init_alloc[1], m),
-    ]
-    rows, D = _scaled(bids)
+    values = [v.int_oracle() for v in valuations]
+    rows, D = [[0] * m, [0] * m], 1
+
+    def clause_row(i, S):
+        """Bidder i's clause for S from its oracle, as ints at D."""
+        nonlocal D
+        clause = oracles[i].xos_clause(S)
+        grown = math.lcm(D, *[w.denominator for w in clause.values()])
+        if grown != D:
+            rows[:] = [rescale(row, D, grown) for row in rows]
+            D = grown
+        row = [0] * m
+        for j, w in clause.items():
+            row[j] = w.numerator * (D // w.denominator)
+        if min(row) < 0:
+            raise DomainError("bids must be nonnegative")
+        return row
+
+    for i in (0, 1):
+        rows[i] = clause_row(i, init_alloc[i])
     won = _won_by_1(rows)
     alloc = (bundle_of(full ^ won), bundle_of(won))
     trace = DynamicTrace(alloc, Fraction(sum(map(max, *rows)), D))
@@ -388,18 +413,17 @@ def run_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap: int = 10_
             break
         rival = rows[1 - responder]
         v = valuations[responder]
+        f, Dv = values[responder]
         held = won if responder == 1 else full ^ won
-        demanded = v.demand(bids[1 - responder])
-        dmask = mask_of(demanded)
-        # a strict improvement: v(demanded) - v(held) > (rival price difference) / D
-        gain = v._value_mask(dmask) - v._value_mask(held)
-        extra = sum(rival[j] for j in iter_bits(dmask)) - sum(rival[j] for j in iter_bits(held))
-        target = demanded if gain.numerator * D > extra * gain.denominator else alloc[responder]
-        new_row = _clause_row(oracles[responder], target, m)
-        changed_bids = new_row != bids[responder]
-        bids[responder] = new_row
-        if changed_bids:
-            rows, D = _scaled(bids)
+        dmask = v._demand(rival, D)
+        v.ledger.demand += 1
+        # a strict improvement: v(demanded) - v(held) > (rival price difference) / D,
+        # the difference summed over the items in one bundle but not the other
+        extra = sum(rival[j] if dmask >> j & 1 else -rival[j] for j in iter_bits(dmask ^ held))
+        improves = (f(dmask) - f(held)) * D > extra * Dv
+        new_row = clause_row(responder, bundle_of(dmask) if improves else alloc[responder])
+        if new_row != rows[responder]:
+            rows[responder] = new_row
             new_won = _won_by_1(rows)
             if new_won != won:
                 won = new_won
@@ -410,7 +434,8 @@ def run_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap: int = 10_
             quiet += 1
         trace.responses += 1
         responder = 1 - responder
-    return DynamicRun(alloc, tuple(bids), trace)
+    bids = tuple(tuple(Fraction(x, D) for x in row) for row in rows)
+    return DynamicRun(alloc, bids, trace)
 
 
 def dynamic_trace_audit(trace: DynamicTrace):

@@ -348,3 +348,72 @@ def brute_stealing(valuations, init_alloc, policy="stolen-last", step_cap=100_00
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def reference_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap=10_000):
+    """The best-reply dynamic in Fractions, as it ran before its loop moved
+    to ints: the responder's demand through the public `demand` on the
+    rival's Fraction bids, the gain from `_value_mask`, and both clause rows
+    rebuilt as Fractions and rescaled to their least common denominator
+    after every change. Returns the library's DynamicRun."""
+    from sspeq.auction import check_allocation
+    from sspeq.money import scale_to_ints
+    from sspeq.valuations import DomainError
+    from sspeq.xos_dynamics import DynamicRun, DynamicStep, DynamicTrace
+
+    def clause_row(oracle, S):
+        row = [Fraction(0)] * m
+        for j, w in oracle.xos_clause(S).items():
+            row[j] = w
+        return tuple(row)
+
+    def scaled(bids):
+        ints, D = scale_to_ints(bids[0] + bids[1])
+        if min(ints) < 0:
+            raise DomainError("bids must be nonnegative")
+        return (ints[:m], ints[m:]), D
+
+    def won_by_1(rows):
+        return sum(1 << j for j in range(m) if rows[1][j] > rows[0][j])
+
+    valuations = (v0, v1)
+    m = v0.m
+    oracles = valuations if oracles is None else oracles
+    init_alloc = check_allocation(init_alloc, 2, m)
+    full = v0.full_mask
+    bids = [clause_row(oracles[0], init_alloc[0]), clause_row(oracles[1], init_alloc[1])]
+    rows, D = scaled(bids)
+    won = won_by_1(rows)
+    alloc = (bundle_of(full ^ won), bundle_of(won))
+    trace = DynamicTrace(alloc, Fraction(sum(map(max, *rows)), D))
+    responder, quiet = 1, 0
+    while quiet < 2:
+        if trace.responses >= step_cap:
+            trace.truncated = True
+            break
+        rival = rows[1 - responder]
+        v = valuations[responder]
+        held = won if responder == 1 else full ^ won
+        demanded = v.demand(bids[1 - responder])
+        dmask = mask_of(demanded)
+        gain = v._value_mask(dmask) - v._value_mask(held)
+        extra = sum(rival[j] for j in range(m) if dmask >> j & 1) - sum(
+            rival[j] for j in range(m) if held >> j & 1
+        )
+        target = demanded if gain.numerator * D > extra * gain.denominator else alloc[responder]
+        new_row = clause_row(oracles[responder], target)
+        changed = new_row != bids[responder]
+        bids[responder] = new_row
+        if changed:
+            rows, D = scaled(bids)
+            new_won = won_by_1(rows)
+            if new_won != won:
+                won = new_won
+                alloc = (bundle_of(full ^ won), bundle_of(won))
+                trace.rows.append(DynamicStep(responder, alloc, Fraction(sum(map(max, *rows)), D)))
+            quiet = 0
+        else:
+            quiet += 1
+        trace.responses += 1
+        responder = 1 - responder
+    return DynamicRun(alloc, tuple(bids), trace)

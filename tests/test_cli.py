@@ -205,6 +205,16 @@ def test_dynamic_gray_m5(tmp_path, capsys):
     ]
 
 
+def test_dynamic_default_step_cap_settles_the_gray_path(tmp_path, capsys):
+    gen_out = tmp_path / "gray.json"
+    assert main(["gen", "--family", "gray-exponential", "--m", "11", "--out", str(gen_out)]) == 0
+    code, out = run_cli(capsys, ["dynamic", "--instance", str(gen_out), "--init", "instance"])
+    assert code == 0
+    d = json.loads(out)
+    assert (d["exchanges"], d["responses"], d["truncated"]) == (923, 926, False)
+    assert d["traditional"] is True
+
+
 def test_dynamic_step_cap_means_violation(tmp_path, capsys):
     gen_out = tmp_path / "gray.json"
     assert main(["gen", "--family", "gray-exponential", "--m", "5", "--out", str(gen_out)]) == 0

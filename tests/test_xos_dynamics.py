@@ -11,6 +11,8 @@ from conftest import (
     brute_gray_demand,
     canon_digest,
     random_submodular_table,
+    random_table,
+    reference_best_reply_dynamic,
     seeded,
 )
 from sspeq import xos_dynamics
@@ -18,9 +20,11 @@ from sspeq.auction import is_pure_nash_no_overbid, is_traditional
 from sspeq.valuations import (
     CapabilityError,
     DomainError,
+    TableValuation,
     bundle_of,
     check_clause,
     cheapest_subsets,
+    iter_bits,
     mask_of,
     valuation_from_json,
     verify_class,
@@ -31,6 +35,7 @@ from sspeq.xos_dynamics import (
     AdaptiveGrayOracle,
     GrayValuation,
     build_exponential_instance,
+    default_step_cap,
     dynamic_trace_audit,
     gray_middle_levels,
     run_best_reply_dynamic,
@@ -318,6 +323,8 @@ def test_exponential_dynamic_m5_frozen():
     assert t.exchanges() == 19
     assert t.responses == 22
     assert t.initial_sum == Fraction(9, 2)
+    # one demand per response and one clause per response plus the first
+    assert [v.ledger.snapshot() for v in (v0, v1)] == [{"value": 0, "demand": 11, "xos": 12}] * 2
     # every exchange trades exactly one item and lifts the sum by exactly eps
     prev_alloc, prev_sum = t.initial_alloc, t.initial_sum
     for row in t.rows:
@@ -412,3 +419,212 @@ def test_random_submodular_dynamics_terminate_at_equilibrium(seed):
     assert ok, witness
     ok, witnesses = is_pure_nash_no_overbid((v0, v1), run.bids)
     assert ok, witnesses
+
+
+def fractional_submodular_table(rng, m):
+    """A random submodular table scaled by 1/d plus an additive part with
+    weights k/d': its greedy clauses bring many denominators, so the
+    dynamic's run denominator grows while it runs."""
+    base = random_submodular_table(rng, m)
+    scale = Fraction(1, rng.randint(2, 9))
+    weights = [Fraction(rng.randint(0, 6), rng.randint(1, 7)) for _ in range(m)]
+    table = [
+        x * scale + sum((weights[j] for j in iter_bits(mask)), Fraction(0))
+        for mask, x in enumerate(base.table)
+    ]
+    return TableValuation(m, table)
+
+
+def random_init(rng, m):
+    """A random two-way split of the items; a quarter of the draws give
+    one bidder every item and the other the empty bundle."""
+    if rng.random() < 0.25:
+        owner = rng.randrange(2)
+        return [set(range(m)) if i == owner else set() for i in (0, 1)]
+    init = [set(), set()]
+    for j in range(m):
+        init[rng.randrange(2)].add(j)
+    return init
+
+
+def dynamic_outcome(run, valuations, oracles=None):
+    t = run.trace
+    return (
+        t.initial_alloc,
+        t.initial_sum,
+        [(row.responder, row.alloc, row.winning_sum) for row in t.rows],
+        t.responses,
+        t.truncated,
+        run.alloc,
+        run.bids,
+        [v.ledger.snapshot() for v in valuations],
+        [o.touch_order for o in oracles] if oracles else None,
+    )
+
+
+def both_dynamics(make, **kwargs):
+    """The int dynamic and the Fraction reference, each on its own fresh
+    instance from make() -> (valuations, oracles, init)."""
+    outcomes = []
+    for dynamic in (run_best_reply_dynamic, reference_best_reply_dynamic):
+        valuations, oracles, init = make()
+        run = dynamic(*valuations, init, oracles=oracles, **kwargs)
+        outcomes.append((run, dynamic_outcome(run, valuations, oracles)))
+    return outcomes
+
+
+TABLES = {
+    "submodular": random_submodular_table,
+    "fractional": fractional_submodular_table,
+    # greedy clauses of a monotone table need not be legal, and then a rival
+    # can bid on an item the responder holds: the loop must still agree
+    "monotone": lambda rng, m: TableValuation(m, random_table(rng, m)),
+}
+
+
+@given(st.integers(0, 10_000), st.sampled_from(sorted(TABLES)))
+@settings(max_examples=80, deadline=None)
+def test_dynamic_matches_the_fraction_reference_on_tables(seed, kind):
+    def make():
+        rng = seeded(seed)
+        m = rng.randint(2, 5)
+        valuations = (TABLES[kind](rng, m), TABLES[kind](rng, m))
+        return valuations, None, random_init(rng, m)
+
+    (run, got), (_, want) = both_dynamics(make, step_cap=200)
+    assert got == want
+    assert canon_digest(got) == canon_digest(want)
+    assert all(isinstance(b, Fraction) for row in run.bids for b in row)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+def test_dynamic_matches_the_fraction_reference_on_gray_random_inits(seed):
+    def make():
+        rng = seeded(seed)
+        v0, v1, oracles, _ = build_exponential_instance(rng.choice((5, 7)))
+        return (v0, v1), oracles, random_init(rng, v0.m)
+
+    (_, got), (_, want) = both_dynamics(make)
+    assert got == want
+
+
+@pytest.mark.parametrize("m", [5, 7, 9, 11])
+def test_dynamic_matches_the_fraction_reference_on_the_gray_path(m):
+    def make():
+        v0, v1, oracles, init = build_exponential_instance(m)
+        return (v0, v1), oracles, init
+
+    (run, got), (_, want) = both_dynamics(make)
+    assert got == want
+    assert run.trace.exchanges() == 2 * math.comb(m, m // 2) - 1
+
+
+def test_dynamic_run_denominator_grows_mid_run(monkeypatch):
+    # the fractional tables do bring a new denominator after the first two
+    # clause rows; found by seed so that the differential test covers it
+    growths = []
+
+    def recording(ints, D, to):
+        growths.append(v0.ledger.xos + v1.ledger.xos)
+        return rescale(ints, D, to)
+
+    rescale = xos_dynamics.rescale
+    monkeypatch.setattr(xos_dynamics, "rescale", recording)
+    for seed in range(50):
+        rng = seeded(seed)
+        m = rng.randint(3, 5)
+        v0, v1 = fractional_submodular_table(rng, m), fractional_submodular_table(rng, m)
+        run_best_reply_dynamic(v0, v1, random_init(rng, m), step_cap=200)
+        if any(queries > 2 for queries in growths):
+            break
+        growths.clear()
+    assert any(queries > 2 for queries in growths)
+
+
+@pytest.mark.parametrize("m", [5, 7, 9])
+@pytest.mark.parametrize("player", [0, 1])
+def test_gray_int_oracle_is_D_times_the_value(m, player):
+    v = build_exponential_instance(m)[player]
+    f, D = v.int_oracle()
+    assert all(f(mask) == D * v._value_mask(mask) for mask in range(1 << m))
+    assert v.ledger.total() == 0
+
+
+@pytest.mark.parametrize("m", [5, 7, 9, 11])
+@pytest.mark.parametrize("player", [0, 1])
+@given(st.integers(0, 10_000))
+@settings(max_examples=8, deadline=None)
+def test_gray_int_demand_entry_is_the_brute_bundle(m, player, seed):
+    rng = seeded(seed)
+    v = build_exponential_instance(m)[player]
+    # a random denominator, sometimes a multiple of eps's, and prices in [0, 1]
+    D = rng.choice((rng.randint(1, 60), 2 * v.L * rng.randint(1, 3)))
+    p = [rng.randint(0, D) for _ in range(m)]
+    assert bundle_of(v._demand(p, D)) == brute_gray_demand(v, [Fraction(x, D) for x in p])
+    assert v.ledger.demand == 0
+
+
+class ClauseStub:
+    """Forwards clause queries to a valuation until `bad` have been asked,
+    then answers a clause with a negative weight."""
+
+    def __init__(self, valuation, bad):
+        self.valuation, self.bad, self.asked = valuation, bad, 0
+
+    def xos_clause(self, S):
+        self.asked += 1
+        if self.asked > self.bad:
+            return {0: Fraction(-1, 3)}
+        return self.valuation.xos_clause(S)
+
+
+@pytest.mark.parametrize("bad", [0, 3])
+def test_dynamic_rejects_a_negative_clause_weight(bad):
+    v0, v1, _, init = build_exponential_instance(5)
+    with pytest.raises(DomainError, match="bids must be nonnegative"):
+        run_best_reply_dynamic(v0, v1, init, oracles=(v0, ClauseStub(v1, bad)))
+
+
+def test_default_step_cap_walks_the_whole_gray_path():
+    # the cap reads m off the pair, not the path, so a one-vertex path will do
+    v0, v1 = (GrayValuation(15, p, [(1 << 7) - 1], Fraction(1, 4)) for p in (0, 1))
+    assert default_step_cap(v0, v1) == 2 * math.comb(15, 7) + 2 == 12_872
+    assert default_step_cap(*build_exponential_instance(5)[:2]) == 10_000
+    rng = seeded(0)
+    assert default_step_cap(random_submodular_table(rng, 3), random_submodular_table(rng, 3)) == 10_000
+
+
+def test_a_tie_with_the_held_bundle_is_no_improvement():
+    # bidder 1 holds {1} and, against bidder 0's bid of 1 on item 0, demands
+    # {0}: the same profit 1/2 (and {0, 1} ties too), so bidder 1 must stay
+    def make():
+        v0 = TableValuation(2, [0, 1, 1, 2])
+        v1 = TableValuation(2, [0, Fraction(3, 2), Fraction(1, 2), Fraction(3, 2)])
+        return (v0, v1), None, [{0}, {1}]
+
+    (run, got), (_, want) = both_dynamics(make)
+    assert got == want
+    assert run.trace.initial_alloc == (frozenset({0}), frozenset({1}))
+    assert run.trace.rows[0].responder == 0
+
+
+def test_dynamic_responses_stay_on_ints(monkeypatch):
+    # no public demand, price check, price scaling or Fraction value per
+    # response: the loop hands the int rows to the demand entry
+    from sspeq import valuations
+
+    def refused(*args):
+        raise AssertionError("the dynamic left its int path")
+
+    v0, v1, oracles, init = build_exponential_instance(7)
+    for owner, name in [
+        (valuations.Valuation, "demand"),
+        (valuations.Valuation, "_check_prices"),
+        (GrayValuation, "_value_mask"),
+        (valuations, "scale_to_ints"),
+        (xos_dynamics, "parse_money"),
+    ]:
+        monkeypatch.setattr(owner, name, refused)
+    run = run_best_reply_dynamic(v0, v1, init, oracles=oracles)
+    assert run.trace.exchanges() == 69
