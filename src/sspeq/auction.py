@@ -268,14 +268,13 @@ def is_pure_nash_no_overbid(valuations, bids, alloc=None):
     return not witnesses, witnesses
 
 
-def is_traditional(valuations, alloc, bids, oracles=None):
-    """Bids equal an XOS clause of the owned bundle and are zero elsewhere."""
+def is_traditional(valuations, alloc, bids):
+    """Bids equal the valuation's XOS clause (`xos_clause`) of the owned
+    bundle and are zero elsewhere."""
     bids = check_bids(bids, n=len(valuations), m=valuations[0].m)
     alloc = check_allocation(alloc, len(valuations), valuations[0].m)
-    if oracles is None:
-        oracles = valuations
     for i, v in enumerate(valuations):
-        clause = oracles[i].xos_clause(alloc[i])
+        clause = v.xos_clause(alloc[i])
         for j in range(v.m):
             expected = clause.get(j, Fraction(0)) if j in alloc[i] else Fraction(0)
             if bids[i][j] != expected:

@@ -9,6 +9,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -43,8 +44,6 @@ from .stealing import (
 )
 from .topsteal import TopStealDiagnostic, steal_count_bound, top_steal
 from .xos_dynamics import (
-    AdaptiveGrayOracle,
-    GrayValuation,
     build_exponential_instance,
     dynamic_trace_audit,
     run_best_reply_dynamic,
@@ -166,6 +165,8 @@ def _load_instance(path):
         vals = tuple(valuation_from_json(v) for v in d["valuations"])
         if len(vals) != d["n"] or any(v.m != d["m"] for v in vals):
             raise DomainError("instance header disagrees with its valuations")
+        if not vals:
+            raise DomainError(f"cannot load {path}: the instance has no valuations")
         alloc = None
         if d.get("allocation") is not None:
             alloc = check_allocation([frozenset(S) for S in d["allocation"]], d["n"], d["m"])
@@ -283,6 +284,8 @@ def cmd_gen(args):
     family = args.family
     n = args.n
     m = args.m
+    if n < 1 or m < 1:
+        raise DomainError(f"need at least one bidder and one item, got n={n}, m={m}")
     instance = {"family": family, "m": m, "n": n, "seed": args.seed, "allocation": None}
     if family == "table-submodular":
         if m > GEN_TABLE_M_CAP:
@@ -307,6 +310,8 @@ def cmd_gen(args):
                 flags[rng.randrange(args.count)] = 1
             vals.append(SetPairValuation(system, flags, player))
     elif family == "sensitive":
+        if args.support > math.comb(m, m // 2 + 1):
+            raise DomainError(f"support {args.support} exceeds the C({m}, {m // 2 + 1}) bundles of size m'+1")
         k_map = {}
         floor_k = Fraction(1, 2 ** (m + 4))
         while len(k_map) < args.support:
@@ -417,10 +422,7 @@ def cmd_dynamic(args):
     if len(vals) != 2:
         raise DomainError("the dynamic runs with two bidders")
     init = _initial_alloc(args.init, inst_alloc, vals)
-    oracles = None
-    if all(isinstance(v, GrayValuation) for v in vals):
-        oracles = tuple(AdaptiveGrayOracle(v) for v in vals)
-    run, wall_ms = _timed(run_best_reply_dynamic, *vals, init, oracles=oracles, step_cap=args.step_cap)
+    run, wall_ms = _timed(run_best_reply_dynamic, *vals, init, step_cap=args.step_cap)
     increasing, _ = dynamic_trace_audit(run.trace)
     report = {
         "algorithm": "dynamic",
@@ -440,7 +442,7 @@ def cmd_dynamic(args):
     ]
     settled = not run.trace.truncated
     if settled:
-        report["traditional"], _ = is_traditional(vals, run.alloc, run.bids, oracles=oracles)
+        report["traditional"], _ = is_traditional(vals, run.alloc, run.bids)
     violated = not settled or not increasing or report.get("traditional") is False
     return _finish_run(
         args, report, vals, run.alloc, run.bids, violated, trace_rows, opt=False, certify=settled
@@ -566,8 +568,8 @@ def cmd_bench(args):
         return {"steals": len(run.steals)}
 
     def bench_dynamic():
-        v0, v1, oracles, init = build_exponential_instance(5)
-        run = run_best_reply_dynamic(v0, v1, oracles=oracles, init_alloc=init)
+        v0, v1, _, init = build_exponential_instance(5)
+        run = run_best_reply_dynamic(v0, v1, init)
         return {"exchanges": run.trace.exchanges()}
 
     def bench_adversary():

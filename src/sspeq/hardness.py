@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .money import Money, format_money, parse_money
+from .money import Money, format_money, parse_money, rescale
 from .valuations import (
     CapabilityError,
     ConstructionError,
@@ -237,8 +237,14 @@ class SensitiveValuation(Valuation):
     def _xos_clause(self, S):
         return self.sensitive_clause(S)[0]
 
-    def _fraction_demand(self, prices):
-        return sparse_demand_oracle(self, prices)
+    def _demand_denominator(self, D: int) -> int:
+        """The lcm of D, 4, m'+h and k_lcm: every value and every price at
+        denominator D is an int there."""
+        return math.lcm(D, 4, self.mp + self.h, self.k_lcm)
+
+    def _demand(self, p, D):
+        E = self._demand_denominator(D)
+        return _sparse_demand(self, rescale(p, D, E), E)[1]
 
     def to_json(self):
         return {
@@ -321,28 +327,14 @@ def eq_char_check(sv: SensitiveValuation, alloc) -> bool:
 
 
 def sparse_demand_oracle(sv: SensitiveValuation, prices):
-    """Exact profit maximizer over nonempty bundles; `_sparse_demand` at the
-    prices' common denominator with sv's."""
-    if len(sv.k_map) > KMAP_CAP:
-        raise CapabilityError(f"k_map support too large for sparse demand: more than {KMAP_CAP} bumps")
-    return bundle_of(_sparse_demand(sv, *_scaled_prices(sv, prices))[1])
-
-
-def _scaled_prices(sv: SensitiveValuation, prices, *dens):
-    """(cost, D): the prices as ints at D, the lcm of 4, m'+h, sv.k_lcm,
-    `dens` and the prices' denominators. Scaling by a positive D keeps
-    every order and tie."""
-    prices = [parse_money(p) for p in prices]
-    D = math.lcm(4, sv.mp + sv.h, sv.k_lcm, *dens, *{p.denominator for p in prices})
-    cost = [p.numerator * (D // p.denominator) for p in prices]
-    if len(cost) != sv.m or min(cost) < 0:
-        raise DomainError("need one price >= 0 per item")
-    return cost, D
+    """Exact profit maximizer over nonempty bundles, not counted in the
+    ledger: the bundle of `sv._demand` at the checked prices."""
+    return bundle_of(sv._demand(*sv._check_prices(prices)))
 
 
 def _sparse_demand(sv: SensitiveValuation, cost, D: int):
     """(profit, mask) of the demanded nonempty bundle, profit at D, for int
-    item costs at D (D as in `_scaled_prices`).
+    item costs at D, a multiple of `sv._demand_denominator(1)`.
 
     Candidates are the cheapest prefix of every size (valued by the closed
     form off the window) plus, for window sizes, every stored bundle padded
@@ -654,7 +646,9 @@ class OddGraphAdversary:
         processed as a fresh query. Profits are ints at one D that eps also
         divides, so every pivot's answer m'+1/4+x*eps is exact there."""
         view = self.view()
-        cost, D = _scaled_prices(view, prices, self.eps.denominator)
+        p, Dp = view._check_prices(prices)
+        D = view._demand_denominator(math.lcm(Dp, self.eps.denominator))
+        cost = rescale(p, Dp, D)
         best = _sparse_demand(view, cost, D)[0]
         half = self.mp * D + D // 2
         processed = 0

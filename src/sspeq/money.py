@@ -42,6 +42,11 @@ def scale_to_ints(values):
     return [x.numerator * (D // x.denominator) for x in values], D
 
 
+def money_rows(rows, D: int) -> tuple:
+    """Int rows at denominator D as a tuple of Fraction tuples."""
+    return tuple(tuple(Fraction(x, D) for x in row) for row in rows)
+
+
 def rescale(ints, D: int, to: int):
     """ints at denominator D re-expressed at denominator `to`, a multiple of D."""
     k = to // D

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .money import Money, money_gcd
+from .money import Money, money_gcd, money_rows
 from .valuations import (
     BudgetAdditiveValuation,
     CapabilityError,
@@ -49,11 +49,6 @@ def int_oracles(valuations):
 
 def _times(f, k: int):
     return lambda mask: k * f(mask)
-
-
-def money_rows(rows, D: int) -> tuple:
-    """Int bid rows at denominator D as a tuple of Fraction tuples."""
-    return tuple(tuple(Fraction(x, D) for x in row) for row in rows)
 
 
 def bid_rows(oracles, ledgers, masks, orders, m: int) -> list:

@@ -205,7 +205,7 @@ class Valuation:
     def demand(self, prices) -> frozenset:
         """Profit-maximizing bundle at item prices; ties break to the smallest
         cardinality, then the lexicographically smallest sorted tuple."""
-        mask = self._demand(*scale_to_ints(self._check_prices(prices)))
+        mask = self._demand(*self._check_prices(prices))
         self.ledger.demand += 1
         return bundle_of(mask)
 
@@ -240,23 +240,20 @@ class Valuation:
         return self._value_mask, 1
 
     def _check_prices(self, prices):
-        prices = tuple(parse_money(p) for p in prices)
+        """(p, D): one price per item, parsed and scaled once to ints p[j] >= 0
+        at their least common denominator D."""
+        prices = [parse_money(x) for x in prices]
         if len(prices) != self.m:
             raise DomainError(f"expected {self.m} prices, got {len(prices)}")
-        if any(p < 0 for p in prices):
+        p, D = scale_to_ints(prices)
+        if min(p) < 0:
             raise DomainError("prices must be nonnegative")
-        return prices
-
-    # a family whose demand works on Fraction prices defines it as
-    # _fraction_demand(prices) -> frozenset, and _demand calls it
-    _fraction_demand = None
+        return p, D
 
     def _demand(self, p, D: int) -> int:
         """The mask of the demanded bundle at item prices p[j] / D, for ints
         p[j] >= 0: the uncounted demand entry behind `demand`. By default an
         exhaustive scan of the value table on ints."""
-        if self._fraction_demand is not None:
-            return mask_of(self._fraction_demand(tuple(Fraction(x, D) for x in p)))
         if self.m > EXHAUSTIVE_DEMAND_CAP:
             raise CapabilityError(
                 f"exhaustive demand needs m <= {EXHAUSTIVE_DEMAND_CAP}, got {self.m}"
@@ -346,8 +343,9 @@ class AdditiveValuation(Valuation):
     def int_oracle(self):
         return sum_oracle(self._weights), self._D
 
-    def _fraction_demand(self, prices):
-        return frozenset(j for j in range(self.m) if self.item_values[j] > prices[j])
+    def _demand(self, p, D):
+        w, Dw = self._weights, self._D
+        return sum(1 << j for j in range(self.m) if w[j] * D > p[j] * Dw)
 
     def _xos_clause(self, S):
         return {j: self.item_values[j] for j in sorted(S)}
@@ -393,35 +391,38 @@ class BudgetAdditiveValuation(Valuation):
     def int_oracle(self):
         return sum_oracle(self._weights, self._budget), self._D
 
-    def _fraction_demand(self, prices):
-        # exact knapsack-style branch and bound over profitable items
-        cand = [j for j in range(self.m) if self.item_values[j] > prices[j]]
-        gains = {j: self.item_values[j] - prices[j] for j in cand}
-        if sum((self.item_values[j] for j in cand), Fraction(0)) <= self.budget:
-            return frozenset(cand)
-        best = [Fraction(0), 0]
-        nodes = [0]
+    def _demand(self, p, D):
+        # exact knapsack-style branch and bound over profitable items, on
+        # ints at E, where the weights, the budget and the prices all are
+        E = math.lcm(D, self._D)
+        w, p = rescale(self._weights, self._D, E), rescale(p, D, E)
+        budget = self._budget * (E // self._D)
+        cand = [j for j in range(self.m) if w[j] > p[j]]
+        if sum(w[j] for j in cand) <= budget:
+            return mask_of(cand)
+        gains = [w[j] - p[j] for j in cand]
+        best_profit = best = nodes = 0
 
         def walk(idx, chosen_val, chosen_price, chosen):
-            nodes[0] += 1
-            if nodes[0] > BB_NODE_CAP:
+            nonlocal best_profit, best, nodes
+            nodes += 1
+            if nodes > BB_NODE_CAP:
                 raise CapabilityError(
                     f"budget-additive demand search exceeded node cap {BB_NODE_CAP}"
                 )
-            profit = min(self.budget, chosen_val) - chosen_price
-            if better_demand(profit, chosen, best[0], best[1]):
-                best[0], best[1] = profit, chosen
+            profit = min(budget, chosen_val) - chosen_price
+            if better_demand(profit, chosen, best_profit, best):
+                best_profit, best = profit, chosen
             if idx == len(cand):
                 return
-            remaining = sum((gains[j] for j in cand[idx:]), Fraction(0))
-            if profit + remaining < best[0]:
+            if profit + sum(gains[idx:]) < best_profit:
                 return
             j = cand[idx]
-            walk(idx + 1, chosen_val + self.item_values[j], chosen_price + prices[j], chosen | 1 << j)
+            walk(idx + 1, chosen_val + w[j], chosen_price + p[j], chosen | 1 << j)
             walk(idx + 1, chosen_val, chosen_price, chosen)
 
-        walk(0, Fraction(0), Fraction(0), 0)
-        return bundle_of(best[1])
+        walk(0, 0, 0, 0)
+        return best
 
     def to_json(self):
         return {

@@ -17,13 +17,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .money import Money, format_money, parse_money, rescale
+from .money import Money, format_money, money_rows, parse_money, rescale
 from .valuations import (
     CapabilityError,
     ConstructionError,
     DomainError,
     Valuation,
-    as_bundle,
     better_demand,
     bundle_of,
     cheapest_subsets,
@@ -268,41 +267,18 @@ class GrayValuation(Valuation):
         }
 
 
-# -- oracles --------------------------------------------------------------------
-
-
-class AdaptiveGrayOracle:
-    """Clause oracle for a GrayValuation that records, in first-touch order,
-    the path-position coefficient committed for each queried middle bundle."""
-
-    def __init__(self, valuation: GrayValuation):
-        self.valuation = valuation
-        self.k_map = {}
-        self.touch_order = []
-
-    def xos_clause(self, S) -> dict:
-        S = as_bundle(S)
-        out = self.valuation.xos_clause(S)
-        if len(S) == self.valuation.mp + 1:
-            bmask = mask_of(S)
-            if bmask not in self.k_map:
-                self.k_map[bmask] = self.valuation.k_of(bmask)
-                self.touch_order.append(bmask)
-        return out
-
-
 def build_exponential_instance(m: int):
-    """Two mirrored gray valuations at eps = 1/(2L) for path length L,
-    adaptive oracles, and the path's first allocation (player 0 takes the
-    zeros side, which has size m'+1)."""
+    """(v0, v1, (v0, v1), init): two mirrored gray valuations at eps = 1/(2L)
+    for path length L, the same pair again as the clause oracles of
+    `run_best_reply_dynamic(oracles=)`, and the path's first allocation
+    (player 0 takes the zeros side, which has size m'+1)."""
     path_masks = _gray_path_masks(m)
     eps = Fraction(1, 2 * len(path_masks))
     v0 = GrayValuation(m, 0, path_masks, eps)
     v1 = GrayValuation(m, 1, path_masks, eps)
-    oracles = (AdaptiveGrayOracle(v0), AdaptiveGrayOracle(v1))
     w0 = path_masks[0]
     init_alloc = (bundle_of(v0.full_mask ^ w0), bundle_of(w0))
-    return v0, v1, oracles, init_alloc
+    return v0, v1, (v0, v1), init_alloc
 
 
 register_kind(
@@ -370,7 +346,9 @@ def run_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap=None):
     The responder's demand is the int entry `_demand` on the rival's row,
     counted as one demand query; the strict-improvement test reads the
     responder's `int_oracle`. Bids, trace sums and the result stay
-    Fractions. step_cap defaults to `default_step_cap(v0, v1)` responses.
+    Fractions. Each clause comes from `oracles[i].xos_clause`, by default
+    the valuations themselves; any object with that method can stand in.
+    step_cap defaults to `default_step_cap(v0, v1)` responses.
     """
     valuations = (v0, v1)
     m = v0.m
@@ -434,8 +412,7 @@ def run_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap=None):
             quiet += 1
         trace.responses += 1
         responder = 1 - responder
-    bids = tuple(tuple(Fraction(x, D) for x in row) for row in rows)
-    return DynamicRun(alloc, bids, trace)
+    return DynamicRun(alloc, money_rows(rows, D), trace)
 
 
 def dynamic_trace_audit(trace: DynamicTrace):

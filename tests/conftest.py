@@ -350,6 +350,29 @@ def seeded(seed):
     return random.Random(seed)
 
 
+class RecordingClauseOracle:
+    """Clause oracle over a GrayValuation that answers with the valuation's
+    own (counted) clause and records, in first-touch order, the path
+    position k of each middle bundle (size m'+1) it is asked about."""
+
+    def __init__(self, valuation):
+        self.valuation = valuation
+        self.k_map = {}
+        self.touch_order = []
+
+    def xos_clause(self, S):
+        out = self.valuation.xos_clause(S)
+        bmask = mask_of(S)
+        if bmask.bit_count() == self.valuation.mp + 1 and bmask not in self.k_map:
+            self.k_map[bmask] = self.valuation.k_of(bmask)
+            self.touch_order.append(bmask)
+        return out
+
+
+def recording_oracles(v0, v1):
+    return RecordingClauseOracle(v0), RecordingClauseOracle(v1)
+
+
 def reference_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap=10_000):
     """The best-reply dynamic in Fractions, as it ran before its loop moved
     to ints: the responder's demand through the public `demand` on the

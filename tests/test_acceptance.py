@@ -180,7 +180,7 @@ def test_criterion_05_exponential_gray_dynamic():
         ok, problems = dynamic_trace_audit(trace)
         assert ok, problems
         vs = (v0, v1)
-        ok, witness = is_traditional(vs, run.alloc, run.bids, oracles=oracles)
+        ok, witness = is_traditional(vs, run.alloc, run.bids)
         assert ok, witness
         ok, witness = is_pure_nash_no_overbid(vs, run.bids)
         assert ok, witness

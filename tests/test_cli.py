@@ -82,6 +82,27 @@ def test_gen_sensitive_rejects_even_m(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("support, code", [(10, 0), (11, 2)])
+def test_gen_sensitive_support_boundary(support, code, capsys):
+    # m = 5 has C(5, 3) = 10 bundles of size m'+1 to bump; 11 would never be drawn
+    argv = ["gen", "--family", "sensitive", "--m", "5", "--g", "1", "--h", "2", "--support", str(support)]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert len(json.loads(out)["valuations"][0]["k_map"]) == 10
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "family, n, m", [("budget-additive", 0, 2), ("table-submodular", 2, 0), ("coverage", 2, -1)]
+)
+def test_gen_rejects_no_bidders_or_no_items(family, n, m, capsys):
+    assert main(["gen", "--family", family, "--n", str(n), "--m", str(m)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_steal_reports_frozen_run(tmp_path, capsys):
     inst = write_additive_instance(tmp_path / "inst.json")
     trace = tmp_path / "trace.ldj"
@@ -305,6 +326,7 @@ MALFORMED_FILES = {
     "one-set-pair": ("setpair-check", "--system", {"m": 8, "pairs": [[[0, 1, 2]]]}),
     "graph-without-vertices": ("maxcut-reduce", "--graph", {"edges": [[0, 1, "1/1"]]}),
     "edge-without-weight": ("maxcut-reduce", "--graph", {"vertices": 2, "edges": [[0, 1]]}),
+    "no-bidders": ("steal", "--instance", {"n": 0, "m": 2, "valuations": []}),
     "zero-denominator": (
         "steal", "--instance", {"n": 1, "m": 1, "valuations": [{"kind": "additive", "m": 1, "items": ["1/0"]}]}
     ),

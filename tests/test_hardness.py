@@ -391,6 +391,35 @@ def test_sparse_demand_returns_the_exhaustive_bundle(seed):
     assert sparse_demand_oracle(sv, prices) == want
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_sensitive_int_demand_entry_is_the_brute_bundle(seed):
+    # int prices at a denominator that is often not the least one, rescaled
+    # to the family's; a fifth of the draws price every item high
+    rng = seeded(seed)
+    g, h = rng.choice([(1, 2), (2, 3), (1, 4), (2, 5)])
+    D = rng.choice([1, 2, 3, 6, 10, 36])
+    hi = 40 if rng.random() < 0.2 else 6
+    p = [rng.randint(0, hi * D) for _ in range(9)]
+    prices = [Fraction(x, D) for x in p]
+    sv = nondyadic_sensitive(rng, 9, g, h, prices)
+    want, _ = brute_nonempty_demand(sv, prices)
+    assert bundle_of(sv._demand(p, D)) == want
+    assert sv.ledger.demand == 0
+
+
+def test_sensitive_demand_denominator_carries_m_prime_plus_h():
+    # Eight free items earn the B-clause floor 5 * 8/9, and the ninth item
+    # costs a hair over 5/9, so eight items beat nine by less than 1/Q. At a
+    # denominator without m'+h = 9 the floor would round down and lose.
+    sv = SensitiveValuation(9, g=2, h=5)
+    Q = 2 ** 14
+    p = [0] * 8 + [-(-5 * Q // 9)]
+    want, profit = brute_nonempty_demand(sv, [Fraction(x, Q) for x in p])
+    assert (want, profit) == (frozenset(range(8)), Fraction(40, 9))
+    assert bundle_of(sv._demand(p, Q)) == want
+
+
 def test_sparse_demand_walk_does_not_stop_at_a_tied_bound():
     # Two bumps with one k and one cost: the larger mask is walked first, and
     # the smaller one's bound equals the best so far but wins the tie.

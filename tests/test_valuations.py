@@ -249,6 +249,47 @@ def test_demand_rejects_bad_prices():
         v.demand((-1, 0))
 
 
+def test_check_prices_scales_once_to_the_least_denominator():
+    v = AdditiveValuation(3, (1, 2, 3))
+    assert v._check_prices((Fraction(1, 2), 3, "2/6")) == ([3, 18, 2], 6)
+    assert v._check_prices((0, 0, 0)) == ([0, 0, 0], 1)
+    for bad in ((1, 2), (1, 2, 3, 4), (0, Fraction(-1, 3), 0)):
+        with pytest.raises(DomainError):
+            v._check_prices(bad)
+    with pytest.raises(TypeError):
+        v._check_prices((0, 1.5, 0))
+
+
+def additive_bidders(rng, m):
+    """One additive bidder and three budget-additive bidders on its item
+    values: the budget equals a random bundle's sum (a tie), is the total
+    (never reached), or a fraction of it (reached once enough items pay)."""
+    vals = [Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(m)]
+    total = sum(vals, Fraction(0))
+    tie = sum((x for x in vals if rng.random() < 0.5), Fraction(0))
+    budgets = (tie, total, total / rng.randint(2, 5))
+    return [AdditiveValuation(m, vals)] + [BudgetAdditiveValuation(m, b, vals) for b in budgets]
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_int_demand_entries_match_brute(seed):
+    # int prices at a denominator that is often not the least one, so the
+    # entries rescale; some prices equal the item value, a zero-gain item
+    rng = seeded(seed)
+    m = rng.randint(1, 7)
+    bidders = additive_bidders(rng, m)
+    D = rng.choice([1, 2, 3, 5, 12, 24, 36])
+    p = [rng.randint(0, 9 * D) for _ in range(m)]
+    for j, x in enumerate(bidders[0].item_values):
+        if rng.random() < 0.3 and (x * D).denominator == 1:
+            p[j] = int(x * D)
+    prices = [Fraction(x, D) for x in p]
+    for v in bidders:
+        assert bundle_of(v._demand(p, D)) == brute_demand(v, prices)[0]
+        assert v.ledger.demand == 0
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_budget_additive_demand_matches_brute(seed):

@@ -12,6 +12,7 @@ from conftest import (
     canon_digest,
     random_submodular_table,
     random_table,
+    recording_oracles,
     reference_best_reply_dynamic,
     seeded,
 )
@@ -32,7 +33,6 @@ from sspeq.valuations import (
 from sspeq.xos_dynamics import (
     GRAY_DEMAND_POP_CAP,
     GRAY_M_CAP,
-    AdaptiveGrayOracle,
     GrayValuation,
     build_exponential_instance,
     default_step_cap,
@@ -315,7 +315,8 @@ def test_gray_demand_cap_boundary(monkeypatch):
 
 
 def test_exponential_dynamic_m5_frozen():
-    v0, v1, oracles, init = build_exponential_instance(5)
+    v0, v1, _, init = build_exponential_instance(5)
+    oracles = recording_oracles(v0, v1)
     assert init == (frozenset({2, 3, 4}), frozenset({0, 1}))
     run = run_best_reply_dynamic(v0, v1, oracles=oracles, init_alloc=init)
     t = run.trace
@@ -334,7 +335,7 @@ def test_exponential_dynamic_m5_frozen():
         prev_alloc, prev_sum = row.alloc, row.winning_sum
     ok, _ = dynamic_trace_audit(t)
     assert ok
-    ok, witness = is_traditional((v0, v1), run.alloc, run.bids, oracles=oracles)
+    ok, witness = is_traditional((v0, v1), run.alloc, run.bids)
     assert ok, witness
     ok, witnesses = is_pure_nash_no_overbid((v0, v1), run.bids)
     assert ok, witnesses
@@ -343,13 +344,14 @@ def test_exponential_dynamic_m5_frozen():
     assert sorted(oracles[1].k_map.values()) == list(range(1, 20, 2))
 
 
-# sha256 of the whole m = 7 run: trace rows, final state, both oracles'
+# sha256 of the whole m = 7 run: trace rows, final state, both recording oracles'
 # touch orders and both ledgers, recorded from the Fraction-arithmetic dynamic.
 DYNAMIC_M7_DIGEST = "2b88bc5afea98f29144562dc47a3eec73ade4d14c6d2fae86540772287a67935"
 
 
 def test_exponential_dynamic_m7_length():
-    v0, v1, oracles, init = build_exponential_instance(7)
+    v0, v1, _, init = build_exponential_instance(7)
+    oracles = recording_oracles(v0, v1)
     run = run_best_reply_dynamic(v0, v1, oracles=oracles, init_alloc=init)
     t = run.trace
     assert not t.truncated
@@ -389,16 +391,6 @@ def test_dynamic_step_cap_marks_truncated():
     v0, v1, oracles, init = build_exponential_instance(5)
     run = run_best_reply_dynamic(v0, v1, oracles=oracles, init_alloc=init, step_cap=3)
     assert run.trace.truncated
-
-
-def test_adaptive_oracle_records_touches():
-    _, v1, _, _ = build_exponential_instance(5)
-    oracle = AdaptiveGrayOracle(v1)
-    S = bundle_of(v1.path_masks[1])
-    oracle.xos_clause(S)
-    oracle.xos_clause(S)
-    assert oracle.touch_order == [v1.path_masks[1]]
-    assert oracle.k_map[v1.path_masks[1]] == 1
 
 
 @given(st.integers(0, 10_000))
@@ -502,8 +494,8 @@ def test_dynamic_matches_the_fraction_reference_on_tables(seed, kind):
 def test_dynamic_matches_the_fraction_reference_on_gray_random_inits(seed):
     def make():
         rng = seeded(seed)
-        v0, v1, oracles, _ = build_exponential_instance(rng.choice((5, 7)))
-        return (v0, v1), oracles, random_init(rng, v0.m)
+        v0, v1, _, _ = build_exponential_instance(rng.choice((5, 7)))
+        return (v0, v1), recording_oracles(v0, v1), random_init(rng, v0.m)
 
     (_, got), (_, want) = both_dynamics(make)
     assert got == want
@@ -512,8 +504,8 @@ def test_dynamic_matches_the_fraction_reference_on_gray_random_inits(seed):
 @pytest.mark.parametrize("m", [5, 7, 9, 11])
 def test_dynamic_matches_the_fraction_reference_on_the_gray_path(m):
     def make():
-        v0, v1, oracles, init = build_exponential_instance(m)
-        return (v0, v1), oracles, init
+        v0, v1, _, init = build_exponential_instance(m)
+        return (v0, v1), recording_oracles(v0, v1), init
 
     (run, got), (_, want) = both_dynamics(make)
     assert got == want
