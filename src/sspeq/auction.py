@@ -7,6 +7,7 @@ the lowest bidder index; a winner pays, per item won, the highest rival bid.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,21 +213,20 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
 
 def _best_deviation(table, prices) -> Deviation:
     """best_deviation on the deviator's value table (ints, Dv) and the
-    rival prices, all at one common denominator."""
+    rival prices, all at one common denominator. A mask is blocked iff it
+    has a nonempty submask S with psum[S] >= vals[S]. One int holds a byte
+    per mask, set where psum >= vals (mask 0 cleared), and is closed
+    upward bit by bit: each mask without bit `half` ORs its byte into
+    mask | half, a shift by 8 * half bits of the bytes `keep` marks."""
     vals, psum, D = priced_table(table, scale_to_ints(prices))
     size = len(vals)
-    blocked = bytearray(size)
-    for mask in range(1, size):
-        if psum[mask] >= vals[mask]:
-            blocked[mask] = 1
-        else:
-            mm = mask
-            while mm:
-                low = mm & -mm
-                if blocked[mask ^ low]:
-                    blocked[mask] = 1
-                    break
-                mm ^= low
+    bits = int.from_bytes(bytes(map(operator.ge, psum, vals)), "little") >> 8 << 8
+    half = 1
+    while half < size:
+        keep = int.from_bytes((b"\1" * half + b"\0" * half) * (size // (2 * half)), "little")
+        bits |= (bits & keep) << 8 * half
+        half *= 2
+    blocked = bits.to_bytes(size, "little")
     best_u, best = 0, 0
     for mask in range(1, size):
         if not blocked[mask]:

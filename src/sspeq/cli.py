@@ -27,6 +27,7 @@ from .valuations import (
     verify_class,
 )
 from .auction import (
+    SUBSET_CAP,
     check_allocation,
     greedy_allocation,
     is_pure_nash_no_overbid,
@@ -199,25 +200,30 @@ def _maybe_opt(valuations, alloc):
     return format_money(opt), ratio
 
 
-def _maybe_certify(valuations, bids, alloc):
-    if valuations[0].m > CERTIFY_M_CAP:
+def _maybe_certify(valuations, bids, alloc, cap):
+    if valuations[0].m > cap:
         return None, None
     ok, witnesses = is_pure_nash_no_overbid(valuations, bids, alloc)
     return ok, [w["kind"] for w in witnesses[:4]]
 
 
-def _finish_run(args, report, vals, alloc, bids, violated, trace_rows=None, opt=True, certify=True):
+def _finish_run(
+    args, report, vals, alloc, bids, violated, trace_rows=None, opt=True, certify_cap=CERTIFY_M_CAP
+):
     """Fill the report tail the run commands share (allocation, bids, welfare,
-    opt and ratio, certification, witness kinds, ledgers), emit the report
-    and return the exit code. The ledgers are read after the last counted
-    query, so every query the report makes is in them."""
+    opt and ratio, certification up to certify_cap items, or none when it is
+    None, witness kinds, ledgers), emit the report and return the exit code.
+    The ledgers are read after the last counted query, so every query the
+    report makes is in them."""
     report["allocation"] = _jsonable(alloc)
     report["bids"] = _jsonable(bids)
     report["welfare"] = format_money(welfare(vals, alloc))
     if opt:
         report["opt"], report["ratio"] = _maybe_opt(vals, alloc)
-    if certify:
-        report["equilibrium_verified"], report["witness_kinds"] = _maybe_certify(vals, bids, alloc)
+    if certify_cap is not None:
+        report["equilibrium_verified"], report["witness_kinds"] = _maybe_certify(
+            vals, bids, alloc, certify_cap
+        )
     report["ledgers"] = _ledgers(vals)
     _emit(report, args, trace_rows)
     if violated or report.get("equilibrium_verified") is False:
@@ -444,8 +450,11 @@ def cmd_dynamic(args):
     if settled:
         report["traditional"], _ = is_traditional(vals, run.alloc, run.bids)
     violated = not settled or not increasing or report.get("traditional") is False
+    # two bidders keep the check cheap (2 tables of 2^m, no OPT), so the end
+    # state is certified up to the kernels' own cap, not CERTIFY_M_CAP
     return _finish_run(
-        args, report, vals, run.alloc, run.bids, violated, trace_rows, opt=False, certify=settled
+        args, report, vals, run.alloc, run.bids, violated, trace_rows, opt=False,
+        certify_cap=SUBSET_CAP if settled else None,
     )
 
 

@@ -88,11 +88,11 @@ def priced_table(table, prices):
 
 def subset_sums(weights):
     """sums[t] == the sum of weights[b] over the set bits b of t, for every
-    t < 1 << len(weights), in one low-bit prefix pass."""
-    sums = [0] * (1 << len(weights))
-    for t in range(1, len(sums)):
-        low = t & -t
-        sums[t] = sums[t ^ low] + weights[low.bit_length() - 1]
+    t < 1 << len(weights), by doubling: the masks that hold weight b are
+    those below bit b with weights[b] added."""
+    sums = [0]
+    for w in weights:
+        sums += [x + w for x in sums]
     return sums
 
 
@@ -227,7 +227,9 @@ class Valuation:
 
     def value_table(self):
         """(ints, D) with _value_mask(t) == Fraction(ints[t], D) for every
-        mask t. Built afresh on each call and not counted in the ledger."""
+        mask t, not counted in the ledger. Each call returns a fresh list;
+        a family whose values never change may keep the ints of its first
+        call and copy them out."""
         return scale_to_ints([self._value_mask(t) for t in range(1 << self.m)])
 
     def int_oracle(self):
@@ -496,25 +498,29 @@ class CoverageValuation(Valuation):
             parsed.append((min(u, v), max(u, v), w))
         self.edges = parsed
         self._edge_masks = [((1 << u) | (1 << v), w) for u, v, w in parsed]
+        self._table = None
 
     def _value_mask(self, mask):
         return sum((w for em, w in self._edge_masks if em & mask), Fraction(0))
 
     def value_table(self):
-        # low-bit DP: adding item j newly covers its edges not yet touched by rest
-        weights, D = scale_to_ints([w for _, _, w in self.edges])
-        nbrs = [[] for _ in range(self.m)]
-        for (u, v, _), w in zip(self.edges, weights):
-            nbrs[u].append((1 << v, w))
-            nbrs[v].append((1 << u, w))
-        table = [0] * (1 << self.m)
-        for mask in range(1, 1 << self.m):
-            low = mask & -mask
-            rest = mask ^ low
-            table[mask] = table[rest] + sum(
-                w for other, w in nbrs[low.bit_length() - 1] if not other & rest
-            )
-        return table, D
+        # the edges never change, so the first table is kept and copied out;
+        # it doubles per item j: for S below j, v(S + j) == v(S) + (weight
+        # on j) - (weight from j into S), and the last term is a subset sum
+        if self._table is None:
+            weights, D = scale_to_ints([w for _, _, w in self.edges])
+            total = [0] * self.m
+            lower = [[0] * j for j in range(self.m)]
+            for (u, v, _), w in zip(self.edges, weights):
+                total[u] += w
+                total[v] += w
+                lower[v][u] += w
+            table = [0]
+            for j in range(self.m):
+                table += [x + total[j] - y for x, y in zip(table, subset_sums(lower[j]))]
+            self._table = table, D
+        table, D = self._table
+        return list(table), D
 
     def to_json(self):
         return {

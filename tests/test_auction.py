@@ -13,6 +13,7 @@ from conftest import (
     random_budget_additive,
     random_coverage,
     random_submodular_table,
+    random_table,
     reference_partition_dp,
     seeded,
 )
@@ -224,6 +225,35 @@ def test_best_deviation_matches_brute(seed):
     want_u, want_S, want_pay = brute_best_deviation(vs, i, bids)
     d = best_deviation(vs, i, bids)
     assert (d.utility, d.bundle, d.payment) == (want_u, want_S, want_pay)
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_best_deviation_matches_brute_at_ties(seed, block_all):
+    # the rival prices either tie the value of one bundle S exactly, spread
+    # evenly over S, or meet every single item's value, which blocks every
+    # bundle; the deviator's own bids do not matter. For a subadditive v a
+    # blocked bundle never beats its unblocked part, so only the general
+    # monotone tables, with complements, show whether blocking spreads up.
+    rng = seeded(seed)
+    m = rng.randint(1, 5)
+    v = rng.choice([
+        lambda: random_coverage(rng, m),
+        lambda: random_submodular_table(rng, m),
+        lambda: TableValuation(m, random_table(rng, m)),
+    ])()
+    if block_all:
+        prices = [v.value({j}) + Fraction(rng.randint(0, 1), 2) for j in range(m)]
+    else:
+        S = bundle_of(rng.randint(1, (1 << m) - 1))
+        share = v.value(S) / len(S)
+        prices = [share if j in S else Fraction(rng.randint(0, 4), 2) for j in range(m)]
+    bids = [[Fraction(rng.randint(0, 4)) for _ in range(m)], prices]
+    want_u, want_S, want_pay = brute_best_deviation([v, None], 0, bids)
+    d = best_deviation([v, None], 0, bids)
+    assert (d.utility, d.bundle, d.payment) == (want_u, want_S, want_pay)
+    if block_all:
+        assert (d.utility, d.bundle) == (0, frozenset())
 
 
 @given(st.integers(0, 10_000))

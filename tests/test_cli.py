@@ -234,6 +234,9 @@ def test_dynamic_default_step_cap_settles_the_gray_path(tmp_path, capsys):
     d = json.loads(out)
     assert (d["exchanges"], d["responses"], d["truncated"]) == (923, 926, False)
     assert d["traditional"] is True
+    # m = 11 is past CERTIFY_M_CAP: the dynamic's end state certifies anyway
+    assert d["equilibrium_verified"] is True
+    assert d["witness_kinds"] == []
 
 
 def test_dynamic_step_cap_means_violation(tmp_path, capsys):

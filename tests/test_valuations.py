@@ -18,7 +18,6 @@ from conftest import (
     random_additive,
     random_budget_additive,
     random_coverage,
-    random_coverage_edges,
     random_submodular_table,
     random_table,
     random_weights,
@@ -45,6 +44,7 @@ from sspeq.valuations import (
     cheapest_subsets,
     check_clause,
     mask_of,
+    subset_sums,
     sum_oracle,
     valuation_from_json,
     verify_class,
@@ -314,15 +314,49 @@ def test_table_demand_matches_brute(seed):
     assert v.demand(prices) == want
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_coverage_value_table_matches_brute(seed):
-    rng = seeded(seed)
-    m = rng.randint(1, 7)
-    edges = random_coverage_edges(rng, m, den=6)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_coverage_value_table_matches_brute(data):
+    # m = 1 has no edges; zero weights and parallel edges (a drawn edge
+    # repeated, either way round) come up often
+    m = data.draw(st.integers(1, 7))
+    edge = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1), st.integers(0, 6),
+                     st.integers(1, 6)).filter(lambda e: e[0] != e[1])
+    edges = [(u, v, Fraction(k, d)) for u, v, k, d in data.draw(st.lists(edge, max_size=2 * m))]
+    if edges and data.draw(st.booleans()):
+        u, v, w = data.draw(st.sampled_from(edges))
+        edges.append((v, u, w))
     ints, D = CoverageValuation(m, edges).value_table()
     assert D > 0
     assert [Fraction(x, D) for x in ints] == brute_coverage_table(m, edges)
+
+
+def test_coverage_value_table_is_built_once_and_copied(monkeypatch):
+    edges = [(0, 1, Fraction(3, 2)), (1, 0, Fraction(1, 3)), (2, 3, Fraction(0)), (1, 3, 2)]
+    v = CoverageValuation(4, edges)
+    first, _ = v.value_table()
+
+    def no_rebuild(values):
+        raise AssertionError("the coverage table was built again")
+
+    monkeypatch.setattr(valuations, "scale_to_ints", no_rebuild)
+    first[-1] += 1
+    (again, D), (other, _) = v.value_table(), v.value_table()
+    assert again is not other
+    assert [Fraction(x, D) for x in again] == brute_coverage_table(4, edges)
+    assert v.ledger.total() == 0
+
+
+_SUM_WEIGHT = st.one_of(
+    st.sampled_from([0, -1, 1, 2**64, -(2**64) - 1]), st.integers(-(2**70), 2**70)
+)
+
+
+@given(st.lists(_SUM_WEIGHT, max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_subset_sums_matches_per_mask_sums(weights):
+    want = [sum(w for b, w in enumerate(weights) if t >> b & 1) for t in range(1 << len(weights))]
+    assert subset_sums(weights) == want
 
 
 @given(st.integers(0, 10_000))
