@@ -102,9 +102,21 @@ def optimal_welfare(valuations):
     Runs on value tables scaled to one common denominator, which keeps every
     comparison and so the chosen allocation. Bidder i takes, from the items
     left to bidders 0..i, the submask t with the largest (welfare, t) pair:
-    the highest welfare, ties to the largest t. Bidder 0's welfare is its
-    value alone, so its max runs bit by bit over its 2^m table, not 3^m."""
+    the highest welfare, ties to the largest t. Bidder 0's row is a subset
+    max of its table; bidders 1..n-3 get full rows by the submask walk.
+
+    The middle bidder (n-2) is walked only where the last bidder's choice t
+    can still win. For any int prices p with ps = p(R), the split of R
+    between the middle table a and the row before it b obeys
+    a[t] + b[R^t] = (a[t] - ps[t]) + (b[R^t] - ps[R^t]) + ps[R]
+    <= A[R] + B[R] + ps[R], with A and B the subset maxes of a - ps and
+    b - ps; adding the last bidder's value bounds each t's welfare. The t
+    are tried by (bound, t) descending and the walk stops at the first
+    (bound, t) below the best (welfare, t) found: every later t has a
+    smaller (welfare, t) pair, so ties still go to the largest t."""
     n = len(valuations)
+    if not n:
+        raise DomainError("need at least one bidder")
     m = valuations[0].m
     if any(v.m != m for v in valuations):
         raise DomainError("valuations disagree on m")
@@ -117,41 +129,92 @@ def optimal_welfare(valuations):
     tables = [rescale(vals, d, D) for vals, d in tables]
     size = 1 << m
     full = size - 1
-    # bidder 0: pairs[mask] becomes the largest (value, t) over submasks t of
-    # mask; after the pass on `bit`, over the t that drop only bits up to it
-    pairs = list(zip(tables[0], range(size)))
+    # rows[i][mask]: the best welfare of bidders 0..i-1 on the items of mask
+    rows = [[0] * size, _subset_max(tables[0])][:n]
+    for vals in tables[1:n - 2]:
+        prev = rows[-1]
+        rows.append([_best_split(prev, vals, mask)[0] for mask in range(size)])
+    if n < 3:
+        best, bestT = _best_split(rows[-1], tables[-1], full)
+    else:
+        before, middle, last = rows[-1], tables[-2], tables[-1]
+        ub = _split_bound(middle, before, _item_prices(tables, m))
+        bound = [x + y for x, y in zip(last, reversed(ub))]
+        # seed with the largest (bound, t); it heads the sorted candidates
+        _, bestT = max(zip(bound, range(size)))
+        best = last[bestT] + _best_split(before, middle, full ^ bestT)[0]
+        cands = sorted(((b, t) for t, b in enumerate(bound) if b >= best), reverse=True)
+        for b, t in cands[1:]:
+            if (b, t) < (best, bestT):
+                break
+            w = last[t] + _best_split(before, middle, full ^ t)[0]
+            if (w, t) > (best, bestT):
+                best, bestT = w, t
+    picks = [0] * n
+    picks[-1], mask = bestT, full ^ bestT
+    for i in range(n - 2, -1, -1):
+        picks[i] = _best_split(rows[i], tables[i], mask)[1]
+        mask ^= picks[i]
+    return Fraction(best, D), tuple(bundle_of(t) for t in picks)
+
+
+def _best_split(prev, vals, mask):
+    """The largest (prev[mask ^ t] + vals[t], t) over submasks t of mask:
+    submasks in descending order, the first maximum wins."""
+    best, bestT = prev[0] + vals[mask], mask
+    t = mask
+    while t:
+        t = (t - 1) & mask
+        cand = prev[mask ^ t] + vals[t]
+        if cand > best:
+            best, bestT = cand, t
+    return best, bestT
+
+
+def _subset_max(row):
+    """Per mask, the largest entry of `row` over its submasks, one bit at a
+    time: each mask with the bit takes the larger of itself and its partner
+    without it, on `bit` stride slices while they are fewer than the
+    size / (2 * bit) blocks, else on the blocks."""
+    row = list(row)
+    size = len(row)
     bit = 1
     while bit < size:
-        for lo in range(bit, size, 2 * bit):
-            for mask in range(lo, lo + bit):
-                if pairs[mask ^ bit] > pairs[mask]:
-                    pairs[mask] = pairs[mask ^ bit]
-        bit *= 2
-    prev, take = zip(*pairs)
-    choices = [take]
-    for i in range(1, n):
-        vals = tables[i]
-        cur = [0] * size
-        take = [0] * size
-        # the last bidder only has to complete the full item set
-        for mask in range(size) if i < n - 1 else (full,):
-            # submasks t of mask in descending order; the first maximum wins
-            best, bestT = prev[0] + vals[mask], mask
-            t = mask
-            while t:
-                t = (t - 1) & mask
-                cand = prev[mask ^ t] + vals[t]
-                if cand > best:
-                    best, bestT = cand, t
-            cur[mask], take[mask] = best, bestT
-        choices.append(take)
-        prev = cur
-    mask = full
-    picks = [0] * n
-    for i in range(n - 1, -1, -1):
-        picks[i] = choices[i][mask]
-        mask ^= picks[i]
-    return Fraction(prev[full], D), tuple(bundle_of(t) for t in picks)
+        step = 2 * bit
+        if bit * step < size:
+            for lo in range(bit):
+                hi = lo + bit
+                row[hi::step] = [x if x > y else y for x, y in zip(row[hi::step], row[lo::step])]
+        else:
+            for hi in range(bit, size, step):
+                lo = hi - bit
+                row[hi:hi + bit] = [x if x > y else y for x, y in zip(row[hi:hi + bit], row[lo:hi])]
+        bit = step
+    return row
+
+
+def _split_bound(a, b, prices):
+    """ub[R] >= max over submasks t of R of a[t] + b[R ^ t], for any int
+    item prices: A[R] + B[R] + p(R), A and B the subset maxes of a - p and
+    b - p."""
+    ps = subset_sums(prices)
+    A = _subset_max([x - p for x, p in zip(a, ps)])
+    B = _subset_max([x - p for x, p in zip(b, ps)])
+    return [x + y + p for x, y, p in zip(A, B, ps)]
+
+
+def _item_prices(tables, m):
+    """Int item prices from the tables alone: items in turn go to the
+    largest marginal, ties to the lowest bidder, and each is priced at half
+    its owner's final marginal, floored and at least 0."""
+    owned = [0] * len(tables)
+    owner = []
+    for j in range(m):
+        gains = [vals[S | 1 << j] - vals[S] for vals, S in zip(tables, owned)]
+        owner.append(gains.index(max(gains)))
+        owned[owner[-1]] |= 1 << j
+    return [max(0, (tables[i][owned[i]] - tables[i][owned[i] ^ 1 << j]) // 2)
+            for j, i in enumerate(owner)]
 
 
 def check_no_overbidding(v: Valuation, bid_row):
@@ -285,6 +348,8 @@ def is_traditional(valuations, alloc, bids):
 def greedy_allocation(valuations):
     """Item-by-item max-marginal assignment, ties to the lowest bidder."""
     n = len(valuations)
+    if not n:
+        raise DomainError("need at least one bidder")
     m = valuations[0].m
     owned = [set() for _ in range(n)]
     for j in range(m):

@@ -20,6 +20,9 @@ from conftest import (
 from sspeq.auction import (
     OPT_WORK_CAP,
     SUBSET_CAP,
+    _best_split,
+    _split_bound,
+    _subset_max,
     best_deviation,
     check_no_overbidding,
     greedy_allocation,
@@ -181,12 +184,78 @@ def test_optimal_welfare_allocation_matches_reference_dp(seed):
     assert optimal_welfare(vs) == reference_partition_dp(vs)
 
 
+def _certify_shaped(rng, n, m):
+    """Two coverage bidders and a submodular table, as `sspeq verify` sees
+    them, then n - 3 more of the mixed families."""
+    vs = [random_coverage(rng, m), random_coverage(rng, m), random_submodular_table(rng, m)]
+    return vs + (_mixed_family(rng, n - 3, m) if n > 3 else [])
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_optimal_welfare_matches_reference_dp_when_pruned(seed):
+    # n = 3 at m = 8 is the certify shape, where most masks are pruned;
+    # n = 4 and 5 also run the full rows of the bidders before the middle one
+    rng = seeded(seed)
+    n = rng.randint(3, 5)
+    vs = _certify_shaped(rng, n, 8 if n == 3 else rng.randint(1, 6))
+    assert optimal_welfare(vs) == reference_partition_dp(vs)
+
+
+def test_optimal_welfare_prunes_the_middle_walk(monkeypatch):
+    # the bound prunes: on certify-shaped instances the submask walks (the
+    # middle bidder's and the picks') cover a small share of the 2^m masks
+    walked = []
+
+    def recording(prev, vals, mask):
+        walked.append(mask)
+        return _best_split(prev, vals, mask)
+
+    monkeypatch.setattr("sspeq.auction._best_split", recording)
+    for seed in range(10):
+        optimal_welfare(_certify_shaped(seeded(seed), 3, 8))
+    assert len(walked) < 10 * (1 << 8) // 8
+
+
+@given(st.integers(1, 9).flatmap(lambda m: st.lists(st.integers(-40, 40), min_size=1 << m, max_size=1 << m)))
+@settings(max_examples=60, deadline=None)
+def test_subset_max_matches_brute(row):
+    # m = 1..9 crosses the switch from stride slices to block slices
+    want = [max(row[t] for t in range(mask + 1) if t & mask == t) for mask in range(len(row))]
+    assert _subset_max(row) == want
+
+
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(
+    st.lists(st.integers(-30, 30), min_size=1 << m, max_size=1 << m),
+    st.lists(st.integers(-30, 30), min_size=1 << m, max_size=1 << m),
+    st.lists(st.integers(-10, 10), min_size=m, max_size=m),
+)))
+@settings(max_examples=80, deadline=None)
+def test_split_bound_covers_the_exact_split(tables):
+    a, b, prices = tables
+    ub = _split_bound(a, b, prices)
+    for R in range(len(a)):
+        subs = [t for t in range(R + 1) if t & R == t]
+        p = {t: sum(x for j, x in enumerate(prices) if t >> j & 1) for t in subs}
+        assert ub[R] == max(a[t] - p[t] for t in subs) + max(b[t] - p[t] for t in subs) + p[R]
+        assert ub[R] >= max(a[t] + b[R ^ t] for t in subs)
+
+
 def test_optimal_welfare_cap_boundary():
     # the cap is on n * 3^m: two bidders fit at m = 15, three do not
     assert 2 * 3 ** 15 <= OPT_WORK_CAP < 3 * 3 ** 15
-    vs = [CoverageValuation(15, [(0, 1, 1)]) for _ in range(3)]
+    vs = [CoverageValuation(15, [(0, 1, 1)]), CoverageValuation(15, [(1, 2, 2)])]
+    opt, alloc = optimal_welfare(vs)
+    assert opt == 3
+    assert welfare(vs, alloc) == opt
     with pytest.raises(CapabilityError):
-        optimal_welfare(vs)
+        optimal_welfare(vs + vs[:1])
+
+
+def test_empty_bidder_list_is_a_domain_error():
+    for f in (optimal_welfare, greedy_allocation):
+        with pytest.raises(DomainError, match="need at least one bidder"):
+            f([])
 
 
 def test_best_deviation_frozen_strictness():

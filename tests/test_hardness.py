@@ -356,7 +356,8 @@ def nondyadic_sensitive(rng, m, g, h, prices):
     """Bumps over denominators 3, 5, 7, 81 and 2^13, stored in a shuffled
     (non-monotone) k order, with some k values shared. Half the time every
     size-(m'+1) subset of the cheapest m'+1 or m'+2 items is stored too, so
-    a window prefix can have no unstored subset."""
+    a window prefix can have no unstored subset. A drawn bump below the
+    default 1/2^(m+4), which `add_bump` rejects, is raised to it."""
     mp = m // 2
     masks = set(rng.sample(odd_graph_vertices(mp), rng.randint(0, 8)))
     if rng.random() < 0.5:
@@ -371,7 +372,7 @@ def nondyadic_sensitive(rng, m, g, h, prices):
             k_map[mask] = rng.choice(list(k_map.values()))
         else:
             den = rng.choice([3, 5, 7, 81, 2 ** 13])
-            k_map[mask] = Fraction(rng.randint(1, 4 * den - 1), 16 * den)
+            k_map[mask] = max(Fraction(rng.randint(1, 4 * den - 1), 16 * den), Fraction(1, 2 ** (m + 4)))
         if rng.random() < 0.5:
             clause_items[mask] = rng.choice(sorted(bundle_of(mask)))
     return SensitiveValuation(m, k_map=k_map, clause_items=clause_items, g=g, h=h)
