@@ -20,6 +20,7 @@ from .valuations import (
     better_demand,
     bundle_of,
     mask_of,
+    pair_slices,
     priced_table,
     subset_sums,
 )
@@ -87,8 +88,15 @@ def check_allocation(alloc, n: int, m: int):
     return alloc
 
 
+def item_count(valuations) -> int:
+    """The bidders' number of items m, read from the first bidder."""
+    if not valuations:
+        raise DomainError("need at least one bidder")
+    return valuations[0].m
+
+
 def welfare(valuations, alloc) -> Money:
-    alloc = check_allocation(alloc, len(valuations), valuations[0].m)
+    alloc = check_allocation(alloc, len(valuations), item_count(valuations))
     return sum((v.value(S) for v, S in zip(valuations, alloc)), Fraction(0))
 
 
@@ -114,10 +122,7 @@ def optimal_welfare(valuations):
     are tried by (bound, t) descending and the walk stops at the first
     (bound, t) below the best (welfare, t) found: every later t has a
     smaller (welfare, t) pair, so ties still go to the largest t."""
-    n = len(valuations)
-    if not n:
-        raise DomainError("need at least one bidder")
-    m = valuations[0].m
+    n, m = len(valuations), item_count(valuations)
     if any(v.m != m for v in valuations):
         raise DomainError("valuations disagree on m")
     if n * 3 ** m > OPT_WORK_CAP:
@@ -174,22 +179,14 @@ def _best_split(prev, vals, mask):
 def _subset_max(row):
     """Per mask, the largest entry of `row` over its submasks, one bit at a
     time: each mask with the bit takes the larger of itself and its partner
-    without it, on `bit` stride slices while they are fewer than the
-    size / (2 * bit) blocks, else on the blocks."""
+    without it, slice by slice (`pair_slices`)."""
     row = list(row)
     size = len(row)
     bit = 1
     while bit < size:
-        step = 2 * bit
-        if bit * step < size:
-            for lo in range(bit):
-                hi = lo + bit
-                row[hi::step] = [x if x > y else y for x, y in zip(row[hi::step], row[lo::step])]
-        else:
-            for hi in range(bit, size, step):
-                lo = hi - bit
-                row[hi:hi + bit] = [x if x > y else y for x, y in zip(row[hi:hi + bit], row[lo:hi])]
-        bit = step
+        for lo, hi in pair_slices(size, bit):
+            row[hi] = [x if x > y else y for x, y in zip(row[hi], row[lo])]
+        bit *= 2
     return row
 
 
@@ -223,7 +220,10 @@ def check_no_overbidding(v: Valuation, bid_row):
     For monotone valuations it is enough to check subsets of the support,
     so only the support's submasks are ever evaluated, in descending order.
     """
-    return _no_overbidding((v._value_mask, 1), tuple(parse_money(x) for x in bid_row))
+    bid_row = tuple(parse_money(x) for x in bid_row)
+    if len(bid_row) != v.m:
+        raise DomainError("valuation does not match bid width")
+    return _no_overbidding((v._value_mask, 1), bid_row)
 
 
 def _no_overbidding(oracle, bid_row):
@@ -264,6 +264,8 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
     sum of standing rival prices over S < v_i(S); the deviator then pays the
     rival price on each item of T. Exact for subadditive valuations.
     """
+    if not 0 <= i < len(valuations):
+        raise DomainError(f"bidder {i} not within 0..{len(valuations) - 1}")
     bids = check_bids(bids)
     m = len(bids[0])
     v = valuations[i]
@@ -304,7 +306,7 @@ def is_pure_nash_no_overbid(valuations, bids, alloc=None):
     strictly profitable deviation for any bidder. Returns (ok, witnesses):
     a mismatch first, then overbidding and deviations, each by bidder.
     Both checks of a bidder read one value table of it."""
-    m = valuations[0].m
+    m = item_count(valuations)
     bids = check_bids(bids, n=len(valuations), m=m)
     if m > SUBSET_CAP:
         raise CapabilityError(f"equilibrium check capped at m={SUBSET_CAP}")
@@ -334,8 +336,9 @@ def is_pure_nash_no_overbid(valuations, bids, alloc=None):
 def is_traditional(valuations, alloc, bids):
     """Bids equal the valuation's XOS clause (`xos_clause`) of the owned
     bundle and are zero elsewhere."""
-    bids = check_bids(bids, n=len(valuations), m=valuations[0].m)
-    alloc = check_allocation(alloc, len(valuations), valuations[0].m)
+    m = item_count(valuations)
+    bids = check_bids(bids, n=len(valuations), m=m)
+    alloc = check_allocation(alloc, len(valuations), m)
     for i, v in enumerate(valuations):
         clause = v.xos_clause(alloc[i])
         for j in range(v.m):
@@ -347,10 +350,7 @@ def is_traditional(valuations, alloc, bids):
 
 def greedy_allocation(valuations):
     """Item-by-item max-marginal assignment, ties to the lowest bidder."""
-    n = len(valuations)
-    if not n:
-        raise DomainError("need at least one bidder")
-    m = valuations[0].m
+    n, m = len(valuations), item_count(valuations)
     owned = [set() for _ in range(n)]
     for j in range(m):
         best_i, best_gain = 0, None

@@ -25,11 +25,12 @@ from .valuations import (
     BudgetAdditiveValuation,
     CapabilityError,
     DomainError,
+    bundle_of,
     iter_bits,
     iter_submasks,
     mask_of,
 )
-from .auction import check_allocation, prices_from_bids
+from .auction import check_allocation, item_count, prices_from_bids
 
 ORDERING_POLICIES = ("stolen-last", "static")
 STEAL_BOUND_M_CAP = 12
@@ -100,7 +101,7 @@ def _checked_masks(valuations, alloc):
     """(alloc, masks): the checked allocation and its bundle masks. Every
     allocated item must lie within every bidder's items, since each bidder's
     oracle reads bundles that may hold any of them."""
-    alloc = check_allocation(alloc, len(valuations), valuations[0].m)
+    alloc = check_allocation(alloc, len(valuations), item_count(valuations))
     masks = [mask_of(S) for S in alloc]
     whole = 0
     for mask in masks:
@@ -173,36 +174,33 @@ def run_iterative_stealing(
     classifier=None,
 ) -> StealRun:
     """Run single-item stealing to quiescence. The optional classifier,
-    called as classifier(valuations, alloc, prices, steal) with the standing
+    called as classifier(valuations, prices, steal) with the standing
     prices, tags each event from the pre-steal state."""
     if policy not in ORDERING_POLICIES:
         raise DomainError(f"policy must be one of {ORDERING_POLICIES}")
-    m = valuations[0].m
     alloc, masks = _checked_masks(valuations, init_alloc)
-    alloc = list(alloc)
+    m = valuations[0].m
     orders = owner_first(alloc, m)
     oracles, D = int_oracles(valuations)
     ledgers = [v.ledger for v in valuations]
     rows = bid_rows(oracles, ledgers, masks, orders, m)
     prices = tuple(Fraction(p, D) for p in map(max, zip(*rows)))
     welfare = Fraction(sum(f(mask) for f, mask in zip(oracles, masks)), D)
-    log = StealLog(tuple(alloc), prices)
+    log = StealLog(alloc, prices)
     while True:
         steal = steal_search(oracles, ledgers, masks, rows)
         if steal is None:
-            return StealRun(tuple(alloc), money_rows(rows, D), orders, log)
+            return StealRun(tuple(map(bundle_of, masks)), money_rows(rows, D), orders, log)
         if len(log.events) >= step_cap:
             raise StealCapExceeded(step_cap, log)
         thief, victim, item = steal
-        tag = classifier(valuations, alloc, prices, steal) if classifier else None
+        tag = classifier(valuations, prices, steal) if classifier else None
         if policy == "stolen-last":
             # the item closes the thief's owned prefix and goes last for the victim
             orders[thief].remove(item)
-            orders[thief].insert(len(alloc[thief]), item)
+            orders[thief].insert(masks[thief].bit_count(), item)
             orders[victim].remove(item)
             orders[victim].append(item)
-        alloc[thief] = alloc[thief] | {item}
-        alloc[victim] = alloc[victim] - {item}
         masks[thief] |= 1 << item
         masks[victim] ^= 1 << item
         rows = bid_rows(oracles, ledgers, masks, orders, m)
@@ -245,11 +243,10 @@ def run_budget_additive_stealing(valuations, init_alloc, step_cap=None) -> Steal
     for v in valuations:
         if not isinstance(v, BudgetAdditiveValuation):
             raise DomainError("budget-additive stealing needs budget-additive bidders")
-    n, m = len(valuations), valuations[0].m
     if step_cap is None:
-        step_cap = budget_additive_steal_bound(n, m)
+        step_cap = budget_additive_steal_bound(len(valuations), item_count(valuations))
 
-    def classifier(vals, alloc, prices, steal):
+    def classifier(vals, prices, steal):
         _, victim, item = steal
         return _loose_tight(vals[victim], item, prices[item])
 
@@ -261,28 +258,26 @@ def run_budget_additive_stealing(valuations, init_alloc, step_cap=None) -> Steal
 # -- settlement bounds ---------------------------------------------------------
 
 
-def _diversity_sum(v, items) -> int:
-    """Distinct marginals of each of `items` across all bundles avoiding it,
-    summed, from one read of v's value table."""
+def _marginal_sets(v, items):
+    """(sets, vals, D): per item of `items`, the distinct int marginals of
+    adding it to each bundle avoiding it, read from one value table (vals, D)."""
     if v.m > STEAL_BOUND_M_CAP:
-        raise CapabilityError(f"marginal diversity capped at m={STEAL_BOUND_M_CAP}")
-    vals, _ = v.value_table()
-    total = 0
-    for j in items:
-        bit = 1 << j
-        total += len({vals[sub | bit] - vals[sub] for sub in iter_submasks(v.full_mask & ~bit)})
-    return total
+        raise CapabilityError(f"settlement bounds capped at m={STEAL_BOUND_M_CAP}")
+    vals, D = v.value_table()
+    sets = [{vals[sub | 1 << j] - vals[sub] for sub in iter_submasks(v.full_mask ^ 1 << j)}
+            for j in items]
+    return sets, vals, D
 
 
 def marginal_diversity(v, j: int) -> int:
     """Number of distinct marginals of item j across all bundles avoiding it."""
-    return _diversity_sum(v, (j,))
+    return len(_marginal_sets(v, (j,))[0][0])
 
 
 def pseudo_poly_steal_bound(valuations) -> int:
     """Sum over bidders and items of marginal diversity; every steal strictly
     raises some item's standing bid through that bidder's marginal set."""
-    return sum(_diversity_sum(v, range(v.m)) for v in valuations)
+    return sum(len(s) for v in valuations for s in _marginal_sets(v, range(v.m))[0])
 
 
 def granularity_steal_bound(valuations):
@@ -290,15 +285,9 @@ def granularity_steal_bound(valuations):
     delta = Fraction(0)
     vmax = Fraction(0)
     for v in valuations:
-        if v.m > STEAL_BOUND_M_CAP:
-            raise CapabilityError(f"granularity bound capped at m={STEAL_BOUND_M_CAP}")
-        vals, D = v.value_table()
+        sets, vals, D = _marginal_sets(v, range(v.m))
         vmax = max(vmax, Fraction(vals[v.full_mask], D))
-        g = 0
-        for mask in range(1 << v.m):
-            for j in iter_bits(v.full_mask & ~mask):
-                g = math.gcd(g, vals[mask | (1 << j)] - vals[mask])
-        delta = money_gcd(delta, Fraction(g, D))
+        delta = money_gcd(delta, Fraction(math.gcd(*set().union(*sets)), D))
     if delta == 0:
         return None
     return len(valuations) * vmax / delta

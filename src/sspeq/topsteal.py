@@ -8,9 +8,12 @@ at the base treats two-competitor markets with plain marginal bids plus at
 most one steal per pinned item. For deeper t it erases each bidder's
 top-competitor items to fall to t-1.
 
-The recursion reads each bidder's int value oracle (`stealing.int_oracles`);
-the conditioned and erased sub-instances compose their base's oracle, and the
-competitor tests compare int singletons. Bids stay Fractions.
+Each level of the recursion reads its bidders' int value oracles afresh
+(`stealing.int_oracles`). A pinned or erased bidder is a `MarginalValuation`
+or `ErasedValuation`, which composes its base's oracle once, when it is
+built, and returns it from `int_oracle`; so the recursion carries one list
+of bidders. The competitor tests compare int singletons. Bids stay
+Fractions.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 from .money import Money
 from .valuations import DomainError, Valuation, as_bundle, mask_of
-from .auction import check_allocation
+from .auction import check_allocation, item_count
 from .stealing import compute_bids, find_steal, int_oracles, owner_first, steal_search
 
 
@@ -39,13 +42,16 @@ class MarginalValuation(Valuation):
         self.item = item
         self.offset = base.value(frozenset({item}))
         self.ledger = base.ledger
+        f, D = base.int_oracle()
+        bit = 1 << item
+        offset = f(bit)
+        self._oracle = (lambda mask: f(mask | bit) - offset), D
 
     def _value_mask(self, mask):
         return self.base._value_mask(mask | (1 << self.item)) - self.offset
 
     def int_oracle(self):
-        f, D = self.base.int_oracle()
-        return marginal_oracle(f, self.item), D
+        return self._oracle
 
 
 class ErasedValuation(Valuation):
@@ -57,26 +63,15 @@ class ErasedValuation(Valuation):
         self.erased = as_bundle(erased)
         self._emask = mask_of(self.erased)
         self.ledger = base.ledger
+        f, D = base.int_oracle()
+        keep = ~self._emask
+        self._oracle = (lambda mask: f(mask & keep)), D
 
     def _value_mask(self, mask):
         return self.base._value_mask(mask & ~self._emask)
 
     def int_oracle(self):
-        f, D = self.base.int_oracle()
-        return erased_oracle(f, self._emask), D
-
-
-def marginal_oracle(f, item: int):
-    """The int oracle of v(. | item), given v's int oracle f."""
-    bit = 1 << item
-    offset = f(bit)
-    return lambda mask: f(mask | bit) - offset
-
-
-def erased_oracle(f, emask: int):
-    """The int oracle of v blind to the items of emask, given v's f."""
-    keep = ~emask
-    return lambda mask: f(mask & keep)
+        return self._oracle
 
 
 def _single(v, f, j: int) -> int:
@@ -198,7 +193,7 @@ def _find_top_steal(valuations, oracles, D, alloc, bids, info):
 def top_steal(valuations, init_alloc, t: int = None) -> TopStealRun:
     """Compute a no-overbidding, steal-stable state for a t-restricted instance."""
     n = len(valuations)
-    m = valuations[0].m
+    m = item_count(valuations)
     if t is None:
         t = n
     if t < 2:
@@ -206,7 +201,7 @@ def top_steal(valuations, init_alloc, t: int = None) -> TopStealRun:
     alloc = check_allocation(init_alloc, n, m)
     if set().union(*alloc) != set(range(m)):
         raise DomainError("initial allocation must cover all items")
-    oracles, D = int_oracles(valuations)
+    oracles, _ = int_oracles(valuations)
     # the move and the restriction check each ask every singleton, so the
     # ledger reads as for preprocess_to_competitors then competitor_info
     alloc, _ignorable = _to_competitors(alloc, _competitors(valuations, oracles, range(m)))
@@ -216,7 +211,7 @@ def top_steal(valuations, init_alloc, t: int = None) -> TopStealRun:
         raise DomainError(f"instance is only {worst}-restricted, got t={t}")
     steals = []
     final_alloc, final_bids, trace = _top_steal_rec(
-        list(valuations), oracles, D, alloc, frozenset(range(m)), t, steals
+        list(valuations), alloc, frozenset(range(m)), t, steals
     )
     return TopStealRun(final_alloc, final_bids, trace, steals)
 
@@ -226,9 +221,10 @@ def _give(alloc, thief, j):
     return tuple((S | {j}) if i == thief else (S - {j}) for i, S in enumerate(alloc))
 
 
-def _top_steal_rec(valuations, oracles, D, alloc, active, t, steals):
+def _top_steal_rec(valuations, alloc, active, t, steals):
     n = len(valuations)
     m = valuations[0].m
+    oracles, D = int_oracles(valuations)
     info = _competitors(valuations, oracles, active)
 
     if len(active) == 1:
@@ -257,13 +253,10 @@ def _top_steal_rec(valuations, oracles, D, alloc, active, t, steals):
     if pin is not None:
         i, j = pin
         single = Fraction(_single(valuations[i], oracles[i], j), D)
-        sub_vals, sub_oracles = list(valuations), list(oracles)
+        sub_vals = list(valuations)
         sub_vals[i] = MarginalValuation(valuations[i], j)
-        sub_oracles[i] = marginal_oracle(oracles[i], j)
         sub_alloc = tuple(S - {j} if k == i else S for k, S in enumerate(alloc))
-        out_alloc, out_bids, child = _top_steal_rec(
-            sub_vals, sub_oracles, D, sub_alloc, active - {j}, t, steals
-        )
+        out_alloc, out_bids, child = _top_steal_rec(sub_vals, sub_alloc, active - {j}, t, steals)
         alloc2, bids2 = compose_top_item(out_alloc, out_bids, i, j, single)
         trace = RecursionTrace("pin_top_item", len(active), t, children=[child])
         return alloc2, bids2, trace
@@ -276,23 +269,20 @@ def _top_steal_rec(valuations, oracles, D, alloc, active, t, steals):
         thief, _, j = steal
         steals.append(steal)
         out_alloc, out_bids, child = _top_steal_rec(
-            valuations, oracles, D, _give(alloc, thief, j), active, t, steals
+            valuations, _give(alloc, thief, j), active, t, steals
         )
         trace = RecursionTrace("steal_then_recurse", len(active), t, steal=steal, children=[child])
         return out_alloc, out_bids, trace
 
     # t > 2: erase every bidder's top-competitor items and fall to t-1
-    sub_vals, sub_oracles = list(valuations), list(oracles)
+    sub_vals = list(valuations)
     for i in range(n):
         erased = frozenset(j for j in active if i in info[j]["top"])
         if erased:
             sub_vals[i] = ErasedValuation(valuations[i], erased)
-            sub_oracles[i] = erased_oracle(oracles[i], mask_of(erased))
-    sub_info = _competitors(sub_vals, sub_oracles, active)
+    sub_info = _competitors(sub_vals, int_oracles(sub_vals)[0], active)
     assert all(len(d["competitors"]) <= t - 1 for d in sub_info.values())
-    out_alloc, out_bids, child = _top_steal_rec(
-        sub_vals, sub_oracles, D, alloc, active, t - 1, steals
-    )
+    out_alloc, out_bids, child = _top_steal_rec(sub_vals, alloc, active, t - 1, steals)
     if find_steal(valuations, tuple(S & active for S in out_alloc), out_bids) is None:
         trace = RecursionTrace("erased_stable", len(active), t, children=[child])
         return out_alloc, out_bids, trace
@@ -302,7 +292,7 @@ def _top_steal_rec(valuations, oracles, D, alloc, active, t, steals):
     thief, _, j = steal
     steals.append(steal)
     out_alloc2, out_bids2, child2 = _top_steal_rec(
-        valuations, oracles, D, _give(out_alloc, thief, j), active, t, steals
+        valuations, _give(out_alloc, thief, j), active, t, steals
     )
     trace = RecursionTrace(
         "erase_then_steal", len(active), t, steal=steal, children=[child, child2]

@@ -8,6 +8,7 @@ demand / XOS-clause queries; internal `_value_mask` calls are not counted.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -84,6 +85,19 @@ def priced_table(table, prices):
     p, Dp = prices
     D = math.lcm(Dv, Dp)
     return rescale(vals, Dv, D), subset_sums(rescale(p, Dp, D)), D
+
+
+@functools.cache
+def pair_slices(size: int, bit: int):
+    """(lo, hi) slice pairs that together pair every mask below `size`
+    without `bit` (in lo) with the mask plus `bit` (in hi), position by
+    position: `bit` stride slices while they are fewer than the
+    size / (2 * bit) contiguous blocks, else the blocks. Cached, since
+    building the slices costs about a tenth of a subset max at m = 10."""
+    step = 2 * bit
+    if bit * step < size:
+        return tuple((slice(r, None, step), slice(r + bit, None, step)) for r in range(bit))
+    return tuple((slice(b, b + bit), slice(b + bit, b + step)) for b in range(0, size, step))
 
 
 def subset_sums(weights):
@@ -603,12 +617,7 @@ def _first_monotone_drop(vals, m: int):
     all; the ordered scan runs only to name the first one."""
     n = 1 << m
     for j in range(m):
-        bit, step = 1 << j, 2 << j
-        if bit * step <= n:  # fewer strided slices than contiguous blocks
-            pairs = ((vals[r::step], vals[r + bit :: step]) for r in range(bit))
-        else:
-            pairs = ((vals[b : b + bit], vals[b + bit : b + step]) for b in range(0, n, step))
-        if any(any(map(operator.gt, lo, hi)) for lo, hi in pairs):
+        if any(any(map(operator.gt, vals[lo], vals[hi])) for lo, hi in pair_slices(n, 1 << j)):
             break
     else:
         return None

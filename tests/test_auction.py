@@ -258,6 +258,23 @@ def test_empty_bidder_list_is_a_domain_error():
             f([])
 
 
+def test_best_deviation_rejects_a_bidder_out_of_range():
+    vs = [AdditiveValuation(2, (3, 1)), AdditiveValuation(2, (2, 2))]
+    bids = [[2, 0], [0, 1]]
+    assert best_deviation(vs, 1, bids).utility == 2
+    # -1 would index the last bidder but count its own bids as rivals
+    for i in (-1, 2):
+        with pytest.raises(DomainError, match="not within 0..1"):
+            best_deviation(vs, i, bids)
+
+
+def test_check_no_overbidding_rejects_a_row_of_the_wrong_width():
+    v = AdditiveValuation(2, (1, 1))
+    for row in ((1, 1, 1), (1,)):
+        with pytest.raises(DomainError, match="valuation does not match bid width"):
+            check_no_overbidding(v, row)
+
+
 def test_best_deviation_frozen_strictness():
     # rival price on the item equals the value: not strictly winnable
     v = AdditiveValuation(1, (2,))

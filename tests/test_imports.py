@@ -1,6 +1,7 @@
 """No module of the library or the suite imports a name it never uses, the
 library imports nothing outside the standard library, and every
-`CapabilityError` the library raises names the cap it hit.
+`CapabilityError` the library raises names the cap it hit, a cap that some
+test names too.
 
 No linter ships with the project, so these AST scans are the check. Package
 `__init__.py` files are skipped by the unused-name scan (their imports are
@@ -8,6 +9,7 @@ re-exports), and so is `from __future__ import annotations`.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -91,9 +93,9 @@ def test_scan_flags_a_planted_third_party_import():
     assert third_party_imports(source) == [(5, "sympy"), (6, "sympy.solvers.simplex")]
 
 
-def unnamed_cap_raises(source):
-    """Line of every `raise CapabilityError(...)` whose message formats no
-    upper-case constant bound at module level."""
+def cap_raises(source):
+    """(line, names) of every `raise CapabilityError(...)`: the upper-case
+    constants bound at module level that its message formats."""
     tree = ast.parse(source)
     constants = set()
     for node in tree.body:
@@ -117,9 +119,21 @@ def unnamed_cap_raises(source):
             for name in ast.walk(part.value)
             if isinstance(name, ast.Name)
         }
-        if not formatted & constants:
-            hits.append(node.lineno)
+        hits.append((node.lineno, formatted & constants))
     return hits
+
+
+def unnamed_cap_raises(source):
+    """Line of every `raise CapabilityError(...)` whose message formats no
+    upper-case constant bound at module level."""
+    return [line for line, names in cap_raises(source) if not names]
+
+
+def untested_caps(sources, test_sources):
+    """Sorted constants that a `raise CapabilityError(...)` of `sources`
+    formats and that no text of `test_sources` names as a whole word."""
+    caps = {name for source in sources for _, names in cap_raises(source) for name in names}
+    return sorted(caps - set(re.findall(r"\w+", "\n".join(test_sources))))
 
 
 def test_every_capability_error_names_its_cap():
@@ -147,3 +161,26 @@ def test_cap_scan_flags_a_literal_message():
         "        raise CapabilityError(f'n={n} exceeds m={m}')\n"
     )
     assert unnamed_cap_raises(source) == [7, 9]
+
+
+def test_every_formatted_cap_is_named_in_a_test():
+    sources = [p.read_text() for p in sorted((ROOT / "src" / "sspeq").glob("*.py"))]
+    tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    assert sum(len(names) for s in sources for _, names in cap_raises(s)) > 15
+    assert untested_caps(sources, tests) == []
+
+
+def test_cap_test_scan_flags_a_cap_no_test_names():
+    source = (
+        "from .valuations import CapabilityError\n"
+        "CAP = 8\n"
+        "OTHER_CAP = 9\n"
+        "def f(m):\n"
+        "    if m > CAP:\n"
+        "        raise CapabilityError(f'capped at m={CAP}')\n"
+        "    if m > OTHER_CAP:\n"
+        "        raise CapabilityError(f'capped at m={OTHER_CAP}')\n"
+    )
+    assert untested_caps([source], ["assert f(CAP) is None\n"]) == ["OTHER_CAP"]
+    assert untested_caps([source], ["f(CAP)\n", "# OTHER_CAPS\n"]) == ["OTHER_CAP"]
+    assert untested_caps([source], ["f(CAP)\n", "f(OTHER_CAP + 1)\n"]) == []

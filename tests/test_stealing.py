@@ -17,7 +17,7 @@ from conftest import (
     random_weights,
     seeded,
 )
-from sspeq.auction import is_pure_nash_no_overbid
+from sspeq.auction import is_pure_nash_no_overbid, is_traditional, welfare
 from sspeq.stealing import (
     ORDERING_POLICIES,
     STEAL_BOUND_M_CAP,
@@ -235,11 +235,34 @@ def test_settlement_bound_cap_boundary():
     assert marginal_diversity(v, 0) == 2
     assert marginal_diversity(v, 1) == 3
     assert granularity_steal_bound([v]) == cap - 1
+    assert pseudo_poly_steal_bound([v]) == 2 * 2 + 3 * (cap - 2)
     w = CoverageValuation(cap + 1, path)
     with pytest.raises(CapabilityError, match=f"m={cap}"):
         marginal_diversity(w, 0)
     with pytest.raises(CapabilityError, match=f"m={cap}"):
         granularity_steal_bound([v, w])
+    with pytest.raises(CapabilityError, match=f"m={cap}"):
+        pseudo_poly_steal_bound([v, w])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_pure_nash_no_overbid([], [[0]]),
+        lambda: is_traditional([], [], [[0]]),
+        lambda: welfare([], []),
+        lambda: compute_bids([], [], []),
+        lambda: find_steal([], [], [[0]]),
+        lambda: run_iterative_stealing([], []),
+        lambda: run_budget_additive_stealing([], []),
+        lambda: top_steal([], []),
+    ],
+    ids=["nash", "traditional", "welfare", "compute_bids", "find_steal", "stealing",
+         "budget_stealing", "top_steal"],
+)
+def test_empty_bidder_list_is_a_domain_error_everywhere(call):
+    with pytest.raises(DomainError, match="need at least one bidder"):
+        call()
 
 
 # -- the int kernels against the Fraction reference in conftest ------------------
