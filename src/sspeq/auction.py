@@ -266,7 +266,7 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
     """
     if not 0 <= i < len(valuations):
         raise DomainError(f"bidder {i} not within 0..{len(valuations) - 1}")
-    bids = check_bids(bids)
+    bids = check_bids(bids, n=len(valuations))
     m = len(bids[0])
     v = valuations[i]
     if v.m != m:

@@ -184,7 +184,8 @@ def run_iterative_stealing(
     oracles, D = int_oracles(valuations)
     ledgers = [v.ledger for v in valuations]
     rows = bid_rows(oracles, ledgers, masks, orders, m)
-    prices = tuple(Fraction(p, D) for p in map(max, zip(*rows)))
+    tops = list(map(max, zip(*rows)))
+    prices = tuple(Fraction(p, D) for p in tops)
     welfare = Fraction(sum(f(mask) for f, mask in zip(oracles, masks)), D)
     log = StealLog(alloc, prices)
     while True:
@@ -204,7 +205,9 @@ def run_iterative_stealing(
         masks[thief] |= 1 << item
         masks[victim] ^= 1 << item
         rows = bid_rows(oracles, ledgers, masks, orders, m)
-        prices = tuple(Fraction(p, D) for p in map(max, zip(*rows)))
+        # a steal moves few standing prices: keep the Fraction of every other
+        last, tops = tops, list(map(max, zip(*rows)))
+        prices = tuple(x if a == b else Fraction(b, D) for x, a, b in zip(prices, last, tops))
         before, welfare = welfare, Fraction(sum(f(mask) for f, mask in zip(oracles, masks)), D)
         log.events.append(StealEvent(thief, victim, item, before, welfare, prices, tag))
 

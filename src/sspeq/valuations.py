@@ -282,6 +282,18 @@ class Valuation:
                 best_profit, best = profit, mask
         return best
 
+    def _int_clause(self, mask: int):
+        """(row, D): the clause of the bundle `mask` as ints, row[j] == D *
+        weight of item j and 0 off the bundle, at the weights' least common
+        denominator D. The uncounted clause entry behind the best-reply
+        dynamic; by default `_xos_clause` scaled."""
+        clause = self._xos_clause(bundle_of(mask))
+        weights, D = scale_to_ints(list(clause.values()))
+        row = [0] * self.m
+        for j, w in zip(clause, weights):
+            row[j] = w
+        return row, D
+
     def _xos_clause(self, S: frozenset) -> dict:
         # greedy ascending-index marginals; a legal clause for submodular v
         clause = {}

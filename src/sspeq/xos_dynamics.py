@@ -166,6 +166,9 @@ class GrayValuation(Valuation):
         self.eps = parse_money(eps)
         if self.eps <= 0 or (self.L - 1) * self.eps >= Fraction(1, 2):
             raise DomainError("need 0 < (path length - 1) * eps < 1/2")
+        # the int forms' denominator E, at which E / 2 and eps * E are ints
+        self._E = math.lcm(2, self.eps.denominator)
+        self._eps_E = self.eps.numerator * (self._E // self.eps.denominator)
 
     def codeword_of(self, bmask: int) -> int:
         return bmask if self.player == 1 else self.full_mask ^ bmask
@@ -187,8 +190,8 @@ class GrayValuation(Valuation):
         """Closed form at E = lcm(2, eps denominator): min(|S|, m'+1) * E off
         the middle, (2m'+1) * E/2 + k * eps * E on it."""
         mp, pos, flip = self.mp, self.pos, 0 if self.player == 1 else self.full_mask
-        E = math.lcm(2, self.eps.denominator)
-        half, eps_E = (2 * mp + 1) * E // 2, self.eps.numerator * (E // self.eps.denominator)
+        E, eps_E = self._E, self._eps_E
+        half = (2 * mp + 1) * E // 2
 
         def f(mask):
             s = mask.bit_count()
@@ -218,6 +221,22 @@ class GrayValuation(Valuation):
             return clause
         w = Fraction(self.mp + 1, s)
         return {j: w for j in sorted(S)}
+
+    def _int_clause(self, mask):
+        """`_xos_clause` in closed form on ints: weight 1 up to size m', and
+        (m'+1)/|S| above the middle; on the middle, at E = lcm(2, eps
+        denominator), 1 but for the designated item's 1/2 + k * eps."""
+        s = mask.bit_count()
+        bits = [mask >> j & 1 for j in range(self.m)]
+        if s <= self.mp:
+            return bits, 1
+        if s > self.mp + 1:
+            g = math.gcd(self.mp + 1, s)
+            return [b * ((self.mp + 1) // g) for b in bits], s // g
+        E = self._E
+        row = [b * E for b in bits]
+        row[self.designated_item(mask)] = E // 2 + self.k_of(mask) * self._eps_E
+        return row, E
 
     def _demand(self, p, D):
         """Best bundle at the prices p / D, on ints at E = lcm(D, 2, eps
@@ -340,15 +359,17 @@ def run_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap=None):
     """Alternating exact-demand responses with strict-improvement gating.
 
     The allocation is always resolve(bids). A terminated (non-truncated) run
-    has canonical clause bids, hence is traditional. The loop runs on ints:
-    both bid rows sit at one run denominator D, which grows (rescaling both
-    rows) only when a clause brings a denominator that does not divide it.
-    The responder's demand is the int entry `_demand` on the rival's row,
-    counted as one demand query; the strict-improvement test reads the
-    responder's `int_oracle`. Bids, trace sums and the result stay
-    Fractions. Each clause comes from `oracles[i].xos_clause`, by default
-    the valuations themselves; any object with that method can stand in.
-    step_cap defaults to `default_step_cap(v0, v1)` responses.
+    has canonical clause bids, hence is traditional. The loop runs on ints
+    and bundle masks: both bid rows sit at one run denominator D, which
+    grows (rescaling both rows) only when a clause brings a denominator that
+    does not divide it. The responder's demand is the int entry `_demand`
+    on the rival's row, counted as one demand query; the strict-improvement
+    test reads the responder's `int_oracle`. Each clause row is the int
+    entry `oracles[i]._int_clause(mask)`, counted as one XOS query of
+    bidder i; `oracles` defaults to the valuations themselves, and any
+    object with that method can stand in. Trace sums, the bids and the
+    result are Fractions. step_cap defaults to `default_step_cap(v0, v1)`
+    responses.
     """
     valuations = (v0, v1)
     m = v0.m
@@ -363,23 +384,22 @@ def run_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap=None):
     values = [v.int_oracle() for v in valuations]
     rows, D = [[0] * m, [0] * m], 1
 
-    def clause_row(i, S):
-        """Bidder i's clause for S from its oracle, as ints at D."""
+    def clause_row(i, mask):
+        """Bidder i's clause for the bundle mask from its oracle, as ints at D."""
         nonlocal D
-        clause = oracles[i].xos_clause(S)
-        grown = math.lcm(D, *[w.denominator for w in clause.values()])
+        row, Dc = oracles[i]._int_clause(mask)
+        valuations[i].ledger.xos += 1
+        grown = math.lcm(D, Dc)
         if grown != D:
-            rows[:] = [rescale(row, D, grown) for row in rows]
+            rows[:] = [rescale(r, D, grown) for r in rows]
             D = grown
-        row = [0] * m
-        for j, w in clause.items():
-            row[j] = w.numerator * (D // w.denominator)
+        row = rescale(row, Dc, D)
         if min(row) < 0:
             raise DomainError("bids must be nonnegative")
         return row
 
     for i in (0, 1):
-        rows[i] = clause_row(i, init_alloc[i])
+        rows[i] = clause_row(i, mask_of(init_alloc[i]))
     won = _won_by_1(rows)
     alloc = (bundle_of(full ^ won), bundle_of(won))
     trace = DynamicTrace(alloc, Fraction(sum(map(max, *rows)), D))
@@ -399,13 +419,15 @@ def run_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap=None):
         # the difference summed over the items in one bundle but not the other
         extra = sum(rival[j] if dmask >> j & 1 else -rival[j] for j in iter_bits(dmask ^ held))
         improves = (f(dmask) - f(held)) * D > extra * Dv
-        new_row = clause_row(responder, bundle_of(dmask) if improves else alloc[responder])
+        new_row = clause_row(responder, dmask if improves else held)
         if new_row != rows[responder]:
             rows[responder] = new_row
             new_won = _won_by_1(rows)
             if new_won != won:
+                # the items that changed hands move from one bundle to the other
+                moved = bundle_of(won ^ new_won)
                 won = new_won
-                alloc = (bundle_of(full ^ won), bundle_of(won))
+                alloc = (alloc[0] ^ moved, alloc[1] ^ moved)
                 trace.rows.append(DynamicStep(responder, alloc, Fraction(sum(map(max, *rows)), D)))
             quiet = 0
         else:

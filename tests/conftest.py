@@ -352,21 +352,28 @@ def seeded(seed):
 
 class RecordingClauseOracle:
     """Clause oracle over a GrayValuation that answers with the valuation's
-    own (counted) clause and records, in first-touch order, the path
-    position k of each middle bundle (size m'+1) it is asked about."""
+    own clause and records, in first-touch order, the path position k of
+    each middle bundle (size m'+1) it is asked about. The dynamic reads the
+    int entry `_int_clause` (it counts the query itself); the Fraction
+    reference reads the counted `xos_clause`."""
 
     def __init__(self, valuation):
         self.valuation = valuation
         self.k_map = {}
         self.touch_order = []
 
-    def xos_clause(self, S):
-        out = self.valuation.xos_clause(S)
-        bmask = mask_of(S)
+    def _record(self, bmask):
         if bmask.bit_count() == self.valuation.mp + 1 and bmask not in self.k_map:
             self.k_map[bmask] = self.valuation.k_of(bmask)
             self.touch_order.append(bmask)
-        return out
+
+    def _int_clause(self, mask):
+        self._record(mask)
+        return self.valuation._int_clause(mask)
+
+    def xos_clause(self, S):
+        self._record(mask_of(S))
+        return self.valuation.xos_clause(S)
 
 
 def recording_oracles(v0, v1):

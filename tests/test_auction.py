@@ -268,6 +268,16 @@ def test_best_deviation_rejects_a_bidder_out_of_range():
             best_deviation(vs, i, bids)
 
 
+def test_best_deviation_rejects_a_bid_profile_of_the_wrong_length():
+    # with one row short, bidder 0's only rival row is bidder 1's zeros,
+    # so both items looked free: utility 3 + 4 = 7
+    vs = [AdditiveValuation(2, (3, 4)), AdditiveValuation(2, (0, 0)), AdditiveValuation(2, (5, 5))]
+    for bids in ([[0, 0], [0, 0]], [[0, 0], [0, 0], [5, 5], [5, 5]]):
+        with pytest.raises(DomainError, match=f"expected 3 bid rows, got {len(bids)}"):
+            best_deviation(vs, 0, bids)
+    assert best_deviation(vs, 0, [[0, 0], [0, 0], [5, 5]]).utility == 0
+
+
 def test_check_no_overbidding_rejects_a_row_of_the_wrong_width():
     v = AdditiveValuation(2, (1, 1))
     for row in ((1, 1, 1), (1,)):

@@ -1,4 +1,5 @@
 import importlib
+import math
 import pkgutil
 from fractions import Fraction
 
@@ -444,6 +445,25 @@ def test_int_oracles_share_one_denominator(seed):
         for mask in range(1 << m):
             assert Fraction(g(mask), d) == Fraction(f(mask), D) == v._value_mask(mask), v.kind
         assert v.ledger.total() == 0
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_int_clause_is_the_scaled_xos_clause(seed):
+    rng = seeded(seed)
+    m = rng.randint(1, 6)
+    for v in (
+        TableValuation(m, random_table(rng, m)),
+        random_additive(rng, m, den=6),
+        XOSExplicitValuation(m, [random_weights(rng, m) for _ in range(3)]),
+    ):
+        for mask in range(1 << m):
+            row, D = v._int_clause(mask)
+            clause = v.xos_clause(bundle_of(mask))
+            assert [Fraction(x, D) for x in row] == [clause.get(j, 0) for j in range(m)], v.kind
+            # at the weights' least common denominator
+            assert D == math.lcm(1, *(w.denominator for w in clause.values()))
+        assert v.ledger.snapshot() == {"value": 0, "demand": 0, "xos": 1 << m}
 
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 12, 16, 17, 22, 25, 40])

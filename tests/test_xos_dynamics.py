@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -22,6 +23,7 @@ from sspeq.valuations import (
     CapabilityError,
     DomainError,
     TableValuation,
+    Valuation,
     bundle_of,
     check_clause,
     cheapest_subsets,
@@ -99,7 +101,10 @@ def test_loading_a_two_bidder_instance_builds_the_path_once(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(xos_dynamics, "_rotation_extension", counted)
-    xos_dynamics._gray_path_masks.cache_clear()
+    # an empty cache of its own over the same builder, so the shared cache
+    # keeps the m = 15 path that the cap tests build once between them
+    cached = functools.lru_cache(maxsize=None)(xos_dynamics._gray_path_masks.__wrapped__)
+    monkeypatch.setattr(xos_dynamics, "_gray_path_masks", cached)
     v0, v1 = (
         valuation_from_json({"kind": "gray_exponential", "m": 11, "player": p, "eps": "1/1848"})
         for p in (0, 1)
@@ -371,7 +376,7 @@ def test_exponential_dynamic_m7_length():
     assert canon_digest(pinned) == DYNAMIC_M7_DIGEST
 
 
-@pytest.mark.parametrize("m,count", [(9, 251), (11, 923), (13, 3431)])
+@pytest.mark.parametrize("m,count", [(9, 251), (11, 923), (13, 3431), (15, 12_869)])
 def test_exponential_dynamic_walks_the_whole_path(m, count):
     v0, v1, oracles, init = build_exponential_instance(m)
     run = run_best_reply_dynamic(v0, v1, oracles=oracles, init_alloc=init)
@@ -543,6 +548,41 @@ def test_gray_int_oracle_is_D_times_the_value(m, player):
     assert v.ledger.total() == 0
 
 
+def int_clause_outcome(entry, v, mask):
+    """entry(v, mask) as one rational per item, or the type of its error."""
+    try:
+        row, D = entry(v, mask)
+    except KeyError as exc:  # an off-path middle bundle has no designated item
+        return type(exc)
+    return [Fraction(x, D) for x in row]
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+@pytest.mark.parametrize("player", [0, 1])
+def test_gray_int_clause_is_the_base_int_clause(m, player):
+    v = build_exponential_instance(m)[player]
+    for mask in range(1 << m):
+        want = int_clause_outcome(Valuation._int_clause, v, mask)
+        assert int_clause_outcome(GrayValuation._int_clause, v, mask) == want, bin(mask)
+        assert sum(want) == v._value_mask(mask)
+    assert v.ledger.total() == 0
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_gray_int_clause_on_short_custom_paths(seed):
+    # off a short path the middle bundles have no designated item; both
+    # entries must then refuse alike, and agree on every other bundle
+    rng = seeded(seed)
+    m = rng.choice((5, 7))
+    path = short_middle_path(rng, m, rng.randint(1, 5))
+    eps = Fraction(1, rng.randint(2 * len(path), 3 * len(path)))
+    v = GrayValuation(m, rng.randrange(2), path, eps)
+    for mask in range(1 << m):
+        want = int_clause_outcome(Valuation._int_clause, v, mask)
+        assert int_clause_outcome(GrayValuation._int_clause, v, mask) == want, bin(mask)
+
+
 @pytest.mark.parametrize("m", [5, 7, 9, 11])
 @pytest.mark.parametrize("player", [0, 1])
 @given(st.integers(0, 10_000))
@@ -558,17 +598,17 @@ def test_gray_int_demand_entry_is_the_brute_bundle(m, player, seed):
 
 
 class ClauseStub:
-    """Forwards clause queries to a valuation until `bad` have been asked,
-    then answers a clause with a negative weight."""
+    """Forwards int clause queries to a valuation until `bad` have been
+    asked, then answers a clause with a negative weight, -1/3 on item 0."""
 
     def __init__(self, valuation, bad):
         self.valuation, self.bad, self.asked = valuation, bad, 0
 
-    def xos_clause(self, S):
+    def _int_clause(self, mask):
         self.asked += 1
         if self.asked > self.bad:
-            return {0: Fraction(-1, 3)}
-        return self.valuation.xos_clause(S)
+            return [-1] + [0] * (self.valuation.m - 1), 3
+        return self.valuation._int_clause(mask)
 
 
 @pytest.mark.parametrize("bad", [0, 3])
@@ -602,8 +642,9 @@ def test_a_tie_with_the_held_bundle_is_no_improvement():
 
 
 def test_dynamic_responses_stay_on_ints(monkeypatch):
-    # no public demand, price check, price scaling or Fraction value per
-    # response: the loop hands the int rows to the demand entry
+    # no public demand, price check, price scaling, Fraction value or
+    # Fraction clause per response: the loop hands the int rows to the
+    # demand entry and reads each clause from the int clause entry
     from sspeq import valuations
 
     def refused(*args):
@@ -613,6 +654,8 @@ def test_dynamic_responses_stay_on_ints(monkeypatch):
     for owner, name in [
         (valuations.Valuation, "demand"),
         (valuations.Valuation, "_check_prices"),
+        (valuations.Valuation, "xos_clause"),
+        (GrayValuation, "_xos_clause"),
         (GrayValuation, "_value_mask"),
         (valuations, "scale_to_ints"),
         (xos_dynamics, "parse_money"),
