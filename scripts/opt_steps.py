@@ -4,8 +4,9 @@ Builds the certify workload's instances (n = 3: two coverage bidders and a
 submodular table, m = 10 by default) and, for each, sums 2^|R| over the
 walks of the middle bidder's table at a mask R, repeats included (the
 winning R is walked again to recover the middle bidder's pick). Walking
-every mask once is 3^m steps. Also counts the distinct masks walked and
-times each call.
+every mask once is 3^m steps. Also counts the distinct masks walked, all
+steps walked (every submask walk and m * 2^m per subset max) next to the
+bound the DP is capped by before it starts, and times each call.
 
     PYTHONPATH=src python scripts/opt_steps.py [--seed 31] [--instances 30] [--m 10]
 """
@@ -32,19 +33,24 @@ def main() -> None:
     ap.add_argument("--instances", type=int, default=30)
     ap.add_argument("--m", type=int, default=10)
     args = ap.parse_args()
-    walk = auction._best_split
-    seen = []
+    walk, subset_max = auction._best_split, auction._subset_max
+    seen, maxed = [], []
 
     def counted(prev, vals, mask):
         seen.append((id(vals), mask))
         return walk(prev, vals, mask)
 
-    auction._best_split = counted
-    steps, masks, ms = [], [], []
+    def counted_max(row):
+        maxed.append(args.m * len(row))
+        return subset_max(row)
+
+    auction._best_split, auction._subset_max = counted, counted_max
+    steps, masks, ms, total = [], [], [], []
     for r in range(args.instances):
         rng = random.Random(f"certify/{args.seed}/{r}")
         vals = [gen_coverage(rng, args.m), gen_coverage(rng, args.m), gen_submodular_table(rng, args.m)]
         seen.clear()
+        maxed.clear()
         start = time.perf_counter()
         auction.optimal_welfare(vals)
         ms.append(1000 * (time.perf_counter() - start))
@@ -55,13 +61,16 @@ def main() -> None:
         walked = [mask for i, mask in seen if i == middle]
         masks.append(len(set(walked)))
         steps.append(sum(1 << mask.bit_count() for mask in walked))
-    auction._best_split = walk
+        total.append(sum(1 << mask.bit_count() for _, mask in seen) + sum(maxed))
+    auction._best_split, auction._subset_max = walk, subset_max
     print(json.dumps({
         "seed": args.seed, "m": args.m, "instances": args.instances,
         "full_walk_steps": 3 ** args.m,
         "middle_steps_per_op": sum(steps) / len(steps),
         "middle_masks_per_op": sum(masks) / len(masks),
         "masks": 1 << args.m,
+        "all_steps_per_op": sum(total) / len(total),
+        "step_bound": auction._opt_step_bound(3, args.m),
         "optimal_welfare_ms_mean": round(sum(ms) / len(ms), 3),
     }))
 

@@ -89,10 +89,13 @@ def check_allocation(alloc, n: int, m: int):
 
 
 def item_count(valuations) -> int:
-    """The bidders' number of items m, read from the first bidder."""
+    """The bidders' common number of items m."""
     if not valuations:
         raise DomainError("need at least one bidder")
-    return valuations[0].m
+    m = valuations[0].m
+    if any(v.m != m for v in valuations):
+        raise DomainError("valuations disagree on m")
+    return m
 
 
 def welfare(valuations, alloc) -> Money:
@@ -121,13 +124,14 @@ def optimal_welfare(valuations):
     b - ps; adding the last bidder's value bounds each t's welfare. The t
     are tried by (bound, t) descending and the walk stops at the first
     (bound, t) below the best (welfare, t) found: every later t has a
-    smaller (welfare, t) pair, so ties still go to the largest t."""
+    smaller (welfare, t) pair, so ties still go to the largest t.
+
+    Refuses, before any table is built, when `_opt_step_bound(n, m)` exceeds
+    OPT_WORK_CAP."""
     n, m = len(valuations), item_count(valuations)
-    if any(v.m != m for v in valuations):
-        raise DomainError("valuations disagree on m")
-    if n * 3 ** m > OPT_WORK_CAP:
+    if _opt_step_bound(n, m) > OPT_WORK_CAP:
         raise CapabilityError(
-            f"optimal welfare DP too large for n={n}, m={m}: n * 3^m exceeds {OPT_WORK_CAP}"
+            f"optimal welfare DP too large for n={n}, m={m}: its step bound exceeds {OPT_WORK_CAP}"
         )
     tables = [v.value_table() for v in valuations]
     D = math.lcm(*(d for _, d in tables))
@@ -161,6 +165,15 @@ def optimal_welfare(valuations):
         picks[i] = _best_split(rows[i], tables[i], mask)[1]
         mask ^= picks[i]
     return Fraction(best, D), tuple(bundle_of(t) for t in picks)
+
+
+def _opt_step_bound(n: int, m: int) -> int:
+    """An upper bound on the steps `optimal_welfare` takes. Submask steps:
+    for n >= 3, the n - 3 full rows and the middle walk, 3^m each (the walk
+    takes each t at most once, at 2^(m - |t|) steps); the last split and
+    the n - 1 picks, 2^m each. Then at most three subset maxes of m passes
+    over 2^m, and per bidder a table build and a rescale of 2^m."""
+    return max(n - 2, 0) * 3 ** m + 3 * (n + m) * 2 ** m
 
 
 def _best_split(prev, vals, mask):
@@ -310,8 +323,6 @@ def is_pure_nash_no_overbid(valuations, bids, alloc=None):
     bids = check_bids(bids, n=len(valuations), m=m)
     if m > SUBSET_CAP:
         raise CapabilityError(f"equilibrium check capped at m={SUBSET_CAP}")
-    if any(v.m != m for v in valuations):
-        raise DomainError("valuation does not match bid width")
     res_alloc, payments = resolve(bids)
     witnesses = []
     if alloc is not None:

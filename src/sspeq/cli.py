@@ -20,6 +20,7 @@ from .valuations import (
     CapabilityError,
     ConstructionError,
     DomainError,
+    VERIFY_CAP,
     TableValuation,
     BudgetAdditiveValuation,
     CoverageValuation,
@@ -27,7 +28,6 @@ from .valuations import (
     verify_class,
 )
 from .auction import (
-    SUBSET_CAP,
     check_allocation,
     greedy_allocation,
     is_pure_nash_no_overbid,
@@ -81,9 +81,6 @@ FAMILIES = (
     "sensitive",
     "gray-exponential",
 )
-
-CERTIFY_M_CAP = 8
-GEN_TABLE_M_CAP = 10
 
 
 # -- serialization helpers -----------------------------------------------------
@@ -190,40 +187,35 @@ def _initial_alloc(kind, instance_alloc, valuations):
     raise DomainError(f"unknown init '{kind}'")
 
 
-def _maybe_opt(valuations, alloc):
+def _maybe_opt(valuations, w):
+    """(opt, w / opt) formatted, or None for both where the DP refuses."""
     try:
         opt, _ = optimal_welfare(valuations)
     except CapabilityError:
         return None, None
-    w = welfare(valuations, alloc)
-    ratio = format_money(w / opt) if opt > 0 else None
-    return format_money(opt), ratio
+    return format_money(opt), format_money(w / opt) if opt > 0 else None
 
 
-def _maybe_certify(valuations, bids, alloc, cap):
-    if valuations[0].m > cap:
+def _maybe_certify(valuations, bids, alloc):
+    try:
+        ok, witnesses = is_pure_nash_no_overbid(valuations, bids, alloc)
+    except CapabilityError:
         return None, None
-    ok, witnesses = is_pure_nash_no_overbid(valuations, bids, alloc)
     return ok, [w["kind"] for w in witnesses[:4]]
 
 
-def _finish_run(
-    args, report, vals, alloc, bids, violated, trace_rows=None, opt=True, certify_cap=CERTIFY_M_CAP
-):
+def _finish_run(args, report, vals, alloc, bids, violated, trace_rows=None):
     """Fill the report tail the run commands share (allocation, bids, welfare,
-    opt and ratio, certification up to certify_cap items, or none when it is
-    None, witness kinds, ledgers), emit the report and return the exit code.
-    The ledgers are read after the last counted query, so every query the
-    report makes is in them."""
+    opt and ratio, certification, witness kinds, ledgers), emit the report and
+    return the exit code. OPT and certification are null where the library
+    refuses the instance. The ledgers are read after the last counted query,
+    so every query the report makes is in them."""
+    w = welfare(vals, alloc)
     report["allocation"] = _jsonable(alloc)
     report["bids"] = _jsonable(bids)
-    report["welfare"] = format_money(welfare(vals, alloc))
-    if opt:
-        report["opt"], report["ratio"] = _maybe_opt(vals, alloc)
-    if certify_cap is not None:
-        report["equilibrium_verified"], report["witness_kinds"] = _maybe_certify(
-            vals, bids, alloc, certify_cap
-        )
+    report["welfare"] = format_money(w)
+    report["opt"], report["ratio"] = _maybe_opt(vals, w)
+    report["equilibrium_verified"], report["witness_kinds"] = _maybe_certify(vals, bids, alloc)
     report["ledgers"] = _ledgers(vals)
     _emit(report, args, trace_rows)
     if violated or report.get("equilibrium_verified") is False:
@@ -294,8 +286,9 @@ def cmd_gen(args):
         raise DomainError(f"need at least one bidder and one item, got n={n}, m={m}")
     instance = {"family": family, "m": m, "n": n, "seed": args.seed, "allocation": None}
     if family == "table-submodular":
-        if m > GEN_TABLE_M_CAP:
-            raise CapabilityError(f"table generation capped at m={GEN_TABLE_M_CAP}")
+        # every table is checked, so generation stops where the check does
+        if m > VERIFY_CAP["submodular"]:
+            raise CapabilityError(f"table generation capped at m={VERIFY_CAP['submodular']}")
         vals = [_gen_table_submodular(rng, m) for _ in range(n)]
         for v in vals:
             ok, witness = verify_class(v, "submodular")
@@ -450,12 +443,7 @@ def cmd_dynamic(args):
     if settled:
         report["traditional"], _ = is_traditional(vals, run.alloc, run.bids)
     violated = not settled or not increasing or report.get("traditional") is False
-    # two bidders keep the check cheap (2 tables of 2^m, no OPT), so the end
-    # state is certified up to the kernels' own cap, not CERTIFY_M_CAP
-    return _finish_run(
-        args, report, vals, run.alloc, run.bids, violated, trace_rows, opt=False,
-        certify_cap=SUBSET_CAP if settled else None,
-    )
+    return _finish_run(args, report, vals, run.alloc, run.bids, violated, trace_rows)
 
 
 def cmd_adversary(args):
@@ -501,13 +489,14 @@ def cmd_verify(args):
         raise DomainError("verification needs bids (instance field or --bids)")
     ok, witnesses = is_pure_nash_no_overbid(vals, bids, alloc)
     res_alloc, _ = resolve(bids)
+    w = welfare(vals, res_alloc)
     report = {
         "equilibrium": ok,
         "witnesses": _jsonable(witnesses[:8]),
         "allocation": _jsonable(res_alloc),
-        "welfare": format_money(welfare(vals, res_alloc)),
+        "welfare": format_money(w),
     }
-    report["opt"], report["ratio"] = _maybe_opt(vals, res_alloc)
+    report["opt"], report["ratio"] = _maybe_opt(vals, w)
     _emit(report, args)
     return EXIT_OK if ok else EXIT_VIOLATION
 

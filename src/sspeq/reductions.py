@@ -26,7 +26,7 @@ from .valuations import (
     mask_of,
     register_kind,
 )
-from .auction import is_pure_nash_no_overbid, resolve
+from .auction import check_allocation, is_pure_nash_no_overbid, item_count, resolve
 from .stealing import compute_bids, find_steal, owner_first
 
 SETPAIR_RETRY_FACTOR = 4000
@@ -306,6 +306,7 @@ def maxcut_valuation(graph: WeightedGraph) -> CoverageValuation:
 
 def local_max_check(valuations, alloc):
     """True iff no single-item move between bidders raises welfare."""
+    alloc = check_allocation(alloc, len(valuations), item_count(valuations))
     masks = [mask_of(S) for S in alloc]
     for i, smask in enumerate(masks):
         for j in iter_bits(smask):

@@ -98,18 +98,10 @@ def steal_search(oracles, ledgers, masks, rows, top=None):
 
 
 def _checked_masks(valuations, alloc):
-    """(alloc, masks): the checked allocation and its bundle masks. Every
-    allocated item must lie within every bidder's items, since each bidder's
-    oracle reads bundles that may hold any of them."""
+    """(alloc, masks): the checked allocation and its bundle masks, on the
+    bidders' common items (`item_count`)."""
     alloc = check_allocation(alloc, len(valuations), item_count(valuations))
-    masks = [mask_of(S) for S in alloc]
-    whole = 0
-    for mask in masks:
-        whole |= mask
-    for v in valuations:
-        if whole >> v.m:
-            raise DomainError(f"allocation not within 0..{v.m - 1}")
-    return alloc, masks
+    return alloc, [mask_of(S) for S in alloc]
 
 
 def compute_bids(valuations, alloc, orders):

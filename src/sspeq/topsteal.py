@@ -109,7 +109,7 @@ def preprocess_to_competitors(valuations, alloc):
     """Move every item held by a non-competitor to its lowest-index top
     competitor (welfare-free for submodular bidders); items nobody values are
     returned as ignorable and stay put."""
-    m = valuations[0].m
+    m = item_count(valuations)
     alloc = check_allocation(alloc, len(valuations), m)
     return _to_competitors(alloc, competitor_info(valuations, range(m)))
 
@@ -157,6 +157,8 @@ class TopStealRun:
 
 
 def steal_count_bound(m: int, t: int) -> int:
+    if t < 1:
+        raise DomainError(f"need t >= 1, got t={t}")
     return math.comb(m + t - 1, t - 1) - 1
 
 

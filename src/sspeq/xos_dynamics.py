@@ -30,7 +30,7 @@ from .valuations import (
     mask_of,
     register_kind,
 )
-from .auction import check_allocation
+from .auction import check_allocation, item_count
 
 GRAY_M_CAP = 15
 STEP_CAP = 10_000  # the dynamic's default response cap, but for a Gray pair
@@ -200,9 +200,10 @@ class GrayValuation(Valuation):
         return f, E
 
     def designated_item(self, bmask: int) -> int:
-        """The item leaving this size-(m'+1) bundle on the path's next step."""
+        """The item leaving this size-(m'+1) bundle on the path's next step;
+        at the path's last vertex, or off the path, the bundle's lowest item."""
         cw = self.codeword_of(bmask)
-        q = self.pos[cw]
+        q = self.pos.get(cw, self.L - 1)
         if q + 1 < self.L:
             flip = cw ^ self.path_masks[q + 1]
         else:
@@ -372,9 +373,7 @@ def run_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap=None):
     responses.
     """
     valuations = (v0, v1)
-    m = v0.m
-    if v1.m != m:
-        raise DomainError("valuations disagree on m")
+    m = item_count(valuations)
     if oracles is None:
         oracles = valuations
     if step_cap is None:

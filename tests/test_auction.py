@@ -21,6 +21,7 @@ from sspeq.auction import (
     OPT_WORK_CAP,
     SUBSET_CAP,
     _best_split,
+    _opt_step_bound,
     _split_bound,
     _subset_max,
     best_deviation,
@@ -28,10 +29,14 @@ from sspeq.auction import (
     greedy_allocation,
     is_pure_nash_no_overbid,
     is_traditional,
+    item_count,
     optimal_welfare,
     resolve,
     welfare,
 )
+from sspeq.reductions import local_max_check
+from sspeq.stealing import run_iterative_stealing
+from sspeq.topsteal import preprocess_to_competitors, top_steal
 from sspeq.valuations import (
     AdditiveValuation,
     CapabilityError,
@@ -241,15 +246,85 @@ def test_split_bound_covers_the_exact_split(tables):
         assert ub[R] >= max(a[t] + b[R ^ t] for t in subs)
 
 
+class NoTableCoverage(CoverageValuation):
+    """A coverage bidder whose value table must never be built."""
+
+    def value_table(self):
+        raise AssertionError("value_table built past the cap")
+
+
 def test_optimal_welfare_cap_boundary():
-    # the cap is on n * 3^m: two bidders fit at m = 15, three do not
-    assert 2 * 3 ** 15 <= OPT_WORK_CAP < 3 * 3 ** 15
-    vs = [CoverageValuation(15, [(0, 1, 1)]), CoverageValuation(15, [(1, 2, 2)])]
+    # the cap is on the DP's step bound: three bidders fit at m = 15, not at
+    # m = 16, and the refusal comes before any table is built
+    assert _opt_step_bound(3, 15) <= OPT_WORK_CAP < _opt_step_bound(3, 16)
+    vs = [CoverageValuation(15, [(0, 1, 1)]), CoverageValuation(15, [(1, 2, 2)]),
+          CoverageValuation(15, [(3, 4, 1)])]
     opt, alloc = optimal_welfare(vs)
-    assert opt == 3
+    assert opt == 4
     assert welfare(vs, alloc) == opt
-    with pytest.raises(CapabilityError):
-        optimal_welfare(vs + vs[:1])
+    with pytest.raises(CapabilityError, match=f"exceeds {OPT_WORK_CAP}"):
+        optimal_welfare([NoTableCoverage(16, [(0, 1, 1)])] * 3)
+
+
+@pytest.mark.parametrize("m", [16, 18])
+def test_optimal_welfare_answers_two_bidders_at_large_m(m):
+    # two bidders take a subset max and one split, O(m 2^m) steps, so
+    # m = 18 is inside the step bound
+    a = [Fraction(j % 5 + 1) for j in range(m)]
+    b = [Fraction(3 * j % 7 + 1, 2) for j in range(m)]
+    vs = [AdditiveValuation(m, a), AdditiveValuation(m, b)]
+    opt, alloc = optimal_welfare(vs)
+    assert opt == sum(map(max, a, b))
+    assert welfare(vs, alloc) == opt
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_optimal_welfare_steps_stay_within_the_precheck_bound(seed):
+    # every submask step of _best_split and every pass of _subset_max, on
+    # mixed families and on tie-heavy tables where the middle walk prunes little
+    rng = seeded(seed)
+    n, m = rng.randint(1, 4), rng.randint(1, 6)
+    if rng.random() < 0.5:
+        vs = _mixed_family(rng, n, m)
+    else:
+        vs = [_tie_heavy_table(rng, m, rng.random() < 0.5) for _ in range(n)]
+    steps = []
+
+    def split(prev, vals, mask):
+        steps.append(1 << mask.bit_count())
+        return _best_split(prev, vals, mask)
+
+    def subset_max(row):
+        steps.append(m * len(row))
+        return _subset_max(row)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sspeq.auction._best_split", split)
+        mp.setattr("sspeq.auction._subset_max", subset_max)
+        optimal_welfare(vs)
+    assert sum(steps) <= _opt_step_bound(n, m)
+
+
+def test_bidders_of_different_m_are_a_domain_error():
+    # one check, in item_count, serves every entry that reads the bidders' m
+    vs = [AdditiveValuation(2, (1, 1)), AdditiveValuation(3, (1, 1, 1))]
+    alloc, bids = [{0}, {1}], [[1, 0], [0, 1]]
+    calls = [
+        lambda: item_count(vs),
+        lambda: welfare(vs, alloc),
+        lambda: greedy_allocation(vs),
+        lambda: optimal_welfare(vs),
+        lambda: is_traditional(vs, alloc, bids),
+        lambda: is_pure_nash_no_overbid(vs, bids),
+        lambda: run_iterative_stealing(vs, alloc),
+        lambda: top_steal(vs, [{0}, {1}]),
+        lambda: preprocess_to_competitors(vs, [{0}, {1}]),
+        lambda: local_max_check(vs, alloc),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="valuations disagree on m"):
+            call()
 
 
 def test_empty_bidder_list_is_a_domain_error():

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from sspeq.cli import CERTIFY_M_CAP, GEN_TABLE_M_CAP, main
+from sspeq.auction import SUBSET_CAP
+from sspeq.cli import main
+from sspeq.valuations import VERIFY_CAP
 
 
 def run_cli(capsys, argv):
@@ -63,8 +65,11 @@ def test_gen_families_emit_valid_instances(argv, capsys):
         assert d["allocation"] is not None
 
 
-@pytest.mark.parametrize("m, code", [(GEN_TABLE_M_CAP, 0), (GEN_TABLE_M_CAP + 1, 2)])
+@pytest.mark.parametrize(
+    "m, code", [(VERIFY_CAP["submodular"], 0), (VERIFY_CAP["submodular"] + 1, 2)]
+)
 def test_gen_table_cap_boundary(m, code, capsys):
+    # each generated table is checked submodular, so generation stops at that check's cap
     argv = ["gen", "--family", "table-submodular", "--m", str(m)]
     assert run_cli(capsys, argv)[0] == code
 
@@ -117,10 +122,11 @@ def test_steal_reports_frozen_run(tmp_path, capsys):
     assert d["opt"] == "5/1"
     assert d["ratio"] == "1/1"
     assert d["equilibrium_verified"] is True
-    # counted value queries only; internal _value_mask evaluations stay out
+    # counted value queries only; internal _value_mask evaluations stay out,
+    # and OPT, its ratio and the certification add none
     assert d["ledgers"] == [
-        {"value": 15, "demand": 0, "xos": 0},
-        {"value": 13, "demand": 0, "xos": 0},
+        {"value": 14, "demand": 0, "xos": 0},
+        {"value": 12, "demand": 0, "xos": 0},
     ]
     rows = [json.loads(line) for line in trace.read_text().splitlines()]
     assert [(r["thief"], r["victim"], r["item"]) for r in rows] == [(0, 1, 0), (1, 0, 1)]
@@ -145,8 +151,9 @@ def test_steal_budget_additive_reports_bound(capsys, tmp_path):
     assert d["steals"] <= d["steal_bound"]
 
 
-@pytest.mark.parametrize("m", [CERTIFY_M_CAP, CERTIFY_M_CAP + 1])
+@pytest.mark.parametrize("m", [SUBSET_CAP, SUBSET_CAP + 1])
 def test_steal_certify_cap_boundary(m, tmp_path, capsys):
+    # the report certifies wherever the equilibrium check does: up to SUBSET_CAP
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({
         "family": "handmade",
@@ -162,11 +169,12 @@ def test_steal_certify_cap_boundary(m, tmp_path, capsys):
     code, out = run_cli(capsys, ["steal", "--instance", str(inst), "--init", "pool"])
     assert code == 0
     verified = json.loads(out)["equilibrium_verified"]
-    assert verified is (True if m <= CERTIFY_M_CAP else None)
+    assert verified is (True if m <= SUBSET_CAP else None)
 
 
-def test_steal_past_the_opt_cap_reports_no_opt(tmp_path, capsys):
-    # 2 * 3^16 exceeds optimal_welfare's work cap, so opt and ratio are null
+def test_steal_two_bidders_at_m16_reports_opt(tmp_path, capsys):
+    # two bidders at m = 16 are within optimal_welfare's step bound, so opt
+    # and ratio are read; they add no counted query to the ledgers
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({
         "family": "handmade",
@@ -182,14 +190,37 @@ def test_steal_past_the_opt_cap_reports_no_opt(tmp_path, capsys):
     code, out = run_cli(capsys, ["steal", "--instance", str(inst), "--init", "pool"])
     assert code == 0
     d = json.loads(out)
-    assert d["opt"] is None
-    assert d["ratio"] is None
+    assert d["opt"] == "99/2"
+    assert d["ratio"] == "1/1"
     assert d["steals"] == 5
     assert d["welfare"] == "99/2"
     assert d["ledgers"] == [
         {"value": 194, "demand": 0, "xos": 0},
         {"value": 132, "demand": 0, "xos": 0},
     ]
+
+
+def test_steal_past_the_opt_cap_reports_no_opt(tmp_path, capsys):
+    # three bidders at m = 16 exceed optimal_welfare's step bound, so opt and
+    # ratio are null; the equilibrium check still reads m = 16
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "family": "handmade",
+        "m": 16,
+        "n": 3,
+        "seed": 0,
+        "allocation": None,
+        "valuations": [
+            {"kind": "additive", "m": 16, "items": [f"{j % 5 + 1}/1" for j in range(16)]},
+            {"kind": "additive", "m": 16, "items": [f"{3 * j % 7 + 1}/2" for j in range(16)]},
+            {"kind": "additive", "m": 16, "items": [f"{j % 3 + 2}/3" for j in range(16)]},
+        ],
+    }))
+    code, out = run_cli(capsys, ["steal", "--instance", str(inst), "--init", "pool"])
+    assert code == 0
+    d = json.loads(out)
+    assert (d["opt"], d["ratio"]) == (None, None)
+    assert d["equilibrium_verified"] is True
 
 
 def test_topsteal_runs_frozen_instance(tmp_path, capsys):
@@ -204,8 +235,8 @@ def test_topsteal_runs_frozen_instance(tmp_path, capsys):
     assert d["equilibrium_verified"] is True
     assert sum(d["cases"].values()) >= 1
     assert d["ledgers"] == [
-        {"value": 19, "demand": 0, "xos": 0},
-        {"value": 14, "demand": 0, "xos": 0},
+        {"value": 18, "demand": 0, "xos": 0},
+        {"value": 13, "demand": 0, "xos": 0},
     ]
 
 
@@ -220,6 +251,7 @@ def test_dynamic_gray_m5(tmp_path, capsys):
     assert d["sums_strictly_increase"] is True
     assert d["traditional"] is True
     assert d["equilibrium_verified"] is True
+    assert (d["welfare"], d["opt"], d["ratio"]) == ("199/40", "199/40", "1/1")
     assert d["ledgers"] == [
         {"value": 1, "demand": 11, "xos": 13},
         {"value": 1, "demand": 11, "xos": 13},
@@ -234,8 +266,8 @@ def test_dynamic_default_step_cap_settles_the_gray_path(tmp_path, capsys):
     d = json.loads(out)
     assert (d["exchanges"], d["responses"], d["truncated"]) == (923, 926, False)
     assert d["traditional"] is True
-    # m = 11 is past CERTIFY_M_CAP: the dynamic's end state certifies anyway
     assert d["equilibrium_verified"] is True
+    assert d["ratio"] == "1/1"
     assert d["witness_kinds"] == []
 
 
@@ -246,7 +278,11 @@ def test_dynamic_step_cap_means_violation(tmp_path, capsys):
         capsys, ["dynamic", "--instance", str(gen_out), "--init", "instance", "--step-cap", "2"]
     )
     assert code == 1
-    assert json.loads(out)["truncated"] is True
+    d = json.loads(out)
+    assert d["truncated"] is True
+    # a truncated run is certified and priced too
+    assert (d["equilibrium_verified"], d["witness_kinds"]) == (False, ["deviation"])
+    assert (d["opt"], d["ratio"]) == ("199/40", "182/199")
 
 
 def test_adversary_small_family(tmp_path, capsys):

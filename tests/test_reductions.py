@@ -267,6 +267,16 @@ def test_local_max_check_matches_one_flip_cuts():
             assert j in alloc[i] and ip != i
 
 
+@pytest.mark.parametrize("alloc, why", [
+    ([{0, 5}, {1}], "unknown items"),
+    ([{0, 1}, {1}], "overlap"),
+])
+def test_local_max_check_rejects_a_bad_allocation(alloc, why):
+    g = WeightedGraph(2, [(0, 1, 1)])
+    with pytest.raises(DomainError, match=why):
+        local_max_check((maxcut_valuation(g), maxcut_valuation(g)), alloc)
+
+
 def test_local_max_bids_are_owner_first_marginals():
     g = WeightedGraph(3, [(0, 1, 1), (0, 2, 1)])
     vals = (maxcut_valuation(g), maxcut_valuation(g))

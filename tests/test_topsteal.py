@@ -95,6 +95,13 @@ def test_steal_count_bound_values():
     assert steal_count_bound(5, 2) == 5
     assert steal_count_bound(5, 3) == 20
     assert steal_count_bound(8, 3) == 44
+    assert steal_count_bound(8, 1) == 0
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_steal_count_bound_rejects_t_below_one(t):
+    with pytest.raises(DomainError, match="need t >= 1"):
+        steal_count_bound(5, t)
 
 
 def test_compose_top_item():

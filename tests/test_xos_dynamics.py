@@ -548,12 +548,9 @@ def test_gray_int_oracle_is_D_times_the_value(m, player):
     assert v.ledger.total() == 0
 
 
-def int_clause_outcome(entry, v, mask):
-    """entry(v, mask) as one rational per item, or the type of its error."""
-    try:
-        row, D = entry(v, mask)
-    except KeyError as exc:  # an off-path middle bundle has no designated item
-        return type(exc)
+def int_clause_weights(entry, v, mask):
+    """entry(v, mask) as one rational per item."""
+    row, D = entry(v, mask)
     return [Fraction(x, D) for x in row]
 
 
@@ -562,8 +559,8 @@ def int_clause_outcome(entry, v, mask):
 def test_gray_int_clause_is_the_base_int_clause(m, player):
     v = build_exponential_instance(m)[player]
     for mask in range(1 << m):
-        want = int_clause_outcome(Valuation._int_clause, v, mask)
-        assert int_clause_outcome(GrayValuation._int_clause, v, mask) == want, bin(mask)
+        want = int_clause_weights(Valuation._int_clause, v, mask)
+        assert int_clause_weights(GrayValuation._int_clause, v, mask) == want, bin(mask)
         assert sum(want) == v._value_mask(mask)
     assert v.ledger.total() == 0
 
@@ -571,16 +568,28 @@ def test_gray_int_clause_is_the_base_int_clause(m, player):
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_gray_int_clause_on_short_custom_paths(seed):
-    # off a short path the middle bundles have no designated item; both
-    # entries must then refuse alike, and agree on every other bundle
+    # a middle bundle off a short path designates its lowest item, as the
+    # path's last vertex does, and takes the k = 0 clause; both entries agree
+    # on every bundle, and every middle bundle's clause is legal
     rng = seeded(seed)
     m = rng.choice((5, 7))
     path = short_middle_path(rng, m, rng.randint(1, 5))
     eps = Fraction(1, rng.randint(2 * len(path), 3 * len(path)))
     v = GrayValuation(m, rng.randrange(2), path, eps)
     for mask in range(1 << m):
-        want = int_clause_outcome(Valuation._int_clause, v, mask)
-        assert int_clause_outcome(GrayValuation._int_clause, v, mask) == want, bin(mask)
+        want = int_clause_weights(Valuation._int_clause, v, mask)
+        assert int_clause_weights(GrayValuation._int_clause, v, mask) == want, bin(mask)
+        if mask.bit_count() == m // 2 + 1:
+            clause = {j: w for j, w in enumerate(want) if mask >> j & 1}
+            assert check_clause(v, bundle_of(mask), clause) == (True, None), bin(mask)
+
+
+def test_gray_clause_off_the_path_designates_the_lowest_item():
+    # {2, 3, 4} is a middle bundle whose codeword is not on the path
+    v = GrayValuation(5, 1, [0b00011, 0b00111], Fraction(1, 8))
+    assert v.designated_item(0b11100) == 2
+    assert v.xos_clause({2, 3, 4}) == {2: Fraction(1, 2), 3: 1, 4: 1}
+    assert int_clause_weights(GrayValuation._int_clause, v, 0b11100) == [0, 0, Fraction(1, 2), 1, 1]
 
 
 @pytest.mark.parametrize("m", [5, 7, 9, 11])
