@@ -485,39 +485,49 @@ class OddGraphAdversary:
         hi = self.mp - 2
         comp = self.full_mask ^ v
         for block, table in zip(self._blocks, self._near):
-            for key in (v & block, comp & block):
-                for w in table.get(key, ()):
-                    i = (v & w).bit_count()
-                    if i < 3 or i > hi:
-                        return False
+            for w in table.get(v & block, ()):
+                if not 3 <= (v & w).bit_count() <= hi:
+                    return False
+            for w in table.get(comp & block, ()):
+                if not 3 <= (v & w).bit_count() <= hi:
+                    return False
         return True
-
-    def _random_step(self, cur: int) -> int:
-        pick = self.rng.randrange(self.mp + 1)
-        rest = cur
-        for _ in range(pick):
-            rest &= rest - 1
-        b = rest & -rest
-        return (self.full_mask ^ cur) | b
 
     def _component(self, start: int):
         """(reached, materialized, is_small) for start's component in the
-        uncolored non-queried region; capped BFS is the only small verdict."""
+        uncolored non-queried region; capped BFS is the only small verdict.
+
+        First a random walk of at most 8(m'+2) steps: each step draws one
+        pick in [0, m'] and moves to the neighbour that adds the pick-th
+        item of the current vertex to its complement, unless that neighbour
+        is blocked. The item is found from the nearer end of the vertex.
+        Every 4th step tests whether the current vertex is clear; a clear
+        one means the component is not small. Without one, a BFS capped at
+        c_small vertices decides."""
         reached = {start}
         if self.walk_ok:
+            colored, q_set, clear = self.colored, self.q_set, self._clear
+            randrange, full = self.rng.randrange, self.full_mask
+            mp = self.mp
+            half = (mp + 1) // 2
             cur = start
-            steps = 0
-            limit = 8 * (self.mp + 2)
-            while steps < limit:
+            for _ in range(2 * (mp + 2)):
                 for _ in range(4):
-                    if steps >= limit:
-                        break
-                    steps += 1
-                    cand = self._random_step(cur)
-                    if not self._blocked(cand):
+                    pick = randrange(mp + 1)
+                    rest = cur
+                    if pick < half:
+                        for _ in range(pick):
+                            rest &= rest - 1
+                        b = rest & -rest
+                    else:
+                        for _ in range(mp - pick):
+                            rest ^= 1 << rest.bit_length() - 1
+                        b = 1 << rest.bit_length() - 1
+                    cand = (full ^ cur) | b
+                    if cand not in colored and cand not in q_set:
                         cur = cand
                         reached.add(cand)
-                if self._clear(cur):
+                if clear(cur):
                     return reached, len(reached), False
         visited = {start}
         queue = deque([start])

@@ -26,7 +26,7 @@ from .valuations import (
     mask_of,
     register_kind,
 )
-from .auction import check_allocation, is_pure_nash_no_overbid, item_count, resolve
+from .auction import check_allocation, check_bids, is_pure_nash_no_overbid, item_count, resolve
 from .stealing import compute_bids, find_steal, owner_first
 
 SETPAIR_RETRY_FACTOR = 4000
@@ -197,11 +197,15 @@ def find_unprotected_set(valuations, bids):
     summing below 1 wins outright; if the sum is exactly 1 and the rival
     bids nothing off T, all items but one positive-bid item work. A generic
     scan over cheapest big prefixes, flagged pairs, and one-item deletions
-    decides existence otherwise.
+    decides existence otherwise. Both bidders must be SetPairValuations on
+    the same m items, with one nonnegative bid row each.
     """
-    if len(valuations) != 2 or len(bids) != 2:
+    if len(valuations) != 2:
         raise DomainError("the gadget is a two-bidder game")
-    m = valuations[0].m
+    if not all(isinstance(v, SetPairValuation) for v in valuations):
+        raise DomainError("the gadget needs two SetPairValuation bidders")
+    m = item_count(valuations)
+    bids = check_bids(bids, n=2, m=m)
     alloc, _ = resolve(bids)
     weak = None
     for i in (0, 1):

@@ -8,6 +8,7 @@ library's optimized code paths.
 import hashlib
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 from sspeq.valuations import (
@@ -447,3 +448,50 @@ def reference_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap=10_0
         trace.responses += 1
         responder = 1 - responder
     return DynamicRun(alloc, tuple(bids), trace)
+
+
+def reference_component(adv, start):
+    """OddGraphAdversary._component as it ran before its walk was inlined:
+    each step finds the pick-th item of the vertex from the low end, then
+    asks `_blocked`, and every 4th step asks `_clear`. Draws from and
+    advances `adv.rng` exactly as the library must."""
+    from sspeq.hardness import odd_graph_neighbors
+
+    def random_step(cur):
+        pick = adv.rng.randrange(adv.mp + 1)
+        rest = cur
+        for _ in range(pick):
+            rest &= rest - 1
+        b = rest & -rest
+        return (adv.full_mask ^ cur) | b
+
+    reached = {start}
+    if adv.walk_ok:
+        cur = start
+        steps = 0
+        limit = 8 * (adv.mp + 2)
+        while steps < limit:
+            for _ in range(4):
+                if steps >= limit:
+                    break
+                steps += 1
+                cand = random_step(cur)
+                if not adv._blocked(cand):
+                    cur = cand
+                    reached.add(cand)
+            if adv._clear(cur):
+                return reached, len(reached), False
+    visited = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in odd_graph_neighbors(adv.mp, v):
+            if w in visited or adv._blocked(w):
+                continue
+            visited.add(w)
+            if len(visited) > adv.c_small:
+                reached |= visited
+                return reached, len(reached), False
+            queue.append(w)
+    reached |= visited
+    return visited, len(reached), True

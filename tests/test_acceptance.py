@@ -283,6 +283,10 @@ CRITERION_08_TRANSCRIPTS = {
     "random": (1313, "4e6f2f6981c58e2ac0fa6e1ebfe52c36333fe7504ce0186f296e3b063fea1285"),
 }
 
+# Each searcher's summed per-answer `materialized` count at m = 43: the
+# vertices its walks and BFS reached. Transcripts alone do not pin the walk.
+CRITERION_08_MATERIALIZED = {"bestreply": 185_252, "hill": 185_252, "random": 167_695}
+
 
 def transcript_digest(adv):
     h = hashlib.sha256()
@@ -306,6 +310,7 @@ def test_criterion_08_adversary_forces_query_lower_bound():
         ok, problems = adversary_audit(adv)
         assert ok, problems
         assert transcript_digest(adv) == CRITERION_08_TRANSCRIPTS[name], name
+        assert sum(s["materialized"] for s in adv.stats) == CRITERION_08_MATERIALIZED[name], name
         outcomes[name] = result.queries
     print(f"criterion 08: every searcher spent its full budget {outcomes}, "
           f"no certificate, audits clean")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_better_demand, brute_cheapest_subsets, seeded
+from conftest import brute_better_demand, brute_cheapest_subsets, reference_component, seeded
 from sspeq import hardness
 from sspeq.hardness import (
     ISO_EXHAUSTIVE_CAP,
@@ -493,6 +493,29 @@ def test_block_index_clear_matches_the_loop(m, seed, sizes):
     for _ in range(20):
         u = mask_of(rng.sample(range(m), mp + 1))
         assert adv._clear(u) == loop_clear(mp, u, blocked)
+
+
+@pytest.mark.parametrize("m", [9, 11, 43])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    searcher=st.sampled_from(["hill", "random"]),
+    prefix=st.integers(1, 12),
+)
+@settings(max_examples=20, deadline=None)
+def test_walk_matches_the_reference(m, seed, searcher, prefix):
+    adv = OddGraphAdversary(m, g=1, h=2, seed=seed)
+    SEARCHERS[searcher](adv, prefix)
+    rng = seeded(seed)
+    last = mask_of(adv.transcript[-1].vertex)
+    starts = odd_graph_neighbors(adv.mp, last)
+    starts += [mask_of(rng.sample(range(m), adv.mp + 1)) for _ in range(4)]
+    for start in starts:
+        before = adv.rng.getstate()
+        want = reference_component(adv, start)
+        after = adv.rng.getstate()
+        adv.rng.setstate(before)
+        assert adv._component(start) == want, start
+        assert adv.rng.getstate() == after
 
 
 # Small-family runs (g = 1, h = 2, adversary seed m) that color cut-off

@@ -18,7 +18,14 @@ from sspeq.reductions import (
     star_gap_instance,
     verify_set_pair_system,
 )
-from sspeq.valuations import ConstructionError, DomainError, bundle_of, valuation_from_json, verify_class
+from sspeq.valuations import (
+    AdditiveValuation,
+    ConstructionError,
+    DomainError,
+    bundle_of,
+    valuation_from_json,
+    verify_class,
+)
 
 CORNER = SetPairSystem(
     8, [(frozenset({0, 1}), frozenset({2, 3})), (frozenset({2, 4}), frozenset({1, 5}))]
@@ -202,6 +209,19 @@ def test_finder_needs_a_weak_side():
     bids = equilibrium_witness(CORNER, (1, 0), (1, 1), 0)
     with pytest.raises(DomainError):
         find_unprotected_set(vals, bids)
+
+
+def test_finder_rejects_other_families_and_bad_bids():
+    additive = (AdditiveValuation(2, [1, 0]), AdditiveValuation(2, [0, 1]))
+    with pytest.raises(DomainError, match="SetPairValuation"):
+        find_unprotected_set(additive, [[1, 0], [0, 1]])
+    mixed = (SetPairValuation(CORNER, (1, 0), 0), AdditiveValuation(8, [1] * 8))
+    with pytest.raises(DomainError, match="SetPairValuation"):
+        find_unprotected_set(mixed, ((0,) * 8, (0,) * 8))
+    vals = (SetPairValuation(CORNER, (1, 0), 0), SetPairValuation(CORNER, (0, 1), 1))
+    for bids in (((0,) * 7, (0,) * 7), ((0,) * 8, (-1,) + (0,) * 7), ((0,) * 8,)):
+        with pytest.raises(DomainError):
+            find_unprotected_set(vals, bids)
 
 
 # -- weighted graphs ------------------------------------------------------------------
