@@ -397,9 +397,24 @@ def cmd_topsteal(args):
     n, m = len(vals), vals[0].m
     t = args.t if args.t is not None else n
     steals = len(run.steals)
+    nodes = list(run.trace.walk())
     cases = {}
-    for node in run.trace.walk():
+    for node in nodes:
         cases[node.case] = cases.get(node.case, 0) + 1
+    # one row per recursion node in walk order; nodes are unhashable, so by id()
+    ids = {id(node): k for k, node in enumerate(nodes)}
+    parents = {id(child): ids[id(node)] for node in nodes for child in node.children}
+    trace_rows = [
+        {
+            "id": k,
+            "parent": parents.get(id(node)),
+            "case": node.case,
+            "m_active": node.m_active,
+            "t": node.t,
+            "steal": node.steal,
+        }
+        for k, node in enumerate(nodes)
+    ]
     report = {
         "algorithm": "topsteal",
         "t": t,
@@ -413,7 +428,7 @@ def cmd_topsteal(args):
         report["greedy_welfare"] = format_money(greedy_w)
         report["at_least_greedy"] = welfare(vals, run.alloc) >= greedy_w
     violated = not report["within_bound"] or report.get("at_least_greedy") is False
-    return _finish_run(args, report, vals, run.alloc, run.bids, violated)
+    return _finish_run(args, report, vals, run.alloc, run.bids, violated, trace_rows)
 
 
 def cmd_dynamic(args):
@@ -619,6 +634,7 @@ def _build_parser():
 
     ts = sub.add_parser("topsteal", parents=[common, run])
     ts.add_argument("--t", type=int, default=None)
+    ts.add_argument("--trace-out", default=None)
     ts.set_defaults(fn=cmd_topsteal)
 
     d = sub.add_parser("dynamic", parents=[common, run])

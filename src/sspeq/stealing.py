@@ -30,7 +30,7 @@ from .valuations import (
     iter_submasks,
     mask_of,
 )
-from .auction import check_allocation, item_count, prices_from_bids
+from .auction import check_allocation, check_bids, item_count, prices_from_bids
 
 ORDERING_POLICIES = ("stolen-last", "static")
 STEAL_BOUND_M_CAP = 12
@@ -105,17 +105,22 @@ def _checked_masks(valuations, alloc):
 
 
 def compute_bids(valuations, alloc, orders):
-    """Marginal bids along each bidder's item order, zero off the owned bundle."""
+    """Marginal bids along each bidder's item order, a permutation of
+    0..m-1, zero off the owned bundle."""
     _, masks = _checked_masks(valuations, alloc)
+    m = valuations[0].m
+    if len(orders) != len(masks) or any(sorted(order) != list(range(m)) for order in orders):
+        raise DomainError(f"need one order per bidder, each a permutation of 0..{m - 1}")
     oracles, D = int_oracles(valuations)
     ledgers = [v.ledger for v in valuations]
-    return money_rows(bid_rows(oracles, ledgers, masks, orders, valuations[0].m), D)
+    return money_rows(bid_rows(oracles, ledgers, masks, orders, m), D)
 
 
 def find_steal(valuations, alloc, bids):
     """Lexicographically smallest (thief, victim, item) with a strictly
     profitable single-item steal, or None."""
     _, masks = _checked_masks(valuations, alloc)
+    bids = check_bids(bids, n=len(masks), m=valuations[0].m)
     oracles, D = int_oracles(valuations)
     ledgers = [v.ledger for v in valuations]
     rows = [[D * b for b in row] for row in bids]

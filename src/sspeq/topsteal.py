@@ -8,12 +8,14 @@ at the base treats two-competitor markets with plain marginal bids plus at
 most one steal per pinned item. For deeper t it erases each bidder's
 top-competitor items to fall to t-1.
 
-Each level of the recursion reads its bidders' int value oracles afresh
-(`stealing.int_oracles`). A pinned or erased bidder is a `MarginalValuation`
-or `ErasedValuation`, which composes its base's oracle once, when it is
-built, and returns it from `int_oracle`; so the recursion carries one list
-of bidders. The competitor tests compare int singletons. Bids stay
-Fractions.
+Next to its bidders the recursion carries one int singleton row per bidder,
+row[j] = D * v({j}) at the run's common denominator D (`int_oracles`), filled
+by one oracle pass. A pin or an erasure wraps the bidder in a
+`MarginalValuation` or `ErasedValuation`, which composes its base's int oracle
+once, and rereads from it only the pinned row over the items left, or only the
+erased entries. Each level's top values are the rows' column maxima. The
+ledger counts the competitor scans asked for, not oracle calls: a scan charges
+each bidder one value query per item.
 """
 
 from __future__ import annotations
@@ -38,13 +40,16 @@ class MarginalValuation(Valuation):
 
     def __init__(self, base: Valuation, item: int):
         super().__init__(base.m)
+        if item not in range(base.m):
+            raise DomainError(f"bundle [{item}] not within 0..{base.m - 1}")
         self.base = base
         self.item = item
-        self.offset = base.value(frozenset({item}))
         self.ledger = base.ledger
+        self.ledger.value += 1  # the singleton query that fixes the offset
         f, D = base.int_oracle()
         bit = 1 << item
         offset = f(bit)
+        self.offset = Fraction(offset, D)
         self._oracle = (lambda mask: f(mask | bit) - offset), D
 
     def _value_mask(self, mask):
@@ -74,60 +79,66 @@ class ErasedValuation(Valuation):
         return self._oracle
 
 
-def _single(v, f, j: int) -> int:
-    """v's int singleton value of item j; one counted value query."""
-    v.ledger.value += 1
-    return f(1 << j)
+def _singleton_rows(valuations, asked: int):
+    """(rows, D): each bidder's int singleton values at the common D, from one
+    oracle pass; each bidder is charged the `asked` singleton queries."""
+    oracles, D = int_oracles(valuations)
+    for v in valuations:
+        v.ledger.value += asked
+    return [[f(1 << j) for j in range(valuations[0].m)] for f in oracles], D
 
 
-def _competitors(valuations, oracles, items):
-    """Per item: competitor list, top-competitor list and the top singleton
-    value as an int at the oracles' denominator."""
-    out = {}
-    for j in sorted(items):
-        singles = [(i, _single(v, f, j)) for i, (v, f) in enumerate(zip(valuations, oracles))]
-        comp = [(i, x) for i, x in singles if x > 0]
-        top_val = max((x for _, x in comp), default=0)
-        out[j] = {
-            "competitors": [i for i, _ in comp],
-            "top": [i for i, x in comp if x == top_val],
-            "top_value": top_val,
-        }
-    return out
+def _reread(rows, i, v, D: int, items):
+    """rows with bidder i's entries on `items` reread from v's oracle."""
+    f, d = v.int_oracle()
+    row = list(rows[i])
+    for j in items:
+        row[j] = D // d * f(1 << j)
+    return rows[:i] + [row] + rows[i + 1:]
+
+
+def _tops(rows):
+    """Per item, the largest singleton value, at least 0."""
+    return list(map(max, *rows, [0] * len(rows[0])))
+
+
+def _top(rows, tops, j: int):
+    """Item j's top competitors: the bidders whose singleton is its positive top."""
+    return [i for i, row in enumerate(rows) if row[j] == tops[j] > 0]
 
 
 def competitor_info(valuations, items):
     """Per item: competitor list, top-competitor list, top singleton value."""
-    oracles, D = int_oracles(valuations)
-    out = _competitors(valuations, oracles, items)
-    for d in out.values():
-        d["top_value"] = Fraction(d["top_value"], D)
-    return out
+    m = item_count(valuations)
+    items = list(items)
+    if any(j not in range(m) for j in items):
+        raise DomainError(f"items {items} not within 0..{m - 1}")
+    rows, D = _singleton_rows(valuations, len(items))
+    tops = _tops(rows)
+    return {j: {"competitors": [i for i, row in enumerate(rows) if row[j] > 0],
+                "top": _top(rows, tops, j), "top_value": Fraction(tops[j], D)}
+            for j in sorted(items)}
 
 
 def preprocess_to_competitors(valuations, alloc):
     """Move every item held by a non-competitor to its lowest-index top
     competitor (welfare-free for submodular bidders); items nobody values are
-    returned as ignorable and stay put."""
+    returned as ignorable and stay put, and so do items nobody holds."""
     m = item_count(valuations)
     alloc = check_allocation(alloc, len(valuations), m)
-    return _to_competitors(alloc, competitor_info(valuations, range(m)))
+    return _to_competitors(alloc, _singleton_rows(valuations, m)[0])
 
 
-def _to_competitors(alloc, info):
+def _to_competitors(alloc, rows):
     alloc = [set(S) for S in alloc]
-    ignorable = set()
-    for j in sorted(info):
-        holder = next(i for i, S in enumerate(alloc) if j in S)
-        comp = info[j]["competitors"]
-        if not comp:
-            ignorable.add(j)
-            continue
-        if holder not in comp:
-            target = info[j]["top"][0]
+    tops = _tops(rows)
+    for j, top in enumerate(tops):
+        holder = next((i for i, S in enumerate(alloc) if j in S), None)
+        if top > 0 and holder is not None and rows[holder][j] <= 0:
             alloc[holder].discard(j)
-            alloc[target].add(j)
-    return tuple(frozenset(S) for S in alloc), frozenset(ignorable)
+            alloc[_top(rows, tops, j)[0]].add(j)
+    ignorable = frozenset(j for j, top in enumerate(tops) if top <= 0)
+    return tuple(frozenset(S) for S in alloc), ignorable
 
 
 @dataclass
@@ -171,22 +182,17 @@ def compose_top_item(alloc, bids, i: int, j: int, singleton_value: Money):
     return tuple(alloc), tuple(tuple(row) for row in bids)
 
 
-def _restricted_bids(valuations, alloc, active):
-    """Marginal bids over the active items only, ascending order."""
-    sub_alloc = tuple(S & active for S in alloc)
-    return compute_bids(valuations, sub_alloc, owner_first(sub_alloc, valuations[0].m)), sub_alloc
-
-
-def _find_top_steal(valuations, oracles, D, alloc, bids, info):
+def _find_top_steal(valuations, alloc, bids, rows, tops):
     """Lexicographically smallest steal whose thief is a top competitor."""
+    oracles, D = int_oracles(valuations)
     ledgers = [v.ledger for v in valuations]
     masks = [mask_of(S) for S in alloc]
-    rows = [[D * b for b in row] for row in bids]
-    any_steal = steal_search(oracles, ledgers, masks, rows)
+    bid_ints = [[D * b for b in row] for row in bids]
+    any_steal = steal_search(oracles, ledgers, masks, bid_ints)
     if any_steal is None:
         return None
-    top = {j: d["top"] for j, d in info.items()}
-    steal = steal_search(oracles, ledgers, masks, rows, top)
+    top = [_top(rows, tops, j) for j in range(len(tops))]  # read on active items only
+    steal = steal_search(oracles, ledgers, masks, bid_ints, top)
     if steal is None:
         raise TopStealDiagnostic(f"steal {any_steal} exists but no top-competitor steal does")
     return steal
@@ -196,26 +202,22 @@ def top_steal(valuations, init_alloc, t: int = None) -> TopStealRun:
     """Compute a no-overbidding, steal-stable state for a t-restricted instance."""
     n = len(valuations)
     m = item_count(valuations)
-    if t is None:
-        t = n
+    t = n if t is None else t
     if t < 2:
         raise DomainError("need t >= 2")
     alloc = check_allocation(init_alloc, n, m)
     if set().union(*alloc) != set(range(m)):
         raise DomainError("initial allocation must cover all items")
-    oracles, _ = int_oracles(valuations)
-    # the move and the restriction check each ask every singleton, so the
+    # the move and the restriction check each scan every singleton, so the
     # ledger reads as for preprocess_to_competitors then competitor_info
-    alloc, _ignorable = _to_competitors(alloc, _competitors(valuations, oracles, range(m)))
-    info = _competitors(valuations, oracles, range(m))
-    worst = max((len(d["competitors"]) for d in info.values()), default=0)
+    rows, D = _singleton_rows(valuations, 2 * m)
+    alloc, _ignorable = _to_competitors(alloc, rows)
+    worst = max(sum(x > 0 for x in col) for col in zip(*rows))
     if worst > t:
         raise DomainError(f"instance is only {worst}-restricted, got t={t}")
     steals = []
-    final_alloc, final_bids, trace = _top_steal_rec(
-        list(valuations), alloc, frozenset(range(m)), t, steals
-    )
-    return TopStealRun(final_alloc, final_bids, trace, steals)
+    out = _top_steal_rec(list(valuations), rows, D, alloc, frozenset(range(m)), t, steals)
+    return TopStealRun(*out, steals)
 
 
 def _give(alloc, thief, j):
@@ -223,80 +225,77 @@ def _give(alloc, thief, j):
     return tuple((S | {j}) if i == thief else (S - {j}) for i, S in enumerate(alloc))
 
 
-def _top_steal_rec(valuations, alloc, active, t, steals):
-    n = len(valuations)
-    m = valuations[0].m
-    oracles, D = int_oracles(valuations)
-    info = _competitors(valuations, oracles, active)
+def _top_steal_rec(valuations, rows, D, alloc, active, t, steals):
+    """One level on the active items; rows[i] holds bidder i's singletons at D
+    and is read only on the active items."""
+    for v in valuations:  # this level's competitor scan
+        v.ledger.value += len(active)
+    tops = _tops(rows)
 
     if len(active) == 1:
         (j,) = active
         holder = next(i for i, S in enumerate(alloc) if j in S)
         trace = RecursionTrace("single_item", 1, t)
-        if info[j]["top"] and holder not in info[j]["top"]:
-            thief = info[j]["top"][0]
+        if rows[holder][j] != tops[j] > 0:
+            thief = _top(rows, tops, j)[0]
             steals.append((thief, holder, j))
             trace.steal = (thief, holder, j)
             alloc = _give(alloc, thief, j)
             holder = thief
-        bids = [[Fraction(0)] * m for _ in range(n)]
-        bids[holder][j] = Fraction(_single(valuations[holder], oracles[holder], j), D)
-        return alloc, tuple(tuple(r) for r in bids), trace
+        valuations[holder].ledger.value += 1
+        zeros = [[Fraction(0)] * valuations[0].m] * len(valuations)
+        return (*compose_top_item(alloc, zeros, holder, j, Fraction(rows[holder][j], D)), trace)
 
     # pin an item whose holder is already a top competitor
-    pin = None
-    for i in range(n):
-        for j in sorted(alloc[i] & active):
-            if i in info[j]["top"]:
-                pin = (i, j)
-                break
-        if pin:
-            break
+    pin = next(((i, j) for i, S in enumerate(alloc) for j in sorted(S & active)
+                if rows[i][j] == tops[j] > 0), None)
     if pin is not None:
         i, j = pin
-        single = Fraction(_single(valuations[i], oracles[i], j), D)
+        valuations[i].ledger.value += 1
         sub_vals = list(valuations)
         sub_vals[i] = MarginalValuation(valuations[i], j)
+        sub_rows = _reread(rows, i, sub_vals[i], D, active - {j})
         sub_alloc = tuple(S - {j} if k == i else S for k, S in enumerate(alloc))
-        out_alloc, out_bids, child = _top_steal_rec(sub_vals, sub_alloc, active - {j}, t, steals)
-        alloc2, bids2 = compose_top_item(out_alloc, out_bids, i, j, single)
-        trace = RecursionTrace("pin_top_item", len(active), t, children=[child])
-        return alloc2, bids2, trace
+        out_alloc, out_bids, child = _top_steal_rec(
+            sub_vals, sub_rows, D, sub_alloc, active - {j}, t, steals
+        )
+        alloc2, bids2 = compose_top_item(out_alloc, out_bids, i, j, Fraction(rows[i][j], D))
+        return alloc2, bids2, RecursionTrace("pin_top_item", len(active), t, children=[child])
 
     if t == 2:
-        bids, sub_alloc = _restricted_bids(valuations, alloc, active)
-        steal = _find_top_steal(valuations, oracles, D, sub_alloc, bids, info)
+        # marginal bids over the active items only, ascending order
+        sub_alloc = tuple(S & active for S in alloc)
+        bids = compute_bids(valuations, sub_alloc, owner_first(sub_alloc, valuations[0].m))
+        steal = _find_top_steal(valuations, sub_alloc, bids, rows, tops)
         if steal is None:
             return alloc, bids, RecursionTrace("stable_bids", len(active), t)
         thief, _, j = steal
         steals.append(steal)
         out_alloc, out_bids, child = _top_steal_rec(
-            valuations, _give(alloc, thief, j), active, t, steals
+            valuations, rows, D, _give(alloc, thief, j), active, t, steals
         )
         trace = RecursionTrace("steal_then_recurse", len(active), t, steal=steal, children=[child])
         return out_alloc, out_bids, trace
 
     # t > 2: erase every bidder's top-competitor items and fall to t-1
-    sub_vals = list(valuations)
-    for i in range(n):
-        erased = frozenset(j for j in active if i in info[j]["top"])
+    sub_vals, sub_rows = list(valuations), rows
+    for i, row in enumerate(rows):
+        erased = frozenset(j for j in active if row[j] == tops[j] > 0)
         if erased:
             sub_vals[i] = ErasedValuation(valuations[i], erased)
-    sub_info = _competitors(sub_vals, int_oracles(sub_vals)[0], active)
-    assert all(len(d["competitors"]) <= t - 1 for d in sub_info.values())
-    out_alloc, out_bids, child = _top_steal_rec(sub_vals, alloc, active, t - 1, steals)
-    if find_steal(valuations, tuple(S & active for S in out_alloc), out_bids) is None:
-        trace = RecursionTrace("erased_stable", len(active), t, children=[child])
-        return out_alloc, out_bids, trace
-    steal = _find_top_steal(
-        valuations, oracles, D, tuple(S & active for S in out_alloc), out_bids, info
-    )
+            sub_rows = _reread(sub_rows, i, sub_vals[i], D, erased)
+    for v in valuations:  # the scan that checks the fall to t-1
+        v.ledger.value += len(active)
+    assert all(sum(row[j] > 0 for row in sub_rows) <= t - 1 for j in active)
+    out_alloc, out_bids, child = _top_steal_rec(sub_vals, sub_rows, D, alloc, active, t - 1, steals)
+    restricted = tuple(S & active for S in out_alloc)
+    if find_steal(valuations, restricted, out_bids) is None:
+        return out_alloc, out_bids, RecursionTrace("erased_stable", len(active), t, children=[child])
+    steal = _find_top_steal(valuations, restricted, out_bids, rows, tops)
     thief, _, j = steal
     steals.append(steal)
     out_alloc2, out_bids2, child2 = _top_steal_rec(
-        valuations, _give(out_alloc, thief, j), active, t, steals
+        valuations, rows, D, _give(out_alloc, thief, j), active, t, steals
     )
-    trace = RecursionTrace(
-        "erase_then_steal", len(active), t, steal=steal, children=[child, child2]
-    )
+    trace = RecursionTrace("erase_then_steal", len(active), t, steal=steal, children=[child, child2])
     return out_alloc2, out_bids2, trace

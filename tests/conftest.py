@@ -16,6 +16,7 @@ from sspeq.valuations import (
     BudgetAdditiveValuation,
     CoverageValuation,
     TableValuation,
+    XOSExplicitValuation,
     bundle_of,
     mask_of,
 )
@@ -495,3 +496,176 @@ def reference_component(adv, start):
             queue.append(w)
     reached |= visited
     return visited, len(reached), True
+
+
+def random_topsteal_instance(rng):
+    """(valuations, init_alloc, t) for top_steal: n = 2..4 bidders drawn
+    from table, coverage, explicit XOS, additive and budget-additive
+    families with denominators above 1, m = 1..5 items dealt at random, and
+    t from the instance's restriction (at least 2) up to n."""
+    n, m = rng.randint(2, 4), rng.randint(1, 5)
+    makers = (
+        lambda: TableValuation(m, random_table(rng, m)),
+        lambda: random_submodular_table(rng, m),
+        lambda: random_coverage(rng, m),
+        lambda: XOSExplicitValuation(m, [random_weights(rng, m) for _ in range(rng.randint(1, 3))]),
+        lambda: random_additive(rng, m, den=6),
+        lambda: random_budget_additive(rng, m, den=6),
+    )
+    vs = [rng.choice(makers)() for _ in range(n)]
+    alloc = [set() for _ in range(n)]
+    for j in range(m):
+        alloc[rng.randrange(n)].add(j)
+    worst = max(sum(v._value_mask(1 << j) > 0 for v in vs) for j in range(m))
+    return vs, alloc, rng.randint(max(2, worst), n)
+
+
+def topsteal_outcome(run_top_steal, vs, alloc, t):
+    """What a top_steal run shows: its allocation, bids, steals, each trace
+    node's (case, m_active, t, steal) in walk order and each bidder's
+    ledger delta; or the error it raised."""
+    before = [v.ledger.snapshot() for v in vs]
+    try:
+        run = run_top_steal(vs, alloc, t=t)
+    except Exception as exc:  # the error itself is the outcome
+        return ("error", type(exc).__name__, str(exc))
+    deltas = [
+        {k: after[k] - b[k] for k in after} for b, after in zip(before, (v.ledger.snapshot() for v in vs))
+    ]
+    nodes = [(node.case, node.m_active, node.t, node.steal) for node in run.trace.walk()]
+    return run.alloc, run.bids, run.steals, nodes, deltas
+
+
+def reference_top_steal(valuations, init_alloc, t=None):
+    """top_steal as it ran before its singletons moved to rows: every level
+    asks each bidder's int singletons afresh through its conditioned or
+    erased valuation, one counted value query each, and builds per-item
+    competitor lists. Returns the library's TopStealRun."""
+    from sspeq.auction import check_allocation, item_count
+    from sspeq.stealing import compute_bids, find_steal, int_oracles, owner_first, steal_search
+    from sspeq.topsteal import (
+        ErasedValuation,
+        MarginalValuation,
+        RecursionTrace,
+        TopStealDiagnostic,
+        TopStealRun,
+        compose_top_item,
+    )
+    from sspeq.valuations import DomainError
+
+    def single(v, f, j):
+        v.ledger.value += 1
+        return f(1 << j)
+
+    def competitors(vals, oracles, items):
+        out = {}
+        for j in sorted(items):
+            singles = [(i, single(v, f, j)) for i, (v, f) in enumerate(zip(vals, oracles))]
+            comp = [(i, x) for i, x in singles if x > 0]
+            top_val = max((x for _, x in comp), default=0)
+            out[j] = {
+                "competitors": [i for i, _ in comp],
+                "top": [i for i, x in comp if x == top_val],
+            }
+        return out
+
+    def to_competitors(alloc, info):
+        alloc = [set(S) for S in alloc]
+        for j in sorted(info):
+            holder = next(i for i, S in enumerate(alloc) if j in S)
+            comp = info[j]["competitors"]
+            if comp and holder not in comp:
+                alloc[holder].discard(j)
+                alloc[info[j]["top"][0]].add(j)
+        return tuple(frozenset(S) for S in alloc)
+
+    def give(alloc, thief, j):
+        return tuple((S | {j}) if i == thief else (S - {j}) for i, S in enumerate(alloc))
+
+    def find_top_steal(vals, oracles, D, alloc, bids, info):
+        ledgers = [v.ledger for v in vals]
+        masks = [mask_of(S) for S in alloc]
+        rows = [[D * b for b in row] for row in bids]
+        any_steal = steal_search(oracles, ledgers, masks, rows)
+        if any_steal is None:
+            return None
+        steal = steal_search(oracles, ledgers, masks, rows, {j: d["top"] for j, d in info.items()})
+        if steal is None:
+            raise TopStealDiagnostic(f"steal {any_steal} exists but no top-competitor steal does")
+        return steal
+
+    def rec(vals, alloc, active, t, steals):
+        n, m = len(vals), vals[0].m
+        oracles, D = int_oracles(vals)
+        info = competitors(vals, oracles, active)
+        if len(active) == 1:
+            (j,) = active
+            holder = next(i for i, S in enumerate(alloc) if j in S)
+            trace = RecursionTrace("single_item", 1, t)
+            if info[j]["top"] and holder not in info[j]["top"]:
+                thief = info[j]["top"][0]
+                steals.append((thief, holder, j))
+                trace.steal = (thief, holder, j)
+                alloc = give(alloc, thief, j)
+                holder = thief
+            bids = [[Fraction(0)] * m for _ in range(n)]
+            bids[holder][j] = Fraction(single(vals[holder], oracles[holder], j), D)
+            return alloc, tuple(tuple(r) for r in bids), trace
+        pin = next(
+            ((i, j) for i in range(n) for j in sorted(alloc[i] & active) if i in info[j]["top"]),
+            None,
+        )
+        if pin is not None:
+            i, j = pin
+            value = Fraction(single(vals[i], oracles[i], j), D)
+            sub_vals = list(vals)
+            sub_vals[i] = MarginalValuation(vals[i], j)
+            sub_alloc = tuple(S - {j} if k == i else S for k, S in enumerate(alloc))
+            out_alloc, out_bids, child = rec(sub_vals, sub_alloc, active - {j}, t, steals)
+            alloc2, bids2 = compose_top_item(out_alloc, out_bids, i, j, value)
+            return alloc2, bids2, RecursionTrace("pin_top_item", len(active), t, children=[child])
+        if t == 2:
+            sub_alloc = tuple(S & active for S in alloc)
+            bids = compute_bids(vals, sub_alloc, owner_first(sub_alloc, m))
+            steal = find_top_steal(vals, oracles, D, sub_alloc, bids, info)
+            if steal is None:
+                return alloc, bids, RecursionTrace("stable_bids", len(active), t)
+            thief, _, j = steal
+            steals.append(steal)
+            out_alloc, out_bids, child = rec(vals, give(alloc, thief, j), active, t, steals)
+            trace = RecursionTrace("steal_then_recurse", len(active), t, steal=steal, children=[child])
+            return out_alloc, out_bids, trace
+        sub_vals = list(vals)
+        for i in range(n):
+            erased = frozenset(j for j in active if i in info[j]["top"])
+            if erased:
+                sub_vals[i] = ErasedValuation(vals[i], erased)
+        sub_info = competitors(sub_vals, int_oracles(sub_vals)[0], active)
+        assert all(len(d["competitors"]) <= t - 1 for d in sub_info.values())
+        out_alloc, out_bids, child = rec(sub_vals, alloc, active, t - 1, steals)
+        restricted = tuple(S & active for S in out_alloc)
+        if find_steal(vals, restricted, out_bids) is None:
+            return out_alloc, out_bids, RecursionTrace("erased_stable", len(active), t, children=[child])
+        steal = find_top_steal(vals, oracles, D, restricted, out_bids, info)
+        thief, _, j = steal
+        steals.append(steal)
+        out_alloc2, out_bids2, child2 = rec(vals, give(out_alloc, thief, j), active, t, steals)
+        trace = RecursionTrace("erase_then_steal", len(active), t, steal=steal, children=[child, child2])
+        return out_alloc2, out_bids2, trace
+
+    n, m = len(valuations), item_count(valuations)
+    t = n if t is None else t
+    if t < 2:
+        raise DomainError("need t >= 2")
+    alloc = check_allocation(init_alloc, n, m)
+    if set().union(*alloc) != set(range(m)):
+        raise DomainError("initial allocation must cover all items")
+    oracles, _ = int_oracles(valuations)
+    alloc = to_competitors(alloc, competitors(valuations, oracles, range(m)))
+    info = competitors(valuations, oracles, range(m))
+    worst = max((len(d["competitors"]) for d in info.values()), default=0)
+    if worst > t:
+        raise DomainError(f"instance is only {worst}-restricted, got t={t}")
+    steals = []
+    final_alloc, final_bids, trace = rec(list(valuations), alloc, frozenset(range(m)), t, steals)
+    return TopStealRun(final_alloc, final_bids, trace, steals)

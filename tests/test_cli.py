@@ -240,6 +240,27 @@ def test_topsteal_runs_frozen_instance(tmp_path, capsys):
     ]
 
 
+def test_topsteal_writes_its_recursion_tree(tmp_path, capsys):
+    inst = write_additive_instance(tmp_path / "inst.json")
+    trace = tmp_path / "trace.ldj"
+    code, out = run_cli(capsys, [
+        "topsteal", "--instance", str(inst), "--init", "instance", "--t", "2",
+        "--trace-out", str(trace),
+    ])
+    assert code == 0
+    d = json.loads(out)
+    rows = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert len(rows) == sum(d["cases"].values())
+    assert [r["id"] for r in rows] == list(range(len(rows)))
+    assert rows[0]["parent"] is None
+    assert all(0 <= r["parent"] < r["id"] for r in rows[1:])
+    assert [(r["case"], r["m_active"], r["t"], r["steal"]) for r in rows] == [
+        ("steal_then_recurse", 2, 2, [0, 1, 0]),
+        ("pin_top_item", 2, 2, None),
+        ("single_item", 1, 2, [1, 0, 1]),
+    ]
+
+
 def test_dynamic_gray_m5(tmp_path, capsys):
     gen_out = tmp_path / "gray.json"
     assert main(["gen", "--family", "gray-exponential", "--m", "5", "--out", str(gen_out)]) == 0

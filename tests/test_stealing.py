@@ -77,6 +77,36 @@ def test_find_steal_is_lexicographic():
     assert find_steal(vs, (frozenset(), frozenset({0, 1})), bids) == (0, 1, 0)
 
 
+@pytest.mark.parametrize("bids", [
+    [[-5, 0], [0, -5]],  # negative
+    [[3, 0], [0]],  # a short row
+    [[3, 0]],  # a missing row
+    [[3, 0], [0, 2], [0, 0]],  # a phantom row
+    [[3, 0, 0], [0, 2, 0]],  # too wide
+])
+def test_find_steal_rejects_malformed_bids(bids):
+    with pytest.raises(DomainError):
+        find_steal(two_bidder_instance(), ({0}, {1}), bids)
+
+
+def test_find_steal_reads_money_strings():
+    vs, alloc = two_bidder_instance(), ({1}, {0})
+    assert find_steal(vs, alloc, [["0", "1/2"], ["3/2", "0"]]) == find_steal(
+        vs, alloc, [[0, Fraction(1, 2)], [Fraction(3, 2), 0]]
+    ) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("alloc, orders", [
+    (({0, 1}, set()), [[0], []]),  # orders missing items
+    (({0}, {1}), [[0, 0, 1], [1, 0]]),  # an item twice
+    (({0}, {1}), [[0, 2], [1, 0]]),  # an item outside 0..m-1
+    (({0}, {1}), [[0, 1]]),  # a missing order
+])
+def test_compute_bids_rejects_orders_that_are_not_permutations(alloc, orders):
+    with pytest.raises(DomainError):
+        compute_bids(two_bidder_instance(), alloc, orders)
+
+
 @pytest.mark.parametrize("make", [
     lambda: AdditiveValuation(2, (5, 5)),
     lambda: BudgetAdditiveValuation(2, 4, (3, 3)),

@@ -5,11 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    canon_digest,
     random_additive,
     random_coverage,
     random_submodular_table,
+    random_topsteal_instance,
     random_weights,
+    reference_top_steal,
     seeded,
+    topsteal_outcome,
 )
 from sspeq.auction import is_pure_nash_no_overbid, welfare
 from sspeq.stealing import find_steal
@@ -48,6 +52,16 @@ def test_marginal_valuation_conditions_on_item():
     assert mv.ledger is v.ledger
 
 
+def test_marginal_valuation_counts_its_offset_and_checks_the_item():
+    v = AdditiveValuation(2, (Fraction(3, 2), 1))
+    mv = MarginalValuation(v, 0)
+    assert mv.offset == Fraction(3, 2)
+    assert v.ledger.value == 1
+    for item in (2, -1):
+        with pytest.raises(DomainError):
+            MarginalValuation(v, item)
+
+
 def test_erased_valuation_ignores_items():
     v = AdditiveValuation(2, (3, 1))
     ev = ErasedValuation(v, {0})
@@ -84,11 +98,26 @@ def test_competitor_info():
     assert info[1] == {"competitors": [1], "top": [1], "top_value": 1}
 
 
+@pytest.mark.parametrize("items", [[5], [-1], [0, 2]])
+def test_competitor_info_rejects_items_outside_the_bidders(items):
+    vs = [AdditiveValuation(2, (2, 0)), AdditiveValuation(2, (2, 1))]
+    with pytest.raises(DomainError):
+        competitor_info(vs, items)
+
+
 def test_preprocess_moves_to_top_competitor():
     vs = [AdditiveValuation(2, (0, 0)), AdditiveValuation(2, (4, 0))]
     alloc, ignorable = preprocess_to_competitors(vs, ({0, 1}, set()))
     assert alloc == (frozenset({1}), frozenset({0}))
     assert ignorable == {1}
+
+
+def test_preprocess_leaves_items_nobody_holds():
+    # item 1 is valued by bidder 0 but held by no one: it stays unheld
+    vs = [AdditiveValuation(2, (0, 1)), AdditiveValuation(2, (4, 0))]
+    alloc, ignorable = preprocess_to_competitors(vs, ({0}, set()))
+    assert alloc == (frozenset(), frozenset({0}))
+    assert ignorable == frozenset()
 
 
 def test_steal_count_bound_values():
@@ -201,3 +230,24 @@ def test_top_steal_is_scale_free(seed, t):
     assert [node.case for node in small.trace.walk()] == [node.case for node in run.trace.walk()]
     assert small.bids == tuple(tuple(x / 21 for x in row) for row in run.bids)
     assert [v.ledger.snapshot() for v in scaled] == [v.ledger.snapshot() for v in vs]
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_top_steal_matches_the_reference_recursion(seed):
+    # tables, coverage, explicit XOS, additive and budget-additive bidders,
+    # n = 2..4, t = 2..n: the same allocation, bids, steals, trace nodes and
+    # ledger charges as the recursion that asks every singleton at every level
+    assert topsteal_outcome(top_steal, *random_topsteal_instance(seeded(seed))) == topsteal_outcome(
+        reference_top_steal, *random_topsteal_instance(seeded(seed))
+    )
+
+
+# recorded before the recursion read its singletons from rows
+TOP_STEAL_300_DIGEST = "841c7e367d3799fcbc75c28b10e141284298c12412b6d2b61975d554438a8961"
+
+
+def test_top_steal_300_instances_frozen():
+    outcomes = [topsteal_outcome(top_steal, *random_topsteal_instance(seeded(s))) for s in range(300)]
+    assert canon_digest(outcomes) == TOP_STEAL_300_DIGEST
+    assert {case for out in outcomes for case, *_ in out[3]} == CASES
