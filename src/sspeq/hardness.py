@@ -189,6 +189,10 @@ class SensitiveValuation(Valuation):
                 hit = (k, bmask)
         return hit
 
+    def int_oracle(self):
+        # not stored, since add_bump moves the denominator in place
+        return self._value_mask, 1
+
     def _value_mask(self, mask):
         s = mask.bit_count()
         if s == 0:
@@ -294,6 +298,8 @@ def is_j_local_max(sv: SensitiveValuation, S, j: int) -> bool:
 
 def j_local_max_certificate(sv: SensitiveValuation, S, j: int) -> LocalMaxCertificate:
     S = as_bundle(S)
+    if not S <= sv.all_items:
+        raise DomainError(f"bundle {sorted(S)} not within 0..{sv.m - 1}")
     if len(S) != sv.mp + 1:
         raise DomainError("local maxima live on size-(m'+1) bundles")
     if j not in S:

@@ -107,6 +107,14 @@ def build_good_set_pair_system(m: int, count: int, seed: int = 0) -> SetPairSyst
     return system
 
 
+def _check_flags(system: SetPairSystem, flags) -> tuple:
+    """The flags as a tuple of ints, one bit per pair of the system."""
+    flags = tuple(int(f) for f in flags)
+    if len(flags) != system.count() or any(f not in (0, 1) for f in flags):
+        raise DomainError("flags must be one bit per pair")
+    return flags
+
+
 class SetPairValuation(Valuation):
     """{0,1,2}-valued subadditive valuation from a side of a set-pair system."""
 
@@ -116,18 +124,24 @@ class SetPairValuation(Valuation):
         super().__init__(system.m)
         if player not in (0, 1):
             raise DomainError("player must be 0 or 1")
-        flags = tuple(int(f) for f in flags)
-        if len(flags) != system.count() or any(f not in (0, 1) for f in flags):
-            raise DomainError("flags must be one bit per pair")
         self.system = system
-        self.flags = flags
+        self.flags = _check_flags(system, flags)
         self.player = player
-        self.threshold = 3 * system.m // 4 + 1
-        self.flagged_masks = [
+        self.threshold = threshold = 3 * system.m // 4 + 1
+        self.flagged_masks = flagged = [
             mask_of(pair[player])
-            for pair, f in zip(system.pairs, flags)
+            for pair, f in zip(system.pairs, self.flags)
             if f == 1
         ]
+
+        def value(mask):
+            if mask == 0:
+                return 0
+            if mask.bit_count() >= threshold or any(fm & mask == fm for fm in flagged):
+                return 2
+            return 1
+
+        self._oracle = value, 1
 
     def flagged_pairs(self):
         return [
@@ -135,17 +149,6 @@ class SetPairValuation(Valuation):
             for pair, f in zip(self.system.pairs, self.flags)
             if f == 1
         ]
-
-    def _value_mask(self, mask):
-        s = mask.bit_count()
-        if s == 0:
-            return Fraction(0)
-        if s >= self.threshold:
-            return Fraction(2)
-        for fm in self.flagged_masks:
-            if fm & mask == fm:
-                return Fraction(2)
-        return Fraction(1)
 
     def to_json(self):
         return {
@@ -164,7 +167,7 @@ register_kind(
 
 def equilibrium_witness(system: SetPairSystem, flags1, flags2, k: int):
     """Tiny bids on the commonly flagged pair; both utilities are exactly 2."""
-    flags1, flags2 = tuple(flags1), tuple(flags2)
+    flags1, flags2 = _check_flags(system, flags1), _check_flags(system, flags2)
     if not (0 <= k < system.count()):
         raise DomainError("pair index out of range")
     if not (flags1[k] == 1 and flags2[k] == 1):

@@ -7,11 +7,11 @@ exceeds the standing bid, after which bids are recomputed.
 
 The procedures run on each bidder's int value oracle at one common
 denominator D (`int_oracles`): bundles are masks, and bids, marginals,
-standing prices and welfare are ints scaled by D (exact Fractions for a
-family with no int form). Fractions appear only in results. `compute_bids`
-and `find_steal` are the Fraction faces of the two kernels. Every ledger
-counts as the query API would: two value queries per bid and per marginal
-tested.
+standing prices and welfare are ints scaled by D (exact Fractions for the
+sensitive family, whose oracle is its value at D = 1). Fractions appear
+only in results. `compute_bids` and `find_steal` are the Fraction faces of
+the two kernels. Every ledger counts as the query API would: two value
+queries per bid and per marginal tested.
 """
 
 from __future__ import annotations

@@ -52,12 +52,6 @@ class MarginalValuation(Valuation):
         self.offset = Fraction(offset, D)
         self._oracle = (lambda mask: f(mask | bit) - offset), D
 
-    def _value_mask(self, mask):
-        return self.base._value_mask(mask | (1 << self.item)) - self.offset
-
-    def int_oracle(self):
-        return self._oracle
-
 
 class ErasedValuation(Valuation):
     """The base valuation blind to a fixed set of erased items."""
@@ -66,17 +60,10 @@ class ErasedValuation(Valuation):
         super().__init__(base.m)
         self.base = base
         self.erased = as_bundle(erased)
-        self._emask = mask_of(self.erased)
         self.ledger = base.ledger
         f, D = base.int_oracle()
-        keep = ~self._emask
+        keep = ~mask_of(self.erased)
         self._oracle = (lambda mask: f(mask & keep)), D
-
-    def _value_mask(self, mask):
-        return self.base._value_mask(mask & ~self._emask)
-
-    def int_oracle(self):
-        return self._oracle
 
 
 def _singleton_rows(valuations, asked: int):
@@ -168,6 +155,8 @@ class TopStealRun:
 
 
 def steal_count_bound(m: int, t: int) -> int:
+    if m < 1:
+        raise DomainError(f"need at least one item, got m={m}")
     if t < 1:
         raise DomainError(f"need t >= 1, got t={t}")
     return math.comb(m + t - 1, t - 1) - 1

@@ -1,9 +1,11 @@
 """Valuation families over item bundles with exact rational values.
 
 Items are 0..m-1. Bundles are frozensets in the public API and bitmasks
-inside (bit j is item j): a family defines its value once, as
-`_value_mask(mask)`. Every family keeps a QueryLedger counting value /
-demand / XOS-clause queries; internal `_value_mask` calls are not counted.
+inside (bit j is item j). A family defines its value once, as an int
+oracle (f, D) with f(mask) == D * v(mask), stored as `_oracle` when it is
+built; the base class derives the Fraction face `_value_mask` from it.
+Every family keeps a QueryLedger counting value / demand / XOS-clause
+queries; internal `_value_mask` and oracle calls are not counted.
 """
 
 from __future__ import annotations
@@ -235,9 +237,10 @@ class Valuation:
     # -- family internals --------------------------------------------------
 
     def _value_mask(self, mask: int) -> Money:
-        """The family's value of the bundle `mask`; the one value method a
-        family defines. Not counted in the ledger."""
-        raise NotImplementedError
+        """The value of the bundle `mask`, read from the family's int oracle.
+        Not counted in the ledger."""
+        f, D = self._oracle
+        return Fraction(f(mask), D)
 
     def value_table(self):
         """(ints, D) with _value_mask(t) == Fraction(ints[t], D) for every
@@ -247,13 +250,10 @@ class Valuation:
         return scale_to_ints([self._value_mask(t) for t in range(1 << self.m)])
 
     def int_oracle(self):
-        """(f, D) with f(mask) == D * _value_mask(mask) exactly for every
-        mask. f is not counted in the ledger and builds no 2^m table.
-
-        Families that store int weights or an int table override this to
-        return ints. The base knows no denominator: its D is 1 and f is
-        _value_mask itself, whose exact Fractions compare with ints."""
-        return self._value_mask, 1
+        """(f, D) with f(mask) == D * v(mask) exactly for every mask: the
+        family's one value definition, built once as `self._oracle`. f is
+        not counted in the ledger and builds no 2^m table."""
+        return self._oracle
 
     def _check_prices(self, prices):
         """(p, D): one price per item, parsed and scaled once to ints p[j] >= 0
@@ -324,28 +324,22 @@ class TableValuation(Valuation):
             raise DomainError(f"need {1 << m} table entries, got {len(values)}")
         if values[0] != 0:
             raise DomainError("v(empty) must be 0")
-        self.table = values
         self._ints, self._D = scale_to_ints(values)
+        self._oracle = self._ints.__getitem__, self._D
         if validate:
             drop = _first_monotone_drop(self._ints, m)
             if drop is not None:
                 mask, j = drop
                 raise DomainError(f"not monotone at {sorted(bundle_of(mask))} + item {j}")
 
-    def _value_mask(self, mask):
-        return self.table[mask]
-
     def value_table(self):
         return list(self._ints), self._D
-
-    def int_oracle(self):
-        return self._ints.__getitem__, self._D
 
     def to_json(self):
         return {
             "kind": "table",
             "m": self.m,
-            "values": [format_money(x) for x in self.table],
+            "values": [format_money(Fraction(x, self._D)) for x in self._ints],
         }
 
 
@@ -361,15 +355,10 @@ class AdditiveValuation(Valuation):
             raise DomainError("item values must be nonnegative")
         self.item_values = item_values
         self._weights, self._D = scale_to_ints(item_values)
-
-    def _value_mask(self, mask):
-        return Fraction(sum(self._weights[j] for j in iter_bits(mask)), self._D)
+        self._oracle = sum_oracle(self._weights), self._D
 
     def value_table(self):
         return subset_sums(self._weights), self._D
-
-    def int_oracle(self):
-        return sum_oracle(self._weights), self._D
 
     def _demand(self, p, D):
         w, Dw = self._weights, self._D
@@ -404,10 +393,7 @@ class BudgetAdditiveValuation(Valuation):
         self.item_values = item_values
         # the budget is scaled with the weights, to one common denominator
         (*self._weights, self._budget), self._D = scale_to_ints(item_values + (self.budget,))
-
-    def _value_mask(self, mask):
-        total = sum(self._weights[j] for j in iter_bits(mask))
-        return Fraction(min(self._budget, total), self._D)
+        self._oracle = sum_oracle(self._weights, self._budget), self._D
 
     def value_table(self):
         budget = self._budget
@@ -415,9 +401,6 @@ class BudgetAdditiveValuation(Valuation):
         # an unreached budget leaves its denominator out of the least D
         g = math.gcd(self._D, *table)
         return (table, self._D) if g == 1 else ([x // g for x in table], self._D // g)
-
-    def int_oracle(self):
-        return sum_oracle(self._weights, self._budget), self._D
 
     def _demand(self, p, D):
         # exact knapsack-style branch and bound over profitable items, on
@@ -479,20 +462,16 @@ class XOSExplicitValuation(Valuation):
         if not parsed:
             raise DomainError("need at least one clause")
         self.clauses = parsed
-        flat, self._D = scale_to_ints([x for c in parsed for x in c])
-        self._rows = [flat[r * m : (r + 1) * m] for r in range(len(parsed))]
-
-    def _value_mask(self, mask):
-        items = list(iter_bits(mask))
-        return Fraction(max(sum(row[j] for j in items) for row in self._rows), self._D)
+        flat, D = scale_to_ints([x for c in parsed for x in c])
+        self._sums = sums = [sum_oracle(flat[r * m : (r + 1) * m]) for r in range(len(parsed))]
+        self._oracle = (lambda mask: max(f(mask) for f in sums)), D
 
     def _xos_clause(self, S):
-        best_val, best_c = Fraction(0), self.clauses[0]
-        for c in self.clauses:
-            val = sum((c[j] for j in S), Fraction(0))
-            if val > best_val:
-                best_val, best_c = val, c
-        return {j: best_c[j] for j in sorted(S)}
+        # the first clause of the largest sum over S
+        mask = mask_of(S)
+        totals = [f(mask) for f in self._sums]
+        best = self.clauses[totals.index(max(totals))]
+        return {j: best[j] for j in sorted(S)}
 
     def to_json(self):
         return {
@@ -523,28 +502,26 @@ class CoverageValuation(Valuation):
                 raise DomainError("edge weights must be nonnegative")
             parsed.append((min(u, v), max(u, v), w))
         self.edges = parsed
-        self._edge_masks = [((1 << u) | (1 << v), w) for u, v, w in parsed]
+        self._weights, self._D = scale_to_ints([w for _, _, w in parsed])
+        hits = [((1 << u) | (1 << v), w) for (u, v, _), w in zip(parsed, self._weights)]
+        self._oracle = (lambda mask: sum(w for em, w in hits if em & mask)), self._D
         self._table = None
-
-    def _value_mask(self, mask):
-        return sum((w for em, w in self._edge_masks if em & mask), Fraction(0))
 
     def value_table(self):
         # the edges never change, so the first table is kept and copied out;
         # it doubles per item j: for S below j, v(S + j) == v(S) + (weight
         # on j) - (weight from j into S), and the last term is a subset sum
         if self._table is None:
-            weights, D = scale_to_ints([w for _, _, w in self.edges])
             total = [0] * self.m
             lower = [[0] * j for j in range(self.m)]
-            for (u, v, _), w in zip(self.edges, weights):
+            for (u, v, _), w in zip(self.edges, self._weights):
                 total[u] += w
                 total[v] += w
                 lower[v][u] += w
             table = [0]
             for j in range(self.m):
                 table += [x + total[j] - y for x, y in zip(table, subset_sums(lower[j]))]
-            self._table = table, D
+            self._table = table, self._D
         table, D = self._table
         return list(table), D
 
@@ -694,6 +671,8 @@ def _max_sum(rows, b):
 def check_clause(v: Valuation, S, clause: dict, exhaustive: bool = True):
     """Clause legality: supported on S, a(S) = v(S), and a(T) <= v(T) for all T."""
     S = as_bundle(S)
+    if not S <= v.all_items:
+        raise DomainError(f"bundle {sorted(S)} not within 0..{v.m - 1}")
     if not set(clause) <= S:
         return False, {"reason": "support outside bundle"}
     if any(w < 0 for w in clause.values()):

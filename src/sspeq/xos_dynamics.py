@@ -167,37 +167,24 @@ class GrayValuation(Valuation):
         if self.eps <= 0 or (self.L - 1) * self.eps >= Fraction(1, 2):
             raise DomainError("need 0 < (path length - 1) * eps < 1/2")
         # the int forms' denominator E, at which E / 2 and eps * E are ints
-        self._E = math.lcm(2, self.eps.denominator)
-        self._eps_E = self.eps.numerator * (self._E // self.eps.denominator)
-
-    def codeword_of(self, bmask: int) -> int:
-        return bmask if self.player == 1 else self.full_mask ^ bmask
-
-    def k_of(self, bmask: int) -> int:
-        return self.pos.get(self.codeword_of(bmask), 0)
-
-    def _value_mask(self, mask):
-        s = mask.bit_count()
-        if s == 0:
-            return Fraction(0)
-        if s <= self.mp:
-            return Fraction(s)
-        if s == self.mp + 1:
-            return self.mp + Fraction(1, 2) + self.k_of(mask) * self.eps
-        return Fraction(self.mp + 1)
-
-    def int_oracle(self):
-        """Closed form at E = lcm(2, eps denominator): min(|S|, m'+1) * E off
-        the middle, (2m'+1) * E/2 + k * eps * E on it."""
-        mp, pos, flip = self.mp, self.pos, 0 if self.player == 1 else self.full_mask
-        E, eps_E = self._E, self._eps_E
+        self._E = E = math.lcm(2, self.eps.denominator)
+        self._eps_E = eps_E = self.eps.numerator * (E // self.eps.denominator)
+        # closed form: min(|S|, m'+1) * E off the middle, (2m'+1) * E/2 +
+        # k * eps * E on it
+        mp, pos, flip = self.mp, self.pos, 0 if player == 1 else self.full_mask
         half = (2 * mp + 1) * E // 2
 
         def f(mask):
             s = mask.bit_count()
             return half + pos.get(mask ^ flip, 0) * eps_E if s == mp + 1 else min(s, mp + 1) * E
 
-        return f, E
+        self._oracle = f, E
+
+    def codeword_of(self, bmask: int) -> int:
+        return bmask if self.player == 1 else self.full_mask ^ bmask
+
+    def k_of(self, bmask: int) -> int:
+        return self.pos.get(self.codeword_of(bmask), 0)
 
     def designated_item(self, bmask: int) -> int:
         """The item leaving this size-(m'+1) bundle on the path's next step;
@@ -211,22 +198,13 @@ class GrayValuation(Valuation):
         return flip.bit_length() - 1
 
     def _xos_clause(self, S):
-        s = len(S)
-        if s <= self.mp:
-            return {j: Fraction(1) for j in sorted(S)}
-        if s == self.mp + 1:
-            bmask = mask_of(S)
-            d = self.designated_item(bmask)
-            clause = {j: Fraction(1) for j in sorted(S)}
-            clause[d] = Fraction(1, 2) + self.k_of(bmask) * self.eps
-            return clause
-        w = Fraction(self.mp + 1, s)
-        return {j: w for j in sorted(S)}
+        row, D = self._int_clause(mask_of(S))
+        return {j: Fraction(row[j], D) for j in sorted(S)}
 
     def _int_clause(self, mask):
-        """`_xos_clause` in closed form on ints: weight 1 up to size m', and
-        (m'+1)/|S| above the middle; on the middle, at E = lcm(2, eps
-        denominator), 1 but for the designated item's 1/2 + k * eps."""
+        """The clause of `mask` in closed form on ints: weight 1 up to size
+        m', and (m'+1)/|S| above the middle; on the middle, at E = lcm(2,
+        eps denominator), 1 but for the designated item's 1/2 + k * eps."""
         s = mask.bit_count()
         bits = [mask >> j & 1 for j in range(self.m)]
         if s <= self.mp:

@@ -22,17 +22,19 @@ from sspeq.valuations import (
 )
 
 
+def brute_coverage_value(edges, S):
+    """The weight of the edges with an endpoint in S, by a literal scan."""
+    total = Fraction(0)
+    for u, v, w in edges:
+        if u in S or v in S:
+            total += Fraction(w)
+    return total
+
+
 def brute_coverage_table(m, edges):
     """Coverage table built by literal edge scanning per bundle."""
-    table = []
-    for mask in range(1 << m):
-        S = {j for j in range(m) if mask >> j & 1}
-        total = Fraction(0)
-        for u, v, w in edges:
-            if u in S or v in S:
-                total += Fraction(w)
-        table.append(total)
-    return table
+    return [brute_coverage_value(edges, {j for j in range(m) if mask >> j & 1})
+            for mask in range(1 << m)]
 
 
 def random_coverage_edges(rng, m, hi=6, den=6):
@@ -106,6 +108,46 @@ def brute_budget_additive_value(budget, item_values, S):
 def brute_xos_value(clauses, S):
     """The best additive clause sum over the bundle."""
     return max(brute_additive_value(c, S) for c in clauses)
+
+
+def brute_gray_value(v, S):
+    """A GrayValuation's value by its definition: |S| up to m', m' + 1 above
+    m' + 1, and on the middle m' + 1/2 plus eps times the path position of
+    the bundle's codeword (S for player 1, the rest for player 0), position
+    0 off the path."""
+    S, mp = set(S), v.m // 2
+    if len(S) != mp + 1:
+        return Fraction(min(len(S), mp + 1))
+    ones = S if v.player == 1 else set(range(v.m)) - S
+    codeword = sum(1 << j for j in ones)
+    k = v.path_masks.index(codeword) if codeword in v.path_masks else 0
+    return mp + Fraction(1, 2) + k * Fraction(v.eps)
+
+
+def brute_gray_clause(v, S):
+    """A GrayValuation's clause on S as one weight per item: 1 up to size
+    m', (m' + 1) / |S| above the middle, and on the middle 1 but for the
+    designated item's 1/2 + k * eps."""
+    S, mp = set(S), v.m // 2
+    if len(S) > mp + 1:
+        return [Fraction(mp + 1, len(S)) if j in S else 0 for j in range(v.m)]
+    row = [Fraction(1) if j in S else 0 for j in range(v.m)]
+    if len(S) == mp + 1:
+        row[v.designated_item(mask_of(S))] = brute_gray_value(v, S) - mp
+    return row
+
+
+def brute_set_pair_value(system, flags, player, S):
+    """A SetPairValuation's value by its definition: 0 on the empty bundle;
+    2 on at least 3m/4 + 1 items or on the player's side of a flagged pair;
+    1 otherwise."""
+    S = set(S)
+    if not S:
+        return Fraction(0)
+    flagged = [pair[player] for pair, f in zip(system.pairs, flags) if f == 1]
+    if len(S) >= 3 * system.m // 4 + 1 or any(set(side) <= S for side in flagged):
+        return Fraction(2)
+    return Fraction(1)
 
 
 def random_weights(rng, m, hi=9, den=6):

@@ -315,6 +315,15 @@ def test_local_max_certificates():
         j_local_max_certificate(sv, bundle_of(key), 7)
 
 
+@pytest.mark.parametrize("check", [j_local_max_certificate, is_j_local_max])
+def test_local_max_rejects_items_out_of_range(check):
+    sv = SensitiveValuation(9, g=1, h=2)
+    with pytest.raises(DomainError, match="not within 0..8"):
+        check(sv, {0, 1, 2, 3, 99}, 0)
+    with pytest.raises(DomainError, match="not within 0..8"):
+        check(sv, {0, 1, 2, 3, -1}, 0)
+
+
 def test_eq_char_check():
     key = mask_of({0, 1, 2, 3, 4})
     sv = SensitiveValuation(9, g=1, h=2, k_map={key: Fraction(1, 8)})

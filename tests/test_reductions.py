@@ -150,6 +150,12 @@ def test_witness_needs_common_flag():
         equilibrium_witness(CORNER, (1, 0), (1, 1), 2)
 
 
+@pytest.mark.parametrize("flags1,flags2", [((1,), (1,)), ((1, 0), (1,)), ((1, 0, 1), (1, 1)), ((2, 0), (1, 1))])
+def test_witness_needs_one_flag_bit_per_pair(flags1, flags2):
+    with pytest.raises(DomainError, match="one bit per pair"):
+        equilibrium_witness(CORNER, flags1, flags2, 1)
+
+
 # -- unprotected sets ----------------------------------------------------------------
 
 

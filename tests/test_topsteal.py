@@ -133,6 +133,12 @@ def test_steal_count_bound_rejects_t_below_one(t):
         steal_count_bound(5, t)
 
 
+@pytest.mark.parametrize("m", [0, -5])
+def test_steal_count_bound_rejects_m_below_one(m):
+    with pytest.raises(DomainError, match="need at least one item"):
+        steal_count_bound(m, 2)
+
+
 def test_compose_top_item():
     alloc, bids = compose_top_item(
         (frozenset(), frozenset({1})), ((0, 0), (0, 2)), 0, 0, Fraction(3)
@@ -224,7 +230,7 @@ def test_top_steal_is_scale_free(seed, t):
     init = [set() for _ in range(t)]
     for j in range(m):
         init[rng.randrange(t)].add(j)
-    scaled = [TableValuation(m, [x / 21 for x in v.table]) for v in vs]
+    scaled = [TableValuation(m, [v._value_mask(t) / 21 for t in range(1 << m)]) for v in vs]
     run, small = top_steal(vs, init, t=t), top_steal(scaled, init, t=t)
     assert (small.alloc, small.steals) == (run.alloc, run.steals)
     assert [node.case for node in small.trace.walk()] == [node.case for node in run.trace.walk()]

@@ -14,11 +14,14 @@ from conftest import (
     brute_budget_additive_value,
     brute_cheapest_subsets,
     brute_coverage_table,
+    brute_coverage_value,
     brute_demand,
+    brute_set_pair_value,
     brute_xos_value,
     random_additive,
     random_budget_additive,
     random_coverage,
+    random_coverage_edges,
     random_submodular_table,
     random_table,
     random_weights,
@@ -183,6 +186,7 @@ def test_xos_explicit_value_and_clause():
     assert v.value({0, 1}) == 2
     clause = v.xos_clause({0, 1})
     assert sum(clause.values()) == 2
+    assert v.xos_clause({1}) == {1: 1}
     ok, _ = verify_class(v, "xos")
     assert ok
 
@@ -202,6 +206,15 @@ def test_clause_checker_catches_overshoot():
     ok, problem = check_clause(v, {0}, {0: Fraction(2)})
     assert not ok
     assert problem
+
+
+@pytest.mark.parametrize("v", [TableValuation(2, [0, 1, 1, 2]), AdditiveValuation(2, (1, 1))])
+def test_check_clause_rejects_a_bundle_out_of_range(v):
+    # an index past the table, or a bit the additive oracle would drop
+    with pytest.raises(DomainError, match="not within 0..1"):
+        check_clause(v, {5}, {5: 1})
+    with pytest.raises(DomainError, match="not within 0..1"):
+        check_clause(v, {0, 5}, {0: 1})
 
 
 def test_verify_class_additive():
@@ -370,20 +383,41 @@ def test_subset_sums_matches_per_mask_sums(weights):
     assert subset_sums(weights) == want
 
 
+def brute_cases(rng, m, with_table=False):
+    """(valuation, brute value of a bundle) for every int-oracle family of
+    `sspeq.valuations` and for set-pair, at m items; the table family only
+    on request, as its brute is its own 2^m list."""
+    items, clauses = random_weights(rng, m), [random_weights(rng, m) for _ in range(3)]
+    budget = Fraction(rng.randint(0, 30), 7)
+    edges = random_coverage_edges(rng, m)
+    halves = (frozenset(range(0, m, 2)), frozenset(range(1, m, 2)))
+    system = SetPairSystem(m, [(frozenset({0}), frozenset({m - 1})), halves])
+    flags, player = (1, rng.randint(0, 1)), rng.randint(0, 1)
+    cases = [
+        (AdditiveValuation(m, items), lambda S: brute_additive_value(items, S)),
+        (BudgetAdditiveValuation(m, budget, items),
+         lambda S: brute_budget_additive_value(budget, items, S)),
+        (XOSExplicitValuation(m, clauses), lambda S: brute_xos_value(clauses, S)),
+        (CoverageValuation(m, edges), lambda S: brute_coverage_value(edges, S)),
+        (SetPairValuation(system, flags, player),
+         lambda S: brute_set_pair_value(system, flags, player, S)),
+    ]
+    if with_table:
+        table = random_table(rng, m)
+        cases.append((TableValuation(m, table), lambda S: table[mask_of(S)]))
+    return cases
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_value_table_matches_value_mask(seed):
+    # both faces against the direct definitions, not against each other
     rng = seeded(seed)
     m = rng.randint(1, 5)
-    for v in (
-        random_additive(rng, m, den=6),
-        random_budget_additive(rng, m, den=6),
-        random_submodular_table(rng, m),
-        XOSExplicitValuation(m, [[Fraction(rng.randint(0, 5), rng.randint(1, 6))
-                                  for _ in range(m)] for _ in range(2)]),
-    ):
+    for v, brute in brute_cases(rng, m, with_table=True):
         ints, D = v.value_table()
-        assert [Fraction(x, D) for x in ints] == [v._value_mask(t) for t in range(1 << m)]
+        want = [brute(bundle_of(t)) for t in range(1 << m)]
+        assert [Fraction(x, D) for x in ints] == [v._value_mask(t) for t in range(1 << m)] == want
 
 
 @given(st.integers(0, 10_000))
@@ -428,22 +462,15 @@ def test_additive_value_tables_equal_the_base_build(seed):
 def test_int_oracles_share_one_denominator(seed):
     rng = seeded(seed)
     m = rng.randint(1, 7)
-    system = SetPairSystem(m, [(frozenset({0}), frozenset({m - 1}))])
-    vals = [
-        random_additive(rng, m, den=6),
-        BudgetAdditiveValuation(m, Fraction(rng.randint(0, 30), 7), random_weights(rng, m)),
-        random_coverage(rng, m, den=6),
-        random_submodular_table(rng, m),
-        XOSExplicitValuation(m, [random_weights(rng, m) for _ in range(2)]),
-        SetPairValuation(system, [1], rng.randint(0, 1)),
-    ]
-    rng.shuffle(vals)
+    cases = brute_cases(rng, m, with_table=True)
+    rng.shuffle(cases)
+    vals = [v for v, _ in cases]
     oracles, D = int_oracles(vals)
-    for v, f in zip(vals, oracles):
+    for (v, brute), f in zip(cases, oracles):
         g, d = v.int_oracle()
         assert D % d == 0, v.kind
         for mask in range(1 << m):
-            assert Fraction(g(mask), d) == Fraction(f(mask), D) == v._value_mask(mask), v.kind
+            assert Fraction(g(mask), d) == Fraction(f(mask), D) == brute(bundle_of(mask)), v.kind
         assert v.ledger.total() == 0
 
 
@@ -482,23 +509,15 @@ def test_int_oracles_build_no_table(monkeypatch):
     # above the table cap, where a 2^m table would take minutes
     m = TABLE_M_CAP + 2
     rng = seeded(3)
-    system = SetPairSystem(m, [(frozenset({0, 1}), frozenset({m - 1}))])
-    cases = [
-        random_additive(rng, m, den=6),
-        BudgetAdditiveValuation(m, Fraction(61, 4), random_weights(rng, m)),
-        XOSExplicitValuation(m, [random_weights(rng, m) for _ in range(3)]),
-        random_coverage(rng, m, den=6),
-        SetPairValuation(system, [1], 0),
-    ]
 
     def no_table(self):
         raise AssertionError(f"{self.kind} built a 2^{self.m} table")
 
-    for v in cases:
+    for v, brute in brute_cases(rng, m):
         monkeypatch.setattr(type(v), "value_table", no_table)
         f, D = v.int_oracle()
         for mask in [0, (1 << m) - 1, 0b11, *(rng.getrandbits(m) for _ in range(200))]:
-            assert f(mask) == D * v._value_mask(mask), v.kind
+            assert f(mask) == D * brute(bundle_of(mask)), v.kind
 
 
 @pytest.mark.parametrize("validate", [True, False])
@@ -534,7 +553,7 @@ def _library_valuation_classes():
     return found
 
 
-def test_every_family_defines_only_the_mask_value_method():
+def test_only_the_sensitive_family_defines_a_value_method():
     classes = _library_valuation_classes()
     assert {c.__name__ for c in classes} >= {
         "TableValuation",
@@ -550,8 +569,13 @@ def test_every_family_defines_only_the_mask_value_method():
     }
     for cls in [Valuation, *classes]:
         assert "_value" not in vars(cls), cls.__name__
+    # every other family stores its int oracle when built, and the base
+    # derives both value methods from it; add_bump moves the sensitive
+    # family's denominator, so it keeps its own pair
+    value_methods = {"_value_mask", "int_oracle"}
     for cls in classes:
-        assert "_value_mask" in vars(cls), cls.__name__
+        want = value_methods if cls.__name__ == "SensitiveValuation" else set()
+        assert value_methods & set(vars(cls)) == want, cls.__name__
 
 
 @given(st.integers(0, 10_000))

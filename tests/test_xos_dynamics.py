@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_demand,
+    brute_gray_clause,
     brute_gray_demand,
+    brute_gray_value,
     canon_digest,
     random_submodular_table,
     random_table,
@@ -426,8 +428,8 @@ def fractional_submodular_table(rng, m):
     scale = Fraction(1, rng.randint(2, 9))
     weights = [Fraction(rng.randint(0, 6), rng.randint(1, 7)) for _ in range(m)]
     table = [
-        x * scale + sum((weights[j] for j in iter_bits(mask)), Fraction(0))
-        for mask, x in enumerate(base.table)
+        base._value_mask(mask) * scale + sum((weights[j] for j in iter_bits(mask)), Fraction(0))
+        for mask in range(1 << m)
     ]
     return TableValuation(m, table)
 
@@ -544,7 +546,7 @@ def test_dynamic_run_denominator_grows_mid_run(monkeypatch):
 def test_gray_int_oracle_is_D_times_the_value(m, player):
     v = build_exponential_instance(m)[player]
     f, D = v.int_oracle()
-    assert all(f(mask) == D * v._value_mask(mask) for mask in range(1 << m))
+    assert all(f(mask) == D * brute_gray_value(v, bundle_of(mask)) for mask in range(1 << m))
     assert v.ledger.total() == 0
 
 
@@ -559,9 +561,10 @@ def int_clause_weights(entry, v, mask):
 def test_gray_int_clause_is_the_base_int_clause(m, player):
     v = build_exponential_instance(m)[player]
     for mask in range(1 << m):
-        want = int_clause_weights(Valuation._int_clause, v, mask)
+        want = brute_gray_clause(v, bundle_of(mask))
+        assert int_clause_weights(Valuation._int_clause, v, mask) == want, bin(mask)
         assert int_clause_weights(GrayValuation._int_clause, v, mask) == want, bin(mask)
-        assert sum(want) == v._value_mask(mask)
+        assert sum(want) == brute_gray_value(v, bundle_of(mask))
     assert v.ledger.total() == 0
 
 
@@ -577,7 +580,8 @@ def test_gray_int_clause_on_short_custom_paths(seed):
     eps = Fraction(1, rng.randint(2 * len(path), 3 * len(path)))
     v = GrayValuation(m, rng.randrange(2), path, eps)
     for mask in range(1 << m):
-        want = int_clause_weights(Valuation._int_clause, v, mask)
+        want = brute_gray_clause(v, bundle_of(mask))
+        assert int_clause_weights(Valuation._int_clause, v, mask) == want, bin(mask)
         assert int_clause_weights(GrayValuation._int_clause, v, mask) == want, bin(mask)
         if mask.bit_count() == m // 2 + 1:
             clause = {j: w for j, w in enumerate(want) if mask >> j & 1}
