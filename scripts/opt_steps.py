@@ -1,12 +1,14 @@
-"""Count the middle bidder's submask steps in `optimal_welfare` per op.
+"""Count the middle bidder's split steps in `optimal_welfare` per op.
 
 Builds the certify workload's instances (n = 3: two coverage bidders and a
-submodular table, m = 10 by default) and, for each, sums 2^|R| over the
-walks of the middle bidder's table at a mask R, repeats included (the
-winning R is walked again to recover the middle bidder's pick). Walking
-every mask once is 3^m steps. Also counts the distinct masks walked, all
-steps walked (every submask walk and m * 2^m per subset max) next to the
-bound the DP is capped by before it starts, and times each call.
+submodular table, m = 10 by default) and, for each, counts the splits of
+the middle bidder's table that were evaluated: 2^|R| for each full walk of
+a mask R (the seed and the pick that recovers the middle bidder's bundle)
+plus every split `_split_above` reads, and the range bounds it checks.
+Walking every mask once is 3^m steps. Also counts the distinct masks
+searched, all steps taken (every split evaluated and m * 2^m per subset
+max) next to the bound the DP is capped by before it starts, and times
+each call.
 
     PYTHONPATH=src python scripts/opt_steps.py [--seed 31] [--instances 30] [--m 10]
 """
@@ -27,46 +29,63 @@ from workloads import gen_coverage, gen_submodular_table  # noqa: E402
 from sspeq import auction  # noqa: E402
 
 
+class Reads(list):
+    """A table row that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=31)
     ap.add_argument("--instances", type=int, default=30)
     ap.add_argument("--m", type=int, default=10)
     args = ap.parse_args()
-    walk, subset_max = auction._best_split, auction._subset_max
-    seen, maxed = [], []
+    walk, search, subset_max = auction._best_split, auction._split_above, auction._subset_max
+    walked, searched, maxed = [], [], []
 
     def counted(prev, vals, mask):
-        seen.append((id(vals), mask))
+        walked.append((id(vals), 1 << mask.bit_count()))
         return walk(prev, vals, mask)
+
+    def counted_search(a, b, A, B, ps, first, R, floor):
+        row, bounds = Reads(a), Reads(A)
+        try:
+            return search(row, b, bounds, B, ps, first, R, floor)
+        finally:
+            searched.append((id(a), R, row.reads, bounds.reads))
 
     def counted_max(row):
         maxed.append(args.m * len(row))
         return subset_max(row)
 
-    auction._best_split, auction._subset_max = counted, counted_max
-    steps, masks, ms, total = [], [], [], []
+    auction._best_split, auction._split_above, auction._subset_max = counted, counted_search, counted_max
+    steps, checks, masks, ms, total = [], [], [], [], []
     for r in range(args.instances):
         rng = random.Random(f"certify/{args.seed}/{r}")
         vals = [gen_coverage(rng, args.m), gen_coverage(rng, args.m), gen_submodular_table(rng, args.m)]
-        seen.clear()
+        walked.clear()
+        searched.clear()
         maxed.clear()
         start = time.perf_counter()
         auction.optimal_welfare(vals)
         ms.append(1000 * (time.perf_counter() - start))
-        # the middle table is the one the walks use most; bidder 0 is walked
-        # once, at the end, to recover its pick
-        ids = [i for i, _ in seen]
-        middle = max(set(ids), key=ids.count)
-        walked = [mask for i, mask in seen if i == middle]
-        masks.append(len(set(walked)))
-        steps.append(sum(1 << mask.bit_count() for mask in walked))
-        total.append(sum(1 << mask.bit_count() for _, mask in seen) + sum(maxed))
-    auction._best_split, auction._subset_max = walk, subset_max
+        middle = searched[0][0] if searched else None
+        masks.append(len({R for _, R, _, _ in searched}))
+        split_reads = sum(reads for _, _, reads, _ in searched)
+        steps.append(sum(n for i, n in walked if i == middle) + split_reads)
+        checks.append(sum(bound_reads for _, _, _, bound_reads in searched))
+        total.append(sum(n for _, n in walked) + split_reads + sum(maxed))
+    auction._best_split, auction._split_above, auction._subset_max = walk, search, subset_max
     print(json.dumps({
         "seed": args.seed, "m": args.m, "instances": args.instances,
         "full_walk_steps": 3 ** args.m,
         "middle_steps_per_op": sum(steps) / len(steps),
+        "middle_bound_checks_per_op": sum(checks) / len(checks),
         "middle_masks_per_op": sum(masks) / len(masks),
         "masks": 1 << args.m,
         "all_steps_per_op": sum(total) / len(total),

@@ -116,15 +116,16 @@ def optimal_welfare(valuations):
     the highest welfare, ties to the largest t. Bidder 0's row is a subset
     max of its table; bidders 1..n-3 get full rows by the submask walk.
 
-    The middle bidder (n-2) is walked only where the last bidder's choice t
-    can still win. For any int prices p with ps = p(R), the split of R
-    between the middle table a and the row before it b obeys
-    a[t] + b[R^t] = (a[t] - ps[t]) + (b[R^t] - ps[R^t]) + ps[R]
-    <= A[R] + B[R] + ps[R], with A and B the subset maxes of a - ps and
-    b - ps; adding the last bidder's value bounds each t's welfare. The t
-    are tried by (bound, t) descending and the walk stops at the first
-    (bound, t) below the best (welfare, t) found: every later t has a
-    smaller (welfare, t) pair, so ties still go to the largest t.
+    The middle bidder (n-2) is searched only where the last bidder's choice
+    t can still win. For any int prices p with ps = p(R), a split of R
+    between the middle table a and the row before it b obeys, for every s
+    with W <= s <= U, a[s] + b[R^s] = (a[s] - ps[s]) + (b[R^s] - ps[R^s]) +
+    ps[R] <= A[U] + B[R^W] + ps[R], with A and B the subset maxes of a - ps
+    and b - ps. At W = 0, U = R, adding the last bidder's value bounds each
+    t's welfare. The t are tried by (bound, t) descending and the search
+    stops at the first (bound, t) below the best (welfare, t) found: every
+    later t has a smaller (welfare, t) pair, so ties still go to the
+    largest t. `_split_above` narrows W and U to find each t's split.
 
     Refuses, before any table is built, when `_opt_step_bound(n, m)` exceeds
     OPT_WORK_CAP."""
@@ -147,7 +148,9 @@ def optimal_welfare(valuations):
         best, bestT = _best_split(rows[-1], tables[-1], full)
     else:
         before, middle, last = rows[-1], tables[-2], tables[-1]
-        ub = _split_bound(middle, before, _item_prices(tables, m))
+        A, B, ps = _split_bound(middle, before, _item_prices(tables, m))
+        first = _branch_items(A, B)
+        ub = [x + y + p for x, y, p in zip(A, B, ps)]
         bound = [x + y for x, y in zip(last, reversed(ub))]
         # seed with the largest (bound, t); it heads the sorted candidates
         _, bestT = max(zip(bound, range(size)))
@@ -156,9 +159,11 @@ def optimal_welfare(valuations):
         for b, t in cands[1:]:
             if (b, t) < (best, bestT):
                 break
-            w = last[t] + _best_split(before, middle, full ^ t)[0]
-            if (w, t) > (best, bestT):
-                best, bestT = w, t
+            # (last[t] + split, t) beats (best, bestT) iff split > floor
+            floor = best - last[t] - (t > bestT)
+            split = _split_above(middle, before, A, B, ps, first, full ^ t, floor)
+            if split is not None:
+                best, bestT = last[t] + split, t
     picks = [0] * n
     picks[-1], mask = bestT, full ^ bestT
     for i in range(n - 2, -1, -1):
@@ -169,8 +174,8 @@ def optimal_welfare(valuations):
 
 def _opt_step_bound(n: int, m: int) -> int:
     """An upper bound on the steps `optimal_welfare` takes. Submask steps:
-    for n >= 3, the n - 3 full rows and the middle walk, 3^m each (the walk
-    takes each t at most once, at 2^(m - |t|) steps); the last split and
+    for n >= 3, the n - 3 full rows and the middle search, 3^m each (it
+    tries each t at most once, at most 2^(m - |t|) splits); the last split and
     the n - 1 picks, 2^m each. Then at most three subset maxes of m passes
     over 2^m, and per bidder a table build and a rescale of 2^m."""
     return max(n - 2, 0) * 3 ** m + 3 * (n + m) * 2 ** m
@@ -192,25 +197,60 @@ def _best_split(prev, vals, mask):
 def _subset_max(row):
     """Per mask, the largest entry of `row` over its submasks, one bit at a
     time: each mask with the bit takes the larger of itself and its partner
-    without it, slice by slice (`pair_slices`)."""
+    without it, slice by slice (`pair_slices`). A slice where no partner is
+    larger, as in a monotone table, is left as it is."""
     row = list(row)
     size = len(row)
     bit = 1
     while bit < size:
         for lo, hi in pair_slices(size, bit):
-            row[hi] = [x if x > y else y for x, y in zip(row[hi], row[lo])]
+            low, high = row[lo], row[hi]
+            if any(map(operator.gt, low, high)):
+                row[hi] = [x if x > y else y for x, y in zip(high, low)]
         bit *= 2
     return row
 
 
 def _split_bound(a, b, prices):
-    """ub[R] >= max over submasks t of R of a[t] + b[R ^ t], for any int
-    item prices: A[R] + B[R] + p(R), A and B the subset maxes of a - p and
-    b - p."""
+    """(A, B, ps) for int item prices: ps the price of every mask, A and B
+    the subset maxes of a - ps and b - ps (see `optimal_welfare`)."""
     ps = subset_sums(prices)
     A = _subset_max([x - p for x, p in zip(a, ps)])
     B = _subset_max([x - p for x, p in zip(b, ps)])
-    return [x + y + p for x, y, p in zip(A, B, ps)]
+    return A, B, ps
+
+
+def _branch_items(A, B):
+    """first[f]: the item of mask f that `_split_above` branches on, the one
+    whose loss to both sides lowers A[full] + B[full] the most, ties to the
+    lower item. Branching on it first drops ranges sooner."""
+    full = len(A) - 1
+    left = {1 << j: A[full ^ 1 << j] + B[full ^ 1 << j] for j in range(full.bit_length())}
+    first = [0]
+    for bit in left:
+        first += [x if x and left[x] <= left[bit] else bit for x in first]
+    return first
+
+
+def _split_above(a, b, A, B, ps, first, R, floor):
+    """The best split, max of a[s] + b[R ^ s] over submasks s of R, if it
+    exceeds `floor`, else None. Branch and bound on ranges W <= s <= U,
+    split on the item first[U ^ W]: a range is kept only while its bound
+    A[U] + B[R ^ W] + ps[R] (`_split_bound`) beats the best split found.
+    Ranges never overlap, so at most the 2^|R| splits of R are evaluated."""
+    best, pR = floor, ps[R]
+    ranges = [(0, R)] if A[R] + B[R] + pR > best else []
+    while ranges:
+        W, U = ranges.pop()
+        if W == U:
+            best = max(best, a[W] + b[R ^ W])
+            continue
+        top = first[U ^ W]
+        if A[U ^ top] + B[R ^ W] + pR > best:
+            ranges.append((W, U ^ top))
+        if A[U] + B[R ^ W ^ top] + pR > best:
+            ranges.append((W | top, U))
+    return best if best > floor else None
 
 
 def _item_prices(tables, m):

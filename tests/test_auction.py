@@ -21,7 +21,9 @@ from sspeq.auction import (
     OPT_WORK_CAP,
     SUBSET_CAP,
     _best_split,
+    _branch_items,
     _opt_step_bound,
+    _split_above,
     _split_bound,
     _subset_max,
     best_deviation,
@@ -216,7 +218,12 @@ def test_optimal_welfare_prunes_the_middle_walk(monkeypatch):
         walked.append(mask)
         return _best_split(prev, vals, mask)
 
+    def searching(a, b, A, B, ps, first, R, floor):
+        walked.append(R)
+        return _split_above(a, b, A, B, ps, first, R, floor)
+
     monkeypatch.setattr("sspeq.auction._best_split", recording)
+    monkeypatch.setattr("sspeq.auction._split_above", searching)
     for seed in range(10):
         optimal_welfare(_certify_shaped(seeded(seed), 3, 8))
     assert len(walked) < 10 * (1 << 8) // 8
@@ -238,12 +245,50 @@ def test_subset_max_matches_brute(row):
 @settings(max_examples=80, deadline=None)
 def test_split_bound_covers_the_exact_split(tables):
     a, b, prices = tables
-    ub = _split_bound(a, b, prices)
+    A, B, ps = _split_bound(a, b, prices)
     for R in range(len(a)):
         subs = [t for t in range(R + 1) if t & R == t]
         p = {t: sum(x for j, x in enumerate(prices) if t >> j & 1) for t in subs}
-        assert ub[R] == max(a[t] - p[t] for t in subs) + max(b[t] - p[t] for t in subs) + p[R]
-        assert ub[R] >= max(a[t] + b[R ^ t] for t in subs)
+        assert A[R] == max(a[t] - p[t] for t in subs)
+        assert B[R] == max(b[t] - p[t] for t in subs)
+        assert ps[R] == p[R]
+        assert A[R] + B[R] + ps[R] >= max(a[t] + b[R ^ t] for t in subs)
+
+
+class CountingRow(list):
+    """A table row that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(
+    st.lists(st.integers(-30, 30), min_size=1 << m, max_size=1 << m),
+    st.lists(st.integers(-30, 30), min_size=1 << m, max_size=1 << m),
+    st.lists(st.integers(-10, 10), min_size=m, max_size=m),
+    st.integers(0, (1 << m) - 1),
+    st.integers(-4, 4),
+)))
+@settings(max_examples=120, deadline=None)
+def test_split_above_is_the_best_split_when_it_beats_the_floor(case):
+    # exact whenever the best split beats the floor, None otherwise, for the
+    # branching order optimal_welfare uses and for highest item first; the
+    # pruned search reads each of R's 2^|R| splits of `a` at most once
+    a, b, prices, R, offset = case
+    want = max(a[s] + b[R ^ s] for s in range(R + 1) if s & R == s)
+    floor = want + offset
+    A, B, ps = _split_bound(a, b, prices)
+    first = _branch_items(A, B)
+    assert all(first[f] & f and first[f].bit_count() == 1 for f in range(1, len(a)))
+    highest = [1 << f.bit_length() >> 1 for f in range(len(a))]
+    for order in (first, highest):
+        row = CountingRow(a)
+        got = _split_above(row, b, A, B, ps, order, R, floor)
+        assert got == (want if want > floor else None)
+        assert row.reads <= 1 << R.bit_count()
 
 
 class NoTableCoverage(CoverageValuation):
@@ -281,8 +326,9 @@ def test_optimal_welfare_answers_two_bidders_at_large_m(m):
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_optimal_welfare_steps_stay_within_the_precheck_bound(seed):
-    # every submask step of _best_split and every pass of _subset_max, on
-    # mixed families and on tie-heavy tables where the middle walk prunes little
+    # every submask step of _best_split and _split_above and every pass of
+    # _subset_max, on mixed families and on tie-heavy tables where the
+    # middle search prunes little
     rng = seeded(seed)
     n, m = rng.randint(1, 4), rng.randint(1, 6)
     if rng.random() < 0.5:
@@ -299,8 +345,14 @@ def test_optimal_welfare_steps_stay_within_the_precheck_bound(seed):
         steps.append(m * len(row))
         return _subset_max(row)
 
+    def search(a, b, A, B, ps, first, R, floor):
+        # at most R's 2^|R| splits, as test_split_above_... checks
+        steps.append(1 << R.bit_count())
+        return _split_above(a, b, A, B, ps, first, R, floor)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("sspeq.auction._best_split", split)
+        mp.setattr("sspeq.auction._split_above", search)
         mp.setattr("sspeq.auction._subset_max", subset_max)
         optimal_welfare(vs)
     assert sum(steps) <= _opt_step_bound(n, m)
