@@ -276,7 +276,7 @@ def check_no_overbidding(v: Valuation, bid_row):
     bid_row = tuple(parse_money(x) for x in bid_row)
     if len(bid_row) != v.m:
         raise DomainError("valuation does not match bid width")
-    return _no_overbidding((v._value_mask, 1), bid_row)
+    return _no_overbidding(v.int_oracle(), bid_row)
 
 
 def _no_overbidding(oracle, bid_row):

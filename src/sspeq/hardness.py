@@ -109,8 +109,8 @@ class SensitiveValuation(Valuation):
 
     demand() maximizes over nonempty bundles only. Bumps are stored through
     `add_bump`, which also keeps `by_k`, the (k, mask) pairs in ascending k
-    order, and `k_lcm`, the lcm of the denominators of every stored k and
-    of default_k.
+    order. The value is the int oracle (f, E) of `_closed_form`, with E the
+    lcm of 4, m'+h and the denominators of default_k and every stored k.
     """
 
     kind = "sensitive"
@@ -137,7 +137,7 @@ class SensitiveValuation(Valuation):
         self.k_map = {}
         self.clause_items = {}
         self.by_k = []
-        self.k_lcm = self.default_k.denominator
+        self._oracle = self._closed_form(math.lcm(4, self.mp + self.h, self.default_k.denominator))
         items = {_as_mask(b): j for b, j in dict(clause_items or {}).items()}
         for bundle, k in dict(k_map or {}).items():
             bmask = _as_mask(bundle)
@@ -167,7 +167,9 @@ class SensitiveValuation(Valuation):
         if k is not None:
             self.k_map[bmask] = k
             bisect.insort(self.by_k, (k, bmask))
-            self.k_lcm = math.lcm(self.k_lcm, k.denominator)
+            # the oracle reads by_k live; only a new denominator moves E
+            if self._oracle[1] % k.denominator:
+                self._oracle = self._closed_form(math.lcm(self._oracle[1], k.denominator))
         if clause_item is not None:
             self.clause_items[bmask] = int(clause_item)
 
@@ -189,23 +191,23 @@ class SensitiveValuation(Valuation):
                 hit = (k, bmask)
         return hit
 
-    def int_oracle(self):
-        # not stored, since add_bump moves the denominator in place
-        return self._value_mask, 1
+    def _closed_form(self, E: int):
+        """(f, E) with f(mask) == E * v(mask), for E a multiple of 4, m'+h and
+        every k's denominator: in the window, max(m'+1/4+k, b_floor(s)) * E."""
+        mp, g, h = self.mp, self.g, self.h
+        quarter, unit = mp * E + E // 4, E // (mp + h)
 
-    def _value_mask(self, mask):
-        s = mask.bit_count()
-        if s == 0:
-            return Fraction(0)
-        if s <= self.mp - self.g:
-            return Fraction(self.mp - self.g)
-        if s <= self.mp:
-            return Fraction(s)
-        if s >= self.mp + self.h:
-            return Fraction(self.mp + 1)
-        hit = self.stored_bump_inside(mask)
-        k = self.default_k if hit is None else hit[0]
-        return max(self.mp + Fraction(1, 4) + k, self.b_floor(s))
+        def f(mask):
+            s = mask.bit_count()
+            if s <= mp:
+                return max(s, mp - g) * E if s else 0
+            if s >= mp + h:
+                return (mp + 1) * E
+            hit = self.stored_bump_inside(mask)
+            k = self.default_k if hit is None else hit[0]
+            return max(quarter + k.numerator * (E // k.denominator), (mp + 1) * s * unit)
+
+        return f, E
 
     def _padded(self, S, size):
         """S and its smallest outside items up to `size` items, sorted."""
@@ -241,13 +243,8 @@ class SensitiveValuation(Valuation):
     def _xos_clause(self, S):
         return self.sensitive_clause(S)[0]
 
-    def _demand_denominator(self, D: int) -> int:
-        """The lcm of D, 4, m'+h and k_lcm: every value and every price at
-        denominator D is an int there."""
-        return math.lcm(D, 4, self.mp + self.h, self.k_lcm)
-
     def _demand(self, p, D):
-        E = self._demand_denominator(D)
+        E = math.lcm(D, self._oracle[1])
         return _sparse_demand(self, rescale(p, D, E), E)[1]
 
     def to_json(self):
@@ -340,7 +337,7 @@ def sparse_demand_oracle(sv: SensitiveValuation, prices):
 
 def _sparse_demand(sv: SensitiveValuation, cost, D: int):
     """(profit, mask) of the demanded nonempty bundle, profit at D, for int
-    item costs at D, a multiple of `sv._demand_denominator(1)`.
+    item costs at D, a multiple of the denominator of `sv.int_oracle()`.
 
     Candidates are the cheapest prefix of every size (valued by the closed
     form off the window) plus, for window sizes, every stored bundle padded
@@ -353,10 +350,6 @@ def _sparse_demand(sv: SensitiveValuation, cost, D: int):
     falls with k and the best only rises.
     """
     mp, h = sv.mp, sv.h
-
-    def at_D(x):
-        return x.numerator * (D // x.denominator)
-
     order = sorted(range(sv.m), key=lambda j: (cost[j], j))
     prefix_cost, prefix_mask = [0], [0]
     for j in order:
@@ -377,7 +370,7 @@ def _sparse_demand(sv: SensitiveValuation, cost, D: int):
             value = max(s, mp - sv.g) if s <= mp else mp + 1
             consider(value * D - prefix_cost[s], prefix_mask[s])
     stored = len(sv.k_map)
-    default_value = quarter + at_D(sv.default_k)
+    default_value = quarter + sv.default_k.numerator * (D // sv.default_k.denominator)
     for s in window:
         pm = prefix_mask[s]
         if math.comb(s, mp + 1) <= stored and all(
@@ -389,7 +382,7 @@ def _sparse_demand(sv: SensitiveValuation, cost, D: int):
     base_cost = prefix_cost[mp + 1]
     floor_cap = max(floor[s] - prefix_cost[s] for s in window)
     for k, bmask in reversed(sv.by_k):
-        mterm = quarter + at_D(k)
+        mterm = quarter + k.numerator * (D // k.denominator)
         if mterm - base_cost < best_profit and floor_cap < best_profit:
             break
         cost0 = sum(cost[j] for j in iter_bits(bmask))
@@ -663,7 +656,7 @@ class OddGraphAdversary:
         divides, so every pivot's answer m'+1/4+x*eps is exact there."""
         view = self.view()
         p, Dp = view._check_prices(prices)
-        D = view._demand_denominator(math.lcm(Dp, self.eps.denominator))
+        D = math.lcm(Dp, self.eps.denominator, view.int_oracle()[1])
         cost = rescale(p, Dp, D)
         best = _sparse_demand(view, cost, D)[0]
         half = self.mp * D + D // 2
@@ -694,11 +687,12 @@ def adversary_audit(adv: OddGraphAdversary):
     clause_items = {
         mask: rec.clause_item for mask, rec in adv.colored.items() if rec.clause_item is not None
     }
+    E = math.lcm(4, view.mp + view.h, view.default_k.denominator, *(k.denominator for k in k_map.values()))
     if (
         view.k_map != k_map
         or view.clause_items != clause_items
         or view.by_k != sorted((k, mask) for mask, k in k_map.items())
-        or view.k_lcm != math.lcm(view.default_k.denominator, *(k.denominator for k in k_map.values()))
+        or view.int_oracle()[1] != E
     ):
         problems.append(("view-drift", len(adv.colored)))
     for mask in adv.order:

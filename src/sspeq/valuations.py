@@ -1,9 +1,9 @@
 """Valuation families over item bundles with exact rational values.
 
 Items are 0..m-1. Bundles are frozensets in the public API and bitmasks
-inside (bit j is item j). A family defines its value once, as an int
-oracle (f, D) with f(mask) == D * v(mask), stored as `_oracle` when it is
-built; the base class derives the Fraction face `_value_mask` from it.
+inside (bit j is item j). Every family defines its value once, as an int
+oracle (f, D) with f(mask) == D * v(mask), stored as `_oracle`; the base
+derives the value table and the one Fraction face `_value_mask` from it.
 Every family keeps a QueryLedger counting value / demand / XOS-clause
 queries; internal `_value_mask` and oracle calls are not counted.
 """
@@ -138,6 +138,13 @@ def cheapest_subsets(costs, k):
                                       mask ^ 1 << order[a] ^ 1 << order[a + 1]))
 
 
+def lowest_terms(ints, D: int):
+    """(ints, D) divided by gcd(D, *ints): the values ints[t] / D at their
+    least common denominator."""
+    g = math.gcd(D, *ints)
+    return (ints, D) if g == 1 else ([x // g for x in ints], D // g)
+
+
 def sum_oracle(weights, cap=None):
     """f(mask) == the sum of weights[b] over the set bits b of mask, clamped
     at cap when one is given, for int weights. The items are split into
@@ -244,10 +251,11 @@ class Valuation:
 
     def value_table(self):
         """(ints, D) with _value_mask(t) == Fraction(ints[t], D) for every
-        mask t, not counted in the ledger. Each call returns a fresh list;
-        a family whose values never change may keep the ints of its first
-        call and copy them out."""
-        return scale_to_ints([self._value_mask(t) for t in range(1 << self.m)])
+        mask t, in lowest terms, not counted in the ledger: the oracle over
+        all masks. Each call returns a fresh list; a family whose values
+        never change may keep the ints of its first call and copy them out."""
+        f, D = self._oracle
+        return lowest_terms(list(map(f, range(1 << self.m))), D)
 
     def int_oracle(self):
         """(f, D) with f(mask) == D * v(mask) exactly for every mask: the
@@ -397,10 +405,8 @@ class BudgetAdditiveValuation(Valuation):
 
     def value_table(self):
         budget = self._budget
-        table = [x if x < budget else budget for x in subset_sums(self._weights)]
         # an unreached budget leaves its denominator out of the least D
-        g = math.gcd(self._D, *table)
-        return (table, self._D) if g == 1 else ([x // g for x in table], self._D // g)
+        return lowest_terms([x if x < budget else budget for x in subset_sums(self._weights)], self._D)
 
     def _demand(self, p, D):
         # exact knapsack-style branch and bound over profitable items, on

@@ -7,6 +7,7 @@ library's optimized code paths.
 
 import hashlib
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -135,6 +136,26 @@ def brute_gray_clause(v, S):
     if len(S) == mp + 1:
         row[v.designated_item(mask_of(S))] = brute_gray_value(v, S) - mp
     return row
+
+
+def brute_sensitive_value(sv, mask):
+    """A SensitiveValuation's value as its best clause family, recomputed
+    from counts and the stored `k_map`, with no closed form: m'-g, min(|S|,
+    m'), the B floor min(|S|, m'+h)(m'+1)/(m'+h), and from m'+1 items on
+    m'+1/4 plus the largest k of a size-(m'+1) subset, default_k for an
+    unstored one."""
+    s = mask.bit_count()
+    if s == 0:
+        return Fraction(0)
+    mp, g, h = sv.mp, sv.g, sv.h
+    best = max(Fraction(mp - g), Fraction(min(s, mp)),
+               Fraction(min(s, mp + h) * (mp + 1), mp + h))
+    if s >= mp + 1:
+        ks = [k for b, k in sv.k_map.items() if b & mask == b]
+        if len(ks) < math.comb(s, mp + 1):
+            ks.append(sv.default_k)
+        best = max(best, mp + Fraction(1, 4) + max(ks))
+    return best
 
 
 def brute_set_pair_value(system, flags, player, S):

@@ -11,6 +11,7 @@ from fractions import Fraction
 from conftest import (
     brute_best_deviation,
     brute_better_demand,
+    brute_sensitive_value,
     random_budget_additive,
     random_submodular_table,
     seeded,
@@ -316,22 +317,6 @@ def test_criterion_08_adversary_forces_query_lower_bound():
           f"no certificate, audits clean")
 
 
-def family_max(sv, mask):
-    """Best clause family value recomputed from counts, no closed form."""
-    s = mask.bit_count()
-    if s == 0:
-        return Fraction(0)
-    mp, g, h = sv.mp, sv.g, sv.h
-    best = max(Fraction(mp - g), Fraction(min(s, mp)),
-               Fraction(min(s, mp + h) * (mp + 1), mp + h))
-    if s >= mp + 1:
-        ks = [k for b, k in sv.k_map.items() if b & mask == b]
-        if len(ks) < math.comb(s, mp + 1):
-            ks.append(sv.default_k)
-        best = max(best, mp + Fraction(1, 4) + max(ks))
-    return best
-
-
 def test_criterion_09_sensitive_closed_form_and_sparse_demand():
     rng = seeded(9)
     checked = 0
@@ -350,7 +335,7 @@ def test_criterion_09_sensitive_closed_form_and_sparse_demand():
                 mask = 0
                 for j in rng.sample(range(m), rng.randint(0, m)):
                     mask |= 1 << j
-                assert sv._value_mask(mask) == family_max(sv, mask)
+                assert sv._value_mask(mask) == brute_sensitive_value(sv, mask)
                 checked += 1
     assert checked == 1000
 
@@ -361,6 +346,7 @@ def test_criterion_09_sensitive_closed_form_and_sparse_demand():
         stored = frozenset(range(mp + 1))
         sv = SensitiveValuation(m, g=1, h=3, k_map={stored: Fraction(1, 8)},
                                 clause_items={stored: 2})
+        values = [brute_sensitive_value(sv, mask) for mask in range(1 << m)]
         for _ in range(rounds):
             prices = tuple(
                 Fraction(rng.randint(0, 40), 8) if rng.random() < 0.8
@@ -372,7 +358,7 @@ def test_criterion_09_sensitive_closed_form_and_sparse_demand():
             best = None
             for mask in range(1, 1 << m):
                 S = bundle_of(mask)
-                profit = sv._value_mask(mask) - sum(prices[j] for j in S)
+                profit = values[mask] - sum(prices[j] for j in S)
                 if best is None or brute_better_demand(profit, S, best[1], best[0]):
                     best = (S, profit)
             assert sparse_profit == best[1]

@@ -545,8 +545,8 @@ def test_no_overbidding_cap_boundary(unit_demand_18):
 def test_no_overbidding_evaluates_support_submasks_only():
     v = CoverageValuation(40, [(j, j + 1, 1) for j in range(39)])
     seen = []
-    inner = v._value_mask
-    v._value_mask = lambda mask: seen.append(mask) or inner(mask)
+    inner, D = v._oracle
+    v._oracle = (lambda mask: seen.append(mask) or inner(mask)), D
     row = [0] * 40
     row[3] = row[17] = row[39] = Fraction(1, 2)
     assert check_no_overbidding(v, row) == (True, None)

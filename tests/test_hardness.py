@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_better_demand, brute_cheapest_subsets, reference_component, seeded
+from conftest import (
+    brute_better_demand,
+    brute_cheapest_subsets,
+    brute_sensitive_value,
+    reference_component,
+    seeded,
+)
 from sspeq import hardness
 from sspeq.hardness import (
     ISO_EXHAUSTIVE_CAP,
@@ -82,7 +88,7 @@ def brute_nonempty_demand(sv, prices):
     best_profit, best = None, None
     for mask in range(1, 1 << sv.m):
         S = bundle_of(mask)
-        profit = sv._value_mask(mask) - sum((prices[j] for j in S), Fraction(0))
+        profit = brute_sensitive_value(sv, mask) - sum((prices[j] for j in S), Fraction(0))
         if best_profit is None or brute_better_demand(profit, S, best_profit, best):
             best_profit, best = profit, S
     return best, best_profit
@@ -307,7 +313,7 @@ def test_local_max_certificates():
     cert = j_local_max_certificate(sv, bundle_of(key), 0)
     partner = odd_graph_partner(4, key, 0)
     assert cert.value == Fraction(4) + Fraction(1, 4) + high
-    assert cert.partner_value == sv._value_mask(partner)
+    assert cert.partner_value == brute_sensitive_value(sv, partner)
     assert is_j_local_max(sv, bundle_of(key), 0)
     with pytest.raises(DomainError):
         j_local_max_certificate(sv, {0, 1}, 0)
@@ -703,7 +709,7 @@ def reference_demand_query(adv, prices):
     half = adv.mp + Fraction(1, 2)
     view = rebuilt_view(adv)
     D = sparse_demand_oracle(view, prices)
-    best = view._value_mask(mask_of(D)) - sum((prices[j] for j in D), Fraction(0))
+    best = brute_sensitive_value(view, mask_of(D)) - sum((prices[j] for j in D), Fraction(0))
     pivots = 0
     for cost, mask in brute_cheapest_subsets(prices, adv.mp + 1):
         if mask in adv.colored:
@@ -737,7 +743,7 @@ def test_demand_query_matches_the_fraction_pivot_loop(data):
         want, pivots = reference_demand_query(twin, prices)
         assert (D, len(adv.transcript) - before) == (want, pivots)
         if m == 9:
-            profit = adv.view()._value_mask(mask_of(D)) - sum((prices[j] for j in D), Fraction(0))
+            profit = brute_sensitive_value(adv.view(), mask_of(D)) - sum((prices[j] for j in D), Fraction(0))
             assert profit == brute_nonempty_demand(rebuilt_view(adv), prices)[1]
     assert [a.vertex for a in adv.transcript] == [a.vertex for a in twin.transcript]
 
@@ -763,7 +769,7 @@ def test_live_view_tracks_a_best_reply_run(m):
     assert live.k_map == fresh.k_map
     assert live.clause_items == fresh.clause_items
     assert live.by_k == fresh.by_k
-    assert live.k_lcm == fresh.k_lcm
+    assert live.int_oracle()[1] == fresh.int_oracle()[1]
     ok, problems = adversary_audit(adv)
     assert ok, problems
 
@@ -845,10 +851,37 @@ def test_add_bump_checks_before_storing():
             sv.add_bump(**bad)
         assert not sv.k_map and not sv.clause_items and not sv.by_k
     sv.add_bump(key, Fraction(1, 24), 2)
-    assert sv.k_lcm == math.lcm(24, sv.default_k.denominator)
+    assert sv.int_oracle()[1] == math.lcm(24, sv.default_k.denominator)
     with pytest.raises(DomainError):
         sv.add_bump(key, Fraction(1, 8))
     assert sv.k_map == {key: Fraction(1, 24)} and sv.clause_items == {key: 2}
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_stored_oracle_follows_a_seeded_bump_sequence(seed):
+    # bumps one at a time over nondyadic_sensitive's denominators and the
+    # adversary's dyadic ks x * eps; after each, the stored oracle is E times
+    # the brute value on every mask, the table is in lowest terms, and E is
+    # the lcm recomputed from the stored ks, replaced only when it must grow
+    rng = seeded(seed)
+    g, h = rng.choice([(1, 2), (2, 3), (1, 4), (2, 5)])
+    sv = SensitiveValuation(9, g=g, h=h)
+    eps = Fraction(1, 2 ** 12)
+    for x, bmask in enumerate(rng.sample(odd_graph_vertices(4), rng.randint(1, 12)), 1):
+        den = rng.choice([3, 5, 7, 81, 2 ** 13, None])
+        k = x * eps if den is None else max(Fraction(rng.randint(1, 4 * den - 1), 16 * den), sv.default_k)
+        before = sv.int_oracle()
+        sv.add_bump(bmask, k, rng.choice([None, *sorted(bundle_of(bmask))]))
+        f, E = sv.int_oracle()
+        assert (sv.int_oracle() is before) == (before[1] % k.denominator == 0)
+        dens = [sv.default_k.denominator, *(k.denominator for k in sv.k_map.values())]
+        assert E == math.lcm(4, 4 + h, *dens)
+        want = [brute_sensitive_value(sv, t) for t in range(1 << 9)]
+        assert [f(t) for t in range(1 << 9)] == [E * w for w in want]
+        ints, D = sv.value_table()
+        assert math.gcd(D, *ints) == 1
+        assert [Fraction(x, D) for x in ints] == want
 
 
 @pytest.mark.parametrize("name", sorted(SEARCHERS))

@@ -553,7 +553,7 @@ def _library_valuation_classes():
     return found
 
 
-def test_only_the_sensitive_family_defines_a_value_method():
+def test_no_family_defines_a_value_method():
     classes = _library_valuation_classes()
     assert {c.__name__ for c in classes} >= {
         "TableValuation",
@@ -569,13 +569,10 @@ def test_only_the_sensitive_family_defines_a_value_method():
     }
     for cls in [Valuation, *classes]:
         assert "_value" not in vars(cls), cls.__name__
-    # every other family stores its int oracle when built, and the base
-    # derives both value methods from it; add_bump moves the sensitive
-    # family's denominator, so it keeps its own pair
-    value_methods = {"_value_mask", "int_oracle"}
+    # every family stores its int oracle when built, and the base derives
+    # both value methods from it
     for cls in classes:
-        want = value_methods if cls.__name__ == "SensitiveValuation" else set()
-        assert value_methods & set(vars(cls)) == want, cls.__name__
+        assert not {"_value_mask", "int_oracle"} & set(vars(cls)), cls.__name__
 
 
 @given(st.integers(0, 10_000))
