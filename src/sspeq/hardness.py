@@ -162,7 +162,7 @@ class SensitiveValuation(Valuation):
                 raise DomainError("a stored bump is never replaced")
             if len(self.k_map) >= KMAP_CAP:
                 raise CapabilityError(f"k_map support too large: more than {KMAP_CAP} bumps")
-        if clause_item is not None and not (bmask >> clause_item) & 1:
+        if clause_item is not None and (clause_item < 0 or not bmask >> clause_item & 1):
             raise DomainError("clause item must belong to its bundle")
         if k is not None:
             self.k_map[bmask] = k

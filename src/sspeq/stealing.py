@@ -227,7 +227,9 @@ def classify_loose_tight(valuations, alloc, bids):
     for v in valuations:
         if not isinstance(v, BudgetAdditiveValuation):
             raise DomainError("loose/tight classification needs budget-additive bidders")
-    prices = prices_from_bids(bids)
+    m = item_count(valuations)
+    alloc = check_allocation(alloc, len(valuations), m)
+    prices = prices_from_bids(check_bids(bids, len(valuations), m))
     return {j: _loose_tight(valuations[i], j, prices[j]) for i, S in enumerate(alloc) for j in S}
 
 
@@ -270,6 +272,8 @@ def _marginal_sets(v, items):
 
 def marginal_diversity(v, j: int) -> int:
     """Number of distinct marginals of item j across all bundles avoiding it."""
+    if j not in range(v.m):
+        raise DomainError(f"item {j} not within 0..{v.m - 1}")
     return len(_marginal_sets(v, (j,))[0][0])
 
 

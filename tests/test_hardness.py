@@ -43,6 +43,7 @@ from sspeq.valuations import (
     DomainError,
     bundle_of,
     mask_of,
+    valuation_from_json,
 )
 
 
@@ -846,7 +847,8 @@ def test_add_bump_checks_before_storing():
     for bad in ({"bundle": mask_of(range(4)), "k": Fraction(1, 8)},
                 {"bundle": key, "k": Fraction(1, 4)},
                 {"bundle": key, "k": sv.default_k / 2},
-                {"bundle": key, "k": Fraction(1, 8), "clause_item": 7}):
+                {"bundle": key, "k": Fraction(1, 8), "clause_item": 7},
+                {"bundle": key, "clause_item": -1}):
         with pytest.raises(DomainError):
             sv.add_bump(**bad)
         assert not sv.k_map and not sv.clause_items and not sv.by_k
@@ -855,6 +857,13 @@ def test_add_bump_checks_before_storing():
     with pytest.raises(DomainError):
         sv.add_bump(key, Fraction(1, 8))
     assert sv.k_map == {key: Fraction(1, 24)} and sv.clause_items == {key: 2}
+
+
+def test_sensitive_json_rejects_a_negative_clause_item():
+    d = SensitiveValuation(9, g=1, h=2).to_json()
+    d["clause_items"] = [[list(range(5)), -1]]
+    with pytest.raises(DomainError, match="clause item"):
+        valuation_from_json(d)
 
 
 @given(st.integers(0, 10_000))

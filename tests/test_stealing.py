@@ -173,6 +173,27 @@ def test_loose_tight_tags_frozen():
     assert classify_loose_tight([w], alloc, bids) == {0: "tight", 1: "strongly_loose"}
 
 
+def test_loose_tight_checks_allocation_and_bids():
+    v = BudgetAdditiveValuation(2, 3, (2, 2))
+    alloc = (frozenset({0, 1}),)
+    bids = compute_bids([v], alloc, [[0, 1]])
+    for bad_alloc, bad_bids in (
+        ((frozenset({0, 2}),), bids),  # an item outside 0..m-1
+        (alloc, ((bids[0][0],),)),  # a short bid row
+        (alloc, bids + ((0, 5),)),  # a bid row with no bidder
+        ((alloc[0], frozenset()), bids),  # a bundle with no bidder
+    ):
+        with pytest.raises(DomainError):
+            classify_loose_tight([v], bad_alloc, bad_bids)
+
+
+@pytest.mark.parametrize("j", [-1, 2])
+def test_marginal_diversity_rejects_items_out_of_range(j):
+    v = AdditiveValuation(2, (1, 2))
+    with pytest.raises(DomainError, match=r"not within 0\.\.1"):
+        marginal_diversity(v, j)
+
+
 def test_budget_additive_bound_value():
     assert budget_additive_steal_bound(2, 3) == 51
 
