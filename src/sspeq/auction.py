@@ -16,9 +16,9 @@ from .valuations import (
     CapabilityError,
     DomainError,
     Valuation,
-    as_bundle,
     better_demand,
     bundle_of,
+    checked_mask,
     mask_of,
     pair_slices,
     priced_table,
@@ -74,18 +74,25 @@ def prices_from_bids(bids):
     return tuple(max(row[j] for row in bids) for j in range(m))
 
 
-def check_allocation(alloc, n: int, m: int):
-    alloc = tuple(as_bundle(S) for S in alloc)
-    if len(alloc) != n:
-        raise DomainError(f"expected {n} bundles, got {len(alloc)}")
-    seen = set()
-    for S in alloc:
-        if not S <= set(range(m)):
-            raise DomainError("allocation uses unknown items")
-        if S & seen:
+def allocation_masks(alloc, n: int, m: int) -> list:
+    """The masks of n disjoint bundles of items 0..m-1, each by `checked_mask`."""
+    try:
+        masks = [checked_mask(S, m) for S in alloc]
+    except DomainError as exc:
+        raise DomainError(f"allocation uses unknown items: {exc}") from None
+    if len(masks) != n:
+        raise DomainError(f"expected {n} bundles, got {len(masks)}")
+    seen = 0
+    for mask in masks:
+        if mask & seen:
             raise DomainError("allocation bundles overlap")
-        seen |= S
-    return alloc
+        seen |= mask
+    return masks
+
+
+def check_allocation(alloc, n: int, m: int):
+    """The allocation as a tuple of frozensets, from `allocation_masks`."""
+    return tuple(map(bundle_of, allocation_masks(alloc, n, m)))
 
 
 def item_count(valuations) -> int:

@@ -167,7 +167,7 @@ def _load_instance(path):
             raise DomainError(f"cannot load {path}: the instance has no valuations")
         alloc = None
         if d.get("allocation") is not None:
-            alloc = check_allocation([frozenset(S) for S in d["allocation"]], d["n"], d["m"])
+            alloc = check_allocation(d["allocation"], d["n"], d["m"])
         bids = _parse_bids(d["bids"]) if d.get("bids") else None
     return d, vals, alloc, bids
 

@@ -26,9 +26,9 @@ from .valuations import (
     ConstructionError,
     DomainError,
     Valuation,
-    as_bundle,
     better_demand,
     bundle_of,
+    checked_mask,
     cheapest_subsets,
     iter_bits,
     mask_of,
@@ -138,19 +138,18 @@ class SensitiveValuation(Valuation):
         self.clause_items = {}
         self.by_k = []
         self._oracle = self._closed_form(math.lcm(4, self.mp + self.h, self.default_k.denominator))
-        items = {_as_mask(b): j for b, j in dict(clause_items or {}).items()}
         for bundle, k in dict(k_map or {}).items():
-            bmask = _as_mask(bundle)
-            self.add_bump(bmask, k, items.pop(bmask, None))
-        for bmask, j in items.items():
-            self.add_bump(bmask, None, j)
+            self.add_bump(bundle, k)
+        for bundle, j in dict(clause_items or {}).items():
+            self.add_bump(bundle, None, j)
 
     def add_bump(self, bundle, k=None, clause_item=None):
         """Store bump k and/or the designated clause item of one size-(m'+1)
-        bundle, in place. Every check runs before anything is stored, and a
-        stored bump is never replaced."""
-        bmask = _as_mask(bundle)
-        if bmask.bit_count() != self.mp + 1 or bmask >= 1 << self.m:
+        bundle, given by its items or as an int mask 0 <= mask < 2^m, in
+        place. Every check runs before anything is stored, and a stored bump
+        is never replaced."""
+        bmask = bundle if isinstance(bundle, int) else checked_mask(bundle, self.m)
+        if not 0 <= bmask <= self.full_mask or bmask.bit_count() != self.mp + 1:
             raise DomainError("k_map keys must be size-(m'+1) bundles")
         if k is not None:
             k = parse_money(k)
@@ -193,7 +192,9 @@ class SensitiveValuation(Valuation):
 
     def _closed_form(self, E: int):
         """(f, E) with f(mask) == E * v(mask), for E a multiple of 4, m'+h and
-        every k's denominator: in the window, max(m'+1/4+k, b_floor(s)) * E."""
+        every k's denominator: in the window, max(m'+1/4+k, b_floor(s)) * E.
+        f raises DomainError when it reads a k whose denominator does not
+        divide E: a bump stored after f was taken has made it stale."""
         mp, g, h = self.mp, self.g, self.h
         quarter, unit = mp * E + E // 4, E // (mp + h)
 
@@ -205,43 +206,42 @@ class SensitiveValuation(Valuation):
                 return (mp + 1) * E
             hit = self.stored_bump_inside(mask)
             k = self.default_k if hit is None else hit[0]
+            if E % k.denominator:
+                raise DomainError(f"stale value oracle: bump k = {k} is not exact at E = {E}")
             return max(quarter + k.numerator * (E // k.denominator), (mp + 1) * s * unit)
 
         return f, E
 
-    def _padded(self, S, size):
-        """S and its smallest outside items up to `size` items, sorted."""
-        outside = (j for j in range(self.m) if j not in S)
-        return sorted([*S, *itertools.islice(outside, size - len(S))])
-
     def sensitive_clause(self, S):
         """Clause dict plus family tag, preferring C over A over M over B."""
-        S = as_bundle(S)
-        if any(j < 0 or j >= self.m for j in S):
-            raise DomainError("clause bundle out of range")
-        s = len(S)
+        return self._tagged_clause(checked_mask(S, self.m))
+
+    def _tagged_clause(self, mask: int):
+        """`sensitive_clause` of the bundle mask."""
+        s = mask.bit_count()
         if s == 0:
             return {}, "A"
+        low = (mask & -mask).bit_length() - 1
         if s <= self.mp - self.g:
-            return {min(S): Fraction(self.mp - self.g)}, "C"
+            return {low: Fraction(self.mp - self.g)}, "C"
         if s <= self.mp:
-            return {j: Fraction(1) for j in self._padded(S, self.mp)}, "A"
+            return {j: Fraction(1) for j in iter_bits(_padded(mask, self.mp))}, "A"
         w = Fraction(self.mp + 1, self.mp + self.h)
         if s >= self.mp + self.h:
-            return {j: w for j in sorted(S)[: self.mp + self.h]}, "B"
-        hit = self.stored_bump_inside(mask_of(S))
+            return {j: w for j in itertools.islice(iter_bits(mask), self.mp + self.h)}, "B"
+        hit = self.stored_bump_inside(mask)
         if hit is None:
-            hit = (self.default_k, mask_of(sorted(S)[: self.mp + 1]))
+            hit = (self.default_k, mask_of(itertools.islice(iter_bits(mask), self.mp + 1)))
         k, core_mask = hit
         if self.mp + Fraction(1, 4) + k < self.b_floor(s):
-            return {j: w for j in self._padded(S, self.mp + self.h)}, "B"
-        core = bundle_of(core_mask)
-        clause = {i: Fraction(1) for i in sorted(core)}
-        clause[self.clause_items.get(core_mask, min(core))] = Fraction(1, 4) + k
+            return {j: w for j in iter_bits(_padded(mask, self.mp + self.h))}, "B"
+        clause = {i: Fraction(1) for i in iter_bits(core_mask)}
+        low = (core_mask & -core_mask).bit_length() - 1
+        clause[self.clause_items.get(core_mask, low)] = Fraction(1, 4) + k
         return clause, "M"
 
-    def _xos_clause(self, S):
-        return self.sensitive_clause(S)[0]
+    def _xos_clause(self, mask):
+        return self._tagged_clause(mask)[0]
 
     def _demand(self, p, D):
         E = math.lcm(D, self._oracle[1])
@@ -263,8 +263,11 @@ class SensitiveValuation(Valuation):
         }
 
 
-def _as_mask(bundle) -> int:
-    return bundle if isinstance(bundle, int) else mask_of(as_bundle(bundle))
+def _padded(mask: int, size: int) -> int:
+    """mask and its lowest outside items, up to `size` items."""
+    while mask.bit_count() < size:
+        mask |= ~mask & (mask + 1)
+    return mask
 
 
 register_kind(
@@ -294,16 +297,12 @@ def is_j_local_max(sv: SensitiveValuation, S, j: int) -> bool:
 
 
 def j_local_max_certificate(sv: SensitiveValuation, S, j: int) -> LocalMaxCertificate:
-    S = as_bundle(S)
-    if not S <= sv.all_items:
-        raise DomainError(f"bundle {sorted(S)} not within 0..{sv.m - 1}")
-    if len(S) != sv.mp + 1:
+    mask, bit = checked_mask(S, sv.m), checked_mask((j,), sv.m)
+    if mask.bit_count() != sv.mp + 1:
         raise DomainError("local maxima live on size-(m'+1) bundles")
-    if j not in S:
-        raise DomainError("item must belong to the bundle")
-    mask = mask_of(S)
+    j = bit.bit_length() - 1
     partner = odd_graph_partner(sv.mp, mask, j)
-    return LocalMaxCertificate(S, j, sv._value_mask(mask), sv._value_mask(partner))
+    return LocalMaxCertificate(bundle_of(mask), j, sv._value_mask(mask), sv._value_mask(partner))
 
 
 def eq_char_check(sv: SensitiveValuation, alloc) -> bool:
@@ -311,19 +310,19 @@ def eq_char_check(sv: SensitiveValuation, alloc) -> bool:
     j-local maximum through its recorded M clause."""
     if len(alloc) != 2:
         raise DomainError("the characterization is for two bidders")
-    a, b = as_bundle(alloc[0]), as_bundle(alloc[1])
-    if a | b != sv.all_items or len(a) + len(b) != sv.m:
+    a, b = (checked_mask(S, sv.m) for S in alloc)
+    if a | b != sv.full_mask or a & b:
         raise DomainError("allocation must partition the items")
-    if sorted((len(a), len(b))) != [sv.mp, sv.mp + 1]:
+    if sorted((a.bit_count(), b.bit_count())) != [sv.mp, sv.mp + 1]:
         return False
-    big = a if len(a) == sv.mp + 1 else b
-    clause, tag = sv.sensitive_clause(big)
+    big = a if a.bit_count() == sv.mp + 1 else b
+    clause, tag = sv._tagged_clause(big)
     if tag != "M":
         return False
     designated = [j for j, w in clause.items() if w != 1]
     if len(designated) != 1:
         return False
-    return is_j_local_max(sv, big, designated[0])
+    return is_j_local_max(sv, iter_bits(big), designated[0])
 
 
 # -- sparse exact demand -----------------------------------------------------------
@@ -460,12 +459,6 @@ class OddGraphAdversary:
     def num_queries(self) -> int:
         return len(self.q_set)
 
-    def _check_vertex(self, S):
-        S = as_bundle(S)
-        if len(S) != self.mp + 1 or any(j < 0 or j >= self.m for j in S):
-            raise DomainError("queries must be size-(m'+1) bundles")
-        return S
-
     def _blocked(self, mask) -> bool:
         return mask in self.colored or mask in self.q_set
 
@@ -578,8 +571,11 @@ class OddGraphAdversary:
             self._index(w)
 
     def answer(self, S) -> AdversaryAnswer:
-        S = self._check_vertex(S)
-        mask = mask_of(S)
+        mask = checked_mask(S, self.m)
+        if mask.bit_count() != self.mp + 1:
+            raise DomainError("queries must be size-(m'+1) bundles")
+        if not isinstance(S, frozenset):  # the transcript keeps a frozenset
+            S = bundle_of(mask)
         rec = self.colored.get(mask)
         replay = rec is not None
         self.q_set.add(mask)
@@ -631,15 +627,13 @@ class OddGraphAdversary:
     def value_query(self, S) -> Money:
         """Value answers for any bundle size; window sizes may force vertex
         queries on their uncolored size-(m'+1) subsets."""
-        S = as_bundle(S)
-        if any(j < 0 or j >= self.m for j in S):
-            raise DomainError("bundle out of range")
-        s = len(S)
+        mask = checked_mask(S, self.m)
+        s = mask.bit_count()
         if s == self.mp + 1:
-            return self.answer(S).value
+            return self.answer(bundle_of(mask)).value
         if s <= self.mp or s >= self.mp + self.h:
-            return self.view()._value_mask(mask_of(S))
-        pending = [c for c in itertools.combinations(sorted(S), self.mp + 1) if mask_of(c) not in self.colored]
+            return self.view()._value_mask(mask)
+        pending = [c for c in itertools.combinations(iter_bits(mask), self.mp + 1) if mask_of(c) not in self.colored]
         if len(pending) > WINDOW_QUERY_FACTOR * self.m:
             raise CapabilityError(
                 "window value query would force too many vertex queries: "
@@ -647,7 +641,7 @@ class OddGraphAdversary:
             )
         for c in pending:
             self.answer(frozenset(c))
-        return self.view()._value_mask(mask_of(S))
+        return self.view()._value_mask(mask)
 
     def demand_query(self, prices):
         """Exact demand against the realized map; while an unassigned vertex
@@ -807,9 +801,9 @@ def hill_climb_search(adv: OddGraphAdversary, budget: int, start=None) -> Search
     """Follow each answer's designated item to its partner vertex."""
 
     def step(S, ans):
-        return bundle_of(odd_graph_partner(adv.mp, mask_of(S), ans.clause_item))
+        return bundle_of(odd_graph_partner(adv.mp, mask_of(ans.vertex), ans.clause_item))
 
-    first = as_bundle(start) if start is not None else frozenset(range(adv.mp + 1))
+    first = start if start is not None else frozenset(range(adv.mp + 1))
     return _search(adv, budget, first, step)
 
 

@@ -20,13 +20,13 @@ from .valuations import (
     CoverageValuation,
     DomainError,
     Valuation,
-    as_bundle,
     better_demand,
+    checked_mask,
     iter_bits,
     mask_of,
     register_kind,
 )
-from .auction import check_allocation, check_bids, is_pure_nash_no_overbid, item_count, resolve
+from .auction import allocation_masks, check_bids, is_pure_nash_no_overbid, item_count, resolve
 from .stealing import compute_bids, find_steal, owner_first
 
 SETPAIR_RETRY_FACTOR = 4000
@@ -62,18 +62,17 @@ def verify_set_pair_system(system: SetPairSystem):
         problems.append(("m-not-multiple-of-8", m))
         return False, problems
     quarter, eighth = m // 4, m // 8
-    for r, (a, b) in enumerate(system.pairs):
-        if not (a <= frozenset(range(m)) and b <= frozenset(range(m))):
-            problems.append(("items-out-of-range", r))
-        if len(a) != quarter or len(b) != quarter:
+    pairs = [(checked_mask(a, m), checked_mask(b, m)) for a, b in system.pairs]
+    for r, (a, b) in enumerate(pairs):
+        if a.bit_count() != quarter or b.bit_count() != quarter:
             problems.append(("pair-size", r))
         if a & b:
             problems.append(("pair-not-disjoint", r))
-    for r, (a1, _) in enumerate(system.pairs):
-        for l, (_, b2) in enumerate(system.pairs):
+    for r, (a1, _) in enumerate(pairs):
+        for l, (_, b2) in enumerate(pairs):
             if r == l:
                 continue
-            cross = len(a1 & b2)
+            cross = (a1 & b2).bit_count()
             if not 0 < cross <= eighth:
                 problems.append(("cross-intersection", r, l, cross))
     return (not problems), problems
@@ -129,7 +128,7 @@ class SetPairValuation(Valuation):
         self.player = player
         self.threshold = threshold = 3 * system.m // 4 + 1
         self.flagged_masks = flagged = [
-            mask_of(pair[player])
+            checked_mask(pair[player], system.m)
             for pair, f in zip(system.pairs, self.flags)
             if f == 1
         ]
@@ -177,7 +176,7 @@ def equilibrium_witness(system: SetPairSystem, flags1, flags2, k: int):
     rows = []
     for side in (0, 1):
         row = [Fraction(0)] * m
-        for j in system.pairs[k][side]:
+        for j in iter_bits(checked_mask(system.pairs[k][side], m)):
             row[j] = eps
         rows.append(tuple(row))
     return tuple(rows)
@@ -219,7 +218,7 @@ def find_unprotected_set(valuations, bids):
         raise DomainError("no weak side: both bundles have value 2")
     dev = valuations[weak]
     rival = bids[1 - weak]
-    all_items = frozenset(range(m))
+    items = frozenset(range(m))
 
     def rival_sum(S):
         return sum((rival[j] for j in S), Fraction(0))
@@ -236,13 +235,13 @@ def find_unprotected_set(valuations, bids):
         if rival_sum(T) < 1:
             return finish(T, "flagged-pair")
     for T in dev.flagged_pairs():
-        if rival_sum(T) == 1 and all(rival[j] == 0 for j in all_items - T):
+        if rival_sum(T) == 1 and all(rival[j] == 0 for j in items - T):
             jp = min(j for j in T if rival[j] > 0)
-            return finish(all_items - {jp}, "all-but-one")
+            return finish(items - {jp}, "all-but-one")
     order = sorted(range(m), key=lambda j: (rival[j], j))
     candidates = [frozenset(order[: dev.threshold])]
     candidates.extend(dev.flagged_pairs())
-    candidates.extend(all_items - {j} for j in range(m))
+    candidates.extend(items - {j} for j in range(m))
     best = None
     for U in candidates:
         umask = mask_of(U)
@@ -271,14 +270,13 @@ class WeightedGraph:
         seen = set()
         norm = []
         for u, v, w in self.edges:
-            if u == v:
+            ends = checked_mask((u, v), self.vertices)
+            if ends.bit_count() == 1:
                 raise DomainError("self-loops are not allowed")
-            if not (0 <= u < self.vertices and 0 <= v < self.vertices):
-                raise DomainError("edge endpoint out of range")
             w = parse_money(w)
             if w < 0:
                 raise DomainError("edge weights must be >= 0")
-            key = (min(u, v), max(u, v))
+            key = ((ends & -ends).bit_length() - 1, ends.bit_length() - 1)
             if key in seen:
                 raise DomainError("duplicate edge")
             seen.add(key)
@@ -289,9 +287,9 @@ class WeightedGraph:
         return sum((w for _, _, w in self.edges), Fraction(0))
 
     def cut_weight(self, side) -> Money:
-        side = as_bundle(side)
+        side = checked_mask(side, self.vertices)
         return sum(
-            (w for u, v, w in self.edges if (u in side) != (v in side)),
+            (w for u, v, w in self.edges if (side >> u ^ side >> v) & 1),
             Fraction(0),
         )
 
@@ -313,8 +311,7 @@ def maxcut_valuation(graph: WeightedGraph) -> CoverageValuation:
 
 def local_max_check(valuations, alloc):
     """True iff no single-item move between bidders raises welfare."""
-    alloc = check_allocation(alloc, len(valuations), item_count(valuations))
-    masks = [mask_of(S) for S in alloc]
+    masks = allocation_masks(alloc, len(valuations), item_count(valuations))
     for i, smask in enumerate(masks):
         for j in iter_bits(smask):
             lost = valuations[i]._value_mask(smask) - valuations[i]._value_mask(smask ^ (1 << j))

@@ -25,11 +25,11 @@ from .valuations import (
     CapabilityError,
     DomainError,
     bundle_of,
+    checked_mask,
     iter_bits,
     iter_submasks,
-    mask_of,
 )
-from .auction import check_allocation, check_bids, item_count, prices_from_bids
+from .auction import allocation_masks, check_allocation, check_bids, item_count, prices_from_bids
 
 ORDERING_POLICIES = ("stolen-last", "static")
 STEAL_BOUND_M_CAP = 12
@@ -96,19 +96,12 @@ def steal_search(oracles, ledgers, masks, rows, top=None):
     return None
 
 
-def _checked_masks(valuations, alloc):
-    """(alloc, masks): the checked allocation and its bundle masks, on the
-    bidders' common items (`item_count`)."""
-    alloc = check_allocation(alloc, len(valuations), item_count(valuations))
-    return alloc, [mask_of(S) for S in alloc]
-
-
 def compute_bids(valuations, alloc, orders):
     """Marginal bids along each bidder's item order, a permutation of
     0..m-1, zero off the owned bundle."""
-    _, masks = _checked_masks(valuations, alloc)
-    m = valuations[0].m
-    if len(orders) != len(masks) or any(sorted(order) != list(range(m)) for order in orders):
+    m = item_count(valuations)
+    masks = allocation_masks(alloc, len(valuations), m)
+    if len(orders) != len(masks) or any(len(o) != m or checked_mask(o, m) != (1 << m) - 1 for o in orders):
         raise DomainError(f"need one order per bidder, each a permutation of 0..{m - 1}")
     oracles, D = int_oracles(valuations)
     ledgers = [v.ledger for v in valuations]
@@ -118,7 +111,7 @@ def compute_bids(valuations, alloc, orders):
 def find_steal(valuations, alloc, bids):
     """Lexicographically smallest (thief, victim, item) with a strictly
     profitable single-item steal, or None."""
-    _, masks = _checked_masks(valuations, alloc)
+    masks = allocation_masks(alloc, len(valuations), item_count(valuations))
     bids = check_bids(bids, n=len(masks), m=valuations[0].m)
     oracles, D = int_oracles(valuations)
     ledgers = [v.ledger for v in valuations]
@@ -174,8 +167,9 @@ def run_iterative_stealing(
     prices, tags each event from the pre-steal state."""
     if policy not in ORDERING_POLICIES:
         raise DomainError(f"policy must be one of {ORDERING_POLICIES}")
-    alloc, masks = _checked_masks(valuations, init_alloc)
-    m = valuations[0].m
+    m = item_count(valuations)
+    masks = allocation_masks(init_alloc, len(valuations), m)
+    alloc = tuple(map(bundle_of, masks))
     orders = owner_first(alloc, m)
     oracles, D = int_oracles(valuations)
     ledgers = [v.ledger for v in valuations]
@@ -272,8 +266,7 @@ def _marginal_sets(v, items):
 
 def marginal_diversity(v, j: int) -> int:
     """Number of distinct marginals of item j across all bundles avoiding it."""
-    if j not in range(v.m):
-        raise DomainError(f"item {j} not within 0..{v.m - 1}")
+    j = checked_mask((j,), v.m).bit_length() - 1
     return len(_marginal_sets(v, (j,))[0][0])
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .money import Money
-from .valuations import DomainError, Valuation, as_bundle, mask_of
+from .valuations import DomainError, Valuation, checked_mask, iter_bits, mask_of
 from .auction import check_allocation, item_count
 from .stealing import compute_bids, find_steal, int_oracles, owner_first, steal_search
 
@@ -40,14 +40,12 @@ class MarginalValuation(Valuation):
 
     def __init__(self, base: Valuation, item: int):
         super().__init__(base.m)
-        if item not in range(base.m):
-            raise DomainError(f"bundle [{item}] not within 0..{base.m - 1}")
+        bit = checked_mask((item,), base.m)
         self.base = base
-        self.item = item
+        self.item = bit.bit_length() - 1
         self.ledger = base.ledger
         self.ledger.value += 1  # the singleton query that fixes the offset
         f, D = base.int_oracle()
-        bit = 1 << item
         offset = f(bit)
         self.offset = Fraction(offset, D)
         self._oracle = (lambda mask: f(mask | bit) - offset), D
@@ -58,11 +56,10 @@ class ErasedValuation(Valuation):
 
     def __init__(self, base: Valuation, erased):
         super().__init__(base.m)
+        keep = ~checked_mask(erased, base.m)
         self.base = base
-        self.erased = as_bundle(erased)
         self.ledger = base.ledger
         f, D = base.int_oracle()
-        keep = ~mask_of(self.erased)
         self._oracle = (lambda mask: f(mask & keep)), D
 
 
@@ -96,15 +93,12 @@ def _top(rows, tops, j: int):
 
 def competitor_info(valuations, items):
     """Per item: competitor list, top-competitor list, top singleton value."""
-    m = item_count(valuations)
-    items = list(items)
-    if any(j not in range(m) for j in items):
-        raise DomainError(f"items {items} not within 0..{m - 1}")
-    rows, D = _singleton_rows(valuations, len(items))
+    mask = checked_mask(items, item_count(valuations))
+    rows, D = _singleton_rows(valuations, mask.bit_count())
     tops = _tops(rows)
     return {j: {"competitors": [i for i, row in enumerate(rows) if row[j] > 0],
                 "top": _top(rows, tops, j), "top_value": Fraction(tops[j], D)}
-            for j in sorted(items)}
+            for j in iter_bits(mask)}
 
 
 def preprocess_to_competitors(valuations, alloc):
@@ -195,7 +189,7 @@ def top_steal(valuations, init_alloc, t: int = None) -> TopStealRun:
     if t < 2:
         raise DomainError("need t >= 2")
     alloc = check_allocation(init_alloc, n, m)
-    if set().union(*alloc) != set(range(m)):
+    if sum(map(len, alloc)) != m:  # the bundles are disjoint
         raise DomainError("initial allocation must cover all items")
     # the move and the restriction check each scan every singleton, so the
     # ledger reads as for preprocess_to_competitors then competitor_info

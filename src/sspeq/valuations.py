@@ -1,11 +1,14 @@
 """Valuation families over item bundles with exact rational values.
 
 Items are 0..m-1. Bundles are frozensets in the public API and bitmasks
-inside (bit j is item j). Every family defines its value once, as an int
-oracle (f, D) with f(mask) == D * v(mask), stored as `_oracle`; the base
-derives the value table and the one Fraction face `_value_mask` from it.
-Every family keeps a QueryLedger counting value / demand / XOS-clause
-queries; internal `_value_mask` and oracle calls are not counted.
+inside (bit j is item j). `checked_mask` is the one entry from a public
+bundle, item or item order to a mask: each item must be an int in 0..m-1,
+and anything else raises DomainError. Every family defines its value
+once, as an int oracle (f, D) with f(mask) == D * v(mask), stored as
+`_oracle`; the base derives the value table and the one Fraction face
+`_value_mask` from it. Every family keeps a QueryLedger counting value /
+demand / XOS-clause queries; internal `_value_mask` and oracle calls are
+not counted.
 """
 
 from __future__ import annotations
@@ -44,8 +47,26 @@ class ConstructionError(Exception):
     """A randomized construction exhausted its retry budget."""
 
 
-def as_bundle(S) -> frozenset:
-    return S if isinstance(S, frozenset) else frozenset(S)
+def checked_mask(S, m: int) -> int:
+    """The bitmask of the bundle S, any iterable of items, each an int (by
+    `operator.index`, so True is 1) in 0..m-1. Anything else, or an S that
+    is not iterable, raises DomainError. The one place a bundle from outside
+    is checked and turned into a mask."""
+    mask = 0
+    try:
+        for j in map(operator.index, S):
+            if not 0 <= j < m:
+                break
+            mask |= 1 << j
+        else:
+            return mask
+    except TypeError:
+        pass
+    try:
+        S = sorted(S)
+    except TypeError:
+        pass
+    raise DomainError(f"bundle {S} not within 0..{m - 1}")
 
 
 def mask_of(S) -> int:
@@ -204,26 +225,20 @@ class Valuation:
             raise DomainError(f"need at least one item, got m={m}")
         self.m = m
         self.full_mask = (1 << m) - 1
-        self.all_items = frozenset(range(m))
         self.ledger = QueryLedger()
 
     # -- queries ----------------------------------------------------------
 
     def value(self, S) -> Money:
-        S = as_bundle(S)
-        if not S <= self.all_items:
-            raise DomainError(f"bundle {sorted(S)} not within 0..{self.m - 1}")
+        mask = checked_mask(S, self.m)
         self.ledger.value += 1
-        return self._value_mask(mask_of(S))
+        return self._value_mask(mask)
 
     def marginal(self, j: int, S) -> Money:
         """v(j | S) = v(S + j) - v(S); counted as two value queries."""
-        S = as_bundle(S)
-        if j not in self.all_items or not S <= self.all_items:
-            raise DomainError(f"bundle {sorted(S | {j})} not within 0..{self.m - 1}")
+        mask, bit = checked_mask(S, self.m), checked_mask((j,), self.m)
         self.ledger.value += 2
-        mask = mask_of(S)
-        return self._value_mask(mask | (1 << j)) - self._value_mask(mask)
+        return self._value_mask(mask | bit) - self._value_mask(mask)
 
     def demand(self, prices) -> frozenset:
         """Profit-maximizing bundle at item prices; ties break to the smallest
@@ -235,11 +250,9 @@ class Valuation:
     def xos_clause(self, S) -> dict:
         """Additive clause a with a(S) = v(S) and a(T) <= v(T) everywhere,
         returned as {item: weight} supported on S."""
-        S = as_bundle(S)
-        if not S <= self.all_items:
-            raise DomainError(f"bundle {sorted(S)} not within 0..{self.m - 1}")
+        mask = checked_mask(S, self.m)
         self.ledger.xos += 1
-        return self._xos_clause(S)
+        return self._xos_clause(mask)
 
     # -- family internals --------------------------------------------------
 
@@ -295,18 +308,18 @@ class Valuation:
         weight of item j and 0 off the bundle, at the weights' least common
         denominator D. The uncounted clause entry behind the best-reply
         dynamic; by default `_xos_clause` scaled."""
-        clause = self._xos_clause(bundle_of(mask))
+        clause = self._xos_clause(mask)
         weights, D = scale_to_ints(list(clause.values()))
         row = [0] * self.m
         for j, w in zip(clause, weights):
             row[j] = w
         return row, D
 
-    def _xos_clause(self, S: frozenset) -> dict:
+    def _xos_clause(self, mask: int) -> dict:
         # greedy ascending-index marginals; a legal clause for submodular v
         clause = {}
         prev = 0
-        for j in sorted(S):
+        for j in iter_bits(mask):
             nxt = prev | (1 << j)
             clause[j] = self._value_mask(nxt) - self._value_mask(prev)
             prev = nxt
@@ -372,8 +385,8 @@ class AdditiveValuation(Valuation):
         w, Dw = self._weights, self._D
         return sum(1 << j for j in range(self.m) if w[j] * D > p[j] * Dw)
 
-    def _xos_clause(self, S):
-        return {j: self.item_values[j] for j in sorted(S)}
+    def _xos_clause(self, mask):
+        return {j: self.item_values[j] for j in iter_bits(mask)}
 
     def to_json(self):
         return {
@@ -472,12 +485,11 @@ class XOSExplicitValuation(Valuation):
         self._sums = sums = [sum_oracle(flat[r * m : (r + 1) * m]) for r in range(len(parsed))]
         self._oracle = (lambda mask: max(f(mask) for f in sums)), D
 
-    def _xos_clause(self, S):
-        # the first clause of the largest sum over S
-        mask = mask_of(S)
+    def _xos_clause(self, mask):
+        # the first clause of the largest sum over the bundle
         totals = [f(mask) for f in self._sums]
         best = self.clauses[totals.index(max(totals))]
-        return {j: best[j] for j in sorted(S)}
+        return {j: best[j] for j in iter_bits(mask)}
 
     def to_json(self):
         return {
@@ -500,13 +512,12 @@ class CoverageValuation(Valuation):
         parsed = []
         for u, v, w in edges:
             w = parse_money(w)
-            if u == v:
+            ends = checked_mask((u, v), m)
+            if ends.bit_count() == 1:
                 raise DomainError(f"self-loop at vertex {u}")
-            if not (0 <= u < m and 0 <= v < m):
-                raise DomainError(f"edge ({u},{v}) outside 0..{m - 1}")
             if w < 0:
                 raise DomainError("edge weights must be nonnegative")
-            parsed.append((min(u, v), max(u, v), w))
+            parsed.append(((ends & -ends).bit_length() - 1, ends.bit_length() - 1, w))
         self.edges = parsed
         self._weights, self._D = scale_to_ints([w for _, _, w in parsed])
         hits = [((1 << u) | (1 << v), w) for (u, v, _), w in zip(parsed, self._weights)]
@@ -676,15 +687,13 @@ def _max_sum(rows, b):
 
 def check_clause(v: Valuation, S, clause: dict, exhaustive: bool = True):
     """Clause legality: supported on S, a(S) = v(S), and a(T) <= v(T) for all T."""
-    S = as_bundle(S)
-    if not S <= v.all_items:
-        raise DomainError(f"bundle {sorted(S)} not within 0..{v.m - 1}")
-    if not set(clause) <= S:
+    mask = checked_mask(S, v.m)
+    if not set(clause) <= bundle_of(mask):
         return False, {"reason": "support outside bundle"}
     if any(w < 0 for w in clause.values()):
         return False, {"reason": "negative weight"}
     total = sum(clause.values(), Fraction(0))
-    vS = v._value_mask(mask_of(S))
+    vS = v._value_mask(mask)
     if total != vS:
         return False, {"reason": "clause sum mismatch", "sum": total, "value": vS}
     if exhaustive:

@@ -30,11 +30,11 @@ from .valuations import (
     mask_of,
     register_kind,
 )
-from .auction import check_allocation, item_count
+from .auction import allocation_masks, item_count
 
 GRAY_M_CAP = 15
 STEP_CAP = 10_000  # the dynamic's default response cap, but for a Gray pair
-GRAY_DEMAND_POP_CAP = math.comb(15, 8)  # heap pops: every middle bundle at m = 15
+GRAY_DEMAND_POP_CAP = math.comb(GRAY_M_CAP, GRAY_M_CAP // 2 + 1)  # heap pops: every middle bundle at the cap
 
 
 # -- middle-levels path -------------------------------------------------------
@@ -197,9 +197,9 @@ class GrayValuation(Valuation):
             flip = bmask & -bmask
         return flip.bit_length() - 1
 
-    def _xos_clause(self, S):
-        row, D = self._int_clause(mask_of(S))
-        return {j: Fraction(row[j], D) for j in sorted(S)}
+    def _xos_clause(self, mask):
+        row, D = self._int_clause(mask)
+        return {j: Fraction(row[j], D) for j in iter_bits(mask)}
 
     def _int_clause(self, mask):
         """The clause of `mask` in closed form on ints: weight 1 up to size
@@ -356,7 +356,7 @@ def run_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap=None):
         oracles = valuations
     if step_cap is None:
         step_cap = default_step_cap(v0, v1)
-    init_alloc = check_allocation(init_alloc, 2, m)
+    init_masks = allocation_masks(init_alloc, 2, m)
     full = v0.full_mask
     values = [v.int_oracle() for v in valuations]
     rows, D = [[0] * m, [0] * m], 1
@@ -376,7 +376,7 @@ def run_best_reply_dynamic(v0, v1, init_alloc, oracles=None, step_cap=None):
         return row
 
     for i in (0, 1):
-        rows[i] = clause_row(i, mask_of(init_alloc[i]))
+        rows[i] = clause_row(i, init_masks[i])
     won = _won_by_1(rows)
     alloc = (bundle_of(full ^ won), bundle_of(won))
     trace = DynamicTrace(alloc, Fraction(sum(map(max, *rows)), D))
