@@ -10,7 +10,16 @@ searched, all steps taken (every split evaluated and m * 2^m per subset
 max) next to the bound the DP is capped by before it starts, and times
 each call.
 
+`--family` picks the instances: `certify` (the default) as above;
+`additive-tie` and `budget-tie`, three identical additive or
+budget-additive bidders with weights 1 or 2, where many allocations reach
+OPT and the bound ties across many t; `wide`, the certify instances with
+every value times 2^64, whose subset-max rows need lanes wider than 64
+bits. Each run prints one line, so families are timed side by side by
+running it once per family.
+
     PYTHONPATH=src python scripts/opt_steps.py [--seed 31] [--instances 30] [--m 10]
+        [--family certify]
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import json
 import random
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -27,6 +37,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import gen_coverage, gen_submodular_table  # noqa: E402
 
 from sspeq import auction  # noqa: E402
+from sspeq.valuations import (  # noqa: E402
+    AdditiveValuation,
+    BudgetAdditiveValuation,
+    TableValuation,
+)
+
+FAMILIES = ("certify", "additive-tie", "budget-tie", "wide")
 
 
 class Reads(list):
@@ -39,11 +56,27 @@ class Reads(list):
         return super().__getitem__(i)
 
 
+def instance(family, rng, m):
+    """The three bidders of one instance of `family`."""
+    if family in ("additive-tie", "budget-tie"):
+        weights = [Fraction(rng.randint(1, 2)) for _ in range(m)]
+        if family == "additive-tie":
+            return [AdditiveValuation(m, weights)] * 3
+        budget = Fraction(rng.randint(1, sum(weights).numerator))
+        return [BudgetAdditiveValuation(m, budget, weights)] * 3
+    vals = [gen_coverage(rng, m), gen_coverage(rng, m), gen_submodular_table(rng, m)]
+    if family == "wide":
+        vals = [TableValuation(m, [Fraction(x << 64, D) for x in ints])
+                for ints, D in (v.value_table() for v in vals)]
+    return vals
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=31)
     ap.add_argument("--instances", type=int, default=30)
     ap.add_argument("--m", type=int, default=10)
+    ap.add_argument("--family", choices=FAMILIES, default="certify")
     args = ap.parse_args()
     walk, search, subset_max = auction._best_split, auction._split_above, auction._subset_max
     walked, searched, maxed = [], [], []
@@ -66,8 +99,8 @@ def main() -> None:
     auction._best_split, auction._split_above, auction._subset_max = counted, counted_search, counted_max
     steps, checks, masks, ms, total = [], [], [], [], []
     for r in range(args.instances):
-        rng = random.Random(f"certify/{args.seed}/{r}")
-        vals = [gen_coverage(rng, args.m), gen_coverage(rng, args.m), gen_submodular_table(rng, args.m)]
+        rng = random.Random(f"{args.family}/{args.seed}/{r}")
+        vals = instance(args.family, rng, args.m)
         walked.clear()
         searched.clear()
         maxed.clear()

@@ -6,8 +6,11 @@ the lowest bidder index; a winner pays, per item won, the highest rival bid.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +31,10 @@ from .valuations import (
 OPT_WORK_CAP = 40_000_000
 # the most items whose subsets best_deviation and check_no_overbidding walk
 SUBSET_CAP = 18
+# lane masks of at most this many bytes each are kept between calls
+LANE_CACHE_BYTES = 1 << 13
+# an unsigned array typecode per lane width in bytes
+LANE_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 def check_bids(bids, n=None, m=None):
@@ -201,11 +208,65 @@ def _best_split(prev, vals, mask):
     return best, bestT
 
 
+def lane_masks(nbytes: int, size: int):
+    """Per pass, for half = 1, 2, 4, ... below `size`: the int of `size`
+    lanes of `nbytes` bytes each, lane k at bits 8 * nbytes * k, that is all
+    ones where k has no bit `half` and zero elsewhere. Kept between calls
+    up to LANE_CACHE_BYTES a mask; larger ones are built pass by pass."""
+    if nbytes * size > LANE_CACHE_BYTES:
+        return _lane_masks(nbytes, size)
+    return _kept_lane_masks(nbytes, size)
+
+
+def _lane_masks(nbytes, size):
+    ones, zeros = b"\xff" * nbytes, bytes(nbytes)
+    half = 1
+    while half < size:
+        yield int.from_bytes((ones * half + zeros * half) * (size // (2 * half)), "little")
+        half *= 2
+
+
+@functools.cache
+def _kept_lane_masks(nbytes, size):
+    return tuple(_lane_masks(nbytes, size))
+
+
 def _subset_max(row):
     """Per mask, the largest entry of `row` over its submasks, one bit at a
     time: each mask with the bit takes the larger of itself and its partner
-    without it, slice by slice (`pair_slices`). A slice where no partner is
-    larger, as in a monotone table, is left as it is."""
+    without it. The row, less its minimum, is packed into one int of 8, 16,
+    32 or 64-bit lanes, the narrowest whose top (guard) bit no entry
+    reaches. A pass moves the partners up with one shift of the lanes
+    `lane_masks` keeps, and ((X | H) - Y) & H leaves a lane's guard bit set
+    where X >= Y; the other lanes take Y. Rows that need wider lanes go
+    slice by slice (`pair_slices`), where a slice with no larger partner,
+    as in a monotone table, is left as it is."""
+    lo = min(row)
+    span = max(row) - lo
+    nbytes = next((k for k in LANE_CODES if span >> (8 * k - 1) == 0), None)
+    if nbytes is None:
+        return _subset_max_slices(row)
+    size, width = len(row), 8 * nbytes
+    lanes = array(LANE_CODES[nbytes], [x - lo for x in row])
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    X = int.from_bytes(lanes, "little")
+    guard = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    shift = width
+    for keep in lane_masks(nbytes, size):
+        Y = (X & keep) << shift
+        below = guard ^ (((X | guard) - Y) & guard)
+        if below:
+            X ^= (X ^ Y) & (below - (below >> width - 1))
+        shift *= 2
+    lanes = array(LANE_CODES[nbytes], X.to_bytes(nbytes * size, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return [x + lo for x in lanes]
+
+
+def _subset_max_slices(row):
+    """`_subset_max` on list slices, for rows of any span."""
     row = list(row)
     size = len(row)
     bit = 1
@@ -220,7 +281,9 @@ def _subset_max(row):
 
 def _split_bound(a, b, prices):
     """(A, B, ps) for int item prices: ps the price of every mask, A and B
-    the subset maxes of a - ps and b - ps (see `optimal_welfare`)."""
+    the subset maxes of a - ps and b - ps (see `optimal_welfare`). These
+    rows are not monotone, so every pass of `_subset_max` changes lanes;
+    each row gets lanes as wide as its own span needs."""
     ps = subset_sums(prices)
     A = _subset_max([x - p for x, p in zip(a, ps)])
     B = _subset_max([x - p for x, p in zip(b, ps)])
@@ -342,15 +405,14 @@ def _best_deviation(table, prices) -> Deviation:
     has a nonempty submask S with psum[S] >= vals[S]. One int holds a byte
     per mask, set where psum >= vals (mask 0 cleared), and is closed
     upward bit by bit: each mask without bit `half` ORs its byte into
-    mask | half, a shift by 8 * half bits of the bytes `keep` marks."""
+    mask | half, a shift by 8 * half bits of the bytes `lane_masks` keeps."""
     vals, psum, D = priced_table(table, scale_to_ints(prices))
     size = len(vals)
     bits = int.from_bytes(bytes(map(operator.ge, psum, vals)), "little") >> 8 << 8
-    half = 1
-    while half < size:
-        keep = int.from_bytes((b"\1" * half + b"\0" * half) * (size // (2 * half)), "little")
-        bits |= (bits & keep) << 8 * half
-        half *= 2
+    shift = 8
+    for keep in lane_masks(1, size):
+        bits |= (bits & keep) << shift
+        shift *= 2
     blocked = bits.to_bytes(size, "little")
     best_u, best = 0, 0
     for mask in range(1, size):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -161,8 +162,13 @@ class SensitiveValuation(Valuation):
                 raise DomainError("a stored bump is never replaced")
             if len(self.k_map) >= KMAP_CAP:
                 raise CapabilityError(f"k_map support too large: more than {KMAP_CAP} bumps")
-        if clause_item is not None and (clause_item < 0 or not bmask >> clause_item & 1):
-            raise DomainError("clause item must belong to its bundle")
+        if clause_item is not None:
+            try:
+                inside = bmask >> operator.index(clause_item) & 1
+            except (TypeError, ValueError):  # not an int, or a negative shift
+                inside = 0
+            if not inside:
+                raise DomainError("clause item must belong to its bundle")
         if k is not None:
             self.k_map[bmask] = k
             bisect.insort(self.by_k, (k, bmask))

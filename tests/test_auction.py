@@ -18,20 +18,24 @@ from conftest import (
     seeded,
 )
 from sspeq.auction import (
+    LANE_CODES,
     OPT_WORK_CAP,
     SUBSET_CAP,
     _best_split,
     _branch_items,
+    _kept_lane_masks,
     _opt_step_bound,
     _split_above,
     _split_bound,
     _subset_max,
+    _subset_max_slices,
     best_deviation,
     check_no_overbidding,
     greedy_allocation,
     is_pure_nash_no_overbid,
     is_traditional,
     item_count,
+    lane_masks,
     optimal_welfare,
     resolve,
     welfare,
@@ -191,6 +195,22 @@ def test_optimal_welfare_allocation_matches_reference_dp(seed):
     assert optimal_welfare(vs) == reference_partition_dp(vs)
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_optimal_welfare_on_identical_bidders_matches_brute_and_reference_dp(seed):
+    # n identical additive or budget-additive bidders, unit weights among
+    # them: many allocations reach OPT and the middle search's bound ties
+    # across many t and splits
+    rng = seeded(seed)
+    n, m = rng.randint(1, 4), rng.randint(1, 6)
+    kind = rng.choice([random_additive, random_budget_additive])
+    vs = [kind(rng, m, lo=1, hi=rng.randint(1, 3), den=rng.randint(1, 2))] * n
+    got = optimal_welfare(vs)
+    assert got == reference_partition_dp(vs)
+    if n ** m <= 4096:
+        assert got[0] == brute_optimal_welfare(vs)[0]
+
+
 def _certify_shaped(rng, n, m):
     """Two coverage bidders and a submodular table, as `sspeq verify` sees
     them, then n - 3 more of the mixed families."""
@@ -229,12 +249,51 @@ def test_optimal_welfare_prunes_the_middle_walk(monkeypatch):
     assert len(walked) < 10 * (1 << 8) // 8
 
 
-@given(st.integers(1, 9).flatmap(lambda m: st.lists(st.integers(-40, 40), min_size=1 << m, max_size=1 << m)))
-@settings(max_examples=60, deadline=None)
+@st.composite
+def _subset_max_rows(draw):
+    """Rows of 2^m entries, m = 1..9, whose span (max - min) is 0, small, or
+    one below or at a lane's guard bit 2^7, 2^15, 2^31, 2^63, or 2^70,
+    from a minimum anywhere in +-2^70 or one that keeps every entry < 0."""
+    size = 1 << draw(st.integers(1, 9))
+    span = draw(st.one_of(
+        st.just(0),
+        st.integers(1, 80),
+        st.sampled_from([(1 << b) + d for b in (7, 15, 31, 63, 70) for d in (-1, 0)]),
+    ))
+    lo = draw(st.one_of(
+        st.integers(-40, 40),
+        st.integers(-(1 << 70), 1 << 70),
+        st.integers(-(1 << 70), -1).map(lambda x: x - span),
+    ))
+    row = [lo + x for x in draw(st.lists(st.integers(0, span), min_size=size, max_size=size))]
+    i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 2))
+    row[i], row[j + (j >= i)] = lo, lo + span
+    return row
+
+
+@given(_subset_max_rows())
+@settings(max_examples=120, deadline=None)
 def test_subset_max_matches_brute(row):
-    # m = 1..9 crosses the switch from stride slices to block slices
+    # m = 1..9 crosses the switch from stride slices to block slices on the
+    # path above 64-bit lanes, and every lane width on the packed path
     want = [max(row[t] for t in range(mask + 1) if t & mask == t) for mask in range(len(row))]
     assert _subset_max(row) == want
+
+
+def test_lane_masks_keep_the_lanes_without_the_bit():
+    for nbytes in LANE_CODES:
+        for size in (1, 2, 8, 64):
+            masks = list(lane_masks(nbytes, size))
+            assert len(masks) == size.bit_length() - 1
+            for p, keep in enumerate(masks):
+                want = b"".join((b"\0" if k >> p & 1 else b"\xff") * nbytes for k in range(size))
+                assert keep.to_bytes(nbytes * size, "little") == want
+    # a table whose masks exceed LANE_CACHE_BYTES builds them per call and
+    # keeps none of them: 2^14 lanes of 16 bits
+    row = [j % 1000 - 500 for j in range(1 << 14)]
+    kept = _kept_lane_masks.cache_info()
+    assert _subset_max(row) == _subset_max_slices(row)
+    assert _kept_lane_masks.cache_info() == kept
 
 
 @given(st.integers(1, 6).flatmap(lambda m: st.tuples(

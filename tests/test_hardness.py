@@ -848,7 +848,9 @@ def test_add_bump_checks_before_storing():
                 {"bundle": key, "k": Fraction(1, 4)},
                 {"bundle": key, "k": sv.default_k / 2},
                 {"bundle": key, "k": Fraction(1, 8), "clause_item": 7},
-                {"bundle": key, "clause_item": -1}):
+                {"bundle": key, "clause_item": -1},
+                {"bundle": key, "clause_item": 1.0},
+                {"bundle": key, "clause_item": "1"}):
         with pytest.raises(DomainError):
             sv.add_bump(**bad)
         assert not sv.k_map and not sv.clause_items and not sv.by_k
