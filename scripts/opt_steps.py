@@ -6,17 +6,19 @@ the middle bidder's table that were evaluated: 2^|R| for each full walk of
 a mask R (the seed and the pick that recovers the middle bidder's bundle)
 plus every split `_split_above` reads, and the range bounds it checks.
 Walking every mask once is 3^m steps. Also counts the distinct masks
-searched, all steps taken (every split evaluated and m * 2^m per subset
-max) next to the bound the DP is capped by before it starts, and times
-each call.
+searched and all steps taken (every split evaluated and m * 2^m per subset
+max) next to the bound the DP is capped by before it starts. The counts
+come from one pass with counting wrappers installed; the timings from a
+second pass without them, each instance's call timed five times and the
+fastest kept, and `optimal_welfare_ms_mean` is the mean of those.
 
 `--family` picks the instances: `certify` (the default) as above;
 `additive-tie` and `budget-tie`, three identical additive or
 budget-additive bidders with weights 1 or 2, where many allocations reach
 OPT and the bound ties across many t; `wide`, the certify instances with
 every value times 2^64, whose subset-max rows need lanes wider than 64
-bits. Each run prints one line, so families are timed side by side by
-running it once per family.
+bits and so run as their ranks. Each run prints one line, so families are
+timed side by side by running it once per family.
 
     PYTHONPATH=src python scripts/opt_steps.py [--seed 31] [--instances 30] [--m 10]
         [--family certify]
@@ -78,6 +80,8 @@ def main() -> None:
     ap.add_argument("--m", type=int, default=10)
     ap.add_argument("--family", choices=FAMILIES, default="certify")
     args = ap.parse_args()
+    instances = [instance(args.family, random.Random(f"{args.family}/{args.seed}/{r}"), args.m)
+                 for r in range(args.instances)]
     walk, search, subset_max = auction._best_split, auction._split_above, auction._subset_max
     walked, searched, maxed = [], [], []
 
@@ -97,16 +101,12 @@ def main() -> None:
         return subset_max(row)
 
     auction._best_split, auction._split_above, auction._subset_max = counted, counted_search, counted_max
-    steps, checks, masks, ms, total = [], [], [], [], []
-    for r in range(args.instances):
-        rng = random.Random(f"{args.family}/{args.seed}/{r}")
-        vals = instance(args.family, rng, args.m)
+    steps, checks, masks, total = [], [], [], []
+    for vals in instances:
         walked.clear()
         searched.clear()
         maxed.clear()
-        start = time.perf_counter()
         auction.optimal_welfare(vals)
-        ms.append(1000 * (time.perf_counter() - start))
         middle = searched[0][0] if searched else None
         masks.append(len({R for _, R, _, _ in searched}))
         split_reads = sum(reads for _, _, reads, _ in searched)
@@ -114,6 +114,13 @@ def main() -> None:
         checks.append(sum(bound_reads for _, _, _, bound_reads in searched))
         total.append(sum(n for _, n in walked) + split_reads + sum(maxed))
     auction._best_split, auction._split_above, auction._subset_max = walk, search, subset_max
+
+    def timed(vals):
+        start = time.perf_counter()
+        auction.optimal_welfare(vals)
+        return 1000 * (time.perf_counter() - start)
+
+    ms = [min(timed(vals) for _ in range(5)) for vals in instances]
     print(json.dumps({
         "seed": args.seed, "m": args.m, "instances": args.instances,
         "full_walk_steps": 3 ** args.m,

@@ -6,11 +6,8 @@ the lowest bidder index; a winner pays, per item won, the highest rival bid.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,11 +16,13 @@ from .valuations import (
     CapabilityError,
     DomainError,
     Valuation,
+    _subset_max,
     better_demand,
     bundle_of,
+    checked_count,
     checked_mask,
+    lane_masks,
     mask_of,
-    pair_slices,
     priced_table,
     subset_sums,
 )
@@ -31,10 +30,6 @@ from .valuations import (
 OPT_WORK_CAP = 40_000_000
 # the most items whose subsets best_deviation and check_no_overbidding walk
 SUBSET_CAP = 18
-# lane masks of at most this many bytes each are kept between calls
-LANE_CACHE_BYTES = 1 << 13
-# an unsigned array typecode per lane width in bytes
-LANE_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 def check_bids(bids, n=None, m=None):
@@ -208,77 +203,6 @@ def _best_split(prev, vals, mask):
     return best, bestT
 
 
-def lane_masks(nbytes: int, size: int):
-    """Per pass, for half = 1, 2, 4, ... below `size`: the int of `size`
-    lanes of `nbytes` bytes each, lane k at bits 8 * nbytes * k, that is all
-    ones where k has no bit `half` and zero elsewhere. Kept between calls
-    up to LANE_CACHE_BYTES a mask; larger ones are built pass by pass."""
-    if nbytes * size > LANE_CACHE_BYTES:
-        return _lane_masks(nbytes, size)
-    return _kept_lane_masks(nbytes, size)
-
-
-def _lane_masks(nbytes, size):
-    ones, zeros = b"\xff" * nbytes, bytes(nbytes)
-    half = 1
-    while half < size:
-        yield int.from_bytes((ones * half + zeros * half) * (size // (2 * half)), "little")
-        half *= 2
-
-
-@functools.cache
-def _kept_lane_masks(nbytes, size):
-    return tuple(_lane_masks(nbytes, size))
-
-
-def _subset_max(row):
-    """Per mask, the largest entry of `row` over its submasks, one bit at a
-    time: each mask with the bit takes the larger of itself and its partner
-    without it. The row, less its minimum, is packed into one int of 8, 16,
-    32 or 64-bit lanes, the narrowest whose top (guard) bit no entry
-    reaches. A pass moves the partners up with one shift of the lanes
-    `lane_masks` keeps, and ((X | H) - Y) & H leaves a lane's guard bit set
-    where X >= Y; the other lanes take Y. Rows that need wider lanes go
-    slice by slice (`pair_slices`), where a slice with no larger partner,
-    as in a monotone table, is left as it is."""
-    lo = min(row)
-    span = max(row) - lo
-    nbytes = next((k for k in LANE_CODES if span >> (8 * k - 1) == 0), None)
-    if nbytes is None:
-        return _subset_max_slices(row)
-    size, width = len(row), 8 * nbytes
-    lanes = array(LANE_CODES[nbytes], [x - lo for x in row])
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    X = int.from_bytes(lanes, "little")
-    guard = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
-    shift = width
-    for keep in lane_masks(nbytes, size):
-        Y = (X & keep) << shift
-        below = guard ^ (((X | guard) - Y) & guard)
-        if below:
-            X ^= (X ^ Y) & (below - (below >> width - 1))
-        shift *= 2
-    lanes = array(LANE_CODES[nbytes], X.to_bytes(nbytes * size, "little"))
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return [x + lo for x in lanes]
-
-
-def _subset_max_slices(row):
-    """`_subset_max` on list slices, for rows of any span."""
-    row = list(row)
-    size = len(row)
-    bit = 1
-    while bit < size:
-        for lo, hi in pair_slices(size, bit):
-            low, high = row[lo], row[hi]
-            if any(map(operator.gt, low, high)):
-                row[hi] = [x if x > y else y for x, y in zip(high, low)]
-        bit *= 2
-    return row
-
-
 def _split_bound(a, b, prices):
     """(A, B, ps) for int item prices: ps the price of every mask, A and B
     the subset maxes of a - ps and b - ps (see `optimal_welfare`). These
@@ -339,11 +263,12 @@ def _item_prices(tables, m):
 
 def check_no_overbidding(v: Valuation, bid_row):
     """Weak no-overbidding: bids on every bundle sum to at most its value.
+    The bids, one per item, must be nonnegative, as in `check_bids`.
 
     For monotone valuations it is enough to check subsets of the support,
     so only the support's submasks are ever evaluated, in descending order.
     """
-    bid_row = tuple(parse_money(x) for x in bid_row)
+    (bid_row,) = check_bids([bid_row])
     if len(bid_row) != v.m:
         raise DomainError("valuation does not match bid width")
     return _no_overbidding(v.int_oracle(), bid_row)
@@ -387,6 +312,7 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
     sum of standing rival prices over S < v_i(S); the deviator then pays the
     rival price on each item of T. Exact for subadditive valuations.
     """
+    i = checked_count(i, "bidder")
     if not 0 <= i < len(valuations):
         raise DomainError(f"bidder {i} not within 0..{len(valuations) - 1}")
     bids = check_bids(bids, n=len(valuations))

@@ -142,12 +142,13 @@ def _emit(report, args, trace_rows=None):
 @contextlib.contextmanager
 def _loading(path):
     """Raise what a missing or malformed input file throws (an unreadable
-    file, bad JSON, a missing key or entry, a value of the wrong type or a
-    zero denominator) as a DomainError naming the file."""
+    file, bad JSON, a missing key or entry, a value of the wrong type, a
+    malformed rational or any other DomainError) as a DomainError naming
+    the file."""
     try:
         yield
-    except DomainError:
-        raise
+    except DomainError as exc:
+        raise DomainError(f"cannot load {path}: {exc}") from None
     except (LookupError, TypeError, ValueError, ZeroDivisionError, OSError) as exc:
         raise DomainError(f"cannot load {path}: {type(exc).__name__}: {exc}") from None
 
@@ -164,7 +165,7 @@ def _load_instance(path):
         if len(vals) != d["n"] or any(v.m != d["m"] for v in vals):
             raise DomainError("instance header disagrees with its valuations")
         if not vals:
-            raise DomainError(f"cannot load {path}: the instance has no valuations")
+            raise DomainError("the instance has no valuations")
         alloc = None
         if d.get("allocation") is not None:
             alloc = check_allocation(d["allocation"], d["n"], d["m"])
@@ -498,8 +499,9 @@ def cmd_adversary(args):
 def cmd_verify(args):
     inst, vals, alloc, bids = _load_instance(args.instance)
     if args.bids:
+        d = _load_json(args.bids)
         with _loading(args.bids):
-            bids = _parse_bids(_load_json(args.bids)["bids"])
+            bids = _parse_bids(d["bids"])
     if bids is None:
         raise DomainError("verification needs bids (instance field or --bids)")
     ok, witnesses = is_pure_nash_no_overbid(vals, bids, alloc)
@@ -523,16 +525,18 @@ def cmd_setpair_gen(args):
 
 
 def cmd_setpair_check(args):
+    d = _load_json(args.system)
     with _loading(args.system):
-        system = SetPairSystem.from_json(_load_json(args.system))
+        system = SetPairSystem.from_json(d)
     ok, problems = verify_set_pair_system(system)
     _emit({"good": ok, "problems": [list(p) for p in problems]}, args)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def cmd_maxcut_reduce(args):
+    d = _load_json(args.graph)
     with _loading(args.graph):
-        graph = WeightedGraph.from_json(_load_json(args.graph))
+        graph = WeightedGraph.from_json(d)
     vals = [maxcut_valuation(graph), maxcut_valuation(graph)]
     instance = {
         "family": "maxcut",

@@ -29,6 +29,7 @@ from .valuations import (
     Valuation,
     better_demand,
     bundle_of,
+    checked_count,
     checked_mask,
     cheapest_subsets,
     iter_bits,
@@ -122,8 +123,8 @@ class SensitiveValuation(Valuation):
         if m % 2 == 0:
             raise DomainError("need odd m")
         self.mp = m // 2
-        self.g = int(g)
-        self.h = int(h)
+        self.g = checked_count(g, "g")
+        self.h = checked_count(h, "h")
         if (self.g, self.h) == (LITERAL_G, LITERAL_H) and m < 43:
             raise DomainError("the literal family needs m >= 43")
         if self.g < 1 or self.mp - self.g < 1:

@@ -6,14 +6,23 @@ from fractions import Fraction
 Money = Fraction
 
 
+class DomainError(ValueError):
+    """Input violates an operation's precondition."""
+
+
 def parse_money(x):
-    """Accept Fraction, int, or a 'num/den' / 'num' string."""
+    """Accept Fraction, int, or a 'num/den' / 'num' string. A string that is
+    not a rational, or has a zero denominator, raises DomainError; a float
+    or any other type raises TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"cannot parse money from {x!r}") from None
     raise TypeError(f"cannot parse money from {type(x).__name__}")
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .money import Money
-from .valuations import DomainError, Valuation, checked_mask, iter_bits, mask_of
+from .valuations import DomainError, Valuation, checked_count, checked_mask, iter_bits, mask_of
 from .auction import check_allocation, item_count
 from .stealing import compute_bids, find_steal, int_oracles, owner_first, steal_search
 
@@ -185,7 +185,7 @@ def top_steal(valuations, init_alloc, t: int = None) -> TopStealRun:
     """Compute a no-overbidding, steal-stable state for a t-restricted instance."""
     n = len(valuations)
     m = item_count(valuations)
-    t = n if t is None else t
+    t = n if t is None else checked_count(t, "t")
     if t < 2:
         raise DomainError("need t >= 2")
     alloc = check_allocation(init_alloc, n, m)

@@ -17,10 +17,12 @@ import functools
 import heapq
 import math
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .money import Money, format_money, parse_money, rescale, scale_to_ints
+from .money import DomainError, Money, format_money, parse_money, rescale, scale_to_ints
 
 EXHAUSTIVE_DEMAND_CAP = 16
 TABLE_M_CAP = 20
@@ -33,10 +35,10 @@ VERIFY_CAP = {
     "xos": 8,
 }
 BB_NODE_CAP = 200_000
-
-
-class DomainError(ValueError):
-    """Input violates an operation's precondition."""
+# lane masks of at most this many bytes each are kept between calls
+LANE_CACHE_BYTES = 1 << 13
+# an unsigned array typecode per lane width in bytes
+LANE_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 class CapabilityError(Exception):
@@ -67,6 +69,15 @@ def checked_mask(S, m: int) -> int:
     except TypeError:
         pass
     raise DomainError(f"bundle {S} not within 0..{m - 1}")
+
+
+def checked_count(x, name: str) -> int:
+    """x as an int, by `operator.index` (so True is 1); a float, a string or
+    anything else raises DomainError naming `name`."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{name} must be an int, got {x!r}") from None
 
 
 def mask_of(S) -> int:
@@ -110,19 +121,6 @@ def priced_table(table, prices):
     return rescale(vals, Dv, D), subset_sums(rescale(p, Dp, D)), D
 
 
-@functools.cache
-def pair_slices(size: int, bit: int):
-    """(lo, hi) slice pairs that together pair every mask below `size`
-    without `bit` (in lo) with the mask plus `bit` (in hi), position by
-    position: `bit` stride slices while they are fewer than the
-    size / (2 * bit) contiguous blocks, else the blocks. Cached, since
-    building the slices costs about a tenth of a subset max at m = 10."""
-    step = 2 * bit
-    if bit * step < size:
-        return tuple((slice(r, None, step), slice(r + bit, None, step)) for r in range(bit))
-    return tuple((slice(b, b + bit), slice(b + bit, b + step)) for b in range(0, size, step))
-
-
 def subset_sums(weights):
     """sums[t] == the sum of weights[b] over the set bits b of t, for every
     t < 1 << len(weights), by doubling: the masks that hold weight b are
@@ -131,6 +129,69 @@ def subset_sums(weights):
     for w in weights:
         sums += [x + w for x in sums]
     return sums
+
+
+def lane_masks(nbytes: int, size: int):
+    """Per pass, for half = 1, 2, 4, ... below `size`: the int of `size`
+    lanes of `nbytes` bytes each, lane k at bits 8 * nbytes * k, that is all
+    ones where k has no bit `half` and zero elsewhere. Kept between calls
+    up to LANE_CACHE_BYTES a mask; larger ones are built pass by pass."""
+    if nbytes * size > LANE_CACHE_BYTES:
+        return _lane_masks(nbytes, size)
+    return _kept_lane_masks(nbytes, size)
+
+
+def _lane_masks(nbytes, size):
+    ones, zeros = b"\xff" * nbytes, bytes(nbytes)
+    half = 1
+    while half < size:
+        yield int.from_bytes((ones * half + zeros * half) * (size // (2 * half)), "little")
+        half *= 2
+
+
+@functools.cache
+def _kept_lane_masks(nbytes, size):
+    return tuple(_lane_masks(nbytes, size))
+
+
+def _subset_max(row):
+    """Per mask, the largest entry of `row` over its submasks, one bit at a
+    time: each mask with the bit takes the larger of itself and its partner
+    without it. The row, less its minimum, is packed into one int of 8, 16,
+    32 or 64-bit lanes, the narrowest whose top (guard) bit no entry
+    reaches. A pass moves the partners up with one shift of the lanes
+    `lane_masks` keeps, and ((X | H) - Y) & H leaves a lane's guard bit set
+    where X >= Y; the other lanes take Y. A row that needs wider lanes runs
+    as its ranks, with ties in index order, and each rank maps back to its
+    entry: a subset max commutes with any increasing map, and tied ranks
+    stand for equal entries."""
+    lo = min(row)
+    span = max(row) - lo
+    size = len(row)
+    nbytes = next((k for k in LANE_CODES if span >> (8 * k - 1) == 0), None)
+    if nbytes is None:
+        order = sorted(range(size), key=row.__getitem__)
+        ranks = [0] * size
+        for r, i in enumerate(order):
+            ranks[i] = r
+        return [row[order[r]] for r in _subset_max(ranks)]
+    width = 8 * nbytes
+    lanes = array(LANE_CODES[nbytes], [x - lo for x in row])
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    X = int.from_bytes(lanes, "little")
+    guard = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    shift = width
+    for keep in lane_masks(nbytes, size):
+        Y = (X & keep) << shift
+        below = guard ^ (((X | guard) - Y) & guard)
+        if below:
+            X ^= (X ^ Y) & (below - (below >> width - 1))
+        shift *= 2
+    lanes = array(LANE_CODES[nbytes], X.to_bytes(nbytes * size, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return [x + lo for x in lanes]
 
 
 def cheapest_subsets(costs, k):
@@ -619,14 +680,12 @@ def verify_class(v: Valuation, cls: str):
 
 def _first_monotone_drop(vals, m: int):
     """(mask, item) of the first vals[S] > vals[S + j] in (mask, item) order,
-    or None. Slices of the table per item find whether there is a drop at
-    all; the ordered scan runs only to name the first one."""
-    n = 1 << m
-    for j in range(m):
-        if any(any(map(operator.gt, vals[lo], vals[hi])) for lo, hi in pair_slices(n, 1 << j)):
-            break
-    else:
+    or None. A table is monotone iff every mask already holds its submask
+    max, which one `_subset_max` decides; the ordered scan runs only to name
+    the first drop."""
+    if _subset_max(vals) == vals:
         return None
+    n = 1 << m
     for mask in range(n):
         for j in iter_bits((n - 1) & ~mask):
             if vals[mask] > vals[mask | (1 << j)]:

@@ -18,24 +18,19 @@ from conftest import (
     seeded,
 )
 from sspeq.auction import (
-    LANE_CODES,
     OPT_WORK_CAP,
     SUBSET_CAP,
     _best_split,
     _branch_items,
-    _kept_lane_masks,
     _opt_step_bound,
     _split_above,
     _split_bound,
-    _subset_max,
-    _subset_max_slices,
     best_deviation,
     check_no_overbidding,
     greedy_allocation,
     is_pure_nash_no_overbid,
     is_traditional,
     item_count,
-    lane_masks,
     optimal_welfare,
     resolve,
     welfare,
@@ -44,12 +39,16 @@ from sspeq.reductions import local_max_check
 from sspeq.stealing import run_iterative_stealing
 from sspeq.topsteal import preprocess_to_competitors, top_steal
 from sspeq.valuations import (
+    LANE_CODES,
     AdditiveValuation,
     CapabilityError,
     CoverageValuation,
     DomainError,
     TableValuation,
+    _kept_lane_masks,
+    _subset_max,
     bundle_of,
+    lane_masks,
     mask_of,
 )
 
@@ -253,7 +252,9 @@ def test_optimal_welfare_prunes_the_middle_walk(monkeypatch):
 def _subset_max_rows(draw):
     """Rows of 2^m entries, m = 1..9, whose span (max - min) is 0, small, or
     one below or at a lane's guard bit 2^7, 2^15, 2^31, 2^63, or 2^70,
-    from a minimum anywhere in +-2^70 or one that keeps every entry < 0."""
+    from a minimum anywhere in +-2^70 or one that keeps every entry < 0.
+    Some rows draw their entries from a few values, so a row that runs as
+    its ranks holds many ties."""
     size = 1 << draw(st.integers(1, 9))
     span = draw(st.one_of(
         st.just(0),
@@ -265,7 +266,10 @@ def _subset_max_rows(draw):
         st.integers(-(1 << 70), 1 << 70),
         st.integers(-(1 << 70), -1).map(lambda x: x - span),
     ))
-    row = [lo + x for x in draw(st.lists(st.integers(0, span), min_size=size, max_size=size))]
+    entries = st.integers(0, span)
+    if draw(st.booleans()):
+        entries = st.sampled_from(draw(st.lists(entries, min_size=1, max_size=3)))
+    row = [lo + x for x in draw(st.lists(entries, min_size=size, max_size=size))]
     i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 2))
     row[i], row[j + (j >= i)] = lo, lo + span
     return row
@@ -274,8 +278,8 @@ def _subset_max_rows(draw):
 @given(_subset_max_rows())
 @settings(max_examples=120, deadline=None)
 def test_subset_max_matches_brute(row):
-    # m = 1..9 crosses the switch from stride slices to block slices on the
-    # path above 64-bit lanes, and every lane width on the packed path
+    # every lane width, and rows too wide for 64-bit lanes, which run as
+    # their ranks
     want = [max(row[t] for t in range(mask + 1) if t & mask == t) for mask in range(len(row))]
     assert _subset_max(row) == want
 
@@ -291,8 +295,13 @@ def test_lane_masks_keep_the_lanes_without_the_bit():
     # a table whose masks exceed LANE_CACHE_BYTES builds them per call and
     # keeps none of them: 2^14 lanes of 16 bits
     row = [j % 1000 - 500 for j in range(1 << 14)]
+    want = list(row)
+    for bit in (1 << j for j in range(14)):
+        for mask in range(len(want)):
+            if mask & bit:
+                want[mask] = max(want[mask], want[mask ^ bit])
     kept = _kept_lane_masks.cache_info()
-    assert _subset_max(row) == _subset_max_slices(row)
+    assert _subset_max(row) == want
     assert _kept_lane_masks.cache_info() == kept
 
 
@@ -469,6 +478,13 @@ def test_check_no_overbidding_rejects_a_row_of_the_wrong_width():
     for row in ((1, 1, 1), (1,)):
         with pytest.raises(DomainError, match="valuation does not match bid width"):
             check_no_overbidding(v, row)
+
+
+def test_check_no_overbidding_rejects_a_negative_bid():
+    # a negative bid fell outside the support, and the row passed the check
+    v = AdditiveValuation(2, (3, 1))
+    with pytest.raises(DomainError, match="bids must be nonnegative"):
+        check_no_overbidding(v, [-1, 0])
 
 
 def test_best_deviation_frozen_strictness():

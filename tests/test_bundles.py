@@ -1,7 +1,8 @@
 """Every face that takes a bundle, an item or an item order checks it through
 `checked_mask`: an item that is not an int in 0..m-1 raises DomainError, and
-nothing downstream sees it. The CLI cases run in a subprocess with a timeout,
-so a hang fails the test instead of stalling the suite."""
+nothing downstream sees it. A count (a bidder index, t, g or h) goes through
+`checked_count` the same way. The CLI cases run in a subprocess with a
+timeout, so a hang fails the test instead of stalling the suite."""
 
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sspeq.auction import check_allocation
+from sspeq.auction import best_deviation, check_allocation
 from sspeq.hardness import OddGraphAdversary, SensitiveValuation, j_local_max_certificate
 from sspeq.reductions import (
     SetPairSystem,
@@ -22,7 +23,7 @@ from sspeq.reductions import (
     verify_set_pair_system,
 )
 from sspeq.stealing import compute_bids, marginal_diversity
-from sspeq.topsteal import ErasedValuation, MarginalValuation, competitor_info
+from sspeq.topsteal import ErasedValuation, MarginalValuation, competitor_info, top_steal
 from sspeq.valuations import AdditiveValuation, CoverageValuation, DomainError, checked_mask
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,6 +78,20 @@ def test_a_bad_bundle_item_raises_domain_error(case):
 def test_checked_mask_names_the_range(S):
     with pytest.raises(DomainError, match=r"not within 0\.\.2"):
         checked_mask(S, 3)
+
+
+COUNTS = {
+    "top-steal-t": lambda: top_steal([additive(), additive()], [{0, 1, 2}, set()], t=2.5),
+    "sensitive-g": lambda: SensitiveValuation(9, g=1.5, h=2),
+    "sensitive-h": lambda: SensitiveValuation(9, g=1, h="2"),
+    "deviation-bidder": lambda: best_deviation([additive(), additive()], 1.0, [[0] * 3] * 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTS))
+def test_a_count_that_is_not_an_int_raises_domain_error(case):
+    with pytest.raises(DomainError, match="must be an int, got"):
+        COUNTS[case]()
 
 
 def test_checked_mask_takes_any_iterable_of_ints():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sspeq.auction import resolve
 from sspeq.money import (
     format_money,
     money_gcd,
@@ -11,6 +12,7 @@ from sspeq.money import (
     rescale,
     scale_to_ints,
 )
+from sspeq.valuations import AdditiveValuation, DomainError
 
 
 def test_parse_accepts_fraction_int_string():
@@ -23,6 +25,23 @@ def test_parse_accepts_fraction_int_string():
 def test_parse_rejects_float():
     with pytest.raises(TypeError):
         parse_money(0.5)
+
+
+# a string that is no rational, at parse_money and at faces that read money
+MALFORMED = {
+    "parse-word": lambda: parse_money("x"),
+    "parse-zero-denominator": lambda: parse_money("1/0"),
+    "parse-infinity": lambda: parse_money("inf"),
+    "additive-item": lambda: AdditiveValuation(2, ("x", 1)),
+    "resolve-bid": lambda: resolve([["1/0", 1]]),
+    "demand-price": lambda: AdditiveValuation(2, (1, 1)).demand(["x", 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_money_string_raises_domain_error(case):
+    with pytest.raises(DomainError, match="cannot parse money from '"):
+        MALFORMED[case]()
 
 
 def test_format_always_has_denominator():

@@ -48,7 +48,6 @@ from sspeq.valuations import (
     cheapest_subsets,
     check_clause,
     mask_of,
-    pair_slices,
     subset_sums,
     sum_oracle,
     valuation_from_json,
@@ -104,15 +103,6 @@ def test_budget_additive_values_and_clause():
     assert v.xos_clause({0, 1}) == {0: Fraction(2), 1: Fraction(1)}
     ok, _ = verify_class(v, "submodular")
     assert ok
-
-
-def test_pair_slices_pair_each_mask_with_its_bit_once():
-    for m in range(1, 9):
-        size = 1 << m
-        masks = list(range(size))
-        for bit in (1 << j for j in range(m)):
-            pairs = [p for lo, hi in pair_slices(size, bit) for p in zip(masks[lo], masks[hi])]
-            assert sorted(pairs) == [(t, t | bit) for t in masks if not t & bit]
 
 
 def test_table_rejects_non_monotone():
