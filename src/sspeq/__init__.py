@@ -1,7 +1,7 @@
 """Pure equilibria in simultaneous second-price auctions: algorithms,
 dynamics, and query adversaries, all in exact rational arithmetic."""
 
-from .money import Money, format_money, parse_money
+from .money import Money, checked_money, format_money, parse_money
 from .valuations import (
     AdditiveValuation,
     BudgetAdditiveValuation,

@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .money import Money, parse_money, rescale, scale_to_ints
+from .money import Money, checked_money, rescale, scale_to_ints
 from .valuations import (
     CapabilityError,
     DomainError,
@@ -33,7 +33,7 @@ SUBSET_CAP = 18
 
 
 def check_bids(bids, n=None, m=None):
-    rows = tuple(tuple(parse_money(x) for x in row) for row in bids)
+    rows = tuple(checked_money(row, "bids") for row in bids)
     if n is not None and len(rows) != n:
         raise DomainError(f"expected {n} bid rows, got {len(rows)}")
     if not rows:
@@ -43,8 +43,6 @@ def check_bids(bids, n=None, m=None):
         raise DomainError("ragged bid rows")
     if m is not None and width != m:
         raise DomainError(f"expected {m} items, got {width}")
-    if any(x < 0 for r in rows for x in r):
-        raise DomainError("bids must be nonnegative")
     return rows
 
 

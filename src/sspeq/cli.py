@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .money import format_money, parse_money
+from .money import format_money
 from .valuations import (
     CapabilityError,
     ConstructionError,
@@ -29,6 +29,7 @@ from .valuations import (
 )
 from .auction import (
     check_allocation,
+    check_bids,
     greedy_allocation,
     is_pure_nash_no_overbid,
     is_traditional,
@@ -98,10 +99,6 @@ def _jsonable(x):
     return x
 
 
-def _parse_bids(rows):
-    return tuple(tuple(parse_money(b) for b in row) for row in rows)
-
-
 def _ledgers(valuations):
     return [v.ledger.snapshot() for v in valuations]
 
@@ -169,7 +166,7 @@ def _load_instance(path):
         alloc = None
         if d.get("allocation") is not None:
             alloc = check_allocation(d["allocation"], d["n"], d["m"])
-        bids = _parse_bids(d["bids"]) if d.get("bids") else None
+        bids = check_bids(d["bids"], d["n"], d["m"]) if d.get("bids") else None
     return d, vals, alloc, bids
 
 
@@ -501,7 +498,7 @@ def cmd_verify(args):
     if args.bids:
         d = _load_json(args.bids)
         with _loading(args.bids):
-            bids = _parse_bids(d["bids"])
+            bids = check_bids(d["bids"], inst["n"], inst["m"])
     if bids is None:
         raise DomainError("verification needs bids (instance field or --bids)")
     ok, witnesses = is_pure_nash_no_overbid(vals, bids, alloc)

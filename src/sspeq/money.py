@@ -1,4 +1,9 @@
-"""Exact rational money helpers. Everything monetary is a Fraction."""
+"""Exact rational money helpers. Everything monetary is a Fraction.
+
+`parse_money` reads one amount. `checked_money` is the one entry for a money
+row or nonnegative scalar from outside (bids, prices, item values, clause
+weights, a budget, edge weights): parsed, and checked for length and sign.
+"""
 
 import math
 from fractions import Fraction
@@ -24,6 +29,22 @@ def parse_money(x):
         except (ValueError, ZeroDivisionError):
             raise DomainError(f"cannot parse money from {x!r}") from None
     raise TypeError(f"cannot parse money from {type(x).__name__}")
+
+
+def checked_money(xs, name: str, m=None) -> tuple:
+    """The row xs as a tuple of Fractions read by `parse_money` (a float entry
+    raises TypeError). A row that is not iterable, a length other than m where
+    m is given, or a negative entry raises DomainError naming `name`."""
+    try:
+        entries = iter(xs)
+    except TypeError:
+        raise DomainError(f"{name} must be a row of money, got {type(xs).__name__}") from None
+    row = tuple(map(parse_money, entries))
+    if m is not None and len(row) != m:
+        raise DomainError(f"expected {m} {name}, got {len(row)}")
+    if [x for x in row if x.numerator < 0]:  # ints compare far faster than Fractions
+        raise DomainError(f"{name} must be nonnegative")
+    return row
 
 
 def format_money(x) -> str:

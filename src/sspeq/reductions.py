@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .money import Money, format_money, parse_money
+from .money import Money, checked_money, format_money
 from .valuations import (
     ConstructionError,
     CoverageValuation,
@@ -273,9 +273,7 @@ class WeightedGraph:
             ends = checked_mask((u, v), self.vertices)
             if ends.bit_count() == 1:
                 raise DomainError("self-loops are not allowed")
-            w = parse_money(w)
-            if w < 0:
-                raise DomainError("edge weights must be >= 0")
+            (w,) = checked_money((w,), "edge weights")
             key = ((ends & -ends).bit_length() - 1, ends.bit_length() - 1)
             if key in seen:
                 raise DomainError("duplicate edge")
@@ -301,7 +299,7 @@ class WeightedGraph:
 
     @classmethod
     def from_json(cls, d):
-        return cls(d["vertices"], [(e[0], e[1], parse_money(e[2])) for e in d["edges"]])
+        return cls(d["vertices"], d["edges"])
 
 
 def maxcut_valuation(graph: WeightedGraph) -> CoverageValuation:

@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .money import DomainError, Money, format_money, parse_money, rescale, scale_to_ints
+from .money import DomainError, Money, checked_money, format_money, parse_money, rescale, scale_to_ints
 
 EXHAUSTIVE_DEMAND_CAP = 16
 TABLE_M_CAP = 20
@@ -338,15 +338,9 @@ class Valuation:
         return self._oracle
 
     def _check_prices(self, prices):
-        """(p, D): one price per item, parsed and scaled once to ints p[j] >= 0
+        """(p, D): one price per item, checked and scaled once to ints p[j] >= 0
         at their least common denominator D."""
-        prices = [parse_money(x) for x in prices]
-        if len(prices) != self.m:
-            raise DomainError(f"expected {self.m} prices, got {len(prices)}")
-        p, D = scale_to_ints(prices)
-        if min(p) < 0:
-            raise DomainError("prices must be nonnegative")
-        return p, D
+        return scale_to_ints(checked_money(prices, "prices", self.m))
 
     def _demand(self, p, D: int) -> int:
         """The mask of the demanded bundle at item prices p[j] / D, for ints
@@ -430,13 +424,8 @@ class AdditiveValuation(Valuation):
 
     def __init__(self, m: int, item_values):
         super().__init__(m)
-        item_values = tuple(parse_money(x) for x in item_values)
-        if len(item_values) != m:
-            raise DomainError(f"need {m} item values, got {len(item_values)}")
-        if any(x < 0 for x in item_values):
-            raise DomainError("item values must be nonnegative")
-        self.item_values = item_values
-        self._weights, self._D = scale_to_ints(item_values)
+        self.item_values = checked_money(item_values, "item values", m)
+        self._weights, self._D = scale_to_ints(self.item_values)
         self._oracle = sum_oracle(self._weights), self._D
 
     def value_table(self):
@@ -464,17 +453,10 @@ class BudgetAdditiveValuation(Valuation):
 
     def __init__(self, m: int, budget, item_values):
         super().__init__(m)
-        self.budget = parse_money(budget)
-        if self.budget < 0:
-            raise DomainError("budget must be nonnegative")
-        item_values = tuple(parse_money(x) for x in item_values)
-        if len(item_values) != m:
-            raise DomainError(f"need {m} item values, got {len(item_values)}")
-        if any(x < 0 for x in item_values):
-            raise DomainError("item values must be nonnegative")
-        self.item_values = item_values
+        (self.budget,) = checked_money((budget,), "budget")
+        self.item_values = checked_money(item_values, "item values", m)
         # the budget is scaled with the weights, to one common denominator
-        (*self._weights, self._budget), self._D = scale_to_ints(item_values + (self.budget,))
+        (*self._weights, self._budget), self._D = scale_to_ints(self.item_values + (self.budget,))
         self._oracle = sum_oracle(self._weights, self._budget), self._D
 
     def value_table(self):
@@ -531,19 +513,11 @@ class XOSExplicitValuation(Valuation):
 
     def __init__(self, m: int, clauses):
         super().__init__(m)
-        parsed = []
-        for c in clauses:
-            row = tuple(parse_money(x) for x in c)
-            if len(row) != m:
-                raise DomainError(f"clause needs {m} weights, got {len(row)}")
-            if any(x < 0 for x in row):
-                raise DomainError("clause weights must be nonnegative")
-            parsed.append(row)
-        if not parsed:
+        self.clauses = [checked_money(c, "clause weights", m) for c in clauses]
+        if not self.clauses:
             raise DomainError("need at least one clause")
-        self.clauses = parsed
-        flat, D = scale_to_ints([x for c in parsed for x in c])
-        self._sums = sums = [sum_oracle(flat[r * m : (r + 1) * m]) for r in range(len(parsed))]
+        flat, D = scale_to_ints([x for c in self.clauses for x in c])
+        self._sums = sums = [sum_oracle(flat[r * m : (r + 1) * m]) for r in range(len(self.clauses))]
         self._oracle = (lambda mask: max(f(mask) for f in sums)), D
 
     def _xos_clause(self, mask):
@@ -572,12 +546,10 @@ class CoverageValuation(Valuation):
         super().__init__(m)
         parsed = []
         for u, v, w in edges:
-            w = parse_money(w)
             ends = checked_mask((u, v), m)
             if ends.bit_count() == 1:
                 raise DomainError(f"self-loop at vertex {u}")
-            if w < 0:
-                raise DomainError("edge weights must be nonnegative")
+            (w,) = checked_money((w,), "edge weights")
             parsed.append(((ends & -ends).bit_length() - 1, ends.bit_length() - 1, w))
         self.edges = parsed
         self._weights, self._D = scale_to_ints([w for _, _, w in parsed])

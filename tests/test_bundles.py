@@ -110,7 +110,7 @@ def test_a_stale_sensitive_oracle_raises_instead_of_flooring():
         mv.value({0, 1, 2, 3, 4})
 
 
-def instance_with(allocation=None, valuations=None, m=3):
+def instance_with(allocation=None, valuations=None, m=3, bids=None):
     return {
         "n": 2,
         "m": m,
@@ -119,7 +119,7 @@ def instance_with(allocation=None, valuations=None, m=3):
             {"kind": "additive", "m": m, "items": ["3/1", "2/1", "1/1"]},
         ],
         "allocation": allocation,
-        "bids": [["0/1"] * m, ["1/1"] * m],
+        "bids": bids or [["0/1"] * m, ["1/1"] * m],
     }
 
 
@@ -132,6 +132,9 @@ BAD_FILES = {
         {"kind": "sensitive", "m": 9, "g": 1, "h": 2, "k_map": [[[-1, 0, 1, 2, 3], "1/8"]]},
         {"kind": "sensitive", "m": 9, "g": 1, "h": 2},
     ], m=9),
+    "bids-negative": instance_with(bids=[["0/1"] * 3, ["1/1", "-1/1", "0/1"]]),
+    "bids-not-a-row": instance_with(bids=[["0/1"] * 3, 5]),
+    "bids-too-wide": instance_with(bids=[["0/1"] * 4, ["1/1"] * 4]),
 }
 COMMANDS = {
     "steal": ["steal", "--init", "instance", "--instance"],
@@ -152,4 +155,4 @@ def test_a_bad_bundle_in_a_file_exits_2_with_one_error_line(case, command, tmp_p
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot load {path}: ") and proc.stderr.count("\n") == 1, proc.stderr

@@ -4,15 +4,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sspeq.auction import resolve
+from sspeq.auction import check_bids, check_no_overbidding, resolve
+from sspeq.hardness import SensitiveValuation, sparse_demand_oracle
 from sspeq.money import (
+    checked_money,
     format_money,
     money_gcd,
     parse_money,
     rescale,
     scale_to_ints,
 )
-from sspeq.valuations import AdditiveValuation, DomainError
+from sspeq.reductions import WeightedGraph
+from sspeq.valuations import (
+    AdditiveValuation,
+    BudgetAdditiveValuation,
+    CoverageValuation,
+    DomainError,
+    XOSExplicitValuation,
+)
 
 
 def test_parse_accepts_fraction_int_string():
@@ -42,6 +51,56 @@ MALFORMED = {
 def test_a_malformed_money_string_raises_domain_error(case):
     with pytest.raises(DomainError, match="cannot parse money from '"):
         MALFORMED[case]()
+
+
+def test_checked_money_reads_any_row_of_money():
+    row = checked_money(iter(["1/2", 3, Fraction(0)]), "prices", 3)
+    assert row == (Fraction(1, 2), Fraction(3), Fraction(0))
+    assert all(type(x) is Fraction for x in row)
+    assert checked_money([], "bids") == ()
+    with pytest.raises(TypeError):
+        checked_money([1, 0.5], "bids")
+
+
+# a row that is not iterable, at every face that reads a money row
+NOT_A_ROW = {
+    "additive-items": lambda: AdditiveValuation(2, 5),
+    "demand-prices": lambda: AdditiveValuation(2, (1, 1)).demand(5),
+    "bids-row": lambda: check_bids([5]),
+    "overbidding-row": lambda: check_no_overbidding(AdditiveValuation(2, (1, 1)), 5),
+    "sparse-demand-prices": lambda: sparse_demand_oracle(SensitiveValuation(9, g=1, h=2), 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_ROW))
+def test_a_money_row_that_is_not_iterable_raises_domain_error(case):
+    with pytest.raises(DomainError, match="must be a row of money, got int"):
+        NOT_A_ROW[case]()
+
+
+# the message of every face whose money goes through checked_money
+MONEY_MESSAGES = {
+    "prices-width": (lambda: AdditiveValuation(2, (1, 1)).demand([1]), "expected 2 prices, got 1"),
+    "prices-sign": (lambda: AdditiveValuation(2, (1, 1)).demand([1, -1]), "prices must be nonnegative"),
+    "items-width": (lambda: AdditiveValuation(2, (1,)), "expected 2 item values, got 1"),
+    "items-sign": (lambda: AdditiveValuation(2, (1, "-1/2")), "item values must be nonnegative"),
+    "budget-items-width": (
+        lambda: BudgetAdditiveValuation(2, 3, (1, 1, 1)), "expected 2 item values, got 3"
+    ),
+    "budget-sign": (lambda: BudgetAdditiveValuation(2, -3, (1, 1)), "budget must be nonnegative"),
+    "clause-width": (lambda: XOSExplicitValuation(2, [(1, 1), (1,)]), "expected 2 clause weights, got 1"),
+    "clause-sign": (lambda: XOSExplicitValuation(2, [(1, -1)]), "clause weights must be nonnegative"),
+    "coverage-sign": (lambda: CoverageValuation(2, [(0, 1, -1)]), "edge weights must be nonnegative"),
+    "graph-sign": (lambda: WeightedGraph(2, [(0, 1, "-1")]), "edge weights must be nonnegative"),
+    "bids-sign": (lambda: check_bids([[1, -1]]), "bids must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MONEY_MESSAGES))
+def test_every_money_face_names_its_row(case):
+    call, message = MONEY_MESSAGES[case]
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
 
 
 def test_format_always_has_denominator():
