@@ -21,6 +21,7 @@ from .valuations import (
     DomainError,
     Valuation,
     better_demand,
+    checked_count,
     checked_mask,
     iter_bits,
     mask_of,
@@ -167,6 +168,7 @@ register_kind(
 def equilibrium_witness(system: SetPairSystem, flags1, flags2, k: int):
     """Tiny bids on the commonly flagged pair; both utilities are exactly 2."""
     flags1, flags2 = _check_flags(system, flags1), _check_flags(system, flags2)
+    k = checked_count(k, "pair index")
     if not (0 <= k < system.count()):
         raise DomainError("pair index out of range")
     if not (flags1[k] == 1 and flags2[k] == 1):
@@ -325,7 +327,7 @@ def local_max_check(valuations, alloc):
 
 def local_max_bids(valuations, alloc):
     """Procedure bids (owner-first marginal ordering) for a local maximum."""
-    return compute_bids(valuations, alloc, owner_first(alloc, valuations[0].m))
+    return compute_bids(valuations, alloc, owner_first(alloc, item_count(valuations)))
 
 
 @dataclass

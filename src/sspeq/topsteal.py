@@ -269,7 +269,8 @@ def _top_steal_rec(valuations, rows, D, alloc, active, t, steals):
             sub_rows = _reread(sub_rows, i, sub_vals[i], D, erased)
     for v in valuations:  # the scan that checks the fall to t-1
         v.ledger.value += len(active)
-    assert all(sum(row[j] > 0 for row in sub_rows) <= t - 1 for j in active)
+    if any(sum(row[j] > 0 for row in sub_rows) >= t for j in active):
+        raise DomainError(f"a pin lifted a non-submodular bidder's marginal singletons above the {t}-restriction")
     out_alloc, out_bids, child = _top_steal_rec(sub_vals, sub_rows, D, alloc, active, t - 1, steals)
     restricted = tuple(S & active for S in out_alloc)
     if find_steal(valuations, restricted, out_bids) is None:

@@ -155,31 +155,42 @@ def _kept_lane_masks(nbytes, size):
 
 
 def _subset_max(row):
-    """Per mask, the largest entry of `row` over its submasks, one bit at a
-    time: each mask with the bit takes the larger of itself and its partner
-    without it. The row, less its minimum, is packed into one int of 8, 16,
-    32 or 64-bit lanes, the narrowest whose top (guard) bit no entry
-    reaches. A pass moves the partners up with one shift of the lanes
-    `lane_masks` keeps, and ((X | H) - Y) & H leaves a lane's guard bit set
-    where X >= Y; the other lanes take Y. A row that needs wider lanes runs
-    as its ranks, with ties in index order, and each rank maps back to its
-    entry: a subset max commutes with any increasing map, and tied ranks
-    stand for equal entries."""
+    """Per mask, the largest entry of `row` over its submasks, unpacked from `_max_lanes`."""
+    _, X, nbytes, lo, order = _max_lanes(row)
+    lanes = array(LANE_CODES[nbytes], X.to_bytes(nbytes * len(row), "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    if order is None:
+        return [x + lo for x in lanes]
+    return [row[order[r]] for r in lanes]
+
+
+def _max_lanes(row):
+    """(X0, X, nbytes, lo, order): the row less its minimum lo packed into one
+    int X0 of 8, 16, 32 or 64-bit lanes (nbytes bytes), the narrowest whose
+    top (guard) bit no entry reaches, and X, its subset max by bit: each
+    mask with the bit takes the larger of itself and its partner without it.
+    A pass shifts the partners up by the lanes `lane_masks` keeps, and
+    ((X | H) - Y) & H sets a lane's guard bit where X >= Y; the other lanes
+    take Y. A row that needs wider lanes runs as its ranks (ties in index
+    order, so a mask outranks its submasks of equal entry; lo is 0 and
+    order[r] the index of rank r, else order is None): a subset max commutes
+    with any increasing map."""
     lo = min(row)
     span = max(row) - lo
     size = len(row)
-    nbytes = next((k for k in LANE_CODES if span >> (8 * k - 1) == 0), None)
-    if nbytes is None:
+    order = None
+    if span >> 63:
         order = sorted(range(size), key=row.__getitem__)
-        ranks = [0] * size
+        row, lo, span = [0] * size, 0, size - 1
         for r, i in enumerate(order):
-            ranks[i] = r
-        return [row[order[r]] for r in _subset_max(ranks)]
+            row[i] = r
+    nbytes = next(k for k in LANE_CODES if span >> (8 * k - 1) == 0)
     width = 8 * nbytes
-    lanes = array(LANE_CODES[nbytes], [x - lo for x in row])
+    lanes = array(LANE_CODES[nbytes], [x - lo for x in row] if lo else row)
     if sys.byteorder == "big":
         lanes.byteswap()
-    X = int.from_bytes(lanes, "little")
+    X0 = X = int.from_bytes(lanes, "little")
     guard = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
     shift = width
     for keep in lane_masks(nbytes, size):
@@ -188,10 +199,7 @@ def _subset_max(row):
         if below:
             X ^= (X ^ Y) & (below - (below >> width - 1))
         shift *= 2
-    lanes = array(LANE_CODES[nbytes], X.to_bytes(nbytes * size, "little"))
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return [x + lo for x in lanes]
+    return X0, X, nbytes, lo, order
 
 
 def cheapest_subsets(costs, k):
@@ -395,12 +403,12 @@ class TableValuation(Valuation):
         super().__init__(m)
         if m > TABLE_M_CAP:
             raise CapabilityError(f"table valuation capped at m={TABLE_M_CAP}, got {m}")
-        values = [parse_money(x) for x in values]
-        if len(values) != 1 << m:
-            raise DomainError(f"need {1 << m} table entries, got {len(values)}")
-        if values[0] != 0:
+        # the parsed Fractions die here, before the monotone check runs
+        self._ints, self._D = scale_to_ints([parse_money(x) for x in values])
+        if len(self._ints) != 1 << m:
+            raise DomainError(f"need {1 << m} table entries, got {len(self._ints)}")
+        if self._ints[0] != 0:
             raise DomainError("v(empty) must be 0")
-        self._ints, self._D = scale_to_ints(values)
         self._oracle = self._ints.__getitem__, self._D
         if validate:
             drop = _first_monotone_drop(self._ints, m)
@@ -652,10 +660,10 @@ def verify_class(v: Valuation, cls: str):
 
 def _first_monotone_drop(vals, m: int):
     """(mask, item) of the first vals[S] > vals[S + j] in (mask, item) order,
-    or None. A table is monotone iff every mask already holds its submask
-    max, which one `_subset_max` decides; the ordered scan runs only to name
-    the first drop."""
-    if _subset_max(vals) == vals:
+    or None. A table is monotone iff every mask holds its submask max, that is
+    iff the packed subset max equals the packed row; the scan names the drop."""
+    X0, X, *_ = _max_lanes(vals)
+    if X == X0:
         return None
     n = 1 << m
     for mask in range(n):
@@ -753,6 +761,8 @@ def register_kind(kind: str, loader):
 
 
 def valuation_from_json(d: dict) -> Valuation:
+    if not isinstance(d, dict):
+        raise DomainError(f"a valuation must be a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind not in _LOADERS:
         raise DomainError(f"unknown valuation kind {kind!r}")

@@ -704,7 +704,10 @@ def reference_top_steal(valuations, init_alloc, t=None):
             if erased:
                 sub_vals[i] = ErasedValuation(vals[i], erased)
         sub_info = competitors(sub_vals, int_oracles(sub_vals)[0], active)
-        assert all(len(d["competitors"]) <= t - 1 for d in sub_info.values())
+        if any(len(d["competitors"]) > t - 1 for d in sub_info.values()):
+            raise DomainError(
+                f"a pin lifted a non-submodular bidder's marginal singletons above the {t}-restriction"
+            )
         out_alloc, out_bids, child = rec(sub_vals, alloc, active, t - 1, steals)
         restricted = tuple(S & active for S in out_alloc)
         if find_steal(vals, restricted, out_bids) is None:

@@ -132,6 +132,7 @@ BAD_FILES = {
         {"kind": "sensitive", "m": 9, "g": 1, "h": 2, "k_map": [[[-1, 0, 1, 2, 3], "1/8"]]},
         {"kind": "sensitive", "m": 9, "g": 1, "h": 2},
     ], m=9),
+    "valuation-null": instance_with(valuations=[None, None]),
     "bids-negative": instance_with(bids=[["0/1"] * 3, ["1/1", "-1/1", "0/1"]]),
     "bids-not-a-row": instance_with(bids=[["0/1"] * 3, 5]),
     "bids-too-wide": instance_with(bids=[["0/1"] * 4, ["1/1"] * 4]),

@@ -1,7 +1,7 @@
 """No module of the library or the suite imports a name it never uses, the
-library imports nothing outside the standard library, and every
-`CapabilityError` the library raises names the cap it hit, a cap that some
-test names too.
+library imports nothing outside the standard library and holds no `assert`,
+and every `CapabilityError` the library raises names the cap it hit, a cap
+that some test names too.
 
 No linter ships with the project, so these AST scans are the check. Package
 `__init__.py` files are skipped by the unused-name scan (their imports are
@@ -91,6 +91,33 @@ def test_scan_flags_a_planted_third_party_import():
         "    from sympy.solvers.simplex import linprog\n"
     )
     assert third_party_imports(source) == [(5, "sympy"), (6, "sympy.solvers.simplex")]
+
+
+def assert_statements(source):
+    """Sorted line of every `assert` statement, at any depth of the module."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def test_library_has_no_assert():
+    # an assert vanishes under `python -O` and otherwise escapes as a bare
+    # AssertionError; the library raises a named error instead
+    paths = sorted((ROOT / "src" / "sspeq").glob("*.py"))
+    assert len(paths) > 5
+    hits = [f"{p.relative_to(ROOT)}:{line}" for p in paths for line in assert_statements(p.read_text())]
+    assert hits == []
+
+
+def test_assert_scan_flags_a_planted_assert():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        assert x > 0, 'positive'\n"
+        "    return 'assert x'\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        assert self\n"
+    )
+    assert assert_statements(source) == [3, 7]
 
 
 def cap_raises(source):

@@ -337,3 +337,20 @@ def test_equilibrium_not_local_max_search_checks_its_witness():
     assert ok
     is_lm, _ = local_max_check(vals, found.alloc)
     assert not is_lm
+
+
+# a README face that read its input before any check
+BAD_SHAPES = {
+    "local-max-no-bidders": (lambda: local_max_bids([], []), "need at least one bidder"),
+    "witness-float-index": (
+        lambda: equilibrium_witness(SetPairSystem(4, [({0}, {1})]), (1,), (1,), 0.0),
+        "pair index must be an int",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_a_bad_shape_at_a_readme_face_raises_domain_error(case):
+    call, message = BAD_SHAPES[case]
+    with pytest.raises(DomainError, match=message):
+        call()
