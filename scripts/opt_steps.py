@@ -6,8 +6,9 @@ the middle bidder's table that were evaluated: 2^|R| for each full walk of
 a mask R (the seed and the pick that recovers the middle bidder's bundle)
 plus every split `_split_above` reads, and the range bounds it checks.
 Walking every mask once is 3^m steps. Also counts the distinct masks
-searched and all steps taken (every split evaluated and m * 2^m per subset
-max) next to the bound the DP is capped by before it starts. The counts
+searched and all steps taken (every split evaluated and m * 2^m per run of
+the lane passes, `max_passes`: bidder 0's subset max and the bound's A and
+B) next to the bound the DP is capped by before it starts. The counts
 come from one pass with counting wrappers installed; the timings from a
 second pass without them, each instance's call timed five times and the
 fastest kept, and `optimal_welfare_ms_mean` is the mean of those.
@@ -16,9 +17,10 @@ fastest kept, and `optimal_welfare_ms_mean` is the mean of those.
 `additive-tie` and `budget-tie`, three identical additive or
 budget-additive bidders with weights 1 or 2, where many allocations reach
 OPT and the bound ties across many t; `wide`, the certify instances with
-every value times 2^64, whose subset-max rows need lanes wider than 64
-bits and so run as their ranks. Each run prints one line, so families are
-timed side by side by running it once per family.
+every value times 2^64, whose subset-max and bound rows need lanes wider
+than 64 bits and so run on lanes of as many 64-bit words as they need.
+Each run prints one line, so families are timed side by side by running it
+once per family.
 
     PYTHONPATH=src python scripts/opt_steps.py [--seed 31] [--instances 30] [--m 10]
         [--family certify]
@@ -38,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from workloads import gen_coverage, gen_submodular_table  # noqa: E402
 
-from sspeq import auction  # noqa: E402
+from sspeq import auction, valuations  # noqa: E402
 from sspeq.valuations import (  # noqa: E402
     AdditiveValuation,
     BudgetAdditiveValuation,
@@ -82,25 +84,29 @@ def main() -> None:
     args = ap.parse_args()
     instances = [instance(args.family, random.Random(f"{args.family}/{args.seed}/{r}"), args.m)
                  for r in range(args.instances)]
-    walk, search, subset_max = auction._best_split, auction._split_above, auction._subset_max
+    walk, search, passes = auction._best_split, auction._split_above, valuations.max_passes
     walked, searched, maxed = [], [], []
 
     def counted(prev, vals, mask):
         walked.append((id(vals), 1 << mask.bit_count()))
         return walk(prev, vals, mask)
 
-    def counted_search(a, b, A, B, ps, first, R, floor):
+    def counted_search(a, b, A, B, pR, first, R, floor):
         row, bounds = Reads(a), Reads(A)
         try:
-            return search(row, b, bounds, B, ps, first, R, floor)
+            return search(row, b, bounds, B, pR, first, R, floor)
         finally:
             searched.append((id(a), R, row.reads, bounds.reads))
 
-    def counted_max(row):
-        maxed.append(args.m * len(row))
-        return subset_max(row)
+    def counted_passes(X, nbytes, size):
+        maxed.append(args.m * size)
+        return passes(X, nbytes, size)
 
-    auction._best_split, auction._split_above, auction._subset_max = counted, counted_search, counted_max
+    def install(split, split_above, max_passes):
+        auction._best_split, auction._split_above = split, split_above
+        auction.max_passes = valuations.max_passes = max_passes
+
+    install(counted, counted_search, counted_passes)
     steps, checks, masks, total = [], [], [], []
     for vals in instances:
         walked.clear()
@@ -113,7 +119,7 @@ def main() -> None:
         steps.append(sum(n for i, n in walked if i == middle) + split_reads)
         checks.append(sum(bound_reads for _, _, _, bound_reads in searched))
         total.append(sum(n for _, n in walked) + split_reads + sum(maxed))
-    auction._best_split, auction._split_above, auction._subset_max = walk, search, subset_max
+    install(walk, search, passes)
 
     def timed(vals):
         start = time.perf_counter()

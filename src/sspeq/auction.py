@@ -10,8 +10,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 
-from .money import Money, checked_money, rescale, scale_to_ints
+from .money import Money, checked_iter, checked_money, rescale, scale_to_ints
 from .valuations import (
     CapabilityError,
     DomainError,
@@ -21,10 +22,13 @@ from .valuations import (
     bundle_of,
     checked_count,
     checked_mask,
+    lane_bytes,
     lane_masks,
-    mask_of,
+    max_passes,
+    pack_lanes,
     priced_table,
     subset_sums,
+    unpack_lanes,
 )
 
 OPT_WORK_CAP = 40_000_000
@@ -33,7 +37,7 @@ SUBSET_CAP = 18
 
 
 def check_bids(bids, n=None, m=None):
-    rows = tuple(checked_money(row, "bids") for row in bids)
+    rows = tuple(checked_money(row, "bids") for row in checked_iter(bids, "bids must be a list of rows"))
     if n is not None and len(rows) != n:
         raise DomainError(f"expected {n} bid rows, got {len(rows)}")
     if not rows:
@@ -48,23 +52,35 @@ def check_bids(bids, n=None, m=None):
 
 def resolve(bids):
     """Allocation and payments. Every item is assigned: highest bid wins,
-    ties to the lowest bidder index; payment is the highest rival bid."""
-    bids = check_bids(bids)
-    n, m = len(bids), len(bids[0])
-    owned = [[] for _ in range(n)]
-    payments = [Fraction(0)] * n
-    for j in range(m):
-        winner = 0
-        for i in range(1, n):
-            if bids[i][j] > bids[winner][j]:
-                winner = i
-        owned[winner].append(j)
-        rival = Fraction(0)
-        for i in range(n):
-            if i != winner and bids[i][j] > rival:
-                rival = bids[i][j]
-        payments[winner] += rival
-    return tuple(frozenset(s) for s in owned), tuple(payments)
+    ties to the lowest bidder index; payment is the highest rival bid (`_resolve`)."""
+    rows, D = _int_bids(bids)
+    won, paid = _resolve(rows)
+    return tuple(map(bundle_of, won)), tuple(Fraction(x, D) for x in paid)
+
+
+def _int_bids(bids, n=None, m=None):
+    """(int rows, D): the rows of `check_bids` at their least common denominator D."""
+    rows = check_bids(bids, n, m)
+    flat, D = scale_to_ints([x for row in rows for x in row])
+    width = len(rows[0])
+    return [flat[k * width : k * width + width] for k in range(len(rows))], D
+
+
+def _resolve(rows):
+    """resolve on int bid rows: per bidder the mask won and the int sum paid.
+    An item goes to its first largest bid and costs the largest other bid."""
+    won, paid = [0] * len(rows), [0] * len(rows)
+    for j, col in enumerate(zip(*rows)):
+        i = col.index(max(col))
+        won[i] |= 1 << j
+        paid[i] += max(col[:i] + col[i + 1 :], default=0)
+    return won, paid
+
+
+def _rival_max(rows, i):
+    """Per item, the largest int bid of the bidders but i, or 0; the zero rows keep `max` at two rows."""
+    zeros = [0] * len(rows[i])
+    return list(map(max, zeros, zeros, *rows[:i], *rows[i + 1 :]))
 
 
 def prices_from_bids(bids):
@@ -133,6 +149,7 @@ def optimal_welfare(valuations):
     stops at the first (bound, t) below the best (welfare, t) found: every
     later t has a smaller (welfare, t) pair, so ties still go to the
     largest t. `_split_above` narrows W and U to find each t's split.
+    `_split_bound` gives these rows less constants that sum to c (see there).
 
     Refuses, before any table is built, when `_opt_step_bound(n, m)` exceeds
     OPT_WORK_CAP."""
@@ -155,20 +172,20 @@ def optimal_welfare(valuations):
         best, bestT = _best_split(rows[-1], tables[-1], full)
     else:
         before, middle, last = rows[-1], tables[-2], tables[-1]
-        A, B, ps = _split_bound(middle, before, _item_prices(tables, m))
+        A, B, rest, ub, c = _split_bound(middle, before, _item_prices(tables, m))
         first = _branch_items(A, B)
-        ub = [x + y + p for x, y, p in zip(A, B, ps)]
-        bound = [x + y for x, y in zip(last, reversed(ub))]
+        bound = list(map(operator.add, last, reversed(ub)))
         # seed with the largest (bound, t); it heads the sorted candidates
-        _, bestT = max(zip(bound, range(size)))
+        bestT = full - bound[::-1].index(max(bound))
         best = last[bestT] + _best_split(before, middle, full ^ bestT)[0]
-        cands = sorted(((b, t) for t, b in enumerate(bound) if b >= best), reverse=True)
+        kept = compress(range(size), map((best - c).__le__, bound))
+        cands = sorted(((bound[t], t) for t in kept), reverse=True)
         for b, t in cands[1:]:
-            if (b, t) < (best, bestT):
+            if (b + c, t) < (best, bestT):
                 break
             # (last[t] + split, t) beats (best, bestT) iff split > floor
             floor = best - last[t] - (t > bestT)
-            split = _split_above(middle, before, A, B, ps, first, full ^ t, floor)
+            split = _split_above(middle, before, A, B, c - rest[full ^ t], first, full ^ t, floor)
             if split is not None:
                 best, bestT = last[t] + split, t
     picks = [0] * n
@@ -202,14 +219,22 @@ def _best_split(prev, vals, mask):
 
 
 def _split_bound(a, b, prices):
-    """(A, B, ps) for int item prices: ps the price of every mask, A and B
-    the subset maxes of a - ps and b - ps (see `optimal_welfare`). These
-    rows are not monotone, so every pass of `_subset_max` changes lanes;
-    each row gets lanes as wide as its own span needs."""
-    ps = subset_sums(prices)
-    A = _subset_max([x - p for x, p in zip(a, ps)])
-    B = _subset_max([x - p for x, p in zip(b, ps)])
-    return A, B, ps
+    """(A, B, rest, ub, c) for int item prices p, ps = p(mask), P the sum of
+    the positive prices: A, B the subset maxes of a - ps, b - ps (see
+    `optimal_welfare`) less min(a) - P, min(b) - P; rest = P - ps, packed by
+    doubling; ub = A + B - rest; c = min(a) + min(b) - P: A[U] + B[V] + c -
+    rest[R] and ub[R] + c are exact. A and B stay below the lanes' guard bit."""
+    size, lo_a, lo_b = len(a), min(a), min(b)
+    nbytes = lane_bytes(max(max(a) - lo_a, max(b) - lo_b) + sum(map(abs, prices)))
+    rest, ones, shift = 0, 1, 8 * nbytes
+    for p in prices:
+        rest = rest + max(p, 0) * ones | (rest + max(-p, 0) * ones) << shift
+        ones |= ones << shift
+        shift *= 2
+    A = max_passes(pack_lanes(a, lo_a, nbytes) + rest, nbytes, size)
+    B = max_passes(pack_lanes(b, lo_b, nbytes) + rest, nbytes, size)
+    rows = (unpack_lanes(X, nbytes, size) for X in (A, B, rest, A + B - rest))
+    return (*rows, lo_a + lo_b - sum(p for p in prices if p > 0))
 
 
 def _branch_items(A, B):
@@ -220,17 +245,18 @@ def _branch_items(A, B):
     left = {1 << j: A[full ^ 1 << j] + B[full ^ 1 << j] for j in range(full.bit_length())}
     first = [0]
     for bit in left:
-        first += [x if x and left[x] <= left[bit] else bit for x in first]
+        kept = {x: x for x in left if left[x] <= left[bit]}
+        first += list(map(kept.get, first, repeat(bit)))
     return first
 
 
-def _split_above(a, b, A, B, ps, first, R, floor):
+def _split_above(a, b, A, B, pR, first, R, floor):
     """The best split, max of a[s] + b[R ^ s] over submasks s of R, if it
     exceeds `floor`, else None. Branch and bound on ranges W <= s <= U,
     split on the item first[U ^ W]: a range is kept only while its bound
-    A[U] + B[R ^ W] + ps[R] (`_split_bound`) beats the best split found.
-    Ranges never overlap, so at most the 2^|R| splits of R are evaluated."""
-    best, pR = floor, ps[R]
+    A[U] + B[R ^ W] + pR (`_split_bound`, pR = ps[R] + c) beats the best
+    split found. Ranges never overlap, so at most R's 2^|R| splits are read."""
+    best = floor
     ranges = [(0, R)] if A[R] + B[R] + pR > best else []
     while ranges:
         W, U = ranges.pop()
@@ -266,19 +292,19 @@ def check_no_overbidding(v: Valuation, bid_row):
     For monotone valuations it is enough to check subsets of the support,
     so only the support's submasks are ever evaluated, in descending order.
     """
-    (bid_row,) = check_bids([bid_row])
-    if len(bid_row) != v.m:
+    (row,), D = _int_bids([bid_row])
+    if len(row) != v.m:
         raise DomainError("valuation does not match bid width")
-    return _no_overbidding(v.int_oracle(), bid_row)
+    return _no_overbidding(v.int_oracle(), row, D)
 
 
-def _no_overbidding(oracle, bid_row):
-    """check_no_overbidding on an oracle (f, Dv) with f(mask) == Dv * v(mask)."""
+def _no_overbidding(oracle, row, D):
+    """check_no_overbidding on an oracle (f, Dv), f(mask) == Dv * v(mask), and int bids at D."""
     f, Dv = oracle
-    support = [j for j, x in enumerate(bid_row) if x > 0]
+    support = [j for j, x in enumerate(row) if x > 0]
     if len(support) > SUBSET_CAP:
         raise CapabilityError(f"no-overbidding check capped at support size {SUBSET_CAP}")
-    bids, D = scale_to_ints([bid_row[j] for j in support])
+    bids = [row[j] for j in support]
     # index c counts over the support; sub[c] is the item mask it stands for
     sub = subset_sums([1 << j for j in support])
     total = subset_sums(bids)
@@ -297,12 +323,6 @@ class Deviation:
     payment: Money
 
 
-def _rival_prices(bids, i):
-    """Per item, the highest bid of the bidders other than i."""
-    return [max((row[j] for k, row in enumerate(bids) if k != i), default=Fraction(0))
-            for j in range(len(bids[0]))]
-
-
 def best_deviation(valuations, i: int, bids) -> Deviation:
     """Best strictly-winnable response for bidder i against the rivals' bids.
 
@@ -313,37 +333,35 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
     i = checked_count(i, "bidder")
     if not 0 <= i < len(valuations):
         raise DomainError(f"bidder {i} not within 0..{len(valuations) - 1}")
-    bids = check_bids(bids, n=len(valuations))
-    m = len(bids[0])
+    rows, D = _int_bids(bids, n=len(valuations))
+    m = len(rows[0])
     v = valuations[i]
     if v.m != m:
         raise DomainError("valuation does not match bid width")
     if m > SUBSET_CAP:
         raise CapabilityError(f"best deviation capped at m={SUBSET_CAP}")
-    return _best_deviation(v.value_table(), _rival_prices(bids, i))
+    return _best_deviation(v.value_table(), (_rival_max(rows, i), D))
 
 
 def _best_deviation(table, prices) -> Deviation:
     """best_deviation on the deviator's value table (ints, Dv) and the
-    rival prices, all at one common denominator. A mask is blocked iff it
-    has a nonempty submask S with psum[S] >= vals[S]. One int holds a byte
-    per mask, set where psum >= vals (mask 0 cleared), and is closed
-    upward bit by bit: each mask without bit `half` ORs its byte into
-    mask | half, a shift by 8 * half bits of the bytes `lane_masks` keeps."""
-    vals, psum, D = priced_table(table, scale_to_ints(prices))
+    rival prices (p, Dp), ints at their denominator. A mask is free iff each
+    nonempty submask S has psum[S] < vals[S]. One int holds a byte per mask,
+    1 where psum < vals (and at mask 0), and is closed downward bit by bit:
+    each mask without bit `half` ANDs its byte into mask | half, a shift by
+    8 * half bits of the bytes `lane_masks` keeps."""
+    vals, psum, D = priced_table(table, prices)
     size = len(vals)
-    bits = int.from_bytes(bytes(map(operator.ge, psum, vals)), "little") >> 8 << 8
+    bits = int.from_bytes(bytes(map(operator.lt, psum, vals)), "little") | 1
     shift = 8
     for keep in lane_masks(1, size):
-        bits |= (bits & keep) << shift
+        bits &= (bits & keep) << shift | keep
         shift *= 2
-    blocked = bits.to_bytes(size, "little")
     best_u, best = 0, 0
-    for mask in range(1, size):
-        if not blocked[mask]:
-            u = vals[mask] - psum[mask]
-            if u >= best_u and better_demand(u, mask, best_u, best):
-                best_u, best = u, mask
+    for mask in compress(range(size), bits.to_bytes(size, "little")):
+        u = vals[mask] - psum[mask]
+        if u >= best_u and better_demand(u, mask, best_u, best):
+            best_u, best = u, mask
     return Deviation(Fraction(best_u, D), bundle_of(best), Fraction(psum[best], D))
 
 
@@ -353,23 +371,21 @@ def is_pure_nash_no_overbid(valuations, bids, alloc=None):
     a mismatch first, then overbidding and deviations, each by bidder.
     Both checks of a bidder read one value table of it."""
     m = item_count(valuations)
-    bids = check_bids(bids, n=len(valuations), m=m)
+    rows, D = _int_bids(bids, n=len(valuations), m=m)
     if m > SUBSET_CAP:
         raise CapabilityError(f"equilibrium check capped at m={SUBSET_CAP}")
-    res_alloc, payments = resolve(bids)
+    won, paid = _resolve(rows)
     witnesses = []
-    if alloc is not None:
-        alloc = check_allocation(alloc, len(valuations), m)
-        if tuple(alloc) != res_alloc:
-            witnesses.append({"kind": "allocation-mismatch", "resolved": res_alloc})
+    if alloc is not None and allocation_masks(alloc, len(valuations), m) != won:
+        witnesses.append({"kind": "allocation-mismatch", "resolved": tuple(map(bundle_of, won))})
     deviations = []
     for i, v in enumerate(valuations):
-        vals, D = table = v.value_table()
-        ok, w = _no_overbidding((vals.__getitem__, D), bids[i])
+        vals, Dv = table = v.value_table()
+        ok, w = _no_overbidding((vals.__getitem__, Dv), rows[i], D)
         if not ok:
             witnesses.append({"kind": "overbidding", "bidder": i, **w})
-        current = Fraction(vals[mask_of(res_alloc[i])], D) - payments[i]
-        dev = _best_deviation(table, _rival_prices(bids, i))
+        current = Fraction(vals[won[i]], Dv) - Fraction(paid[i], D)
+        dev = _best_deviation(table, (_rival_max(rows, i), D))
         if dev.utility > current:
             deviations.append({"kind": "deviation", "bidder": i, "bundle": sorted(dev.bundle),
                                "utility": dev.utility, "current": current})

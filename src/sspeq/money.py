@@ -31,15 +31,19 @@ def parse_money(x):
     raise TypeError(f"cannot parse money from {type(x).__name__}")
 
 
+def checked_iter(xs, what: str):
+    """iter(xs); an xs that is not iterable raises DomainError("<what>, got <type>")."""
+    try:
+        return iter(xs)
+    except TypeError:
+        raise DomainError(f"{what}, got {type(xs).__name__}") from None
+
+
 def checked_money(xs, name: str, m=None) -> tuple:
     """The row xs as a tuple of Fractions read by `parse_money` (a float entry
     raises TypeError). A row that is not iterable, a length other than m where
     m is given, or a negative entry raises DomainError naming `name`."""
-    try:
-        entries = iter(xs)
-    except TypeError:
-        raise DomainError(f"{name} must be a row of money, got {type(xs).__name__}") from None
-    row = tuple(map(parse_money, entries))
+    row = tuple(map(parse_money, checked_iter(xs, f"{name} must be a row of money")))
     if m is not None and len(row) != m:
         raise DomainError(f"expected {m} {name}, got {len(row)}")
     if [x for x in row if x.numerator < 0]:  # ints compare far faster than Fractions

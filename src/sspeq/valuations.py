@@ -21,8 +21,9 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
-from .money import DomainError, Money, checked_money, format_money, parse_money, rescale, scale_to_ints
+from .money import DomainError, Money, checked_iter, checked_money, format_money, parse_money, rescale, scale_to_ints
 
 EXHAUSTIVE_DEMAND_CAP = 16
 TABLE_M_CAP = 20
@@ -36,7 +37,7 @@ VERIFY_CAP = {
 }
 BB_NODE_CAP = 200_000
 # lane masks of at most this many bytes each are kept between calls
-LANE_CACHE_BYTES = 1 << 13
+LANE_CACHE_BYTES = 1 << 14
 # an unsigned array typecode per lane width in bytes
 LANE_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
@@ -154,52 +155,67 @@ def _kept_lane_masks(nbytes, size):
     return tuple(_lane_masks(nbytes, size))
 
 
-def _subset_max(row):
-    """Per mask, the largest entry of `row` over its submasks, unpacked from `_max_lanes`."""
-    _, X, nbytes, lo, order = _max_lanes(row)
-    lanes = array(LANE_CODES[nbytes], X.to_bytes(nbytes * len(row), "little"))
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    if order is None:
-        return [x + lo for x in lanes]
-    return [row[order[r]] for r in lanes]
+def lane_bytes(span: int) -> int:
+    """Bytes per lane for entries in 0..span: the narrowest of 1, 2, 4, 8
+    whose top (guard) bit span does not reach, else that many 64-bit words."""
+    return next((k for k in LANE_CODES if span >> (8 * k - 1) == 0), 8 * (span.bit_length() // 64 + 1))
 
 
-def _max_lanes(row):
-    """(X0, X, nbytes, lo, order): the row less its minimum lo packed into one
-    int X0 of 8, 16, 32 or 64-bit lanes (nbytes bytes), the narrowest whose
-    top (guard) bit no entry reaches, and X, its subset max by bit: each
-    mask with the bit takes the larger of itself and its partner without it.
-    A pass shifts the partners up by the lanes `lane_masks` keeps, and
-    ((X | H) - Y) & H sets a lane's guard bit where X >= Y; the other lanes
-    take Y. A row that needs wider lanes runs as its ranks (ties in index
-    order, so a mask outranks its submasks of equal entry; lo is 0 and
-    order[r] the index of rank r, else order is None): a subset max commutes
-    with any increasing map."""
-    lo = min(row)
-    span = max(row) - lo
-    size = len(row)
-    order = None
-    if span >> 63:
-        order = sorted(range(size), key=row.__getitem__)
-        row, lo, span = [0] * size, 0, size - 1
-        for r, i in enumerate(order):
-            row[i] = r
-    nbytes = next(k for k in LANE_CODES if span >> (8 * k - 1) == 0)
-    width = 8 * nbytes
-    lanes = array(LANE_CODES[nbytes], [x - lo for x in row] if lo else row)
+def pack_lanes(row, lo: int, nbytes: int) -> int:
+    """One int of nbytes-byte lanes, lane k the entry row[k] - lo at bits
+    8 * nbytes * k: through an array, or `int.to_bytes` for wider lanes."""
+    if lo:
+        row = [x - lo for x in row]
+    if nbytes not in LANE_CODES:
+        return int.from_bytes(b"".join(map(int.to_bytes, row, repeat(nbytes), repeat("little"))), "little")
+    lanes = array(LANE_CODES[nbytes], row)
     if sys.byteorder == "big":
         lanes.byteswap()
-    X0 = X = int.from_bytes(lanes, "little")
+    return int.from_bytes(lanes, "little")
+
+
+def unpack_lanes(X: int, nbytes: int, size: int) -> list:
+    """`pack_lanes` undone, for lo = 0. A lane wider than 8 bytes is w 64-bit
+    words, low word first; word i of every lane is read at once."""
+    lanes = array(LANE_CODES[min(nbytes, 8)], X.to_bytes(nbytes * size, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    w = max(nbytes // 8, 1)
+    out = lanes[::w].tolist()
+    for i in range(1, w):
+        out = list(map(operator.or_, out, map(operator.lshift, lanes[i::w], repeat(64 * i))))
+    return out
+
+
+def max_passes(X: int, nbytes: int, size: int) -> int:
+    """The subset max of the `size` lanes of X, nbytes bytes each and all
+    below their top (guard) bit: per bit, each mask with the bit takes the
+    larger of itself and its partner without it. A pass shifts the partners
+    up by the lanes `lane_masks` keeps, and ((X | H) - Y) & H sets a lane's
+    guard bit where X >= Y; the other lanes take Y. The one subset-max kernel,
+    behind `_subset_max` and OPT's split bound."""
+    shift = width = 8 * nbytes
     guard = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
-    shift = width
     for keep in lane_masks(nbytes, size):
         Y = (X & keep) << shift
         below = guard ^ (((X | guard) - Y) & guard)
         if below:
             X ^= (X ^ Y) & (below - (below >> width - 1))
         shift *= 2
-    return X0, X, nbytes, lo, order
+    return X
+
+
+def _subset_max(row):
+    """Per mask, the largest entry of `row` over its submasks, by `max_passes`
+    on the row less its minimum lo; `row` itself when no pass moves a lane."""
+    lo = min(row)
+    nbytes = lane_bytes(max(row) - lo)
+    X0 = pack_lanes(row, lo, nbytes)
+    X = max_passes(X0, nbytes, len(row))
+    if X == X0:
+        return row
+    out = unpack_lanes(X, nbytes, len(row))
+    return [x + lo for x in out] if lo else out
 
 
 def cheapest_subsets(costs, k):
@@ -521,6 +537,7 @@ class XOSExplicitValuation(Valuation):
 
     def __init__(self, m: int, clauses):
         super().__init__(m)
+        clauses = checked_iter(clauses, "clauses must be a list of rows")
         self.clauses = [checked_money(c, "clause weights", m) for c in clauses]
         if not self.clauses:
             raise DomainError("need at least one clause")
@@ -553,7 +570,11 @@ class CoverageValuation(Valuation):
     def __init__(self, m: int, edges):
         super().__init__(m)
         parsed = []
-        for u, v, w in edges:
+        for edge in checked_iter(edges, "edges must be a list of rows"):
+            try:
+                u, v, w = edge
+            except (TypeError, ValueError):
+                raise DomainError(f"an edge must be (u, v, weight), got {edge!r}") from None
             ends = checked_mask((u, v), m)
             if ends.bit_count() == 1:
                 raise DomainError(f"self-loop at vertex {u}")
@@ -661,9 +682,8 @@ def verify_class(v: Valuation, cls: str):
 def _first_monotone_drop(vals, m: int):
     """(mask, item) of the first vals[S] > vals[S + j] in (mask, item) order,
     or None. A table is monotone iff every mask holds its submask max, that is
-    iff the packed subset max equals the packed row; the scan names the drop."""
-    X0, X, *_ = _max_lanes(vals)
-    if X == X0:
+    iff `_subset_max` returns the row itself; the scan names the drop."""
+    if _subset_max(vals) is vals:
         return None
     n = 1 << m
     for mask in range(n):

@@ -287,6 +287,28 @@ def brute_best_deviation(valuations, i, bids):
     return best_u, best_S, best_pay
 
 
+def reference_resolve(bids):
+    """resolve as a Fraction loop, item by item: the highest bid wins, ties
+    to the lowest bidder index, and the winner pays the highest rival bid,
+    0 when there is none."""
+    bids = [[Fraction(x) for x in row] for row in bids]
+    n, m = len(bids), len(bids[0])
+    owned = [[] for _ in range(n)]
+    payments = [Fraction(0)] * n
+    for j in range(m):
+        winner = 0
+        for i in range(1, n):
+            if bids[i][j] > bids[winner][j]:
+                winner = i
+        owned[winner].append(j)
+        rival = Fraction(0)
+        for i in range(n):
+            if i != winner and bids[i][j] > rival:
+                rival = bids[i][j]
+        payments[winner] += rival
+    return tuple(frozenset(s) for s in owned), tuple(payments)
+
+
 def brute_optimal_welfare(valuations):
     """Optimum by enumerating all n^m item assignments."""
     n = len(valuations)

@@ -15,6 +15,7 @@ from conftest import (
     random_submodular_table,
     random_table,
     reference_partition_dp,
+    reference_resolve,
     seeded,
 )
 from sspeq.auction import (
@@ -50,6 +51,7 @@ from sspeq.valuations import (
     bundle_of,
     lane_masks,
     mask_of,
+    max_passes,
 )
 
 
@@ -69,6 +71,33 @@ def test_resolve_payment_is_highest_rival():
     alloc, payments = resolve([[5], [3], [4]])
     assert alloc == (frozenset({0}), frozenset(), frozenset())
     assert payments[0] == 4
+
+
+@st.composite
+def _bid_profiles(draw):
+    """Profiles of 1..4 rows of 0..6 bids, each a/d with a in 0..3 (so ties
+    are common) and d from 1..6 or one denominator for the whole profile."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    den = draw(st.one_of(st.integers(1, 6).map(st.just), st.just(st.integers(1, 6))))
+    bid = st.builds(Fraction, st.integers(0, 3), den)
+    return [draw(st.lists(bid, min_size=m, max_size=m)) for _ in range(n)]
+
+
+@given(_bid_profiles())
+@settings(max_examples=150, deadline=None)
+def test_resolve_matches_the_fraction_loop(bids):
+    # the int path (one scaling of the profile) against the Fraction loop,
+    # with n = 1 and m = 0 among the draws
+    want = reference_resolve(bids)
+    got = resolve(bids)
+    assert got == want
+    assert all(type(x) is Fraction for x in got[1])
+
+
+def test_resolve_of_one_bidder_or_no_items():
+    assert resolve([[]]) == ((frozenset(),), (Fraction(0),))
+    assert resolve([[], []]) == ((frozenset(), frozenset()), (Fraction(0), Fraction(0)))
+    assert resolve([["1/2", 3]]) == ((frozenset({0, 1}),), (Fraction(0),))
 
 
 def test_welfare_rejects_overlap():
@@ -237,9 +266,9 @@ def test_optimal_welfare_prunes_the_middle_walk(monkeypatch):
         walked.append(mask)
         return _best_split(prev, vals, mask)
 
-    def searching(a, b, A, B, ps, first, R, floor):
+    def searching(a, b, A, B, pR, first, R, floor):
         walked.append(R)
-        return _split_above(a, b, A, B, ps, first, R, floor)
+        return _split_above(a, b, A, B, pR, first, R, floor)
 
     monkeypatch.setattr("sspeq.auction._best_split", recording)
     monkeypatch.setattr("sspeq.auction._split_above", searching)
@@ -251,15 +280,14 @@ def test_optimal_welfare_prunes_the_middle_walk(monkeypatch):
 @st.composite
 def _subset_max_rows(draw):
     """Rows of 2^m entries, m = 1..9, whose span (max - min) is 0, small, or
-    one below or at a lane's guard bit 2^7, 2^15, 2^31, 2^63, or 2^70,
+    one below or at a lane's guard bit 2^7, 2^15, 2^31, 2^63, 2^70 or 2^127,
     from a minimum anywhere in +-2^70 or one that keeps every entry < 0.
-    Some rows draw their entries from a few values, so a row that runs as
-    its ranks holds many ties."""
+    Some rows draw their entries from a few values, so many lanes tie."""
     size = 1 << draw(st.integers(1, 9))
     span = draw(st.one_of(
         st.just(0),
         st.integers(1, 80),
-        st.sampled_from([(1 << b) + d for b in (7, 15, 31, 63, 70) for d in (-1, 0)]),
+        st.sampled_from([(1 << b) + d for b in (7, 15, 31, 63, 70, 127) for d in (-1, 0)]),
     ))
     lo = draw(st.one_of(
         st.integers(-40, 40),
@@ -278,10 +306,13 @@ def _subset_max_rows(draw):
 @given(_subset_max_rows())
 @settings(max_examples=120, deadline=None)
 def test_subset_max_matches_brute(row):
-    # every lane width, and rows too wide for 64-bit lanes, which run as
-    # their ranks
+    # every lane width, and rows too wide for 64-bit lanes, which run on
+    # lanes of as many bytes as they need; a row that is its own subset max
+    # comes back as it is
     want = [max(row[t] for t in range(mask + 1) if t & mask == t) for mask in range(len(row))]
-    assert _subset_max(row) == want
+    got = _subset_max(row)
+    assert got == want
+    assert (got is row) == (want == row)
 
 
 def test_lane_masks_keep_the_lanes_without_the_bit():
@@ -305,22 +336,37 @@ def test_lane_masks_keep_the_lanes_without_the_bit():
     assert _kept_lane_masks.cache_info() == kept
 
 
+def _bound_entries(small, base):
+    """Ints in +-small, or anywhere in +-2^66 (so a row's span may need lanes
+    wider than 64 bits), shifted by `base`."""
+    return st.one_of(st.integers(-small, small), st.integers(-(1 << 66), 1 << 66)).map(base.__add__)
+
+
 @given(st.integers(1, 6).flatmap(lambda m: st.tuples(
-    st.lists(st.integers(-30, 30), min_size=1 << m, max_size=1 << m),
-    st.lists(st.integers(-30, 30), min_size=1 << m, max_size=1 << m),
-    st.lists(st.integers(-10, 10), min_size=m, max_size=m),
+    st.sampled_from([0, 1 << 64, -(1 << 64)]).flatmap(
+        lambda base: st.lists(_bound_entries(30, base), min_size=1 << m, max_size=1 << m)),
+    st.sampled_from([0, 1 << 64]).flatmap(
+        lambda base: st.lists(_bound_entries(30, base), min_size=1 << m, max_size=1 << m)),
+    st.lists(st.one_of(st.integers(-10, 10), _bound_entries(0, 0)), min_size=m, max_size=m),
 )))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_split_bound_covers_the_exact_split(tables):
+    # the packed A, B and ub against brute subset maxes, on rows with
+    # negative entries, negative prices and entries at or past 2^64: each
+    # row is exact up to a constant, and the constants sum to c
     a, b, prices = tables
-    A, B, ps = _split_bound(a, b, prices)
-    for R in range(len(a)):
-        subs = [t for t in range(R + 1) if t & R == t]
-        p = {t: sum(x for j, x in enumerate(prices) if t >> j & 1) for t in subs}
-        assert A[R] == max(a[t] - p[t] for t in subs)
-        assert B[R] == max(b[t] - p[t] for t in subs)
-        assert ps[R] == p[R]
-        assert A[R] + B[R] + ps[R] >= max(a[t] + b[R ^ t] for t in subs)
+    A, B, rest, ub, c = _split_bound(a, b, prices)
+    ps = [sum(x for j, x in enumerate(prices) if t >> j & 1) for t in range(len(a))]
+    subs = [[t for t in range(R + 1) if t & R == t] for R in range(len(a))]
+    want_A = [max(a[t] - ps[t] for t in ts) for ts in subs]
+    want_B = [max(b[t] - ps[t] for t in ts) for ts in subs]
+    assert len({x - y for x, y in zip(A, want_A)}) == 1
+    assert len({x - y for x, y in zip(B, want_B)}) == 1
+    assert len({x + y for x, y in zip(rest, ps)}) == 1
+    for R, ts in enumerate(subs):
+        assert A[R] + B[0] + c - rest[0] == want_A[R] + want_B[0] + ps[0]
+        assert ub[R] + c == want_A[R] + want_B[R] + ps[R]
+        assert ub[R] + c >= max(a[t] + b[R ^ t] for t in ts)
 
 
 class CountingRow(list):
@@ -348,13 +394,13 @@ def test_split_above_is_the_best_split_when_it_beats_the_floor(case):
     a, b, prices, R, offset = case
     want = max(a[s] + b[R ^ s] for s in range(R + 1) if s & R == s)
     floor = want + offset
-    A, B, ps = _split_bound(a, b, prices)
+    A, B, rest, _, c = _split_bound(a, b, prices)
     first = _branch_items(A, B)
     assert all(first[f] & f and first[f].bit_count() == 1 for f in range(1, len(a)))
     highest = [1 << f.bit_length() >> 1 for f in range(len(a))]
     for order in (first, highest):
         row = CountingRow(a)
-        got = _split_above(row, b, A, B, ps, order, R, floor)
+        got = _split_above(row, b, A, B, c - rest[R], order, R, floor)
         assert got == (want if want > floor else None)
         assert row.reads <= 1 << R.bit_count()
 
@@ -394,9 +440,10 @@ def test_optimal_welfare_answers_two_bidders_at_large_m(m):
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_optimal_welfare_steps_stay_within_the_precheck_bound(seed):
-    # every submask step of _best_split and _split_above and every pass of
-    # _subset_max, on mixed families and on tie-heavy tables where the
-    # middle search prunes little
+    # every submask step of _best_split and _split_above and every run of
+    # the lane passes (bidder 0's subset max and the bound's A and B), on
+    # mixed families and on tie-heavy tables where the middle search prunes
+    # little
     rng = seeded(seed)
     n, m = rng.randint(1, 4), rng.randint(1, 6)
     if rng.random() < 0.5:
@@ -409,19 +456,20 @@ def test_optimal_welfare_steps_stay_within_the_precheck_bound(seed):
         steps.append(1 << mask.bit_count())
         return _best_split(prev, vals, mask)
 
-    def subset_max(row):
-        steps.append(m * len(row))
-        return _subset_max(row)
+    def passes(X, nbytes, size):
+        steps.append(m * size)
+        return max_passes(X, nbytes, size)
 
-    def search(a, b, A, B, ps, first, R, floor):
+    def search(a, b, A, B, pR, first, R, floor):
         # at most R's 2^|R| splits, as test_split_above_... checks
         steps.append(1 << R.bit_count())
-        return _split_above(a, b, A, B, ps, first, R, floor)
+        return _split_above(a, b, A, B, pR, first, R, floor)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("sspeq.auction._best_split", split)
         mp.setattr("sspeq.auction._split_above", search)
-        mp.setattr("sspeq.auction._subset_max", subset_max)
+        mp.setattr("sspeq.auction.max_passes", passes)
+        mp.setattr("sspeq.valuations.max_passes", passes)
         optimal_welfare(vs)
     assert sum(steps) <= _opt_step_bound(n, m)
 

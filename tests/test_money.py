@@ -78,6 +78,24 @@ def test_a_money_row_that_is_not_iterable_raises_domain_error(case):
         NOT_A_ROW[case]()
 
 
+# an outer list of rows or edges that is not iterable, or an edge that is
+# no (u, v, weight) triple
+NOT_A_LIST = {
+    "bids": (lambda: check_bids(5), "bids must be a list of rows, got int"),
+    "xos-clauses": (lambda: XOSExplicitValuation(2, 5), "clauses must be a list of rows, got int"),
+    "coverage-edges": (lambda: CoverageValuation(2, 5), "edges must be a list of rows, got int"),
+    "coverage-pair": (lambda: CoverageValuation(2, [(0, 1)]), r"an edge must be \(u, v, weight\), got \(0, 1\)"),
+    "coverage-int": (lambda: CoverageValuation(2, [5]), r"an edge must be \(u, v, weight\), got 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_LIST))
+def test_an_outer_shape_that_is_wrong_raises_domain_error(case):
+    call, message = NOT_A_LIST[case]
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
 # the message of every face whose money goes through checked_money
 MONEY_MESSAGES = {
     "prices-width": (lambda: AdditiveValuation(2, (1, 1)).demand([1]), "expected 2 prices, got 1"),
