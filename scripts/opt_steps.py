@@ -7,8 +7,9 @@ a mask R (the seed and the pick that recovers the middle bidder's bundle)
 plus every split `_split_above` reads, and the range bounds it checks.
 Walking every mask once is 3^m steps. Also counts the distinct masks
 searched and all steps taken (every split evaluated and m * 2^m per run of
-the lane passes, `max_passes`: bidder 0's subset max and the bound's A and
-B) next to the bound the DP is capped by before it starts. The counts
+the lane passes, `max_passes`: bidder 0's subset max, which `_split_bound`
+takes on the lanes it packs bidder 0's table into, and the bound's A and B)
+next to the bound the DP is capped by before it starts. The counts
 come from one pass with counting wrappers installed; the timings from a
 second pass without them, each instance's call timed five times and the
 fastest kept, and `optimal_welfare_ms_mean` is the mean of those.

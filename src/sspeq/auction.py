@@ -24,8 +24,10 @@ from .valuations import (
     checked_mask,
     lane_bytes,
     lane_masks,
+    lanes_max,
     max_passes,
     pack_lanes,
+    packed_sums,
     priced_table,
     subset_sums,
     unpack_lanes,
@@ -92,8 +94,9 @@ def prices_from_bids(bids):
 
 def allocation_masks(alloc, n: int, m: int) -> list:
     """The masks of n disjoint bundles of items 0..m-1, each by `checked_mask`."""
+    bundles = checked_iter(alloc, "an allocation must be a list of bundles")
     try:
-        masks = [checked_mask(S, m) for S in alloc]
+        masks = [checked_mask(S, m) for S in bundles]
     except DomainError as exc:
         raise DomainError(f"allocation uses unknown items: {exc}") from None
     if len(masks) != n:
@@ -112,17 +115,17 @@ def check_allocation(alloc, n: int, m: int):
 
 
 def item_count(valuations) -> int:
-    """The bidders' common number of items m."""
-    if not valuations:
+    """The bidders' common number of items m; the first check of a bidder list."""
+    ms = {v.m for v in checked_iter(valuations, "valuations must be a list of bidders")}
+    if not ms:
         raise DomainError("need at least one bidder")
-    m = valuations[0].m
-    if any(v.m != m for v in valuations):
+    if len(ms) > 1:
         raise DomainError("valuations disagree on m")
-    return m
+    return ms.pop()
 
 
 def welfare(valuations, alloc) -> Money:
-    alloc = check_allocation(alloc, len(valuations), item_count(valuations))
+    alloc = check_allocation(alloc, m=item_count(valuations), n=len(valuations))
     return sum((v.value(S) for v, S in zip(valuations, alloc)), Fraction(0))
 
 
@@ -137,7 +140,8 @@ def optimal_welfare(valuations):
     comparison and so the chosen allocation. Bidder i takes, from the items
     left to bidders 0..i, the submask t with the largest (welfare, t) pair:
     the highest welfare, ties to the largest t. Bidder 0's row is a subset
-    max of its table; bidders 1..n-3 get full rows by the submask walk.
+    max of its table (for n = 3, on the lanes `_split_bound` packs the table
+    into once); bidders 1..n-3 get full rows by the submask walk.
 
     The middle bidder (n-2) is searched only where the last bidder's choice
     t can still win. For any int prices p with ps = p(R), a split of R
@@ -153,7 +157,7 @@ def optimal_welfare(valuations):
 
     Refuses, before any table is built, when `_opt_step_bound(n, m)` exceeds
     OPT_WORK_CAP."""
-    n, m = len(valuations), item_count(valuations)
+    m, n = item_count(valuations), len(valuations)
     if _opt_step_bound(n, m) > OPT_WORK_CAP:
         raise CapabilityError(
             f"optimal welfare DP too large for n={n}, m={m}: its step bound exceeds {OPT_WORK_CAP}"
@@ -164,28 +168,30 @@ def optimal_welfare(valuations):
     size = 1 << m
     full = size - 1
     # rows[i][mask]: the best welfare of bidders 0..i-1 on the items of mask
-    rows = [[0] * size, _subset_max(tables[0])][:n]
+    rows = [[0] * size, tables[0] if n == 3 else _subset_max(tables[0])][:n]
     for vals in tables[1:n - 2]:
         prev = rows[-1]
         rows.append([_best_split(prev, vals, mask)[0] for mask in range(size)])
     if n < 3:
         best, bestT = _best_split(rows[-1], tables[-1], full)
     else:
-        before, middle, last = rows[-1], tables[-2], tables[-1]
-        A, B, rest, ub, c = _split_bound(middle, before, _item_prices(tables, m))
+        middle, last = tables[-2], tables[-1]
+        before, A, B, ub, c = _split_bound(middle, rows[-1], _item_prices(tables, m))
+        rows[-1] = before  # for n = 3, bidder 0's table until here
         first = _branch_items(A, B)
-        bound = list(map(operator.add, last, reversed(ub)))
-        # seed with the largest (bound, t); it heads the sorted candidates
-        bestT = full - bound[::-1].index(max(bound))
+        # bound[R] bounds t = full ^ R; its first maximum, the largest (bound, t), seeds
+        bound = list(map(operator.add, ub, reversed(last)))
+        bestT = full ^ bound.index(max(bound))
         best = last[bestT] + _best_split(before, middle, full ^ bestT)[0]
-        kept = compress(range(size), map((best - c).__le__, bound))
-        cands = sorted(((bound[t], t) for t in kept), reverse=True)
+        kept = bytes(map((best - c).__le__, bound))
+        cands = sorted(zip(compress(bound, kept), compress(range(full, -1, -1), kept)), reverse=True)
         for b, t in cands[1:]:
             if (b + c, t) < (best, bestT):
                 break
             # (last[t] + split, t) beats (best, bestT) iff split > floor
             floor = best - last[t] - (t > bestT)
-            split = _split_above(middle, before, A, B, c - rest[full ^ t], first, full ^ t, floor)
+            R = full ^ t
+            split = _split_above(middle, before, A, B, c - A[R] - B[R] + ub[R], first, R, floor)
             if split is not None:
                 best, bestT = last[t] + split, t
     picks = [0] * n
@@ -201,8 +207,9 @@ def _opt_step_bound(n: int, m: int) -> int:
     for n >= 3, the n - 3 full rows and the middle search, 3^m each (it
     tries each t at most once, at most 2^(m - |t|) splits); the last split and
     the n - 1 picks, 2^m each. Then at most three subset maxes of m passes
-    over 2^m, and per bidder a table build and a rescale of 2^m."""
-    return max(n - 2, 0) * 3 ** m + 3 * (n + m) * 2 ** m
+    over 2^m (four for n > 3: `_split_bound` passes the full row it is given),
+    and per bidder a table build and a rescale of 2^m."""
+    return max(n - 2, 0) * 3 ** m + (3 * (n + m) + (n > 3) * m) * 2 ** m
 
 
 def _best_split(prev, vals, mask):
@@ -219,22 +226,20 @@ def _best_split(prev, vals, mask):
 
 
 def _split_bound(a, b, prices):
-    """(A, B, rest, ub, c) for int item prices p, ps = p(mask), P the sum of
-    the positive prices: A, B the subset maxes of a - ps, b - ps (see
-    `optimal_welfare`) less min(a) - P, min(b) - P; rest = P - ps, packed by
-    doubling; ub = A + B - rest; c = min(a) + min(b) - P: A[U] + B[V] + c -
-    rest[R] and ub[R] + c are exact. A and B stay below the lanes' guard bit."""
+    """(before, A, B, ub, c) for int item prices p, ps = p(mask), P the sum of
+    the positive prices: before the subset max of b, whose lanes give B; A, B
+    the subset maxes of a - ps, before - ps (see `optimal_welfare`) less
+    min(a) - P, min(b) - P; ub = A + B - rest, rest = P - ps never unpacked;
+    c = min(a) + min(b) - P: A[U] + B[V] + c - rest[R] and ub[R] + c are
+    exact. A and B stay below the lanes' guard bit."""
     size, lo_a, lo_b = len(a), min(a), min(b)
+    P = sum(p for p in prices if p > 0)
     nbytes = lane_bytes(max(max(a) - lo_a, max(b) - lo_b) + sum(map(abs, prices)))
-    rest, ones, shift = 0, 1, 8 * nbytes
-    for p in prices:
-        rest = rest + max(p, 0) * ones | (rest + max(-p, 0) * ones) << shift
-        ones |= ones << shift
-        shift *= 2
+    rest = packed_sums([-p for p in prices], nbytes, P)
+    before, X = lanes_max(b, lo_b, nbytes)
     A = max_passes(pack_lanes(a, lo_a, nbytes) + rest, nbytes, size)
-    B = max_passes(pack_lanes(b, lo_b, nbytes) + rest, nbytes, size)
-    rows = (unpack_lanes(X, nbytes, size) for X in (A, B, rest, A + B - rest))
-    return (*rows, lo_a + lo_b - sum(p for p in prices if p > 0))
+    B = max_passes(X + rest, nbytes, size)
+    return (before, *(unpack_lanes(Y, nbytes, size) for Y in (A, B, A + B - rest)), lo_a + lo_b - P)
 
 
 def _branch_items(A, B):
@@ -410,8 +415,8 @@ def is_traditional(valuations, alloc, bids):
 
 def greedy_allocation(valuations):
     """Item-by-item max-marginal assignment, ties to the lowest bidder."""
-    n, m = len(valuations), item_count(valuations)
-    owned = [set() for _ in range(n)]
+    m = item_count(valuations)
+    owned = [set() for _ in valuations]
     for j in range(m):
         best_i, best_gain = 0, None
         for i, v in enumerate(valuations):

@@ -311,7 +311,7 @@ def maxcut_valuation(graph: WeightedGraph) -> CoverageValuation:
 
 def local_max_check(valuations, alloc):
     """True iff no single-item move between bidders raises welfare."""
-    masks = allocation_masks(alloc, len(valuations), item_count(valuations))
+    masks = allocation_masks(alloc, m=item_count(valuations), n=len(valuations))
     for i, smask in enumerate(masks):
         for j in iter_bits(smask):
             lost = valuations[i]._value_mask(smask) - valuations[i]._value_mask(smask ^ (1 << j))

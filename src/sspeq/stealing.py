@@ -19,12 +19,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .money import Money, money_gcd, money_rows
+from .money import Money, checked_iter, money_gcd, money_rows
 from .valuations import (
     BudgetAdditiveValuation,
     CapabilityError,
     DomainError,
     bundle_of,
+    checked_count,
     checked_mask,
     iter_bits,
     iter_submasks,
@@ -101,7 +102,8 @@ def compute_bids(valuations, alloc, orders):
     0..m-1, zero off the owned bundle."""
     m = item_count(valuations)
     masks = allocation_masks(alloc, len(valuations), m)
-    if len(orders) != len(masks) or any(len(o) != m or checked_mask(o, m) != (1 << m) - 1 for o in orders):
+    orders = tuple(checked_iter(orders, "orders must be a list of item orders"))
+    if len(orders) != len(masks) or any(checked_mask(o, m) != (1 << m) - 1 or len(o) != m for o in orders):
         raise DomainError(f"need one order per bidder, each a permutation of 0..{m - 1}")
     oracles, D = int_oracles(valuations)
     ledgers = [v.ledger for v in valuations]
@@ -111,7 +113,7 @@ def compute_bids(valuations, alloc, orders):
 def find_steal(valuations, alloc, bids):
     """Lexicographically smallest (thief, victim, item) with a strictly
     profitable single-item steal, or None."""
-    masks = allocation_masks(alloc, len(valuations), item_count(valuations))
+    masks = allocation_masks(alloc, m=item_count(valuations), n=len(valuations))
     bids = check_bids(bids, n=len(masks), m=valuations[0].m)
     oracles, D = int_oracles(valuations)
     ledgers = [v.ledger for v in valuations]
@@ -218,7 +220,7 @@ def classify_loose_tight(valuations, alloc, bids):
     An owned item is loose when its standing price sits strictly below the
     owner's singleton value.
     """
-    for v in valuations:
+    for v in checked_iter(valuations, "valuations must be a list of bidders"):
         if not isinstance(v, BudgetAdditiveValuation):
             raise DomainError("loose/tight classification needs budget-additive bidders")
     m = item_count(valuations)
@@ -228,6 +230,7 @@ def classify_loose_tight(valuations, alloc, bids):
 
 
 def budget_additive_steal_bound(n: int, m: int) -> int:
+    n, m = checked_count(n, "n"), checked_count(m, "m")
     return (n * m + 1) * (n * m) + m + n * m
 
 
@@ -235,7 +238,7 @@ def run_budget_additive_stealing(valuations, init_alloc, step_cap=None) -> Steal
     """Stolen-goes-last stealing for budget-additive bidders with loose/tight
     tags on every event; exceeding the settlement bound raises (it would
     indicate a bug, not a hard instance)."""
-    for v in valuations:
+    for v in checked_iter(valuations, "valuations must be a list of bidders"):
         if not isinstance(v, BudgetAdditiveValuation):
             raise DomainError("budget-additive stealing needs budget-additive bidders")
     if step_cap is None:
@@ -273,14 +276,15 @@ def marginal_diversity(v, j: int) -> int:
 def pseudo_poly_steal_bound(valuations) -> int:
     """Sum over bidders and items of marginal diversity; every steal strictly
     raises some item's standing bid through that bidder's marginal set."""
-    return sum(len(s) for v in valuations for s in _marginal_sets(v, range(v.m))[0])
+    bidders = checked_iter(valuations, "valuations must be a list of bidders")
+    return sum(len(s) for v in bidders for s in _marginal_sets(v, range(v.m))[0])
 
 
 def granularity_steal_bound(valuations):
     """n * vmax / gcd of all positive marginal differences (None if all flat)."""
     delta = Fraction(0)
     vmax = Fraction(0)
-    for v in valuations:
+    for v in checked_iter(valuations, "valuations must be a list of bidders"):
         sets, vals, D = _marginal_sets(v, range(v.m))
         vmax = max(vmax, Fraction(vals[v.full_mask], D))
         delta = money_gcd(delta, Fraction(math.gcd(*set().union(*sets)), D))

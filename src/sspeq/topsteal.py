@@ -149,6 +149,7 @@ class TopStealRun:
 
 
 def steal_count_bound(m: int, t: int) -> int:
+    m, t = checked_count(m, "m"), checked_count(t, "t")
     if m < 1:
         raise DomainError(f"need at least one item, got m={m}")
     if t < 1:

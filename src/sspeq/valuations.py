@@ -205,17 +205,34 @@ def max_passes(X: int, nbytes: int, size: int) -> int:
     return X
 
 
+def packed_sums(weights, nbytes: int, base: int = 0) -> int:
+    """One int whose nbytes-byte lane t holds base + the sum of weights over
+    the bits of t, one add and shift per weight; lanes stay nonnegative when
+    base covers the negative weights. The one lane-doubling kernel."""
+    S, ones, shift = base, 1, 8 * nbytes
+    for w in weights:
+        S |= (S + w * ones) << shift
+        ones |= ones << shift
+        shift *= 2
+    return S
+
+
 def _subset_max(row):
     """Per mask, the largest entry of `row` over its submasks, by `max_passes`
     on the row less its minimum lo; `row` itself when no pass moves a lane."""
     lo = min(row)
-    nbytes = lane_bytes(max(row) - lo)
+    return lanes_max(row, lo, lane_bytes(max(row) - lo))[0]
+
+
+def lanes_max(row, lo: int, nbytes: int):
+    """(subset max of `row`, its nbytes-byte lanes less lo) from one
+    `pack_lanes`; `row` itself when no pass moves a lane."""
     X0 = pack_lanes(row, lo, nbytes)
     X = max_passes(X0, nbytes, len(row))
     if X == X0:
-        return row
+        return row, X
     out = unpack_lanes(X, nbytes, len(row))
-    return [x + lo for x in out] if lo else out
+    return ([x + lo for x in out] if lo else out), X
 
 
 def cheapest_subsets(costs, k):
@@ -229,7 +246,7 @@ def cheapest_subsets(costs, k):
     m = len(costs)
     if not 0 <= k <= m:
         return
-    order = sorted(range(m), key=lambda j: (costs[j], j))
+    order = sorted(range(m), key=costs.__getitem__)
     step = [costs[b] - costs[a] for a, b in zip(order, order[1:])]
     heap = [(sum(costs[j] for j in order[:k]), (1 << m - k) - 1, (1 << k) - 1, mask_of(order[:k]))]
     while heap:
@@ -419,6 +436,7 @@ class TableValuation(Valuation):
         super().__init__(m)
         if m > TABLE_M_CAP:
             raise CapabilityError(f"table valuation capped at m={TABLE_M_CAP}, got {m}")
+        values = checked_iter(values, "values must be a row of money")
         # the parsed Fractions die here, before the monotone check runs
         self._ints, self._D = scale_to_ints([parse_money(x) for x in values])
         if len(self._ints) != 1 << m:
@@ -588,19 +606,19 @@ class CoverageValuation(Valuation):
 
     def value_table(self):
         # the edges never change, so the first table is kept and copied out;
-        # it doubles per item j: for S below j, v(S + j) == v(S) + (weight
-        # on j) - (weight from j into S), and the last term is a subset sum
+        # it doubles per item j on lanes: for S below j, v(S + j) == v(S) +
+        # total[j] less the weight from j into S, a `packed_sums` lane
         if self._table is None:
             total = [0] * self.m
             lower = [[0] * j for j in range(self.m)]
             for (u, v, _), w in zip(self.edges, self._weights):
                 total[u] += w
                 total[v] += w
-                lower[v][u] += w
-            table = [0]
+                lower[v][u] -= w
+            T, nbytes = 0, lane_bytes(sum(self._weights))
             for j in range(self.m):
-                table += [x + total[j] - y for x, y in zip(table, subset_sums(lower[j]))]
-            self._table = table, self._D
+                T |= (T + packed_sums(lower[j], nbytes, total[j])) << (8 * nbytes << j)
+            self._table = unpack_lanes(T, nbytes, 1 << self.m), self._D
         table, D = self._table
         return list(table), D
 

@@ -26,6 +26,7 @@ from .valuations import (
     better_demand,
     bundle_of,
     cheapest_subsets,
+    checked_count,
     iter_bits,
     mask_of,
     register_kind,
@@ -230,7 +231,7 @@ class GrayValuation(Valuation):
         # off the middle a bundle is worth min(|S|, m'+1), so the cheapest
         # prefix of the (price, item) order is the best bundle of its size;
         # sizes ascend, so a later prefix wins only on strictly more profit
-        order = sorted(range(self.m), key=lambda j: (p[j], j))
+        order = sorted(range(self.m), key=p.__getitem__)
         best_profit = best_size = cost = 0
         for s, j in enumerate(order, 1):
             cost += p[j]
@@ -270,7 +271,7 @@ def build_exponential_instance(m: int):
     for path length L, the same pair again as the clause oracles of
     `run_best_reply_dynamic(oracles=)`, and the path's first allocation
     (player 0 takes the zeros side, which has size m'+1)."""
-    path_masks = _gray_path_masks(m)
+    path_masks = _gray_path_masks(checked_count(m, "m"))
     eps = Fraction(1, 2 * len(path_masks))
     v0 = GrayValuation(m, 0, path_masks, eps)
     v1 = GrayValuation(m, 1, path_masks, eps)

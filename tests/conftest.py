@@ -81,6 +81,32 @@ def random_submodular_table(rng, m, edges_hi=6):
     return TableValuation(m, table)
 
 
+def random_cover_table(rng, m):
+    """A monotone submodular table built on ints, fast at m = 12-13: half the
+    weight of a hidden ground set that the bundle covers plus a concave
+    function of its size."""
+    ground = 2 * m
+    weight = [rng.randint(1, 6) for _ in range(ground)]
+    covers = [sum(1 << e for e in rng.sample(range(ground), rng.randint(1, ground // 3))) for _ in range(m)]
+    concave = [0]
+    for step in sorted((rng.randint(0, 3) for _ in range(m)), reverse=True):
+        concave.append(concave[-1] + step)
+    covered = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        covered[mask] = covered[mask ^ low] | covers[low.bit_length() - 1]
+    return TableValuation(m, [
+        Fraction(sum(w for e, w in enumerate(weight) if c >> e & 1) + concave[mask.bit_count()], 2)
+        for mask, c in enumerate(covered)
+    ])
+
+
+def brute_mask_sums(weights, base=0):
+    """base + the sum of weights[b] over the set bits b of t, for every t,
+    by a literal scan."""
+    return [base + sum(w for b, w in enumerate(weights) if t >> b & 1) for t in range(1 << len(weights))]
+
+
 def random_table(rng, m, monotone=True):
     """A nonnegative table: each bundle adds a random step to its best
     one-item-smaller subset. Steps may be negative (clamped at 0) unless

@@ -11,6 +11,7 @@ from conftest import (
     brute_optimal_welfare,
     random_additive,
     random_budget_additive,
+    random_cover_table,
     random_coverage,
     random_submodular_table,
     random_table,
@@ -277,6 +278,27 @@ def test_optimal_welfare_prunes_the_middle_walk(monkeypatch):
     assert len(walked) < 10 * (1 << 8) // 8
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_certify_shaped_theorem_holds_beyond_brute_sizes(seed):
+    # certify's instances at m = 12-13, tables 4-8 times as large: stealing
+    # from the pool settles in an equilibrium whose welfare W has W <= OPT
+    # <= 2W, OPT's allocation attains OPT, and the pool profile (bidder 0's
+    # initial bids) is an equilibrium exactly when no steal was taken
+    rng = seeded(seed)
+    m = rng.randint(12, 13)
+    vs = [random_coverage(rng, m), random_coverage(rng, m), random_cover_table(rng, m)]
+    run = run_iterative_stealing(vs, [set(range(m)), set(), set()])
+    opt, opt_alloc = optimal_welfare(vs)
+    assert welfare(vs, opt_alloc) == opt
+    w = welfare(vs, run.alloc)
+    assert w <= opt <= 2 * w
+    ok, witnesses = is_pure_nash_no_overbid(vs, run.bids, run.alloc)
+    assert ok, witnesses
+    pool_bids = [run.log.initial_prices, [0] * m, [0] * m]
+    assert is_pure_nash_no_overbid(vs, pool_bids)[0] == (run.log.steals() == 0)
+
+
 @st.composite
 def _subset_max_rows(draw):
     """Rows of 2^m entries, m = 1..9, whose span (max - min) is 0, small, or
@@ -351,15 +373,20 @@ def _bound_entries(small, base):
 )))
 @settings(max_examples=120, deadline=None)
 def test_split_bound_covers_the_exact_split(tables):
-    # the packed A, B and ub against brute subset maxes, on rows with
-    # negative entries, negative prices and entries at or past 2^64: each
-    # row is exact up to a constant, and the constants sum to c
+    # the packed before, A, B and ub against brute subset maxes, on rows with
+    # negative entries, negative prices and entries at or past 2^64: before
+    # is b's subset max (b itself when that is b), each other row is exact
+    # up to a constant, the constants sum to c, and rest = A + B - ub
     a, b, prices = tables
-    A, B, rest, ub, c = _split_bound(a, b, prices)
+    before, A, B, ub, c = _split_bound(a, b, prices)
+    rest = [x + y - z for x, y, z in zip(A, B, ub)]
     ps = [sum(x for j, x in enumerate(prices) if t >> j & 1) for t in range(len(a))]
     subs = [[t for t in range(R + 1) if t & R == t] for R in range(len(a))]
+    want_before = [max(b[t] for t in ts) for ts in subs]
+    assert before == want_before
+    assert (before is b) == (want_before == b)
     want_A = [max(a[t] - ps[t] for t in ts) for ts in subs]
-    want_B = [max(b[t] - ps[t] for t in ts) for ts in subs]
+    want_B = [max(want_before[t] - ps[t] for t in ts) for ts in subs]
     assert len({x - y for x, y in zip(A, want_A)}) == 1
     assert len({x - y for x, y in zip(B, want_B)}) == 1
     assert len({x + y for x, y in zip(rest, ps)}) == 1
@@ -394,13 +421,13 @@ def test_split_above_is_the_best_split_when_it_beats_the_floor(case):
     a, b, prices, R, offset = case
     want = max(a[s] + b[R ^ s] for s in range(R + 1) if s & R == s)
     floor = want + offset
-    A, B, rest, _, c = _split_bound(a, b, prices)
+    _, A, B, ub, c = _split_bound(a, b, prices)
     first = _branch_items(A, B)
     assert all(first[f] & f and first[f].bit_count() == 1 for f in range(1, len(a)))
     highest = [1 << f.bit_length() >> 1 for f in range(len(a))]
     for order in (first, highest):
         row = CountingRow(a)
-        got = _split_above(row, b, A, B, c - rest[R], order, R, floor)
+        got = _split_above(row, b, A, B, c - A[R] - B[R] + ub[R], order, R, floor)
         assert got == (want if want > floor else None)
         assert row.reads <= 1 << R.bit_count()
 

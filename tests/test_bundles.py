@@ -13,18 +13,37 @@ from pathlib import Path
 
 import pytest
 
-from sspeq.auction import best_deviation, check_allocation
+from sspeq.auction import (
+    best_deviation,
+    check_allocation,
+    greedy_allocation,
+    is_pure_nash_no_overbid,
+    optimal_welfare,
+    welfare,
+)
 from sspeq.hardness import OddGraphAdversary, SensitiveValuation, j_local_max_certificate
 from sspeq.reductions import (
     SetPairSystem,
     SetPairValuation,
     WeightedGraph,
     equilibrium_witness,
+    local_max_check,
     verify_set_pair_system,
 )
-from sspeq.stealing import compute_bids, marginal_diversity
-from sspeq.topsteal import ErasedValuation, MarginalValuation, competitor_info, top_steal
-from sspeq.valuations import AdditiveValuation, CoverageValuation, DomainError, checked_mask
+from sspeq.stealing import (
+    budget_additive_steal_bound,
+    classify_loose_tight,
+    compute_bids,
+    find_steal,
+    granularity_steal_bound,
+    marginal_diversity,
+    pseudo_poly_steal_bound,
+    run_budget_additive_stealing,
+    run_iterative_stealing,
+)
+from sspeq.topsteal import ErasedValuation, MarginalValuation, competitor_info, steal_count_bound, top_steal
+from sspeq.valuations import AdditiveValuation, CoverageValuation, DomainError, TableValuation, checked_mask
+from sspeq.xos_dynamics import build_exponential_instance
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -85,6 +104,9 @@ COUNTS = {
     "sensitive-g": lambda: SensitiveValuation(9, g=1.5, h=2),
     "sensitive-h": lambda: SensitiveValuation(9, g=1, h="2"),
     "deviation-bidder": lambda: best_deviation([additive(), additive()], 1.0, [[0] * 3] * 2),
+    "steal-count-m": lambda: steal_count_bound(2.5, 3),
+    "exponential-m": lambda: build_exponential_instance(3.0),
+    "budget-bound-n": lambda: budget_additive_steal_bound("a", 1),
 }
 
 
@@ -92,6 +114,32 @@ COUNTS = {
 def test_a_count_that_is_not_an_int_raises_domain_error(case):
     with pytest.raises(DomainError, match="must be an int, got"):
         COUNTS[case]()
+
+
+NOT_A_LIST = {
+    "table-values": lambda: TableValuation(2, 5),
+    "opt-bidders": lambda: optimal_welfare(5),
+    "greedy-bidders": lambda: greedy_allocation(5),
+    "steal-bound-bidders": lambda: pseudo_poly_steal_bound(5),
+    "welfare-bidders": lambda: welfare(5, [{0}]),
+    "find-steal-bidders": lambda: find_steal(5, [{0}], [[0]]),
+    "local-max-bidders": lambda: local_max_check(5, [{0}]),
+    "budget-stealing-bidders": lambda: run_budget_additive_stealing(5, []),
+    "loose-tight-bidders": lambda: classify_loose_tight(5, [{0}], [[0]]),
+    "granularity-bidders": lambda: granularity_steal_bound(5),
+    "welfare-allocation": lambda: welfare([additive()], None),
+    "stealing-allocation": lambda: run_iterative_stealing([additive()], 5),
+    "nash-allocation": lambda: is_pure_nash_no_overbid([additive()], [[0] * 3], alloc=5),
+    "bids-orders": lambda: compute_bids([additive()], [{0, 1, 2}], 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_LIST))
+def test_a_list_that_is_not_iterable_raises_domain_error(case):
+    # the bidder list through `item_count`, an allocation through
+    # `allocation_masks`, table values and item orders through `checked_iter`
+    with pytest.raises(DomainError, match=", got (int|NoneType)$"):
+        NOT_A_LIST[case]()
 
 
 def test_checked_mask_takes_any_iterable_of_ints():

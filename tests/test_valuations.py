@@ -16,6 +16,7 @@ from conftest import (
     brute_coverage_table,
     brute_coverage_value,
     brute_demand,
+    brute_mask_sums,
     brute_set_pair_value,
     brute_xos_value,
     random_additive,
@@ -47,9 +48,12 @@ from sspeq.valuations import (
     bundle_of,
     cheapest_subsets,
     check_clause,
+    lane_bytes,
     mask_of,
+    packed_sums,
     subset_sums,
     sum_oracle,
+    unpack_lanes,
     valuation_from_json,
     verify_class,
 )
@@ -332,9 +336,11 @@ def test_table_demand_matches_brute(seed):
 @settings(max_examples=80, deadline=None)
 def test_coverage_value_table_matches_brute(data):
     # m = 1 has no edges; zero weights and parallel edges (a drawn edge
-    # repeated, either way round) come up often
+    # repeated, either way round) come up often, and so do weights past
+    # 2^64, whose tables are built on lanes of several 64-bit words
     m = data.draw(st.integers(1, 7))
-    edge = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1), st.integers(0, 6),
+    weight = st.one_of(st.integers(0, 6), st.integers(0, 1 << 70))
+    edge = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1), weight,
                      st.integers(1, 6)).filter(lambda e: e[0] != e[1])
     edges = [(u, v, Fraction(k, d)) for u, v, k, d in data.draw(st.lists(edge, max_size=2 * m))]
     if edges and data.draw(st.booleans()):
@@ -371,6 +377,17 @@ _SUM_WEIGHT = st.one_of(
 def test_subset_sums_matches_per_mask_sums(weights):
     want = [sum(w for b, w in enumerate(weights) if t >> b & 1) for t in range(1 << len(weights))]
     assert subset_sums(weights) == want
+
+
+@given(st.lists(_SUM_WEIGHT, max_size=10), st.sampled_from([0, 1, 2**64]))
+@settings(max_examples=80, deadline=None)
+def test_packed_sums_holds_each_mask_sum_in_its_lane(weights, extra):
+    # negative weights, zeros, no weights, entries past 2^64 and a nonzero
+    # base, which covers the negative weights (as OPT's price rows use it)
+    base = extra - sum(w for w in weights if w < 0)
+    want = brute_mask_sums(weights, base)
+    nbytes = lane_bytes(max(want))
+    assert unpack_lanes(packed_sums(weights, nbytes, base), nbytes, len(want)) == want
 
 
 def brute_cases(rng, m, with_table=False):
