@@ -3,8 +3,12 @@
 Runs `SEARCHERS[searcher]` against a fresh `OddGraphAdversary(43, seed=seed)`
 with budget `query_lower_bound(43)` = 1313, checks that it spent exactly
 that many queries and that `adversary_audit` is clean, and prints one JSON
-line with the searcher, the seed, the transcript length, the summed
-`materialized` count and the search's wall time in seconds. The library is
+line with the searcher, the seed, the transcript length, the answers made
+inside demand queries (`pivots`: the transcript beyond the searcher's own
+steps), the colored vertex count (`colored`), the summed `materialized`
+count and the search's wall time in seconds. At m = 43 the `bestreply`
+searcher makes one pivot per demand query, so `pivots` and `colored` show
+how many bumps each query stores. The library is
 imported from PYTHONPATH, so alternating runs against two checkouts compare
 them one searcher at a time:
 
@@ -38,6 +42,7 @@ def main() -> None:
     if not ok:
         raise SystemExit(f"the adversary audit failed: {problems[:3]}")
     print(json.dumps({"searcher": args.searcher, "seed": args.seed, "answers": len(adv.transcript),
+                      "pivots": len(adv.transcript) - result.steps, "colored": len(adv.colored),
                       "materialized": sum(s["materialized"] for s in adv.stats),
                       "search_s": round(search_s, 4)}))
 

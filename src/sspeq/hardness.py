@@ -342,8 +342,11 @@ def sparse_demand_oracle(sv: SensitiveValuation, prices):
 
 
 def _sparse_demand(sv: SensitiveValuation, cost, D: int):
-    """(profit, mask) of the demanded nonempty bundle, profit at D, for int
-    item costs at D, a multiple of the denominator of `sv.int_oracle()`.
+    """(profit, mask, order, floor): the demanded nonempty bundle and its
+    profit at D, for int item costs at D, a multiple of the denominator of
+    `sv.int_oracle()`, then the items by (cost, item) and each window size's
+    B-clause floor at D, with which `OddGraphAdversary.demand_query` folds
+    the bumps its pivots store through `_pad_bump`.
 
     Candidates are the cheapest prefix of every size (valued by the closed
     form off the window) plus, for window sizes, every stored bundle padded
@@ -356,55 +359,51 @@ def _sparse_demand(sv: SensitiveValuation, cost, D: int):
     falls with k and the best only rises.
     """
     mp, h = sv.mp, sv.h
-    order = sorted(range(sv.m), key=lambda j: (cost[j], j))
-    prefix_cost, prefix_mask = [0], [0]
-    for j in order:
-        prefix_cost.append(prefix_cost[-1] + cost[j])
-        prefix_mask.append(prefix_mask[-1] | 1 << j)
-    floor = [(mp + 1) * s * (D // (mp + h)) for s in range(sv.m + 1)]
-    quarter = mp * D + D // 4
-    best_profit, best = None, None
-
-    def consider(profit, mask):
-        nonlocal best_profit, best
-        if best_profit is None or better_demand(profit, mask, best_profit, best):
-            best_profit, best = profit, mask
-
+    order = sorted(range(sv.m), key=cost.__getitem__)
+    prefix_cost = list(itertools.accumulate(map(cost.__getitem__, order), initial=0))
+    prefix_mask = list(itertools.accumulate((1 << j for j in order), operator.or_, initial=0))
     window = range(mp + 1, mp + h)
-    for s in range(1, sv.m + 1):
-        if s not in window:
-            value = max(s, mp - sv.g) if s <= mp else mp + 1
-            consider(value * D - prefix_cost[s], prefix_mask[s])
+    floor = [(mp + 1) * s * (D // (mp + h)) for s in window]
+    quarter = mp * D + D // 4
+    sizes = [*range(1, mp + 1), *range(mp + h, sv.m + 1)]
+    profits = [min(max(s, mp - sv.g), mp + 1) * D - prefix_cost[s] for s in sizes]
+    best = max(profits)
+    best = best, prefix_mask[sizes[profits.index(best)]]
     stored = len(sv.k_map)
     default_value = quarter + sv.default_k.numerator * (D // sv.default_k.denominator)
-    for s in window:
+    for s, fl in zip(window, floor):
         pm = prefix_mask[s]
         if math.comb(s, mp + 1) <= stored and all(
             pm ^ mask_of(drop) in sv.k_map for drop in itertools.combinations(order[:s], s - mp - 1)
         ):
             continue
-        consider(max(floor[s], default_value) - prefix_cost[s], pm)
-    max_pad = h - 2
+        profit = max(fl, default_value) - prefix_cost[s]
+        if better_demand(profit, pm, *best):
+            best = profit, pm
     base_cost = prefix_cost[mp + 1]
-    floor_cap = max(floor[s] - prefix_cost[s] for s in window)
+    floor_cap = max(fl - prefix_cost[s] for s, fl in zip(window, floor))
     for k, bmask in reversed(sv.by_k):
         mterm = quarter + k.numerator * (D // k.denominator)
-        if mterm - base_cost < best_profit and floor_cap < best_profit:
+        if mterm - base_cost < best[0] and floor_cap < best[0]:
             break
-        cost0 = sum(cost[j] for j in iter_bits(bmask))
-        # out_mask[pad] holds the pad cheapest items outside bmask
-        out_mask, out_cost = [0], [0]
-        for j in order:
-            if len(out_mask) > max_pad:
-                break
-            if not (bmask >> j) & 1:
-                out_mask.append(out_mask[-1] | 1 << j)
-                out_cost.append(out_cost[-1] + cost[j])
-        for pad in range(max_pad + 1):
-            profit = max(mterm, floor[mp + 1 + pad]) - cost0 - out_cost[pad]
-            if profit >= best_profit:
-                consider(profit, bmask | out_mask[pad])
-    return best_profit, best
+        best = _pad_bump(best, mterm, bmask, cost, order, floor)
+    return *best, order, floor
+
+
+def _pad_bump(best, mterm, bmask, cost, order, floor):
+    """`best`, a (profit, mask) pair, against bmask padded with its cheapest
+    outsiders (first in `order`) to each window size, at value max(mterm,
+    the size's floor): the cheapest superset of that size, which among equal
+    costs holds the smallest items and so wins the demand tie rule."""
+    c, mask = sum(map(cost.__getitem__, iter_bits(bmask))), bmask
+    outside = (j for j in order if not bmask >> j & 1)
+    for fl in floor:
+        profit = max(mterm, fl) - c
+        if profit >= best[0] and better_demand(profit, mask, *best):
+            best = profit, mask
+        j = next(outside)
+        c, mask = c + cost[j], mask | 1 << j
+    return best
 
 
 # -- the adversary -----------------------------------------------------------------
@@ -460,8 +459,8 @@ class OddGraphAdversary:
         self.stats = []
         self.rng = random.Random(seed)
         self.walk_ok = odd_graph_ball_size(self.mp, 4) > self.c_small
-        self._blocks = [mask_of(range(b, m, NEAR_BLOCKS)) for b in range(NEAR_BLOCKS)]
-        self._near = [{} for _ in self._blocks]
+        self._pairs = [(mask_of(range(b, m, NEAR_BLOCKS)), {}) for b in range(NEAR_BLOCKS)]
+        self._comp_pairs = self._pairs[:-1]  # see _clear
 
     def num_queries(self) -> int:
         return len(self.q_set)
@@ -471,22 +470,24 @@ class OddGraphAdversary:
 
     def _index(self, mask: int) -> None:
         """Add a blocked vertex (the query or a colored one) to the block index."""
-        for block, table in zip(self._blocks, self._near):
+        for block, table in self._pairs:
             table.setdefault(mask & block, []).append(mask)
 
     def _clear(self, v: int) -> bool:
         """True when no blocked vertex w lies within odd-graph distance 4 of v,
         i.e. no i = |v & w| has i <= 2 or i >= m'-1.
 
-        Such a w differs from v in at most 4 items (i >= m'-1) or from the
-        complement of v in 2i-1 <= 3 items (i <= 2), so it agrees with one
-        of those two keys on a whole block; only those candidates are tested."""
+        Such a w differs from v in at most 4 items (i >= m'-1), so agrees
+        with v on one of the 5 blocks, or from the complement of v in 2i-1
+        <= 3 items (i <= 2), so agrees with it on 2 blocks, one among any 4:
+        only the candidates of 5 + 4 lookups are tested."""
         hi = self.mp - 2
         comp = self.full_mask ^ v
-        for block, table in zip(self._blocks, self._near):
+        for block, table in self._pairs:
             for w in table.get(v & block, ()):
                 if not 3 <= (v & w).bit_count() <= hi:
                     return False
+        for block, table in self._comp_pairs:
             for w in table.get(comp & block, ()):
                 if not 3 <= (v & w).bit_count() <= hi:
                     return False
@@ -654,12 +655,23 @@ class OddGraphAdversary:
         """Exact demand against the realized map; while an unassigned vertex
         could still beat the best determined profit, the cheapest one is
         processed as a fresh query. Profits are ints at one D that eps also
-        divides, so every pivot's answer m'+1/4+x*eps is exact there."""
+        divides, so every pivot's answer m'+1/4+x*eps is exact there.
+
+        One `_sparse_demand` runs before the pivots; then only the bumps
+        stored since are folded in. No k undercuts default_k, so a new bump T
+        lifts v only on T's window-size supersets, to max(v, m'+1/4+k_T),
+        and there T padded by `_pad_bump` is the cheapest and wins its ties:
+        the fold is the demand of the map after the pivots."""
+        return bundle_of(self._demand_query(prices)[1])
+
+    def _demand_query(self, prices):
+        """(profit, mask, D) of `demand_query`, the profit an int at D."""
         view = self.view()
         p, Dp = view._check_prices(prices)
         D = math.lcm(Dp, self.eps.denominator, view.int_oracle()[1])
         cost = rescale(p, Dp, D)
-        best = _sparse_demand(view, cost, D)[0]
+        *demand, order, floor = _sparse_demand(view, cost, D)
+        best, synced = demand[0], len(self.order)
         half = self.mp * D + D // 2
         processed = 0
         for c, mask in cheapest_subsets(cost, self.mp + 1):
@@ -674,7 +686,11 @@ class OddGraphAdversary:
                 )
             value = self.answer(bundle_of(mask)).value
             best = max(best, value.numerator * (D // value.denominator) - c)
-        return sparse_demand_oracle(self.view(), prices)
+        quarter = self.mp * D + D // 4
+        for mask in self.order[synced:]:
+            k = self.colored[mask].k
+            demand = _pad_bump(demand, quarter + k.numerator * (D // k.denominator), mask, cost, order, floor)
+        return *demand, D
 
 
 def adversary_audit(adv: OddGraphAdversary):

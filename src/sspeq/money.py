@@ -72,8 +72,9 @@ def scale_to_ints(values):
     """(ints, D) with ints[k] == values[k] * D exactly, where D is the least
     common denominator of values (ints and Fractions). Scaling every value
     by the same positive D keeps every order and tie."""
-    D = math.lcm(1, *{x.denominator for x in values})
-    return [x.numerator * (D // x.denominator) for x in values], D
+    ratios = [x.as_integer_ratio() for x in values]
+    D = math.lcm(1, *{d for _, d in ratios})
+    return [n * (D // d) for n, d in ratios], D
 
 
 def money_rows(rows, D: int) -> tuple:

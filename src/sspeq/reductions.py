@@ -240,7 +240,7 @@ def find_unprotected_set(valuations, bids):
         if rival_sum(T) == 1 and all(rival[j] == 0 for j in items - T):
             jp = min(j for j in T if rival[j] > 0)
             return finish(items - {jp}, "all-but-one")
-    order = sorted(range(m), key=lambda j: (rival[j], j))
+    order = sorted(range(m), key=rival.__getitem__)
     candidates = [frozenset(order[: dev.threshold])]
     candidates.extend(dev.flagged_pairs())
     candidates.extend(items - {j} for j in range(m))

@@ -25,6 +25,7 @@ from sspeq.hardness import (
     OddGraphAdversary,
     SearchResult,
     SensitiveValuation,
+    _sparse_demand,
     adversary_audit,
     eq_char_check,
     is_j_local_max,
@@ -479,7 +480,7 @@ def loop_clear(mp, v, blocked):
 
 def assert_index_lists_blocked_once(adv):
     blocked = set(adv.colored) | adv.q_set
-    for table in adv._near:
+    for _, table in adv._pairs:
         listed = [w for ws in table.values() for w in ws]
         assert len(listed) == len(blocked) and set(listed) == blocked
 
@@ -509,6 +510,27 @@ def test_block_index_clear_matches_the_loop(m, seed, sizes):
     for _ in range(20):
         u = mask_of(rng.sample(range(m), mp + 1))
         assert adv._clear(u) == loop_clear(mp, u, blocked)
+
+
+@pytest.mark.parametrize("m", [11, 43])
+def test_clear_finds_a_far_complement_neighbour_through_two_blocks(m):
+    # w is the complement of v less one item plus two items of v, odd-graph
+    # distance 3, and its three differing items lie in three of the first
+    # four blocks: only block j and the last block agree with the complement
+    mp = m // 2
+    v = mask_of(range(0, m, 2))
+    comp = ((1 << m) - 1) ^ v
+    blocks = [mask_of(range(b, m, hardness.NEAR_BLOCKS)) for b in range(hardness.NEAR_BLOCKS)]
+    for j in range(4):
+        a, b, c = (k for k in range(4) if k != j)
+        drop = (comp & blocks[a]).bit_length() - 1
+        add = [(v & blocks[k]).bit_length() - 1 for k in (b, c)]
+        w = comp ^ 1 << drop | mask_of(add)
+        assert w.bit_count() == mp + 1 and odd_graph_distance(mp, v, w) == 3
+        assert [not (w ^ comp) & block for block in blocks] == [k in (j, 4) for k in range(5)]
+        adv = OddGraphAdversary(m, g=1, h=2)
+        adv._index(w)
+        assert not adv._clear(v), j
 
 
 @pytest.mark.parametrize("m", [9, 11, 43])
@@ -722,10 +744,16 @@ def reference_demand_query(adv, prices):
     return sparse_demand_oracle(rebuilt_view(adv), prices), pivots
 
 
+def int_costs(prices, D):
+    return [int(x * D) for x in prices]
+
+
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_demand_query_matches_the_fraction_pivot_loop(data):
-    m = data.draw(st.sampled_from([9, 11]))
+    # at m = 5 and 7 one query often stores several bumps, so the fold of
+    # the new bumps runs on more than one
+    m = data.draw(st.sampled_from([5, 7, 9, 11]))
     g = data.draw(st.integers(1, m // 2 - 1))
     h = data.draw(st.integers(2, m // 2 + 1))
     seed = data.draw(st.integers(0, 2 ** 16))
@@ -739,14 +767,41 @@ def test_demand_query_matches_the_fraction_pivot_loop(data):
             den = data.draw(st.sampled_from([2, 3, 4, 5, 7, 9]))
             prices.append(Fraction(data.draw(st.integers(0, den)), den))
         before = len(adv.transcript)
-        D = adv.demand_query(prices)
-        assert D == sparse_demand_oracle(rebuilt_view(adv), prices)
+        profit, mask, D = adv._demand_query(prices)
+        view = rebuilt_view(adv)
+        assert (profit, mask) == _sparse_demand(view, int_costs(prices, D), D)[:2]
+        assert bundle_of(mask) == sparse_demand_oracle(view, prices)
         want, pivots = reference_demand_query(twin, prices)
-        assert (D, len(adv.transcript) - before) == (want, pivots)
-        if m == 9:
-            profit = brute_sensitive_value(adv.view(), mask_of(D)) - sum((prices[j] for j in D), Fraction(0))
-            assert profit == brute_nonempty_demand(rebuilt_view(adv), prices)[1]
+        assert (bundle_of(mask), len(adv.transcript) - before) == (want, pivots)
+        if m <= 9:
+            paid = sum((prices[j] for j in bundle_of(mask)), Fraction(0))
+            assert brute_sensitive_value(view, mask) - paid == Fraction(profit, D)
+            assert Fraction(profit, D) == brute_nonempty_demand(view, prices)[1]
     assert [a.vertex for a in adv.transcript] == [a.vertex for a in twin.transcript]
+
+
+@pytest.mark.parametrize("prices, bumps, stale, want", [
+    # the pivot answers the stale best itself, which then wins at its new value
+    (["0", "1/2", "1/4", "1/4", "1/2", "0", "3/4"], 1, (16899, {0, 2, 3, 5}), (16902, {0, 2, 3, 5})),
+    # the stale best is answered below a later pivot, which wins
+    (["0", "3/4", "1/4", "0", "1/4", "0", "1"], 2, (18435, {0, 2, 3, 5}), (18444, {0, 3, 4, 5})),
+])
+def test_demand_query_fold_replaces_a_stale_best(prices, bumps, stale, want):
+    # at m = 7, g = 1, h = 3 the demand before the pivots contains a bump the
+    # pivots stored, so its profit there is stale and must lose to the fold
+    adv = OddGraphAdversary(7, g=1, h=3)
+    prices = [Fraction(p) for p in prices]
+    before = adv.view()
+    profit, mask, D = adv._demand_query(prices)
+    assert D == 6144 and len(adv.order) == bumps
+    cost = int_costs(prices, D)
+    p0, m0 = _sparse_demand(SensitiveValuation(7, g=1, h=3), cost, D)[:2]
+    assert (p0, bundle_of(m0)) == (stale[0], frozenset(stale[1]))
+    assert any(T & m0 == T for T in adv.order)
+    assert (profit, bundle_of(mask)) == (want[0], frozenset(want[1]))
+    assert (profit, mask) == _sparse_demand(rebuilt_view(adv), cost, D)[:2]
+    assert Fraction(profit, D) == brute_nonempty_demand(rebuilt_view(adv), prices)[1]
+    assert before is adv.view()
 
 
 @pytest.mark.parametrize("m", [9, 11])

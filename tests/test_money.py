@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,19 @@ def test_scale_to_ints_basics():
     assert scale_to_ints([Fraction(3, 4), Fraction(5, 6), 7]) == ([9, 10, 84], 12)
     assert scale_to_ints([]) == ([], 1)
     assert rescale([1, 2], 3, 12) == [4, 8]
+
+
+def old_scale_to_ints(values):
+    """scale_to_ints as it read each value's numerator and denominator."""
+    D = math.lcm(1, *{x.denominator for x in values})
+    return [x.numerator * (D // x.denominator) for x in values], D
+
+
+@given(st.lists(st.one_of(st.integers(-10**30, 10**30), st.booleans(), st.fractions()), max_size=45))
+def test_scale_to_ints_matches_the_property_reads(xs):
+    got = scale_to_ints(xs)
+    assert got == old_scale_to_ints(xs)
+    assert all(type(k) is int for k in got[0])
 
 
 @given(st.lists(st.fractions(), max_size=8))
