@@ -42,10 +42,15 @@ LITERAL_H = 10
 KMAP_CAP = 100_000
 WINDOW_QUERY_FACTOR = 10
 DEMAND_PIVOT_FACTOR = 50
-# a mask within 4 differences of a key agrees with it on one of 5 disjoint blocks
-NEAR_BLOCKS = 5
-# one shared unit weight for the clauses that every transcript keeps
+# the blocked-vertex index: item j lies in group j mod 7, and a mask is filed
+# under the union of each pair of groups within the cliques {0,1,2} and
+# {3,4,5,6}; the first 5 pairs, those within {0,1,2}, {3,4} and {5,6}, also
+# serve the complement lookups (see OddGraphAdversary._clear)
+_GROUP_PAIRS = ((0, 1), (0, 2), (1, 2), (3, 4), (5, 6), (3, 5), (3, 6), (4, 5), (4, 6))
+# one shared unit weight for the clauses that every transcript keeps, and one
+# shared zero for the searcher's unpriced items
 _ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 
 # -- odd graph ------------------------------------------------------------------
@@ -459,8 +464,9 @@ class OddGraphAdversary:
         self.stats = []
         self.rng = random.Random(seed)
         self.walk_ok = odd_graph_ball_size(self.mp, 4) > self.c_small
-        self._pairs = [(mask_of(range(b, m, NEAR_BLOCKS)), {}) for b in range(NEAR_BLOCKS)]
-        self._comp_pairs = self._pairs[:-1]  # see _clear
+        groups = [mask_of(range(g, m, 7)) for g in range(7)]
+        self._pairs = [(groups[a] | groups[b], {}) for a, b in _GROUP_PAIRS]
+        self._comp_pairs = self._pairs[:5]  # see _clear
 
     def num_queries(self) -> int:
         return len(self.q_set)
@@ -469,26 +475,32 @@ class OddGraphAdversary:
         return mask in self.colored or mask in self.q_set
 
     def _index(self, mask: int) -> None:
-        """Add a blocked vertex (the query or a colored one) to the block index."""
-        for block, table in self._pairs:
-            table.setdefault(mask & block, []).append(mask)
+        """Add a blocked vertex (the query or a colored one) to the pair index.
+        Each key holds a tuple, smaller than a list: most keys of a spread-out
+        search hold one to three masks."""
+        for key, table in self._pairs:
+            k = mask & key
+            table[k] = table.get(k, ()) + (mask,)
 
     def _clear(self, v: int) -> bool:
         """True when no blocked vertex w lies within odd-graph distance 4 of v,
         i.e. no i = |v & w| has i <= 2 or i >= m'-1.
 
         Such a w differs from v in at most 4 items (i >= m'-1), so agrees
-        with v on one of the 5 blocks, or from the complement of v in 2i-1
-        <= 3 items (i <= 2), so agrees with it on 2 blocks, one among any 4:
-        only the candidates of 5 + 4 lookups are tested."""
+        with v on 3 of the 7 groups, two of them in one clique of {0,1,2}
+        and {3,4,5,6}: w is filed under v's key for one of the 9 pairs. Or
+        it differs from the complement of v in 2i-1 <= 3 items (i <= 2), so
+        agrees with it on 4 groups, two of them in one of {0,1,2}, {3,4} and
+        {5,6}: one of those 5 pairs' tables files it under the complement's
+        key. Only the candidates of these 9 + 5 lookups are tested."""
         hi = self.mp - 2
         comp = self.full_mask ^ v
-        for block, table in self._pairs:
-            for w in table.get(v & block, ()):
+        for key, table in self._pairs:
+            for w in table.get(v & key, ()):
                 if not 3 <= (v & w).bit_count() <= hi:
                     return False
-        for block, table in self._comp_pairs:
-            for w in table.get(comp & block, ()):
+        for key, table in self._comp_pairs:
+            for w in table.get(comp & key, ()):
                 if not 3 <= (v & w).bit_count() <= hi:
                     return False
         return True
@@ -498,7 +510,8 @@ class OddGraphAdversary:
         uncolored non-queried region; capped BFS is the only small verdict.
 
         First a random walk of at most 8(m'+2) steps: each step draws one
-        pick in [0, m'] and moves to the neighbour that adds the pick-th
+        pick in [0, m'] (`getrandbits` redrawn above m', as `randrange(m'+1)`
+        draws it) and moves to the neighbour that adds the pick-th
         item of the current vertex to its complement, unless that neighbour
         is blocked. The item is found from the nearer end of the vertex.
         Every 4th step tests whether the current vertex is clear; a clear
@@ -507,13 +520,15 @@ class OddGraphAdversary:
         reached = {start}
         if self.walk_ok:
             colored, q_set, clear = self.colored, self.q_set, self._clear
-            randrange, full = self.rng.randrange, self.full_mask
+            getrandbits, full = self.rng.getrandbits, self.full_mask
             mp = self.mp
-            half = (mp + 1) // 2
+            half, bits = (mp + 1) // 2, (mp + 1).bit_length()
             cur = start
             for _ in range(2 * (mp + 2)):
                 for _ in range(4):
-                    pick = randrange(mp + 1)
+                    pick = getrandbits(bits)
+                    while pick > mp:
+                        pick = getrandbits(bits)
                     rest = cur
                     if pick < half:
                         for _ in range(pick):
@@ -674,7 +689,7 @@ class OddGraphAdversary:
         best, synced = demand[0], len(self.order)
         half = self.mp * D + D // 2
         processed = 0
-        for c, mask in cheapest_subsets(cost, self.mp + 1):
+        for c, mask in cheapest_subsets(cost, self.mp + 1, order):
             if mask in self.colored:
                 continue
             if half - c <= best:
@@ -852,7 +867,7 @@ def best_reply_search(adv: OddGraphAdversary, budget: int) -> SearchResult:
 
     def step(big, ans):
         try:
-            D = adv.demand_query([ans.clause.get(j, Fraction(0)) for j in range(adv.m)])
+            D = adv.demand_query([ans.clause.get(j, _ZERO) for j in range(adv.m)])
         except CapabilityError:
             D = big
         if len(D) == adv.mp + 1 and D != big:

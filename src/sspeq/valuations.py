@@ -235,18 +235,18 @@ def lanes_max(row, lo: int, nbytes: int):
     return ([x + lo for x in out] if lo else out), X
 
 
-def cheapest_subsets(costs, k):
+def cheapest_subsets(costs, k, order):
     """(cost, mask) of every k-item subset, for int item costs, lazily in
-    nondecreasing cost, ties to the smaller index vector into the items
-    sorted by (cost, item). In the heap, `pos` holds a subset's indices and
-    `key` the indices it lacks at bits m-1-i, so a smaller key is a smaller
-    vector. A subset's one parent moves down its lowest index above its own
-    position, so a pop pushes at most two children, each one index up: the
-    popped cost plus one difference."""
+    nondecreasing cost, ties to the smaller index vector into `order`, the
+    items sorted by (cost, item), which every caller already holds. In the
+    heap, `pos` holds a subset's indices and `key` the indices it lacks at
+    bits m-1-i, so a smaller key is a smaller vector. A subset's one parent
+    moves down its lowest index above its own position, so a pop pushes at
+    most two children, each one index up: the popped cost plus one
+    difference."""
     m = len(costs)
     if not 0 <= k <= m:
         return
-    order = sorted(range(m), key=costs.__getitem__)
     step = [costs[b] - costs[a] for a, b in zip(order, order[1:])]
     heap = [(sum(costs[j] for j in order[:k]), (1 << m - k) - 1, (1 << k) - 1, mask_of(order[:k]))]
     while heap:

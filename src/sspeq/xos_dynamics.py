@@ -244,7 +244,7 @@ class GrayValuation(Valuation):
         top = half + (self.L - 1) * eps_E
         flip = 0 if self.player == 1 else self.full_mask
         best_mask, best_k = mask_of(order[:best_size]), -1
-        for pops, (cost, mask) in enumerate(cheapest_subsets(p, mp + 1), 1):
+        for pops, (cost, mask) in enumerate(cheapest_subsets(p, mp + 1, order), 1):
             if top - cost < best_profit:
                 break
             if pops > GRAY_DEMAND_POP_CAP:

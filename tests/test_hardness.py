@@ -512,25 +512,77 @@ def test_block_index_clear_matches_the_loop(m, seed, sizes):
         assert adv._clear(u) == loop_clear(mp, u, blocked)
 
 
-@pytest.mark.parametrize("m", [11, 43])
-def test_clear_finds_a_far_complement_neighbour_through_two_blocks(m):
-    # w is the complement of v less one item plus two items of v, odd-graph
-    # distance 3, and its three differing items lie in three of the first
-    # four blocks: only block j and the last block agree with the complement
+# the pair families of the seven-group index: _clear looks v up under every
+# near pair and its complement under every complement pair
+NEAR_PAIRS = [*itertools.combinations((0, 1, 2), 2), *itertools.combinations((3, 4, 5, 6), 2)]
+COMP_PAIRS = [(0, 1), (0, 2), (1, 2), (3, 4), (5, 6)]
+
+
+def pair_key(m, pair):
+    return mask_of(j for j in range(m) if j % 7 in pair)
+
+
+def lookups_finding(m, v, w):
+    """The lookups of the pair index whose key w shares with v or with the
+    complement of v."""
+    comp = ((1 << m) - 1) ^ v
+    return [("near", p) for p in NEAR_PAIRS if not (w ^ v) & pair_key(m, p)] + [
+        ("comp", p) for p in COMP_PAIRS if not (w ^ comp) & pair_key(m, p)
+    ]
+
+
+@pytest.mark.parametrize("m", [15, 43])
+def test_clear_finds_each_planted_mask_through_its_one_lookup(m):
+    # v holds every even item, so each group holds items of v and of its
+    # complement. A near plant drops two items of v and adds two of the
+    # complement (4 differences, i = m'-1), leaving its pair and one group
+    # of the other clique intact; a complement plant drops one item of the
+    # complement and adds two of v (3 differences, i = 2), leaving its pair
+    # and the first group of each other clique of {0,1,2}, {3,4}, {5,6}
     mp = m // 2
     v = mask_of(range(0, m, 2))
     comp = ((1 << m) - 1) ^ v
-    blocks = [mask_of(range(b, m, hardness.NEAR_BLOCKS)) for b in range(hardness.NEAR_BLOCKS)]
-    for j in range(4):
-        a, b, c = (k for k in range(4) if k != j)
-        drop = (comp & blocks[a]).bit_length() - 1
-        add = [(v & blocks[k]).bit_length() - 1 for k in (b, c)]
-        w = comp ^ 1 << drop | mask_of(add)
-        assert w.bit_count() == mp + 1 and odd_graph_distance(mp, v, w) == 3
-        assert [not (w ^ comp) & block for block in blocks] == [k in (j, 4) for k in range(5)]
+
+    def item(side, g):
+        return next(j for j in range(g, m, 7) if side >> j & 1)
+
+    plants = []
+    for a, b in NEAR_PAIRS:
+        intact = (a, b, 3 if a < 3 else 0)
+        bad = [g for g in range(7) if g not in intact]
+        w = v ^ mask_of([item(v, g) for g in bad[:2]] + [item(comp, g) for g in bad[2:]])
+        plants.append((("near", (a, b)), v, w, mp - 1))
+    for a, b in COMP_PAIRS:
+        intact = (a, b, *(c[0] for c in ((0, 1, 2), (3, 4), (5, 6)) if a not in c))
+        bad = [g for g in range(7) if g not in intact]
+        w = comp ^ mask_of([item(comp, bad[0])] + [item(v, g) for g in bad[1:]])
+        plants.append((("comp", (a, b)), comp, w, 2))
+    for lookup, side, w, i in plants:
+        assert w.bit_count() == mp + 1 and (v & w).bit_count() == i
+        assert lookups_finding(m, v, w) == [lookup]
         adv = OddGraphAdversary(m, g=1, h=2)
         adv._index(w)
-        assert not adv._clear(v), j
+        assert not adv._clear(v), lookup
+        # with w taken out of the one entry its lookup reads, v is clear
+        key = pair_key(m, lookup[1])
+        del dict(adv._pairs)[key][side & key]
+        assert adv._clear(v), lookup
+
+
+def test_pair_index_keeps_a_pair_intact_for_any_bad_groups():
+    # at m = 7 each group is one item, so a key is its pair of groups; any
+    # 4 groups holding differences leave a near pair intact, any 3 leave a
+    # complement pair intact, and the complement tables are near tables
+    adv = OddGraphAdversary(7, g=1, h=2)
+    near = [key for key, _ in adv._pairs]
+    far = [key for key, _ in adv._comp_pairs]
+    assert sorted(near) == sorted(pair_key(7, p) for p in NEAR_PAIRS)
+    assert sorted(far) == sorted(pair_key(7, p) for p in COMP_PAIRS)
+    assert all(any(t is table for _, t in adv._pairs) for _, table in adv._comp_pairs)
+    for bad in itertools.combinations(range(7), 4):
+        assert any(not key & mask_of(bad) for key in near), bad
+    for bad in itertools.combinations(range(7), 3):
+        assert any(not key & mask_of(bad) for key in far), bad
 
 
 @pytest.mark.parametrize("m", [9, 11, 43])
