@@ -13,6 +13,10 @@ next to the bound the DP is capped by before it starts. The counts
 come from one pass with counting wrappers installed; the timings from a
 second pass without them, each instance's call timed five times and the
 fastest kept, and `optimal_welfare_ms_mean` is the mean of those.
+`nash_ms_mean` times the other half of a certify op the same way:
+`is_pure_nash_no_overbid` on the two profiles certify checks, the pool
+start's bids and the profile `run_iterative_stealing` settles in (built
+before either pass), the mean over both profiles of every instance.
 
 `--family` picks the instances: `certify` (the default) as above;
 `additive-tie` and `budget-tie`, three identical additive or
@@ -41,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from workloads import gen_coverage, gen_submodular_table  # noqa: E402
 
-from sspeq import auction, valuations  # noqa: E402
+from sspeq import auction, stealing, valuations  # noqa: E402
 from sspeq.valuations import (  # noqa: E402
     AdditiveValuation,
     BudgetAdditiveValuation,
@@ -76,6 +80,14 @@ def instance(family, rng, m):
     return vals
 
 
+def certified_profiles(vals, m):
+    """(vals, bids) of the two profiles certify checks: from the pool, where
+    only bidder 0 bids, its initial marginal bids; and the settled bids."""
+    run = stealing.run_iterative_stealing(vals, (frozenset(range(m)),) + (frozenset(),) * 2)
+    pool = (run.log.initial_prices,) + ((Fraction(0),) * m,) * 2
+    return (vals, pool), (vals, run.bids)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=31)
@@ -85,6 +97,7 @@ def main() -> None:
     args = ap.parse_args()
     instances = [instance(args.family, random.Random(f"{args.family}/{args.seed}/{r}"), args.m)
                  for r in range(args.instances)]
+    profiles = [profile for vals in instances for profile in certified_profiles(vals, args.m)]
     walk, search, passes = auction._best_split, auction._split_above, valuations.max_passes
     walked, searched, maxed = [], [], []
 
@@ -122,12 +135,13 @@ def main() -> None:
         total.append(sum(n for _, n in walked) + split_reads + sum(maxed))
     install(walk, search, passes)
 
-    def timed(vals):
+    def timed(call, *args):
         start = time.perf_counter()
-        auction.optimal_welfare(vals)
+        call(*args)
         return 1000 * (time.perf_counter() - start)
 
-    ms = [min(timed(vals) for _ in range(5)) for vals in instances]
+    ms = [min(timed(auction.optimal_welfare, vals) for _ in range(5)) for vals in instances]
+    nash_ms = [min(timed(auction.is_pure_nash_no_overbid, *profile) for _ in range(5)) for profile in profiles]
     print(json.dumps({
         "seed": args.seed, "m": args.m, "instances": args.instances,
         "full_walk_steps": 3 ** args.m,
@@ -138,6 +152,7 @@ def main() -> None:
         "all_steps_per_op": sum(total) / len(total),
         "step_bound": auction._opt_step_bound(3, args.m),
         "optimal_welfare_ms_mean": round(sum(ms) / len(ms), 3),
+        "nash_ms_mean": round(sum(nash_ms) / len(nash_ms), 3),
     }))
 
 

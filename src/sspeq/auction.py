@@ -22,15 +22,18 @@ from .valuations import (
     bundle_of,
     checked_count,
     checked_mask,
+    iter_bits,
     lane_bytes,
+    lane_guard,
     lane_masks,
     lanes_max,
+    lanes_of,
+    lanes_top,
     max_passes,
-    pack_lanes,
     packed_sums,
-    priced_table,
     subset_sums,
     unpack_lanes,
+    widen_lanes,
 )
 
 OPT_WORK_CAP = 40_000_000
@@ -140,8 +143,8 @@ def optimal_welfare(valuations):
     comparison and so the chosen allocation. Bidder i takes, from the items
     left to bidders 0..i, the submask t with the largest (welfare, t) pair:
     the highest welfare, ties to the largest t. Bidder 0's row is a subset
-    max of its table (for n = 3, on the lanes `_split_bound` packs the table
-    into once); bidders 1..n-3 get full rows by the submask walk.
+    max of its table (for n = 3, on the table's kept lanes, in
+    `_split_bound`); bidders 1..n-3 get full rows by the submask walk.
 
     The middle bidder (n-2) is searched only where the last bidder's choice
     t can still win. For any int prices p with ps = p(R), a split of R
@@ -162,9 +165,11 @@ def optimal_welfare(valuations):
         raise CapabilityError(
             f"optimal welfare DP too large for n={n}, m={m}: its step bound exceeds {OPT_WORK_CAP}"
         )
-    tables = [v.value_table() for v in valuations]
-    D = math.lcm(*(d for _, d in tables))
-    tables = [rescale(vals, d, D) for vals, d in tables]
+    lanes = [v.table_lanes() for v in valuations]
+    D = math.lcm(*(d for _, d, *_ in lanes))
+    # each table at D, beside its lanes at its own denominator d, D // d apart
+    lanes = [(rescale(ints, d, D), D // d, *rest) for ints, d, *rest in lanes]
+    tables = [L[0] for L in lanes]
     size = 1 << m
     full = size - 1
     # rows[i][mask]: the best welfare of bidders 0..i-1 on the items of mask
@@ -176,7 +181,8 @@ def optimal_welfare(valuations):
         best, bestT = _best_split(rows[-1], tables[-1], full)
     else:
         middle, last = tables[-2], tables[-1]
-        before, A, B, ub, c = _split_bound(middle, rows[-1], _item_prices(tables, m))
+        row = lanes[0] if n == 3 else lanes_of(rows[-1], 1)
+        before, A, B, ub, c = _split_bound(lanes[-2], row, _item_prices(tables, m))
         rows[-1] = before  # for n = 3, bidder 0's table until here
         first = _branch_items(A, B)
         # bound[R] bounds t = full ^ R; its first maximum, the largest (bound, t), seeds
@@ -226,19 +232,23 @@ def _best_split(prev, vals, mask):
 
 
 def _split_bound(a, b, prices):
-    """(before, A, B, ub, c) for int item prices p, ps = p(mask), P the sum of
-    the positive prices: before the subset max of b, whose lanes give B; A, B
-    the subset maxes of a - ps, before - ps (see `optimal_welfare`) less
-    min(a) - P, min(b) - P; ub = A + B - rest, rest = P - ps never unpacked;
-    c = min(a) + min(b) - P: A[U] + B[V] + c - rest[R] and ub[R] + c are
-    exact. A and B stay below the lanes' guard bit."""
-    size, lo_a, lo_b = len(a), min(a), min(b)
+    """(before, A, B, ub, c) for the rows a and b and int item prices p, ps =
+    p(mask), P the sum of the positive prices: before the subset max of b,
+    whose lanes give B; A, B the subset maxes of a - ps, before - ps (see
+    `optimal_welfare`) less min(a) - P, min(b) - P; ub = A + B - rest, rest =
+    P - ps never unpacked; c = min(a) + min(b) - P: A[U] + B[V] + c - rest[R]
+    and ub[R] + c are exact. A and B stay below the lanes' guard bit. Each
+    row comes as (row, k, X, nbytes, lo, hi), `lanes_of(row / k)`, so kept
+    lanes are widened and scaled by k, never repacked or rescanned."""
+    size = len(a[0])
     P = sum(p for p in prices if p > 0)
-    nbytes = lane_bytes(max(max(a) - lo_a, max(b) - lo_b) + sum(map(abs, prices)))
+    nbytes = lane_bytes(max((hi - lo) * k for _, k, _, _, lo, hi in (a, b)) + sum(map(abs, prices)))
+    Xa, Xb = (widen_lanes(X, nb, nbytes, size) * k for _, k, X, nb, _, _ in (a, b))
+    lo_a, lo_b = a[4] * a[1], b[4] * b[1]
     rest = packed_sums([-p for p in prices], nbytes, P)
-    before, X = lanes_max(b, lo_b, nbytes)
-    A = max_passes(pack_lanes(a, lo_a, nbytes) + rest, nbytes, size)
-    B = max_passes(X + rest, nbytes, size)
+    before, Xb = lanes_max(b[0], Xb, nbytes, lo_b)
+    A = max_passes(Xa + rest, nbytes, size)
+    B = max_passes(Xb + rest, nbytes, size)
     return (before, *(unpack_lanes(Y, nbytes, size) for Y in (A, B, A + B - rest)), lo_a + lo_b - P)
 
 
@@ -345,29 +355,46 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
         raise DomainError("valuation does not match bid width")
     if m > SUBSET_CAP:
         raise CapabilityError(f"best deviation capped at m={SUBSET_CAP}")
-    return _best_deviation(v.value_table(), (_rival_max(rows, i), D))
+    return _best_deviation(v.table_lanes(), (_rival_max(rows, i), D))
 
 
-def _best_deviation(table, prices) -> Deviation:
-    """best_deviation on the deviator's value table (ints, Dv) and the
-    rival prices (p, Dp), ints at their denominator. A mask is free iff each
-    nonempty submask S has psum[S] < vals[S]. One int holds a byte per mask,
-    1 where psum < vals (and at mask 0), and is closed downward bit by bit:
-    each mask without bit `half` ANDs its byte into mask | half, a shift by
-    8 * half bits of the bytes `lane_masks` keeps."""
-    vals, psum, D = priced_table(table, prices)
-    size = len(vals)
-    bits = int.from_bytes(bytes(map(operator.lt, psum, vals)), "little") | 1
-    shift = 8
-    for keep in lane_masks(1, size):
-        bits &= (bits & keep) << shift | keep
+def _best_deviation(lanes, prices) -> Deviation:
+    """best_deviation on the deviator's `table_lanes` (vals, Dv, X, nbytes,
+    lo, hi) and rival prices (p, Dp), ints at their denominator. A mask is
+    free iff each nonempty submask S has psum[S] < vals[S]. At D = lcm(Dv,
+    Dp), k = D // Dv, lane t of L = X * k + P - psum[t] (`packed_sums`, P
+    the price total) is c + D * (v(t) - p(t)), c = P - lo * k. One guard-bit
+    subtraction marks the lanes with L > c (and mask 0); the marks are
+    closed downward bit by bit, each mask without bit `half` ANDing its
+    mark into mask | half by a shift of the lanes `lane_masks` keeps. The
+    best is `lanes_top` of the free lanes of L + 1 (the others 0), less
+    c + 1; one more subtraction marks its ties, broken by `better_demand`."""
+    vals, Dv, X, nbytes, lo, hi = lanes
+    p, Dp = prices
+    D = math.lcm(Dv, Dp)
+    k, p = D // Dv, rescale(p, Dp, D)
+    size, P = len(vals), sum(p)
+    c = P - lo * k
+    # v(empty) = 0, so lo <= 0 <= hi and 0 <= c; L + 1 stays below the guard bit
+    w = lane_bytes((hi - lo) * k + P + 1)
+    L = widen_lanes(X, nbytes, w, size) * k + packed_sums([-x for x in p], w, P)
+    guard = lane_guard(w, size)
+    ones = guard >> 8 * w - 1
+    free = ((L | guard) - (c + 1) * ones) & guard | 1 << 8 * w - 1
+    shift = 8 * w
+    for keep in lane_masks(w, size):
+        free &= (free & keep) << shift | keep
         shift *= 2
-    best_u, best = 0, 0
-    for mask in compress(range(size), bits.to_bytes(size, "little")):
-        u = vals[mask] - psum[mask]
-        if u >= best_u and better_demand(u, mask, best_u, best):
-            best_u, best = u, mask
-    return Deviation(Fraction(best_u, D), bundle_of(best), Fraction(psum[best], D))
+    low = free >> 8 * w - 1
+    U = (L & free - low) + low
+    top = lanes_top(U, w, size)
+    ties = (((U | guard) - top * ones) & guard).to_bytes(w * size, "little")[w - 1 :: w]
+    best = t = ties.find(128)
+    while (t := ties.find(128, t + 1)) >= 0:
+        if better_demand(top, t, top, best):
+            best = t
+    pay = sum(p[j] for j in iter_bits(best))
+    return Deviation(Fraction(top - 1 - c, D), bundle_of(best), Fraction(pay, D))
 
 
 def is_pure_nash_no_overbid(valuations, bids, alloc=None):
@@ -385,12 +412,13 @@ def is_pure_nash_no_overbid(valuations, bids, alloc=None):
         witnesses.append({"kind": "allocation-mismatch", "resolved": tuple(map(bundle_of, won))})
     deviations = []
     for i, v in enumerate(valuations):
-        vals, Dv = table = v.value_table()
+        lanes = v.table_lanes()
+        vals, Dv = lanes[:2]
         ok, w = _no_overbidding((vals.__getitem__, Dv), rows[i], D)
         if not ok:
             witnesses.append({"kind": "overbidding", "bidder": i, **w})
         current = Fraction(vals[won[i]], Dv) - Fraction(paid[i], D)
-        dev = _best_deviation(table, (_rival_max(rows, i), D))
+        dev = _best_deviation(lanes, (_rival_max(rows, i), D))
         if dev.utility > current:
             deviations.append({"kind": "deviation", "bidder": i, "bundle": sorted(dev.bundle),
                                "utility": dev.utility, "current": current})

@@ -193,15 +193,31 @@ def max_passes(X: int, nbytes: int, size: int) -> int:
     larger of itself and its partner without it. A pass shifts the partners
     up by the lanes `lane_masks` keeps, and ((X | H) - Y) & H sets a lane's
     guard bit where X >= Y; the other lanes take Y. The one subset-max kernel,
-    behind `_subset_max` and OPT's split bound."""
+    behind `_subset_max`, the monotone check and OPT's split bound."""
     shift = width = 8 * nbytes
-    guard = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    guard = lane_guard(nbytes, size)
     for keep in lane_masks(nbytes, size):
         Y = (X & keep) << shift
         below = guard ^ (((X | guard) - Y) & guard)
         if below:
             X ^= (X ^ Y) & (below - (below >> width - 1))
         shift *= 2
+    return X
+
+
+def lanes_top(X: int, nbytes: int, size: int) -> int:
+    """The largest of the `size` lanes of X, a power of two of them, nbytes
+    bytes each and all below their guard bit: the upper half of the lanes
+    is folded onto the lower half by the guard-bit compare of `max_passes`
+    until one lane is left."""
+    width = 8 * nbytes
+    guard = lane_guard(nbytes, size // 2)
+    while size > 1:
+        size //= 2
+        half = (1 << width * size) - 1
+        low, high, guard = X & half, X >> width * size, guard & half
+        ge = ((low | guard) - high) & guard
+        X = high ^ (low ^ high) & (ge - (ge >> width - 1))
     return X
 
 
@@ -217,22 +233,47 @@ def packed_sums(weights, nbytes: int, base: int = 0) -> int:
     return S
 
 
+def lanes_of(ints, D: int):
+    """(ints, D, X, nbytes, lo, hi) for the value table (ints, D): lo and hi
+    its least and largest entry, X its entries less lo packed into the
+    narrowest lanes (`lane_bytes`) that hold hi - lo."""
+    lo, hi = min(ints), max(ints)
+    nbytes = lane_bytes(hi - lo)
+    return ints, D, pack_lanes(ints, lo, nbytes), nbytes, lo, hi
+
+
+def widen_lanes(X: int, nbytes: int, to: int, size: int) -> int:
+    """The `size` lanes of X, nbytes bytes each, as lanes of `to` bytes: byte
+    b of every lane moves at once, by one extended-slice assignment. Exact
+    while every entry fits `to` bytes."""
+    if to == nbytes:
+        return X
+    src, out = X.to_bytes(nbytes * size, "little"), bytearray(to * size)
+    for b in range(min(nbytes, to)):
+        out[b::to] = src[b::nbytes]
+    return int.from_bytes(out, "little")
+
+
+def lane_guard(nbytes: int, size: int) -> int:
+    """The top (guard) bit of each of `size` lanes of nbytes bytes."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+
+
 def _subset_max(row):
     """Per mask, the largest entry of `row` over its submasks, by `max_passes`
     on the row less its minimum lo; `row` itself when no pass moves a lane."""
-    lo = min(row)
-    return lanes_max(row, lo, lane_bytes(max(row) - lo))[0]
+    row, _, X, nbytes, lo, _ = lanes_of(row, 1)
+    return lanes_max(row, X, nbytes, lo)[0]
 
 
-def lanes_max(row, lo: int, nbytes: int):
-    """(subset max of `row`, its nbytes-byte lanes less lo) from one
-    `pack_lanes`; `row` itself when no pass moves a lane."""
-    X0 = pack_lanes(row, lo, nbytes)
-    X = max_passes(X0, nbytes, len(row))
-    if X == X0:
+def lanes_max(row, X: int, nbytes: int, lo: int):
+    """(subset max of `row`, its lanes) from X, the nbytes-byte lanes of
+    `row` less lo; `row` itself when no pass moves a lane."""
+    Y = max_passes(X, nbytes, len(row))
+    if Y == X:
         return row, X
-    out = unpack_lanes(X, nbytes, len(row))
-    return ([x + lo for x in out] if lo else out), X
+    out = unpack_lanes(Y, nbytes, len(row))
+    return ([x + lo for x in out] if lo else out), Y
 
 
 def cheapest_subsets(costs, k, order):
@@ -372,6 +413,13 @@ class Valuation:
         f, D = self._oracle
         return lowest_terms(list(map(f, range(1 << self.m))), D)
 
+    def table_lanes(self):
+        """`lanes_of(*value_table())` for the exhaustive kernels, afresh per
+        call, so values that change (`add_bump`) stay exact. A family whose
+        values never change keeps its lanes and hands out its ints
+        uncopied; no caller may mutate them."""
+        return lanes_of(*self.value_table())
+
     def int_oracle(self):
         """(f, D) with f(mask) == D * v(mask) exactly for every mask: the
         family's one value definition, built once as `self._oracle`. f is
@@ -444,14 +492,21 @@ class TableValuation(Valuation):
         if self._ints[0] != 0:
             raise DomainError("v(empty) must be 0")
         self._oracle = self._ints.__getitem__, self._D
+        # the lanes the monotone check packs are kept; unchecked, packed once when read
+        self._lanes = None
         if validate:
-            drop = _first_monotone_drop(self._ints, m)
+            drop = _first_monotone_drop(self.table_lanes())
             if drop is not None:
                 mask, j = drop
                 raise DomainError(f"not monotone at {sorted(bundle_of(mask))} + item {j}")
 
     def value_table(self):
         return list(self._ints), self._D
+
+    def table_lanes(self):
+        if self._lanes is None:
+            self._lanes = lanes_of(self._ints, self._D)
+        return self._lanes
 
     def to_json(self):
         return {
@@ -602,25 +657,30 @@ class CoverageValuation(Valuation):
         self._weights, self._D = scale_to_ints([w for _, _, w in parsed])
         hits = [((1 << u) | (1 << v), w) for (u, v, _), w in zip(parsed, self._weights)]
         self._oracle = (lambda mask: sum(w for em, w in hits if em & mask)), self._D
-        self._table = None
+        self._lanes = None
 
     def value_table(self):
-        # the edges never change, so the first table is kept and copied out;
-        # it doubles per item j on lanes: for S below j, v(S + j) == v(S) +
-        # total[j] less the weight from j into S, a `packed_sums` lane
-        if self._table is None:
+        ints, D = self.table_lanes()[:2]
+        return list(ints), D
+
+    def table_lanes(self):
+        # the edges never change, so the first build is kept, with its lanes
+        # T (lo = 0, hi = the total weight); it doubles per item j on lanes:
+        # for S below j, v(S + j) == v(S) + total[j] less the weight from j
+        # into S, a `packed_sums` lane
+        if self._lanes is None:
             total = [0] * self.m
             lower = [[0] * j for j in range(self.m)]
             for (u, v, _), w in zip(self.edges, self._weights):
                 total[u] += w
                 total[v] += w
                 lower[v][u] -= w
-            T, nbytes = 0, lane_bytes(sum(self._weights))
+            hi = sum(self._weights)
+            T, nbytes = 0, lane_bytes(hi)
             for j in range(self.m):
                 T |= (T + packed_sums(lower[j], nbytes, total[j])) << (8 * nbytes << j)
-            self._table = unpack_lanes(T, nbytes, 1 << self.m), self._D
-        table, D = self._table
-        return list(table), D
+            self._lanes = unpack_lanes(T, nbytes, 1 << self.m), self._D, T, nbytes, 0, hi
+        return self._lanes
 
     def to_json(self):
         return {
@@ -637,7 +697,7 @@ def verify_class(v: Valuation, cls: str):
     """Check a valuation class property exhaustively; returns (ok, witness).
 
     Witnesses carry the violating bundles and both side values. Every class
-    but `normalized` compares the ints of `v.value_table()`.
+    but `normalized` compares the ints of `v.table_lanes()`.
     """
     m = v.m
     if cls not in VERIFY_CAP:
@@ -656,9 +716,10 @@ def verify_class(v: Valuation, cls: str):
             if vals[mask] != psum[mask]:
                 return False, {"S": sorted(bundle_of(mask)), "lhs": Fraction(vals[mask], D)}
         return True, None
-    vals, D = v.value_table()
+    lanes = v.table_lanes()
+    vals, D = lanes[:2]
     if cls == "monotone":
-        drop = _first_monotone_drop(vals, m)
+        drop = _first_monotone_drop(lanes)
         if drop is None:
             return True, None
         mask, j = drop
@@ -697,13 +758,15 @@ def verify_class(v: Valuation, cls: str):
     return _verify_xos(vals, D)
 
 
-def _first_monotone_drop(vals, m: int):
+def _first_monotone_drop(lanes):
     """(mask, item) of the first vals[S] > vals[S + j] in (mask, item) order,
-    or None. A table is monotone iff every mask holds its submask max, that is
-    iff `_subset_max` returns the row itself; the scan names the drop."""
-    if _subset_max(vals) is vals:
+    or None, for the table lanes (vals, D, X, nbytes, ...) of `lanes_of`. A
+    table is monotone iff every mask holds its submask max, that is iff no
+    `max_passes` pass moves a lane of X; the scan names the drop."""
+    vals, _, X, nbytes = lanes[:4]
+    n = len(vals)
+    if max_passes(X, nbytes, n) == X:
         return None
-    n = 1 << m
     for mask in range(n):
         for j in iter_bits((n - 1) & ~mask):
             if vals[mask] > vals[mask | (1 << j)]:

@@ -37,7 +37,7 @@ from sspeq.auction import (
     resolve,
     welfare,
 )
-from sspeq.reductions import local_max_check
+from sspeq.reductions import local_max_bids, local_max_check
 from sspeq.stealing import run_iterative_stealing
 from sspeq.topsteal import preprocess_to_competitors, top_steal
 from sspeq.valuations import (
@@ -51,8 +51,13 @@ from sspeq.valuations import (
     _subset_max,
     bundle_of,
     lane_masks,
+    lanes_of,
+    lanes_top,
     mask_of,
     max_passes,
+    pack_lanes,
+    verify_class,
+    widen_lanes,
 )
 
 
@@ -299,6 +304,27 @@ def test_certify_shaped_theorem_holds_beyond_brute_sizes(seed):
     assert is_pure_nash_no_overbid(vs, pool_bids)[0] == (run.log.steals() == 0)
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_opt_is_a_local_max_whose_procedure_bids_certify(seed):
+    # two theorem oracles on certify's instances at m = 12-13, past brute
+    # sizes: OPT's allocation is a local maximum, and for submodular bidders
+    # the procedure's bids on a local maximum admit no steal, so the
+    # equilibrium check (the lane deviation on 2^12-2^13 masks) certifies
+    # them; an item its owner bids 0 on resolves to bidder 0, so the check
+    # runs on the resolved allocation, which moves only such items
+    rng = seeded(seed)
+    m = rng.randint(12, 13)
+    vs = [random_coverage(rng, m), random_coverage(rng, m), random_cover_table(rng, m)]
+    _, alloc = optimal_welfare(vs)
+    assert local_max_check(vs, alloc) == (True, None)
+    bids = local_max_bids(vs, alloc)
+    ok, witnesses = is_pure_nash_no_overbid(vs, bids)
+    assert ok, witnesses
+    moved = [j for j in range(m) if (j in alloc[0]) != (j in resolve(bids)[0][0])]
+    assert all(row[j] == 0 for row in bids for j in moved)
+
+
 @st.composite
 def _subset_max_rows(draw):
     """Rows of 2^m entries, m = 1..9, whose span (max - min) is 0, small, or
@@ -335,6 +361,24 @@ def test_subset_max_matches_brute(row):
     got = _subset_max(row)
     assert got == want
     assert (got is row) == (want == row)
+
+
+@given(_subset_max_rows())
+@settings(max_examples=80, deadline=None)
+def test_widen_lanes_matches_pack_lanes_and_keeps_the_top_lane(row):
+    # every pair of widths that holds the row's span, 1 to 8 bytes and 16-
+    # and 24-byte word lanes, both ways; the rows sit on either side of a
+    # guard bit, so the narrowest width is often full to its top bit. Where
+    # the span clears the guard bit, lanes_top finds the largest lane.
+    lo, span = min(row), max(row) - min(row)
+    widths = [w for w in (1, 2, 4, 8, 16, 24) if span >> 8 * w == 0]
+    for nbytes in widths:
+        X = pack_lanes(row, lo, nbytes)
+        for to in widths:
+            Y = widen_lanes(X, nbytes, to, len(row))
+            assert Y == pack_lanes(row, lo, to)
+            if span >> 8 * to - 1 == 0:
+                assert lanes_top(Y, to, len(row)) == span
 
 
 def test_lane_masks_keep_the_lanes_without_the_bit():
@@ -376,9 +420,15 @@ def test_split_bound_covers_the_exact_split(tables):
     # the packed before, A, B and ub against brute subset maxes, on rows with
     # negative entries, negative prices and entries at or past 2^64: before
     # is b's subset max (b itself when that is b), each other row is exact
-    # up to a constant, the constants sum to c, and rest = A + B - ub
+    # up to a constant, the constants sum to c, and rest = A + B - ub; rows
+    # given as lanes at a third of their values, scaled by k = 3, give the
+    # rows of the tripled tables
     a, b, prices = tables
-    before, A, B, ub, c = _split_bound(a, b, prices)
+    before, A, B, ub, c = _split_bound(lanes_of(a, 1), lanes_of(b, 1), prices)
+    thirds = [([3 * x for x in row], 3, *lanes_of(row, 1)[2:]) for row in (a, b)]
+    tripled = [lanes_of([3 * x for x in row], 1) for row in (a, b)]
+    triple = [3 * x for x in prices]
+    assert _split_bound(*thirds, triple) == _split_bound(*tripled, triple)
     rest = [x + y - z for x, y, z in zip(A, B, ub)]
     ps = [sum(x for j, x in enumerate(prices) if t >> j & 1) for t in range(len(a))]
     subs = [[t for t in range(R + 1) if t & R == t] for R in range(len(a))]
@@ -421,7 +471,7 @@ def test_split_above_is_the_best_split_when_it_beats_the_floor(case):
     a, b, prices, R, offset = case
     want = max(a[s] + b[R ^ s] for s in range(R + 1) if s & R == s)
     floor = want + offset
-    _, A, B, ub, c = _split_bound(a, b, prices)
+    _, A, B, ub, c = _split_bound(lanes_of(a, 1), lanes_of(b, 1), prices)
     first = _branch_items(A, B)
     assert all(first[f] & f and first[f].bit_count() == 1 for f in range(1, len(a)))
     highest = [1 << f.bit_length() >> 1 for f in range(len(a))]
@@ -437,6 +487,8 @@ class NoTableCoverage(CoverageValuation):
 
     def value_table(self):
         raise AssertionError("value_table built past the cap")
+
+    table_lanes = value_table
 
 
 def test_optimal_welfare_cap_boundary():
@@ -629,6 +681,99 @@ def test_best_deviation_matches_brute_at_ties(seed, block_all):
         assert (d.utility, d.bundle) == (0, frozenset())
 
 
+def _edge_deviation_case(rng, table, prices):
+    """(valuations, bids) whose bidder 0 has an edge table for the lane
+    deviation: unchecked with negative entries, past 2^64 (word lanes), at
+    a denominator of 7 against prices at 4 or 5, or in halves against
+    prices in halves, where many bundles tie; the rival's bids, the
+    deviator's prices, are random, all zero, or at least each item's value,
+    which blocks every bundle."""
+    m = rng.randint(1, 5)
+    scale, top, dens = 1, 6, (4, 5)
+    if table == "negative":
+        values = [0] + [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(1, 1 << m)]
+        v = TableValuation(m, values, validate=False)
+    elif table == "wide":
+        scale = 1 << rng.choice((64, 70, 130))
+        v = TableValuation(m, [x * scale for x in random_table(rng, m)])
+    elif table == "ties":
+        v, top, dens = _tie_heavy_table(rng, m, False), 2, (2,)
+    else:
+        v = TableValuation(m, [x / 7 for x in random_table(rng, m)])
+    if prices == "zero":
+        rival = [0] * m
+    elif prices == "block":
+        rival = [max(v.value({j}), 0) + Fraction(rng.randint(0, 1), 4) * scale for j in range(m)]
+    else:
+        rival = [Fraction(rng.randint(0, top), rng.choice(dens)) * scale for _ in range(m)]
+    own = [Fraction(rng.randint(0, 4), 3) * scale for _ in range(m)]
+    vs = [v, AdditiveValuation(m, [Fraction(rng.randint(0, 6), 5) * scale for _ in range(m)])]
+    return vs, [own, rival]
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["negative", "wide", "coprime", "ties"]),
+       st.sampled_from(["random", "zero", "block"]))
+@settings(max_examples=120, deadline=None)
+def test_lane_deviation_matches_brute_on_edge_tables(seed, table, prices):
+    # best_deviation and the equilibrium check's deviation witnesses, for
+    # both bidders, against the brute definition
+    vs, bids = _edge_deviation_case(seeded(seed), table, prices)
+    alloc, paid = reference_resolve(bids)
+    want = []
+    for i, v in enumerate(vs):
+        u, S, pay = brute_best_deviation(vs, i, bids)
+        d = best_deviation(vs, i, bids)
+        assert (d.utility, d.bundle, d.payment) == (u, S, pay)
+        current = v.value(alloc[i]) - paid[i]
+        if u > current:
+            want.append({"kind": "deviation", "bidder": i, "bundle": sorted(S), "utility": u, "current": current})
+    if prices == "block":
+        assert best_deviation(vs, 0, bids).bundle == frozenset()
+    _, witnesses = is_pure_nash_no_overbid(vs, bids)
+    assert [x for x in witnesses if x["kind"] == "deviation"] == want
+
+
+def test_best_deviation_ties_go_to_fewer_items_then_the_lower_item():
+    # {0, 1} and {2} both gain 1, and {2} has fewer items though its mask is
+    # larger; {0, 3} and {1, 2} both gain 1 and {0, 3} holds the lower item
+    v = TableValuation(3, [0, 1, 1, 2, 2, 2, 2, 2])
+    d = best_deviation([v, None], 0, [[0] * 3, [Fraction(1, 2), Fraction(1, 2), 1]])
+    assert (d.utility, d.bundle, d.payment) == (1, {2}, 1)
+    h = Fraction(3, 2)
+    w = TableValuation(4, [0, 1, 1, h, 1, h, 2, 2, 1, 2, h, 2, h, 2, 2, 2])
+    d = best_deviation([w, None], 0, [[0] * 4, [Fraction(1, 2)] * 4])
+    assert (d.utility, d.bundle, d.payment) == (1, {0, 3}, 1)
+
+
+def _kept_table_instance(seed):
+    rng = seeded(seed)
+    m = 5
+    vs = [random_coverage(rng, m), TableValuation(m, random_table(rng, m, monotone=False), validate=False),
+          random_submodular_table(rng, m)]
+    bids = [[Fraction(rng.randint(0, 4), 2) for _ in range(m)] for _ in vs]
+    return vs, bids
+
+
+def _kernel_answers(vs, bids):
+    return (optimal_welfare(vs), is_pure_nash_no_overbid(vs, bids),
+            [best_deviation(vs, i, bids) for i in range(len(vs))],
+            [verify_class(v, "monotone") for v in vs])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_mutated_value_table_changes_no_later_opt_or_check(seed):
+    # tables and coverage keep their ints and lanes; value_table() hands out
+    # copies, so rewriting one, before the lanes are first read or after,
+    # changes no later answer
+    vs, bids = _kept_table_instance(seed)
+    want = _kernel_answers(*_kept_table_instance(seed))
+    for _ in range(2):
+        for v in vs:
+            ints, _ = v.value_table()
+            ints[:] = [3 - 2 * x for x in ints]
+        assert _kernel_answers(vs, bids) == want
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_best_deviation_mixed_families_match_brute(seed):
@@ -770,6 +915,7 @@ def test_equilibrium_check_caps_before_building_tables(unit_demand_18, monkeypat
     m = SUBSET_CAP + 1
     v = CoverageValuation(m, [(0, 1, 1)])
     monkeypatch.setattr(CoverageValuation, "value_table", no_table)
+    monkeypatch.setattr(CoverageValuation, "table_lanes", no_table)
     with pytest.raises(CapabilityError, match=f"m={SUBSET_CAP}"):
         is_pure_nash_no_overbid([v, v], [[0] * m, [1] * m])
 

@@ -29,6 +29,7 @@ from conftest import (
     seeded,
 )
 from sspeq import valuations
+from sspeq.hardness import SensitiveValuation
 from sspeq.money import scale_to_ints
 from sspeq.reductions import SetPairSystem, SetPairValuation
 from sspeq.stealing import int_oracles
@@ -49,6 +50,7 @@ from sspeq.valuations import (
     cheapest_subsets,
     check_clause,
     lane_bytes,
+    lanes_of,
     mask_of,
     packed_sums,
     subset_sums,
@@ -463,6 +465,28 @@ def test_additive_value_tables_equal_the_base_build(seed):
     budget = rng.choice([total + Fraction(1, 7), Fraction(rng.randint(0, 40), rng.randint(1, 6))])
     for v in (AdditiveValuation(m, items), BudgetAdditiveValuation(m, budget, items)):
         assert v.value_table() == Valuation.value_table(v), v.kind
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_every_family_hands_out_the_base_lanes(seed):
+    # kept lanes (tables, checked or not, and coverage, also past 2^64) and
+    # the base build of every other family equal lanes_of(*value_table());
+    # the keeping families hand out one ints list, and a sensitive
+    # valuation's lanes follow its bumps
+    rng = seeded(seed)
+    m = rng.randint(1, 5)
+    unchecked = TableValuation(m, random_table(rng, m, monotone=False), validate=False)
+    wide = CoverageValuation(m, [(u, v, w * 2**64) for u, v, w in random_coverage_edges(rng, m)])
+    cases = [v for v, _ in brute_cases(rng, m, with_table=True)] + [unchecked, wide]
+    for v in cases:
+        assert v.table_lanes() == Valuation.table_lanes(v) == lanes_of(*v.value_table()), v.kind
+        if isinstance(v, (TableValuation, CoverageValuation)):
+            assert v.table_lanes()[0] is v.table_lanes()[0], v.kind
+    sv = SensitiveValuation(7, g=1, h=2)
+    before = sv.table_lanes()
+    sv.add_bump(0b1111, Fraction(1, 8))
+    assert sv.table_lanes() == lanes_of(*sv.value_table()) != before
 
 
 @given(st.integers(0, 10_000))
