@@ -17,6 +17,9 @@ fastest kept, and `optimal_welfare_ms_mean` is the mean of those.
 `is_pure_nash_no_overbid` on the two profiles certify checks, the pool
 start's bids and the profile `run_iterative_stealing` settles in (built
 before either pass), the mean over both profiles of every instance.
+`demand_ms_mean` times each bidder's exhaustive demand entry, `_demand`, in
+both profiles at its rival prices, the largest bid of the other bidders on
+each item, the same way.
 
 `--family` picks the instances: `certify` (the default) as above;
 `additive-tie` and `budget-tie`, three identical additive or
@@ -142,6 +145,10 @@ def main() -> None:
 
     ms = [min(timed(auction.optimal_welfare, vals) for _ in range(5)) for vals in instances]
     nash_ms = [min(timed(auction.is_pure_nash_no_overbid, *profile) for _ in range(5)) for profile in profiles]
+    demands = [(v._demand, v._check_prices([max(row[j] for k, row in enumerate(bids) if k != i)
+                                            for j in range(args.m)]))
+               for vals, bids in profiles for i, v in enumerate(vals)]
+    demand_ms = [min(timed(demand, *prices) for _ in range(5)) for demand, prices in demands]
     print(json.dumps({
         "seed": args.seed, "m": args.m, "instances": args.instances,
         "full_walk_steps": 3 ** args.m,
@@ -153,6 +160,7 @@ def main() -> None:
         "step_bound": auction._opt_step_bound(3, args.m),
         "optimal_welfare_ms_mean": round(sum(ms) / len(ms), 3),
         "nash_ms_mean": round(sum(nash_ms) / len(nash_ms), 3),
+        "demand_ms_mean": round(sum(demand_ms) / len(demand_ms), 3),
     }))
 
 

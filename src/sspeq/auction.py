@@ -18,7 +18,6 @@ from .valuations import (
     DomainError,
     Valuation,
     _subset_max,
-    better_demand,
     bundle_of,
     checked_count,
     checked_mask,
@@ -26,11 +25,12 @@ from .valuations import (
     lane_bytes,
     lane_guard,
     lane_masks,
+    lanes_argmax,
     lanes_max,
     lanes_of,
-    lanes_top,
     max_passes,
     packed_sums,
+    priced_lanes,
     subset_sums,
     unpack_lanes,
     widen_lanes,
@@ -166,10 +166,8 @@ def optimal_welfare(valuations):
             f"optimal welfare DP too large for n={n}, m={m}: its step bound exceeds {OPT_WORK_CAP}"
         )
     lanes = [v.table_lanes() for v in valuations]
-    D = math.lcm(*(d for _, d, *_ in lanes))
-    # each table at D, beside its lanes at its own denominator d, D // d apart
-    lanes = [(rescale(ints, d, D), D // d, *rest) for ints, d, *rest in lanes]
-    tables = [L[0] for L in lanes]
+    D = math.lcm(*(L.D for L in lanes))
+    tables = [rescale(L.ints, L.D, D) for L in lanes]
     size = 1 << m
     full = size - 1
     # rows[i][mask]: the best welfare of bidders 0..i-1 on the items of mask
@@ -181,8 +179,8 @@ def optimal_welfare(valuations):
         best, bestT = _best_split(rows[-1], tables[-1], full)
     else:
         middle, last = tables[-2], tables[-1]
-        row = lanes[0] if n == 3 else lanes_of(rows[-1], 1)
-        before, A, B, ub, c = _split_bound(lanes[-2], row, _item_prices(tables, m))
+        row = lanes[0] if n == 3 else lanes_of(rows[-1], D)
+        before, A, B, ub, c = _split_bound(lanes[-2], row, rows[-1], _item_prices(tables, m), D)
         rows[-1] = before  # for n = 3, bidder 0's table until here
         first = _branch_items(A, B)
         # bound[R] bounds t = full ^ R; its first maximum, the largest (bound, t), seeds
@@ -231,25 +229,25 @@ def _best_split(prev, vals, mask):
     return best, bestT
 
 
-def _split_bound(a, b, prices):
-    """(before, A, B, ub, c) for the rows a and b and int item prices p, ps =
-    p(mask), P the sum of the positive prices: before the subset max of b,
+def _split_bound(a, b, row, prices, D):
+    """(before, A, B, ub, c) for the rows a and b at denominator D and int
+    item prices p, ps = p(mask), P the sum of the positive prices: before
+    the subset max of b (`row`, b's ints at D, when no pass moves a lane),
     whose lanes give B; A, B the subset maxes of a - ps, before - ps (see
     `optimal_welfare`) less min(a) - P, min(b) - P; ub = A + B - rest, rest =
     P - ps never unpacked; c = min(a) + min(b) - P: A[U] + B[V] + c - rest[R]
-    and ub[R] + c are exact. A and B stay below the lanes' guard bit. Each
-    row comes as (row, k, X, nbytes, lo, hi), `lanes_of(row / k)`, so kept
-    lanes are widened and scaled by k, never repacked or rescanned."""
-    size = len(a[0])
+    and ub[R] + c are exact, below the guard bit. a and b are `Lanes` at
+    denominators dividing D, widened and scaled, never repacked or rescanned."""
+    size = len(row)
     P = sum(p for p in prices if p > 0)
-    nbytes = lane_bytes(max((hi - lo) * k for _, k, _, _, lo, hi in (a, b)) + sum(map(abs, prices)))
-    Xa, Xb = (widen_lanes(X, nb, nbytes, size) * k for _, k, X, nb, _, _ in (a, b))
-    lo_a, lo_b = a[4] * a[1], b[4] * b[1]
+    ka, kb = D // a.D, D // b.D
+    nbytes = lane_bytes(max((a.hi - a.lo) * ka, (b.hi - b.lo) * kb) + sum(map(abs, prices)))
+    Xa, Xb = widen_lanes(a.X, a.nbytes, nbytes, size) * ka, widen_lanes(b.X, b.nbytes, nbytes, size) * kb
     rest = packed_sums([-p for p in prices], nbytes, P)
-    before, Xb = lanes_max(b[0], Xb, nbytes, lo_b)
+    before, Xb = lanes_max(row, Xb, nbytes, b.lo * kb)
     A = max_passes(Xa + rest, nbytes, size)
     B = max_passes(Xb + rest, nbytes, size)
-    return (before, *(unpack_lanes(Y, nbytes, size) for Y in (A, B, A + B - rest)), lo_a + lo_b - P)
+    return (before, *(unpack_lanes(Y, nbytes, size) for Y in (A, B, A + B - rest)), a.lo * ka + b.lo * kb - P)
 
 
 def _branch_items(A, B):
@@ -359,40 +357,22 @@ def best_deviation(valuations, i: int, bids) -> Deviation:
 
 
 def _best_deviation(lanes, prices) -> Deviation:
-    """best_deviation on the deviator's `table_lanes` (vals, Dv, X, nbytes,
-    lo, hi) and rival prices (p, Dp), ints at their denominator. A mask is
-    free iff each nonempty submask S has psum[S] < vals[S]. At D = lcm(Dv,
-    Dp), k = D // Dv, lane t of L = X * k + P - psum[t] (`packed_sums`, P
-    the price total) is c + D * (v(t) - p(t)), c = P - lo * k. One guard-bit
-    subtraction marks the lanes with L > c (and mask 0); the marks are
-    closed downward bit by bit, each mask without bit `half` ANDing its
-    mark into mask | half by a shift of the lanes `lane_masks` keeps. The
-    best is `lanes_top` of the free lanes of L + 1 (the others 0), less
-    c + 1; one more subtraction marks its ties, broken by `better_demand`."""
-    vals, Dv, X, nbytes, lo, hi = lanes
-    p, Dp = prices
-    D = math.lcm(Dv, Dp)
-    k, p = D // Dv, rescale(p, Dp, D)
-    size, P = len(vals), sum(p)
-    c = P - lo * k
-    # v(empty) = 0, so lo <= 0 <= hi and 0 <= c; L + 1 stays below the guard bit
-    w = lane_bytes((hi - lo) * k + P + 1)
-    L = widen_lanes(X, nbytes, w, size) * k + packed_sums([-x for x in p], w, P)
+    """best_deviation on the deviator's `table_lanes` and rival prices (p,
+    Dp), ints at their denominator. A mask is free iff each nonempty submask
+    S has p(S) < v(S), lane S of the `priced_lanes` L above c: one guard-bit
+    subtraction marks those lanes (and mask 0), and the marks are closed
+    downward, a shift per bit of the lanes `lane_masks` keeps. The best is
+    `lanes_argmax` of the free lanes of L + 1 (the others 0), less c + 1."""
+    L, c, w, D, p = priced_lanes(lanes, *prices)
+    size = len(lanes.ints)
     guard = lane_guard(w, size)
-    ones = guard >> 8 * w - 1
-    free = ((L | guard) - (c + 1) * ones) & guard | 1 << 8 * w - 1
+    free = ((L | guard) - (c + 1) * (guard >> 8 * w - 1)) & guard | 1 << 8 * w - 1
     shift = 8 * w
     for keep in lane_masks(w, size):
         free &= (free & keep) << shift | keep
         shift *= 2
     low = free >> 8 * w - 1
-    U = (L & free - low) + low
-    top = lanes_top(U, w, size)
-    ties = (((U | guard) - top * ones) & guard).to_bytes(w * size, "little")[w - 1 :: w]
-    best = t = ties.find(128)
-    while (t := ties.find(128, t + 1)) >= 0:
-        if better_demand(top, t, top, best):
-            best = t
+    top, best = lanes_argmax((L & free - low) + low, w, size, guard)
     pay = sum(p[j] for j in iter_bits(best))
     return Deviation(Fraction(top - 1 - c, D), bundle_of(best), Fraction(pay, D))
 
@@ -413,11 +393,10 @@ def is_pure_nash_no_overbid(valuations, bids, alloc=None):
     deviations = []
     for i, v in enumerate(valuations):
         lanes = v.table_lanes()
-        vals, Dv = lanes[:2]
-        ok, w = _no_overbidding((vals.__getitem__, Dv), rows[i], D)
+        ok, w = _no_overbidding((lanes.ints.__getitem__, lanes.D), rows[i], D)
         if not ok:
             witnesses.append({"kind": "overbidding", "bidder": i, **w})
-        current = Fraction(vals[won[i]], Dv) - Fraction(paid[i], D)
+        current = Fraction(lanes.ints[won[i]], lanes.D) - Fraction(paid[i], D)
         dev = _best_deviation(lanes, (_rival_max(rows, i), D))
         if dev.utility > current:
             deviations.append({"kind": "deviation", "bidder": i, "bundle": sorted(dev.bundle),

@@ -22,6 +22,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from typing import NamedTuple
 
 from .money import DomainError, Money, checked_iter, checked_money, format_money, parse_money, rescale, scale_to_ints
 
@@ -112,16 +113,6 @@ def iter_submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def priced_table(table, prices):
-    """A value table (vals, Dv) and item prices (p, Dp), both ints at their
-    denominators, brought to one common denominator: (vals, psum, D) with
-    vals[t] == D * v(t) and psum[t] == D * (sum of prices over t)."""
-    vals, Dv = table
-    p, Dp = prices
-    D = math.lcm(Dv, Dp)
-    return rescale(vals, Dv, D), subset_sums(rescale(p, Dp, D)), D
-
-
 def subset_sums(weights):
     """sums[t] == the sum of weights[b] over the set bits b of t, for every
     t < 1 << len(weights), by doubling: the masks that hold weight b are
@@ -205,13 +196,12 @@ def max_passes(X: int, nbytes: int, size: int) -> int:
     return X
 
 
-def lanes_top(X: int, nbytes: int, size: int) -> int:
+def lanes_top(X: int, nbytes: int, size: int, guard: int) -> int:
     """The largest of the `size` lanes of X, a power of two of them, nbytes
-    bytes each and all below their guard bit: the upper half of the lanes
-    is folded onto the lower half by the guard-bit compare of `max_passes`
-    until one lane is left."""
+    bytes each and all below their guard bits `guard`: the upper half of the
+    lanes is folded onto the lower half by the guard-bit compare of
+    `max_passes` until one lane is left."""
     width = 8 * nbytes
-    guard = lane_guard(nbytes, size // 2)
     while size > 1:
         size //= 2
         half = (1 << width * size) - 1
@@ -233,13 +223,44 @@ def packed_sums(weights, nbytes: int, base: int = 0) -> int:
     return S
 
 
-def lanes_of(ints, D: int):
-    """(ints, D, X, nbytes, lo, hi) for the value table (ints, D): lo and hi
-    its least and largest entry, X its entries less lo packed into the
-    narrowest lanes (`lane_bytes`) that hold hi - lo."""
+# a value table, v(t) == ints[t] / D, its entries in lo..hi, X its entries less lo on lanes of nbytes bytes
+Lanes = NamedTuple("Lanes", [("ints", list), ("D", int), ("X", int), ("nbytes", int), ("lo", int), ("hi", int)])
+
+
+def lanes_of(ints, D: int) -> Lanes:
+    """The `Lanes` of the value table (ints, D), on the narrowest lanes
+    (`lane_bytes`) that hold hi - lo."""
     lo, hi = min(ints), max(ints)
     nbytes = lane_bytes(hi - lo)
-    return ints, D, pack_lanes(ints, lo, nbytes), nbytes, lo, hi
+    return Lanes(ints, D, pack_lanes(ints, lo, nbytes), nbytes, lo, hi)
+
+
+def priced_lanes(lanes: Lanes, p, Dp: int):
+    """(L, c, w, D, p) at int item prices p / Dp: at D = lcm(lanes.D, Dp), k =
+    D // lanes.D, lane t of L = X * k + P - p(t) (`packed_sums`, P the sum of
+    the positive prices) is c + D * (v(t) - p(t)), c = P - lo * k (lane 0 where
+    v(empty) = 0), on w-byte lanes that keep L + 1 below the guard bit, L at
+    most (hi - lo) * k + P + N, N = P - sum(p) the negative prices' size; p at D."""
+    D = math.lcm(lanes.D, Dp)
+    k, p = D // lanes.D, rescale(p, Dp, D)
+    total = sum(p)
+    P = total if min(p) >= 0 else sum(x for x in p if x > 0)
+    w = lane_bytes((lanes.hi - lanes.lo) * k + 2 * P - total + 1)
+    L = widen_lanes(lanes.X, lanes.nbytes, w, len(lanes.ints)) * k + packed_sums([-x for x in p], w, P)
+    return L, P - lanes.lo * k, w, D, p
+
+
+def lanes_argmax(U: int, w: int, size: int, guard: int):
+    """(top, mask): `lanes_top` of the `size` w-byte lanes of U, below their
+    guard bits `guard`, and the lane holding it that wins `better_demand`:
+    one guard-bit subtraction marks the lanes equal to top."""
+    top = lanes_top(U, w, size, guard)
+    ties = (((U | guard) - top * (guard >> 8 * w - 1)) & guard).to_bytes(w * size, "little")[w - 1 :: w]
+    best = t = ties.find(128)
+    while (t := ties.find(128, t + 1)) >= 0:
+        if better_demand(top, t, top, best):
+            best = t
+    return top, best
 
 
 def widen_lanes(X: int, nbytes: int, to: int, size: int) -> int:
@@ -262,8 +283,8 @@ def lane_guard(nbytes: int, size: int) -> int:
 def _subset_max(row):
     """Per mask, the largest entry of `row` over its submasks, by `max_passes`
     on the row less its minimum lo; `row` itself when no pass moves a lane."""
-    row, _, X, nbytes, lo, _ = lanes_of(row, 1)
-    return lanes_max(row, X, nbytes, lo)[0]
+    lanes = lanes_of(row, 1)
+    return lanes_max(row, lanes.X, lanes.nbytes, lanes.lo)[0]
 
 
 def lanes_max(row, X: int, nbytes: int, lo: int):
@@ -364,7 +385,7 @@ class Valuation:
     kind = "abstract"
 
     def __init__(self, m: int):
-        if not isinstance(m, int) or m < 1:
+        if (m := checked_count(m, "m")) < 1:
             raise DomainError(f"need at least one item, got m={m}")
         self.m = m
         self.full_mask = (1 << m) - 1
@@ -413,7 +434,7 @@ class Valuation:
         f, D = self._oracle
         return lowest_terms(list(map(f, range(1 << self.m))), D)
 
-    def table_lanes(self):
+    def table_lanes(self) -> Lanes:
         """`lanes_of(*value_table())` for the exhaustive kernels, afresh per
         call, so values that change (`add_bump`) stay exact. A family whose
         values never change keeps its lanes and hands out its ints
@@ -433,19 +454,15 @@ class Valuation:
 
     def _demand(self, p, D: int) -> int:
         """The mask of the demanded bundle at item prices p[j] / D, for ints
-        p[j] >= 0: the uncounted demand entry behind `demand`. By default an
-        exhaustive scan of the value table on ints."""
+        p[j] >= 0: the uncounted demand entry behind `demand`. By default
+        `lanes_argmax` of the table's `priced_lanes`."""
         if self.m > EXHAUSTIVE_DEMAND_CAP:
             raise CapabilityError(
                 f"exhaustive demand needs m <= {EXHAUSTIVE_DEMAND_CAP}, got {self.m}"
             )
-        vals, psum, _ = priced_table(self.value_table(), (p, D))
-        best_profit, best = 0, 0
-        for mask in range(1, 1 << self.m):
-            profit = vals[mask] - psum[mask]
-            if profit >= best_profit and better_demand(profit, mask, best_profit, best):
-                best_profit, best = profit, mask
-        return best
+        L, _, w, _, _ = priced_lanes(self.table_lanes(), p, D)
+        size = 1 << self.m
+        return lanes_argmax(L, w, size, lane_guard(w, size))[1]
 
     def _int_clause(self, mask: int):
         """(row, D): the clause of the bundle `mask` as ints, row[j] == D *
@@ -660,8 +677,8 @@ class CoverageValuation(Valuation):
         self._lanes = None
 
     def value_table(self):
-        ints, D = self.table_lanes()[:2]
-        return list(ints), D
+        lanes = self.table_lanes()
+        return list(lanes.ints), lanes.D
 
     def table_lanes(self):
         # the edges never change, so the first build is kept, with its lanes
@@ -679,7 +696,7 @@ class CoverageValuation(Valuation):
             T, nbytes = 0, lane_bytes(hi)
             for j in range(self.m):
                 T |= (T + packed_sums(lower[j], nbytes, total[j])) << (8 * nbytes << j)
-            self._lanes = unpack_lanes(T, nbytes, 1 << self.m), self._D, T, nbytes, 0, hi
+            self._lanes = Lanes(unpack_lanes(T, nbytes, 1 << self.m), self._D, T, nbytes, 0, hi)
         return self._lanes
 
     def to_json(self):
@@ -696,8 +713,8 @@ class CoverageValuation(Valuation):
 def verify_class(v: Valuation, cls: str):
     """Check a valuation class property exhaustively; returns (ok, witness).
 
-    Witnesses carry the violating bundles and both side values. Every class
-    but `normalized` compares the ints of `v.table_lanes()`.
+    Witnesses carry the first violating bundles and both side values. Every class
+    but `normalized` reads `v.table_lanes()`; `additive` its `priced_lanes`.
     """
     m = v.m
     if cls not in VERIFY_CAP:
@@ -709,15 +726,15 @@ def verify_class(v: Valuation, cls: str):
         if val != 0:
             return False, {"S": [], "value": val}
         return True, None
-    if cls == "additive":
-        prices = scale_to_ints([v._value_mask(1 << j) for j in range(m)])
-        vals, psum, D = priced_table(v.value_table(), prices)
-        for mask in range(1 << m):
-            if vals[mask] != psum[mask]:
-                return False, {"S": sorted(bundle_of(mask)), "lhs": Fraction(vals[mask], D)}
-        return True, None
     lanes = v.table_lanes()
-    vals, D = lanes[:2]
+    vals, D = lanes.ints, lanes.D
+    if cls == "additive":
+        L, c, w, _, _ = priced_lanes(lanes, [vals[1 << j] for j in range(m)], D)
+        diff = L ^ c * (lane_guard(w, 1 << m) >> 8 * w - 1)
+        if diff:
+            mask = ((diff & -diff).bit_length() - 1) // (8 * w)
+            return False, {"S": sorted(bundle_of(mask)), "lhs": Fraction(vals[mask], D)}
+        return True, None
     if cls == "monotone":
         drop = _first_monotone_drop(lanes)
         if drop is None:
@@ -760,12 +777,11 @@ def verify_class(v: Valuation, cls: str):
 
 def _first_monotone_drop(lanes):
     """(mask, item) of the first vals[S] > vals[S + j] in (mask, item) order,
-    or None, for the table lanes (vals, D, X, nbytes, ...) of `lanes_of`. A
-    table is monotone iff every mask holds its submask max, that is iff no
-    `max_passes` pass moves a lane of X; the scan names the drop."""
-    vals, _, X, nbytes = lanes[:4]
+    or None, for the table's `Lanes`. A table is monotone iff no `max_passes`
+    pass moves a lane of X, every mask holding its submask max; the scan names the drop."""
+    vals = lanes.ints
     n = len(vals)
-    if max_passes(X, nbytes, n) == X:
+    if max_passes(lanes.X, lanes.nbytes, n) == lanes.X:
         return None
     for mask in range(n):
         for j in iter_bits((n - 1) & ~mask):
@@ -826,8 +842,10 @@ def _max_sum(rows, b):
 
 
 def check_clause(v: Valuation, S, clause: dict, exhaustive: bool = True):
-    """Clause legality: supported on S, a(S) = v(S), and a(T) <= v(T) for all T."""
+    """Clause legality: supported on S, a(S) = v(S), and a(T) <= v(T) for all
+    T (the lanes of `priced_lanes` at a below c), each weight by `parse_money`."""
     mask = checked_mask(S, v.m)
+    clause = {j: parse_money(w) for j, w in clause.items()}
     if not set(clause) <= bundle_of(mask):
         return False, {"reason": "support outside bundle"}
     if any(w < 0 for w in clause.values()):
@@ -839,16 +857,17 @@ def check_clause(v: Valuation, S, clause: dict, exhaustive: bool = True):
     if exhaustive:
         if v.m > EXHAUSTIVE_DEMAND_CAP:
             raise CapabilityError(f"exhaustive clause check capped at m={EXHAUSTIVE_DEMAND_CAP}")
-        prices = scale_to_ints([clause.get(j, 0) for j in range(v.m)])
-        vals, csum, D = priced_table(v.value_table(), prices)
-        for tmask in range(1, 1 << v.m):
-            if csum[tmask] > vals[tmask]:
-                return False, {
-                    "reason": "clause exceeds value",
-                    "T": sorted(bundle_of(tmask)),
-                    "clause": Fraction(csum[tmask], D),
-                    "value": Fraction(vals[tmask], D),
-                }
+        L, c, w, D, a = priced_lanes(v.table_lanes(), *scale_to_ints([clause.get(j, 0) for j in range(v.m)]))
+        guard = lane_guard(w, 1 << v.m)
+        below = guard ^ ((L | guard) - c * (guard >> 8 * w - 1)) & guard
+        if below:
+            t = (below & -below).bit_length() // (8 * w) - 1
+            return False, {
+                "reason": "clause exceeds value",
+                "T": sorted(bundle_of(t)),
+                "clause": Fraction(sum(a[j] for j in iter_bits(t)), D),
+                "value": v._value_mask(t),
+            }
     return True, None
 
 

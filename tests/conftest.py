@@ -12,12 +12,14 @@ import random
 from collections import deque
 from fractions import Fraction
 
+from sspeq.money import scale_to_ints
 from sspeq.valuations import (
     AdditiveValuation,
     BudgetAdditiveValuation,
     CoverageValuation,
     TableValuation,
     XOSExplicitValuation,
+    better_demand,
     bundle_of,
     mask_of,
 )
@@ -105,6 +107,52 @@ def brute_mask_sums(weights, base=0):
     """base + the sum of weights[b] over the set bits b of t, for every t,
     by a literal scan."""
     return [base + sum(w for b, w in enumerate(weights) if t >> b & 1) for t in range(1 << len(weights))]
+
+
+def priced_lists(table, prices):
+    """A value table (vals, Dv) and int item prices (p, Dp) as lists at one
+    common denominator D: (vals, psum, D), psum[t] the price of bundle t."""
+    (vals, Dv), (p, Dp) = table, prices
+    D = math.lcm(Dv, Dp)
+    return [x * (D // Dv) for x in vals], brute_mask_sums([x * (D // Dp) for x in p]), D
+
+
+def reference_demand(v, p, D):
+    """The mask of the exhaustive demand at int prices p / D, by a loop over
+    every mask: a later mask replaces the best only under `better_demand`."""
+    vals, psum, _ = priced_lists(v.value_table(), (p, D))
+    best_profit, best = 0, 0
+    for mask in range(1, len(vals)):
+        profit = vals[mask] - psum[mask]
+        if profit >= best_profit and better_demand(profit, mask, best_profit, best):
+            best_profit, best = profit, mask
+    return best
+
+
+def reference_clause_scan(v, clause):
+    """`check_clause`'s exhaustive verdict on a clause that passed its
+    support, sign and sum checks: the first T in mask order with a(T) > v(T)."""
+    vals, csum, D = priced_lists(v.value_table(), scale_to_ints([clause.get(j, 0) for j in range(v.m)]))
+    for t in range(1, len(vals)):
+        if csum[t] > vals[t]:
+            return False, {
+                "reason": "clause exceeds value",
+                "T": sorted(bundle_of(t)),
+                "clause": Fraction(csum[t], D),
+                "value": Fraction(vals[t], D),
+            }
+    return True, None
+
+
+def reference_additive(v):
+    """`verify_class(v, "additive")` by a loop: the first mask whose value is
+    not the sum of its items' values."""
+    prices = scale_to_ints([v._value_mask(1 << j) for j in range(v.m)])
+    vals, psum, D = priced_lists(v.value_table(), prices)
+    for t in range(len(vals)):
+        if vals[t] != psum[t]:
+            return False, {"S": sorted(bundle_of(t)), "lhs": Fraction(vals[t], D)}
+    return True, None
 
 
 def random_table(rng, m, monotone=True):

@@ -50,6 +50,7 @@ from sspeq.valuations import (
     _kept_lane_masks,
     _subset_max,
     bundle_of,
+    lane_guard,
     lane_masks,
     lanes_of,
     lanes_top,
@@ -378,7 +379,7 @@ def test_widen_lanes_matches_pack_lanes_and_keeps_the_top_lane(row):
             Y = widen_lanes(X, nbytes, to, len(row))
             assert Y == pack_lanes(row, lo, to)
             if span >> 8 * to - 1 == 0:
-                assert lanes_top(Y, to, len(row)) == span
+                assert lanes_top(Y, to, len(row), lane_guard(to, len(row))) == span
 
 
 def test_lane_masks_keep_the_lanes_without_the_bit():
@@ -421,14 +422,14 @@ def test_split_bound_covers_the_exact_split(tables):
     # negative entries, negative prices and entries at or past 2^64: before
     # is b's subset max (b itself when that is b), each other row is exact
     # up to a constant, the constants sum to c, and rest = A + B - ub; rows
-    # given as lanes at a third of their values, scaled by k = 3, give the
-    # rows of the tripled tables
+    # given as lanes at denominator 1, scaled by k = 3 to D = 3, give the
+    # rows of the tripled tables at D = 3
     a, b, prices = tables
-    before, A, B, ub, c = _split_bound(lanes_of(a, 1), lanes_of(b, 1), prices)
-    thirds = [([3 * x for x in row], 3, *lanes_of(row, 1)[2:]) for row in (a, b)]
-    tripled = [lanes_of([3 * x for x in row], 1) for row in (a, b)]
+    before, A, B, ub, c = _split_bound(lanes_of(a, 1), lanes_of(b, 1), b, prices, 1)
+    ones = [lanes_of(row, 1) for row in (a, b)]
+    tripled = [lanes_of([3 * x for x in row], 3) for row in (a, b)]
     triple = [3 * x for x in prices]
-    assert _split_bound(*thirds, triple) == _split_bound(*tripled, triple)
+    assert _split_bound(*ones, tripled[1].ints, triple, 3) == _split_bound(*tripled, tripled[1].ints, triple, 3)
     rest = [x + y - z for x, y, z in zip(A, B, ub)]
     ps = [sum(x for j, x in enumerate(prices) if t >> j & 1) for t in range(len(a))]
     subs = [[t for t in range(R + 1) if t & R == t] for R in range(len(a))]
@@ -471,7 +472,7 @@ def test_split_above_is_the_best_split_when_it_beats_the_floor(case):
     a, b, prices, R, offset = case
     want = max(a[s] + b[R ^ s] for s in range(R + 1) if s & R == s)
     floor = want + offset
-    _, A, B, ub, c = _split_bound(lanes_of(a, 1), lanes_of(b, 1), prices)
+    _, A, B, ub, c = _split_bound(lanes_of(a, 1), lanes_of(b, 1), b, prices, 1)
     first = _branch_items(A, B)
     assert all(first[f] & f and first[f].bit_count() == 1 for f in range(1, len(a)))
     highest = [1 << f.bit_length() >> 1 for f in range(len(a))]

@@ -26,6 +26,9 @@ from conftest import (
     random_submodular_table,
     random_table,
     random_weights,
+    reference_additive,
+    reference_clause_scan,
+    reference_demand,
     seeded,
 )
 from sspeq import valuations
@@ -214,6 +217,27 @@ def test_check_clause_rejects_a_bundle_out_of_range(v):
         check_clause(v, {0, 5}, {0: 1})
 
 
+def test_check_clause_reads_each_weight_as_money():
+    # a string weight is money; a float raises as in every money row, and a
+    # negative weight keeps its verdict
+    v = AdditiveValuation(2, [Fraction(1, 2), 1])
+    assert check_clause(v, {0}, {0: "1/2"}) == (True, None)
+    assert check_clause(v, {0, 1}, {0: "1/2", 1: 1}) == (True, None)
+    assert check_clause(v, {0}, {0: "-1/2"}) == (False, {"reason": "negative weight"})
+    with pytest.raises(TypeError, match="cannot parse money from float"):
+        check_clause(v, {0}, {0: 0.5})
+
+
+def test_valuations_read_m_as_a_count():
+    # a str m is named as one, not misread as a count; True is the int 1
+    with pytest.raises(DomainError, match="m must be an int, got '2'"):
+        TableValuation("2", [0, 1, 1, 2])
+    v = TableValuation(True, [0, 1])
+    assert type(v.m) is int and v.m == 1
+    with pytest.raises(DomainError, match="need at least one item, got m=0"):
+        AdditiveValuation(0, [])
+
+
 def test_verify_class_additive():
     assert verify_class(AdditiveValuation(3, (1, 2, 3)), "additive")[0]
     v = BudgetAdditiveValuation(2, 1, (1, 1))
@@ -333,6 +357,66 @@ def test_table_demand_matches_brute(seed):
     prices = [Fraction(rng.randint(0, 8), rng.randint(1, 3)) for _ in range(m)]
     want, _ = brute_demand(v, prices)
     assert v.demand(prices) == want
+
+
+def edge_table(rng, m, kind):
+    """An unchecked table of `kind`: `negative` entries in -20..20, `wide`
+    entries past 2^64, `tie` every bundle but the empty one at one value,
+    `ragged` a quarter of the bundles of two or more items at one value x >
+    0 and the rest at 0, or `additive` item sums, one entry perhaps off by
+    one; at a denominator of 1, 7, 11 or 13."""
+    size = 1 << m
+    if kind == "tie":
+        ints = [0] + [rng.randint(0, 3)] * (size - 1)
+    elif kind == "ragged":
+        x = rng.randint(1, 3)
+        ints = [x if t.bit_count() > 1 and rng.random() < 0.25 else 0 for t in range(size)]
+    elif kind == "additive":
+        ints = brute_mask_sums([rng.randint(-5, 5) for _ in range(m)])
+        if rng.random() < 0.5:
+            ints[rng.randrange(1, size)] += rng.choice((-1, 1))
+    else:
+        base = 1 << 64 if kind == "wide" else 0
+        ints = [0] + [base + rng.randint(-20 if kind == "negative" else 0, 20) for _ in range(size - 1)]
+    den = rng.choice((1, 7, 11, 13))
+    return TableValuation(m, [Fraction(x, den) for x in ints], validate=False)
+
+
+def legal_sum_clause(rng, v, S):
+    """Weights >= 0 on S, at denominators 7, 11 and 13, scaled to sum to
+    v(S) >= 0: a clause that reaches the exhaustive scan of `check_clause`."""
+    target = v._value_mask(mask_of(S))
+    r = {j: Fraction(rng.randint(0, 9), rng.choice((7, 11, 13))) for j in S}
+    total = sum(r.values())
+    if total == 0:
+        r[min(S)], total = Fraction(1), Fraction(1)
+    return {j: x * target / total for j, x in r.items()}
+
+
+@given(st.integers(0, 10_000), st.integers(1, 10), st.sampled_from(["negative", "wide", "tie", "ragged", "additive"]))
+@settings(max_examples=120, deadline=None)
+def test_priced_lanes_scans_match_the_reference_loops(seed, m, kind):
+    # exhaustive demand, the exhaustive clause check and the additive check
+    # on lanes against the loops over every mask, on unchecked negative
+    # tables, values past 2^64, tie tables and prices at denominators 7, 11
+    # and 13 (some past 2^64 on wide tables; on tie tables all equal and at
+    # most 1, so the ties reach the demand)
+    rng = seeded(seed)
+    v = edge_table(rng, m, kind)
+    big = 1 << 60 if kind == "wide" else 0
+    for _ in range(3):
+        prices = [Fraction(rng.randint(0, 30) + rng.choice((0, big)), rng.choice((1, 7, 11, 13)))
+                  for _ in range(m)]
+        if kind in ("tie", "ragged"):
+            prices = [prices[0] / 30] * m
+        p, D = v._check_prices(prices)
+        assert v._demand(p, D) == reference_demand(v, p, D)
+    assert verify_class(v, "additive") == reference_additive(v)
+    for mask in rng.sample(range(1, 1 << m), min(4, (1 << m) - 1)):
+        S = bundle_of(mask)
+        if v._value_mask(mask) >= 0:
+            clause = legal_sum_clause(rng, v, S)
+            assert check_clause(v, S, clause) == reference_clause_scan(v, clause)
 
 
 @given(data=st.data())
